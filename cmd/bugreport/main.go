@@ -13,7 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"exterminator/internal/core"
+	"exterminator/internal/engine"
+	"exterminator/internal/patch"
 	"exterminator/internal/report"
 )
 
@@ -23,11 +24,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: bugreport <patch-file>...")
 		os.Exit(2)
 	}
-	merged := core.NewPatches()
+	merged := patch.New()
 	for _, path := range flag.Args() {
-		p, err := core.LoadPatches(path)
+		p, err := engine.LoadPatchFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bugreport: %s: %v\n", path, err)
+			fmt.Fprintf(os.Stderr, "bugreport: %v\n", err)
 			os.Exit(1)
 		}
 		merged.Merge(p)

@@ -28,7 +28,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"exterminator/internal/core"
 	"exterminator/internal/diefast"
 	"exterminator/internal/engine"
 	"exterminator/internal/fleet"
@@ -147,9 +146,9 @@ func main() {
 			engine.WithFlushInterval(*flushInt),
 			engine.WithFlushEvery(*flushEvery))
 		if *historyIn != "" {
-			hist, err := core.LoadHistory(*historyIn)
+			hist, err := engine.LoadHistoryFile(*historyIn)
 			if err != nil {
-				fatalf("load history: %v", err)
+				fatalf("%v", err)
 			}
 			fmt.Printf("resuming from %s\n", hist)
 			opts = append(opts, engine.WithHistory(hist))
@@ -159,9 +158,9 @@ func main() {
 	}
 
 	if *patchIn != "" {
-		p, err := core.LoadPatches(*patchIn)
+		p, err := engine.LoadPatchFile(*patchIn)
 		if err != nil {
-			fatalf("load patches: %v", err)
+			fatalf("%v", err)
 		}
 		opts = append(opts, engine.WithPatches(p))
 	}
@@ -242,7 +241,7 @@ func main() {
 		fmt.Printf("derived %d patch entr%s (%d new this session)\n",
 			res.Patches.Len(), plural(res.Patches.Len()), res.Derived.Len())
 		if *text {
-			core.WritePatchesText(res.Patches, os.Stdout)
+			res.Patches.EncodeText(os.Stdout)
 		}
 	} else {
 		fmt.Println("no patches derived")

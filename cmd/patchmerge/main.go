@@ -23,7 +23,6 @@ import (
 	"os"
 	"strings"
 
-	"exterminator/internal/core"
 	"exterminator/internal/fleet"
 	"exterminator/internal/patch"
 )
@@ -57,7 +56,7 @@ func main() {
 	}
 
 	// Phase 2: merge (max-combine, §6.4).
-	merged := core.NewPatches()
+	merged := patch.New()
 	for _, in := range inputs {
 		merged.Merge(in.set)
 		fmt.Printf("%s: %d entries (%s)\n", in.path, in.set.Len(), in.kind)
@@ -66,7 +65,7 @@ func main() {
 		merged.Len(), len(merged.Pads), len(merged.FrontPads), len(merged.Deferrals))
 
 	if *text {
-		core.WritePatchesText(merged, os.Stdout)
+		merged.EncodeText(os.Stdout)
 	}
 	if *out != "" {
 		if err := save(merged, *out, *jsonOut); err != nil {

@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"exterminator/internal/core"
+	"exterminator/internal/engine"
+	"exterminator/internal/mutator"
 	"exterminator/internal/workloads"
 )
 
@@ -19,37 +21,46 @@ func main() {
 	moz := workloads.NewMozilla(8)
 
 	fmt.Println("=== Nondeterminism check ===")
-	ext := core.New(core.Options{Seed: 11, ProgSeed: 100})
-	ext2 := core.New(core.Options{Seed: 11, ProgSeed: 200})
-	out1, _ := ext.Verify(moz, workloads.MozillaSession(10, false), nil, nil)
-	out2, _ := ext2.Verify(moz, workloads.MozillaSession(10, false), nil, nil)
+	out1, _ := engine.Verify(moz, workloads.MozillaSession(10, false), nil, nil, 11, 100)
+	out2, _ := engine.Verify(moz, workloads.MozillaSession(10, false), nil, nil, 11, 200)
 	fmt.Printf("  run A: %d allocations\n  run B: %d allocations\n", out1.Clock, out2.Clock)
 	fmt.Println("  -> different counts: object ids cannot be aligned across runs")
 
 	fmt.Println("\n=== Study 1: load the malicious IDN page immediately ===")
-	res := core.New(core.Options{Seed: 21, MaxRuns: 100}).Cumulative(
-		moz,
-		func(run int) []byte { return workloads.MozillaSession(2, true) },
-		nil,
-		true, // vary program seed per run: full nondeterminism
-	)
-	report("immediate", res)
+	report("immediate", study(moz, 21, 100, func(run int) []byte {
+		return workloads.MozillaSession(2, true)
+	}))
 
 	fmt.Println("\n=== Study 2: browse first (different pages each run) ===")
-	res2 := core.New(core.Options{Seed: 22, MaxRuns: 120}).Cumulative(
-		moz,
-		func(run int) []byte { return workloads.MozillaSession(8+run%7, true) },
-		nil,
-		true,
-	)
-	report("browse-first", res2)
+	report("browse-first", study(moz, 22, 120, func(run int) []byte {
+		return workloads.MozillaSession(8+run%7, true)
+	}))
 
 	fmt.Println("\n(The paper needed 23 and 34 runs for the two studies, with")
 	fmt.Println("no false positives; the browse-first study takes longer because")
 	fmt.Println("the culprit site also allocates more correct objects.)")
 }
 
-func report(name string, res *core.CumulativeResult) {
+// study isolates the overflow in cumulative mode, with a fresh program
+// seed per run: full nondeterminism.
+func study(moz mutator.Program, heapSeed uint64, maxRuns int, inputFor func(run int) []byte) *engine.CumulativeResult {
+	sess, err := engine.New(engine.Batch(moz),
+		engine.WithMode(engine.ModeCumulative),
+		engine.WithSeeds(heapSeed, 0x9106),
+		engine.WithMaxRuns(maxRuns),
+		engine.WithVaryProgSeed(true),
+		engine.WithInputFunc(inputFor))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Cumulative
+}
+
+func report(name string, res *engine.CumulativeResult) {
 	if !res.Identified {
 		log.Fatalf("browser: %s scenario never identified the overflow", name)
 	}

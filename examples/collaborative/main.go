@@ -17,10 +17,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"exterminator/internal/core"
 	"exterminator/internal/engine"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
+	"exterminator/internal/patch"
 	"exterminator/internal/workloads"
 )
 
@@ -80,16 +80,16 @@ func main() {
 	}
 
 	fmt.Println("\n=== merge all users' patches (max-combine) ===")
-	merged := core.NewPatches()
+	merged := patch.New()
 	for _, f := range files {
-		p, err := core.LoadPatches(f)
+		p, err := engine.LoadPatchFile(f)
 		if err != nil {
 			log.Fatal(err)
 		}
 		merged.Merge(p)
 	}
 	fmt.Printf("merged set: %d entries\n", merged.Len())
-	core.WritePatchesText(merged, os.Stdout)
+	merged.EncodeText(os.Stdout)
 
 	fmt.Println("\n=== every user's bug is fixed by the merged set ===")
 	for u, plan := range bugs {

@@ -24,6 +24,7 @@ import (
 	"exterminator/internal/cumulative"
 	"exterminator/internal/diefast"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/mem"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
@@ -139,7 +140,7 @@ func runClient(id int, base string) clientResult {
 		wmRuns, wmObs := hist.UploadedCounts()
 		batch := &fleet.ObservationBatch{
 			Snapshot: up,
-			BatchID:  cumulative.BatchID(c.ID(), wmRuns, wmObs, up),
+			BatchID:  codec.BatchID(c.ID(), up.Lineage, wmRuns, wmObs, up),
 		}
 		if _, err := c.PushBatchContext(context.Background(), batch); err != nil {
 			return clientResult{err: fmt.Errorf("upload: %w", err)}

@@ -8,13 +8,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"exterminator/internal/core"
+	"exterminator/internal/engine"
 	"exterminator/internal/freelist"
 	"exterminator/internal/mem"
 	"exterminator/internal/mutator"
+	"exterminator/internal/patch"
 	"exterminator/internal/workloads"
 	"exterminator/internal/xrand"
 )
@@ -39,10 +41,9 @@ func main() {
 	fmt.Printf("  -> %d/5 runs crashed (the paper: Squid crashes under GNU libc)\n\n", crashes)
 
 	fmt.Println("=== Same input under Exterminator (iterative mode) ===")
-	var patches *core.Patches
+	var patches *patch.Set
 	for seed := uint64(1); seed <= 6; seed++ {
-		ext := core.New(core.Options{Seed: seed * 7919})
-		res := ext.Iterative(squid, hostile, nil)
+		res := iterative(squid, hostile, seed*7919)
 		if res.CleanAtStart {
 			fmt.Printf("  attempt %d: overflow invisible in this layout, retrying\n", seed)
 			continue
@@ -57,15 +58,30 @@ func main() {
 		log.Fatal("squidcache: overflow never corrected")
 	}
 	fmt.Println("\n  runtime patch (paper: a single site, a pad of exactly 6 bytes):")
-	core.WritePatchesText(patches, indent{})
+	patches.EncodeText(indent{})
 
 	fmt.Println("\n=== Patched server vs the same exploit ===")
-	ext := core.New(core.Options{Seed: 0xACE})
-	out, clean := ext.Verify(squid, hostile, nil, patches)
+	out, clean := engine.Verify(squid, hostile, nil, patches, 0xACE, 0x9106)
 	fmt.Printf("  %s\n  heap clean: %v\n", out, clean)
 	if !clean {
 		log.Fatal("squidcache: patched server still corrupts")
 	}
+}
+
+// iterative runs one iterative-mode session of prog over input.
+func iterative(prog mutator.Program, input []byte, heapSeed uint64) *engine.IterativeResult {
+	sess, err := engine.New(engine.Batch(prog),
+		engine.WithMode(engine.ModeIterative),
+		engine.WithSeeds(heapSeed, 0x9106),
+		engine.WithInput(input))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Iterative
 }
 
 type indent struct{}

@@ -363,6 +363,51 @@ func TestClusterSinkPartialPushNoDoubleCount(t *testing.T) {
 	}
 }
 
+// TestClusterSinkFreshHistoriesUnderOneIDBothCount is the batch-ID
+// collision regression through the router: two fresh sessions of one
+// installation id split the same first delta into the same pieces at
+// watermark position (0, 0). Their lineages differ, so every piece ID
+// differs and the partitions absorb both uploads.
+func TestClusterSinkFreshHistoriesUnderOneIDBothCount(t *testing.T) {
+	for _, v2 := range []bool{false, true} {
+		name := "json"
+		if v2 {
+			name = "v2"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := cumulative.DefaultConfig()
+			var parts []*fleet.Server
+			var urls []string
+			for i := 0; i < 2; i++ {
+				srv := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				parts = append(parts, srv)
+				urls = append(urls, ts.URL)
+			}
+			for session := 0; session < 2; session++ {
+				sink, err := NewSink(urls[0] /* coordinator unused: no derived patches */, "install-1", urls...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink.SetWireV2(v2)
+				hist := cumulative.NewHistory(cfg)
+				hist.Absorb(testBatch(rand.New(rand.NewSource(43))))
+				if err := sink.Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var runs int64
+			for _, p := range parts {
+				runs += p.Store().Runs()
+			}
+			if runs != 6 {
+				t.Fatalf("runs = %d, want 6: the second session's pieces were deduped against the first", runs)
+			}
+		})
+	}
+}
+
 // TestSplitSnapshotPartitionsEvidence: the split is a partition of the
 // batch — reassembling the pieces reproduces the original evidence, each
 // key lands on the ring owner, and run counters appear exactly once.

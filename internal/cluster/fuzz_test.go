@@ -9,10 +9,12 @@ import (
 	"exterminator/internal/site"
 )
 
-// fuzzCoordSeed hand-encodes a small valid XCSN v3 container: ring
-// membership, one partition entry with a non-empty mirror, and an
-// empty alert blob.
-func fuzzCoordSeed(t testing.TB) []byte {
+// encodeCoordSnap hand-encodes a small XCSN container in the section
+// layout of the given version: ring membership from version 2, the alert
+// blob from version 3, and one partition entry with a non-empty mirror
+// in every version. It also returns the offset of the mirror's length
+// prefix.
+func encodeCoordSnap(t testing.TB, version uint32) (data []byte, mirrorLenAt int) {
 	hist := cumulative.NewHistory(cumulative.DefaultConfig())
 	hist.Absorb(&cumulative.Snapshot{
 		Runs:  2,
@@ -31,20 +33,46 @@ func fuzzCoordSeed(t testing.TB) []byte {
 	u64 := func(v uint64) { binary.Write(&buf, binary.LittleEndian, v) }
 	const base = "http://p1.example:7077"
 	u32(coordSnapMagic)
-	u32(coordSnapVersion)
-	u64(3) // ring version
-	u32(1) // one node
-	u32(uint32(len(base)))
-	buf.WriteString(base)
+	u32(version)
+	if version >= 2 {
+		u64(3) // ring version
+		u32(1) // one node
+		u32(uint32(len(base)))
+		buf.WriteString(base)
+	}
 	u32(1) // one partition entry
 	u32(uint32(len(base)))
 	buf.WriteString(base)
 	u64(17) // seq
 	u64(5)  // epoch
+	mirrorLenAt = buf.Len()
 	u64(uint64(mirror.Len()))
 	buf.Write(mirror.Bytes())
-	u64(0) // no alert state
-	return buf.Bytes()
+	if version >= 3 {
+		u64(0) // no alert state
+	}
+	return buf.Bytes(), mirrorLenAt
+}
+
+// TestReadCoordSnapshotRejectsRetiredVersions: the coordinator snapshot
+// has one version. Containers laid out as the retired versions 1 (no
+// membership) and 2 (no alert state) are rejected, as is a future one;
+// the current layout built by the same encoder decodes.
+func TestReadCoordSnapshotRejectsRetiredVersions(t *testing.T) {
+	cur, _ := encodeCoordSnap(t, coordSnapVersion)
+	snap, err := readCoordSnapshot(bytes.NewReader(cur))
+	if err != nil {
+		t.Fatalf("current version rejected: %v", err)
+	}
+	if snap.ringVersion != 3 || len(snap.nodes) != 1 || len(snap.entries) != 1 {
+		t.Fatalf("current version decoded wrong: %+v", snap)
+	}
+	for _, v := range []uint32{1, 2, coordSnapVersion + 1} {
+		data, _ := encodeCoordSnap(t, v)
+		if _, err := readCoordSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("XCSN version %d decoded", v)
+		}
+	}
 }
 
 // FuzzXCSNDecode fuzzes the coordinator snapshot decoder: corrupt or
@@ -52,16 +80,14 @@ func fuzzCoordSeed(t testing.TB) []byte {
 // the bytes present — must return an error, never panic, and never
 // allocate proportional to an untrusted prefix.
 func FuzzXCSNDecode(f *testing.F) {
-	seed := fuzzCoordSeed(f)
+	seed, mirrorLenAt := encodeCoordSnap(f, coordSnapVersion)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2]) // truncated inside the mirror blob
 	f.Add(seed[:10])          // truncated inside the header
 	f.Add([]byte{})
 	// Forged mirror length: entry claims ~1 GiB of mirror bytes.
 	forged := append([]byte{}, seed...)
-	if len(forged) > 60 {
-		binary.LittleEndian.PutUint64(forged[52:], maxMirrorBytes-1)
-	}
+	binary.LittleEndian.PutUint64(forged[mirrorLenAt:], maxMirrorBytes-1)
 	f.Add(forged)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := readCoordSnapshot(bytes.NewReader(data))

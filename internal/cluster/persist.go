@@ -32,14 +32,15 @@ const (
 	maxAlertBytes    = 1 << 26
 )
 
-// SaveSnapshot writes the coordinator's membership (version 2: the ring
-// version and node list, so a restarted coordinator keeps the
-// rebalanced topology and its monotonic version even when the operator's
-// flag list is stale), mirrors, cursors and the triage alerter's
-// exactly-once state (version 3: fired records and the undelivered
-// queue, so a restart neither re-fires a webhook already sent nor drops
-// one still pending) to path (write-to-temp, then rename — a crash
-// mid-write never corrupts the previous snapshot).
+// SaveSnapshot writes the coordinator's membership (the ring version and
+// node list, so a restarted coordinator keeps the rebalanced topology
+// and its monotonic version even when the operator's flag list is
+// stale), mirrors, cursors and the triage alerter's exactly-once state
+// (fired records and the undelivered queue, so a restart neither
+// re-fires a webhook already sent nor drops one still pending) to path
+// (write-to-temp, then rename — a crash mid-write never corrupts the
+// previous snapshot). The container has one version, coordSnapVersion;
+// the decoder rejects every other.
 func (c *Coordinator) SaveSnapshot(path string) error {
 	ringVersion, nodes := c.ring.Membership()
 	alerts, err := c.triage.AlertState()
@@ -128,10 +129,10 @@ func readBlob(r io.Reader, n uint64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// readCoordSnapshot decodes a coordinator snapshot container (any
-// supported version). Corrupt or truncated input returns an error; no
-// input may panic or force allocations beyond the bytes actually
-// present (fuzzed by FuzzXCSNDecode).
+// readCoordSnapshot decodes a coordinator snapshot container of version
+// coordSnapVersion. Corrupt or truncated input, and any other version,
+// returns an error; no input may panic or force allocations beyond the
+// bytes actually present (fuzzed by FuzzXCSNDecode).
 func readCoordSnapshot(r io.Reader) (*coordSnapshot, error) {
 	br := bufio.NewReader(r)
 	var readErr error
@@ -156,30 +157,27 @@ func readCoordSnapshot(r io.Reader) (*coordSnapshot, error) {
 		return nil, readErr
 	}
 	version := u32()
-	if readErr != nil || version < 1 || version > coordSnapVersion {
+	if readErr != nil || version != coordSnapVersion {
 		if readErr == nil {
 			readErr = fmt.Errorf("unsupported version %d", version)
 		}
 		return nil, readErr
 	}
-	snap := &coordSnapshot{}
-	if version >= 2 {
-		snap.ringVersion = u64()
-		nn := u32()
-		if readErr != nil || nn > maxSnapParts {
+	snap := &coordSnapshot{ringVersion: u64()}
+	nn := u32()
+	if readErr != nil || nn > maxSnapParts {
+		return nil, orImplausible(readErr)
+	}
+	for i := uint32(0); i < nn; i++ {
+		nl := u32()
+		if readErr != nil || nl > 4096 {
 			return nil, orImplausible(readErr)
 		}
-		for i := uint32(0); i < nn; i++ {
-			nl := u32()
-			if readErr != nil || nl > 4096 {
-				return nil, orImplausible(readErr)
-			}
-			buf, err := readBlob(br, uint64(nl))
-			if err != nil {
-				return nil, err
-			}
-			snap.nodes = append(snap.nodes, string(buf))
+		buf, err := readBlob(br, uint64(nl))
+		if err != nil {
+			return nil, err
 		}
+		snap.nodes = append(snap.nodes, string(buf))
 	}
 	n := u32()
 	if readErr != nil || n > maxSnapParts {
@@ -213,15 +211,13 @@ func readCoordSnapshot(r io.Reader) (*coordSnapshot, error) {
 		}
 		snap.entries[string(base)] = coordSnapEntry{seq: seq, epoch: epoch, mirror: mirror}
 	}
-	if version >= 3 {
-		al := u64()
-		if readErr != nil || al > maxAlertBytes {
-			return nil, orImplausible(readErr)
-		}
-		snap.alerts, readErr = readBlob(br, al)
-		if readErr != nil {
-			return nil, readErr
-		}
+	al := u64()
+	if readErr != nil || al > maxAlertBytes {
+		return nil, orImplausible(readErr)
+	}
+	snap.alerts, readErr = readBlob(br, al)
+	if readErr != nil {
+		return nil, readErr
 	}
 	return snap, nil
 }
@@ -249,7 +245,7 @@ func (c *Coordinator) LoadSnapshot(path string) error {
 	ringVersion, nodes := snap.ringVersion, snap.nodes
 	restored, alerts := snap.entries, snap.alerts
 
-	// A version-2 snapshot's membership is authoritative: it reflects any
+	// The snapshot's membership is authoritative: it reflects any
 	// rebalance completed since the operator's flag list was written, and
 	// restoring the monotonic ring version is what keeps the next
 	// rebalance's announcements ahead of the partitions' requirements.

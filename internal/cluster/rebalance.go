@@ -13,6 +13,7 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 	"exterminator/internal/telemetry"
 )
@@ -326,7 +327,7 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 				batch := &fleet.ObservationBatch{
 					Client:      "rebalance",
 					Snapshot:    piece,
-					BatchID:     cumulative.BatchID(rebalToken(plan.Version, node)+">"+dest, 0, 0, piece),
+					BatchID:     codec.BatchID(rebalToken(plan.Version, node)+">"+dest, 0, 0, 0, piece),
 					RingVersion: plan.Version,
 				}
 				if _, err := c.findPartition(dest).client.PushBatchContext(ctx, batch); err != nil {

@@ -26,10 +26,7 @@ type Router struct {
 	token   string
 	logger  *slog.Logger
 	reg     *telemetry.Registry
-	// wireV2 opts every partition client into binary v2 uploads and
-	// switches piece stamping to the binary batch identity
-	// (codec.BatchID), which hashes the encoded frame bytes instead of
-	// re-encoding each piece as canonical JSON.
+	// wireV2 opts every partition client into binary v2 uploads.
 	wireV2 bool
 }
 
@@ -90,10 +87,9 @@ func (rt *Router) SetMetrics(reg *telemetry.Registry) {
 }
 
 // SetWireV2 opts the router into the binary v2 wire protocol: every
-// partition client (existing and lazily created) uploads v2 frames, and
-// SplitBatch stamps pieces with the binary batch identity. Per-client
-// negotiation still applies — a partition that doesn't speak v2
-// downgrades its own client to JSON without affecting the others.
+// partition client (existing and lazily created) uploads v2 frames.
+// Per-client negotiation still applies — a partition that doesn't speak
+// v2 downgrades its own client to JSON without affecting the others.
 func (rt *Router) SetWireV2(on bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -218,9 +214,9 @@ type Piece struct {
 }
 
 // SplitBatch splits delta along the ring (SplitSnapshot) and stamps each
-// piece with cumulative.BatchID derived from the client id, the upload
-// watermark position the delta was cut at (wmRuns, wmObs — see
-// History.UploadedCounts), and the piece's canonical content, plus the
+// piece with codec.BatchID derived from the client id, the delta's
+// lineage, the upload watermark position the delta was cut at (wmRuns,
+// wmObs — see History.UploadedCounts), and the piece's content, plus the
 // membership version the split was routed under. Retrying a stored piece
 // verbatim therefore reproduces its ID exactly, while any newly cut
 // delta gets fresh IDs. Pieces are returned in ring-node map order;
@@ -232,18 +228,6 @@ func (rt *Router) SplitBatch(wmRuns, wmObs int, delta *cumulative.Snapshot) ([]P
 	if err != nil {
 		return nil, err
 	}
-	rt.mu.Lock()
-	v2 := rt.wireV2
-	rt.mu.Unlock()
-	stamp := cumulative.BatchID
-	if v2 {
-		// Binary identity: hashes the piece's v2 frame bytes directly —
-		// no canonical-JSON round-trip per piece. IDs are opaque to the
-		// server's dedup window, so the two schemes coexist; what matters
-		// is that retrying a stored piece reproduces its ID, which both
-		// do deterministically.
-		stamp = codec.BatchID
-	}
 	pieces := make([]Piece, 0, len(parts))
 	for node, part := range parts {
 		pieces = append(pieces, Piece{
@@ -251,7 +235,7 @@ func (rt *Router) SplitBatch(wmRuns, wmObs int, delta *cumulative.Snapshot) ([]P
 			Batch: &fleet.ObservationBatch{
 				Client:      rt.id,
 				Snapshot:    part,
-				BatchID:     stamp(rt.id, wmRuns, wmObs, part),
+				BatchID:     codec.BatchID(rt.id, delta.Lineage, wmRuns, wmObs, part),
 				RingVersion: version,
 			},
 		})

@@ -41,22 +41,3 @@ func ExampleHistory_UploadDelta() {
 	// second delta: 1 runs, 1 new site(s), 0 overflow key(s)
 	// drained: true
 }
-
-// A batch's identity is content-addressed: a verbatim retry (the
-// lost-ack case) reproduces the same ID, while any new delta — more
-// content or a moved watermark — gets a fresh one. Servers keep a
-// bounded window of absorbed IDs and acknowledge duplicates without
-// re-absorbing, making ingest exactly-once.
-func ExampleBatchID() {
-	snap := &cumulative.Snapshot{Runs: 3, Sites: []site.ID{0x100}}
-
-	id1 := cumulative.BatchID("install-7", 0, 0, snap)
-	retry := cumulative.BatchID("install-7", 0, 0, snap)
-	next := cumulative.BatchID("install-7", 3, 0, snap) // watermark moved
-
-	fmt.Println("retry matches:", retry == id1)
-	fmt.Println("next delta differs:", next != id1)
-	// Output:
-	// retry matches: true
-	// next delta differs: true
-}

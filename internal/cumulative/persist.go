@@ -21,10 +21,10 @@ import (
 
 const (
 	persistMagic = 0x48435458 // "XTCH"
-	// Version 2 appends the fleet upload watermark (watermark.go) after
-	// the version-1 payload; version-1 files still decode (with an empty
-	// watermark, i.e. "nothing uploaded yet").
-	persistVersion = 2
+	// persistVersion is the only version DecodeHistory accepts: the
+	// evidence, then the fleet upload watermark (watermark.go) led by
+	// the history's lineage. Files of any other version are rejected.
+	persistVersion = 3
 )
 
 // Encode writes the history.
@@ -94,8 +94,9 @@ func (hist *History) Encode(w io.Writer) error {
 		u64(hist.dferHint[p])
 	}
 
-	// Upload watermark (version 2).
+	// Upload watermark.
 	m := &hist.uploaded
+	u64(m.lineage)
 	u32(uint32(m.runs))
 	u32(uint32(m.failed))
 	u32(uint32(m.corrupt))
@@ -155,7 +156,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 		return nil, fmt.Errorf("cumulative: %w", err)
 	}
 	version := u32()
-	if err != nil || version < 1 || version > persistVersion {
+	if err != nil || version != persistVersion {
 		if err == nil {
 			err = fmt.Errorf("unsupported version %d", version)
 		}
@@ -235,56 +236,55 @@ func DecodeHistory(r io.Reader) (*History, error) {
 		hist.dferHint[p] = u64()
 	}
 
-	if version >= 2 {
-		hist.uploaded.init()
-		m := &hist.uploaded
-		m.runs = int(u32())
-		m.failed = int(u32())
-		m.corrupt = int(u32())
-		nUpSites := u32()
-		if err != nil || nUpSites > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark sites: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpSites; i++ {
-			m.sites[site.ID(u32())] = true
-		}
-		nUpOvf := u32()
-		if err != nil || nUpOvf > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark overflow: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpOvf; i++ {
-			s := site.ID(u32())
-			m.overflow[s] = int(u32())
-		}
-		nUpDan := u32()
-		if err != nil || nUpDan > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark dangling: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpDan; i++ {
-			p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
-			m.dangling[p] = int(u32())
-		}
-		nUpPad := u32()
-		if err != nil || nUpPad > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark pads: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpPad; i++ {
-			s := site.ID(u32())
-			m.pad[s] = u32()
-		}
-		nUpDfer := u32()
-		if err != nil || nUpDfer > maxEntries {
-			return nil, fmt.Errorf("cumulative: watermark deferrals: %w", orImplausible(err))
-		}
-		for i := uint32(0); i < nUpDfer; i++ {
-			p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
-			m.dfer[p] = u64()
-		}
-		// A corrupt file could carry a watermark ahead of the evidence it
-		// claims was uploaded; clamping keeps upload deltas non-negative
-		// and guarantees evidence can never be silently un-uploadable.
-		hist.clampWatermark()
+	hist.uploaded.init()
+	m := &hist.uploaded
+	m.lineage = u64()
+	m.runs = int(u32())
+	m.failed = int(u32())
+	m.corrupt = int(u32())
+	nUpSites := u32()
+	if err != nil || nUpSites > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark sites: %w", orImplausible(err))
 	}
+	for i := uint32(0); i < nUpSites; i++ {
+		m.sites[site.ID(u32())] = true
+	}
+	nUpOvf := u32()
+	if err != nil || nUpOvf > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark overflow: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpOvf; i++ {
+		s := site.ID(u32())
+		m.overflow[s] = int(u32())
+	}
+	nUpDan := u32()
+	if err != nil || nUpDan > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark dangling: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpDan; i++ {
+		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
+		m.dangling[p] = int(u32())
+	}
+	nUpPad := u32()
+	if err != nil || nUpPad > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark pads: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpPad; i++ {
+		s := site.ID(u32())
+		m.pad[s] = u32()
+	}
+	nUpDfer := u32()
+	if err != nil || nUpDfer > maxEntries {
+		return nil, fmt.Errorf("cumulative: watermark deferrals: %w", orImplausible(err))
+	}
+	for i := uint32(0); i < nUpDfer; i++ {
+		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
+		m.dfer[p] = u64()
+	}
+	// A corrupt file could carry a watermark ahead of the evidence it
+	// claims was uploaded; clamping keeps upload deltas non-negative
+	// and guarantees evidence can never be silently un-uploadable.
+	hist.clampWatermark()
 	if err != nil {
 		return nil, fmt.Errorf("cumulative: %w", err)
 	}

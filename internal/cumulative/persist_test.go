@@ -2,6 +2,7 @@ package cumulative
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"exterminator/internal/site"
@@ -115,4 +116,21 @@ func TestEmptyHistoryRoundTrip(t *testing.T) {
 		t.Fatal("empty round trip failed")
 	}
 	_ = site.ID(0)
+}
+
+// TestDecodeHistoryRejectsRetiredVersions: the persist format has one
+// version. A file stamped with any other — the retired versions 1 and
+// 2 included — is rejected, never read with a guessed layout.
+func TestDecodeHistoryRejectsRetiredVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := populatedHistory(t).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{0, 1, 2, persistVersion + 1} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(data[4:], v)
+		if _, err := DecodeHistory(bytes.NewReader(data)); err == nil {
+			t.Fatalf("version %d decoded", v)
+		}
+	}
 }

@@ -19,6 +19,11 @@ import (
 // §5.1 model, so sorting does not change their meaning — only fixes the
 // floating-point evaluation order.
 type Snapshot struct {
+	// Lineage is the uploading history's lineage (set by UploadDelta,
+	// zero otherwise). It is not on the wire: uploaders fold it into the
+	// batch ID and nothing else reads it.
+	Lineage uint64 `json:"-"`
+
 	C float64 `json:"c"`
 	P float64 `json:"p"`
 

@@ -1,6 +1,11 @@
 package cumulative
 
-import "exterminator/internal/site"
+import (
+	"crypto/rand"
+	"encoding/binary"
+
+	"exterminator/internal/site"
+)
 
 // Upload watermark: fleet clients upload the *delta* of a history, not
 // the whole thing, so resuming from a persisted history file and
@@ -10,10 +15,17 @@ import "exterminator/internal/site"
 // history's append-only structure: per-key observation counts, hint
 // values, run counters and the uploaded site set. It rides along in the
 // persist format, so the guarantee survives process restarts.
+//
+// The watermark also carries the history's lineage: a random 64-bit
+// identity minted when the first upload delta is cut. Two fresh
+// histories under one client id cut their first deltas at the same
+// watermark position, possibly with the same content; the lineage is
+// what tells their batch IDs apart (see codec.BatchID).
 
 // uploadMark records how much of each append-only component has been
 // uploaded. The zero value means "nothing uploaded yet".
 type uploadMark struct {
+	lineage               uint64 // zero until the first delta is cut
 	runs, failed, corrupt int
 	sites                 map[site.ID]bool
 	overflow              map[site.ID]int
@@ -74,11 +86,16 @@ func (hist *History) clampWatermark() {
 // uploaded count, sites not yet announced, and hints that grew. Pushing
 // the returned snapshot and then passing it to MarkUploaded advances the
 // watermark by exactly what was sent, so evidence recorded concurrently
-// between the two calls is kept for the next delta.
+// between the two calls is kept for the next delta. The snapshot's
+// Lineage is the history's lineage, minted on the first call.
 func (hist *History) UploadDelta() *Snapshot {
 	hist.uploaded.init()
 	m := &hist.uploaded
+	if m.lineage == 0 {
+		m.lineage = newLineage()
+	}
 	s := &Snapshot{
+		Lineage:     m.lineage,
 		C:           hist.cfg.C,
 		P:           hist.cfg.P,
 		Runs:        hist.Runs - m.runs,
@@ -160,9 +177,9 @@ func (hist *History) UploadedRuns() int { return hist.uploaded.runs }
 // UploadedCounts summarizes the watermark position as two scalars: the
 // total run-counter movement covered (runs + failed + corrupt) and the
 // total number of observations covered across every key. Together with
-// the delta's content they uniquely place an upload batch in the
-// history's append-only structure, which is what makes BatchID stable
-// across retries (the watermark only advances on a confirmed ack, so a
+// the delta's content and the lineage they uniquely place an upload
+// batch in the history's append-only structure, which is what makes
+// codec.BatchID stable across retries (the watermark only advances on a confirmed ack, so a
 // re-cut of an unacknowledged delta starts at the same position).
 func (hist *History) UploadedCounts() (wmRuns, wmObs int) {
 	m := &hist.uploaded
@@ -174,6 +191,17 @@ func (hist *History) UploadedCounts() (wmRuns, wmObs int) {
 		wmObs += n
 	}
 	return wmRuns, wmObs
+}
+
+// newLineage draws a random nonzero lineage.
+func newLineage() uint64 {
+	var b [8]byte
+	for {
+		rand.Read(b[:])
+		if v := binary.LittleEndian.Uint64(b[:]); v != 0 {
+			return v
+		}
+	}
 }
 
 // DeltaEmpty reports whether a snapshot carries no evidence and no

@@ -178,3 +178,70 @@ func TestPartialWatermarkPersistRoundTrip(t *testing.T) {
 		t.Fatalf("restored delta should carry only the unuploaded half: %+v", got)
 	}
 }
+
+// TestUploadedCountsTracksWatermark: UploadedCounts moves exactly with
+// MarkUploaded, so two deltas cut at the same unacknowledged position
+// place identically (retry stability) and any acknowledged progress
+// moves the position (fresh IDs for fresh deltas).
+func TestUploadedCountsTracksWatermark(t *testing.T) {
+	hist := NewHistory(DefaultConfig())
+	if r, o := hist.UploadedCounts(); r != 0 || o != 0 {
+		t.Fatalf("fresh history watermark at (%d, %d), want (0, 0)", r, o)
+	}
+	hist.Absorb(&Snapshot{
+		Runs: 2, FailedRuns: 1,
+		Sites: []site.ID{1},
+		Overflow: []SiteObservations{
+			{Site: 1, Obs: []Observation{{X: 0.5, Y: true}, {X: 0.5, Y: false}}},
+		},
+		Dangling: []PairObservations{
+			{Alloc: 1, Free: 2, Obs: []Observation{{X: 0.5, Y: true}}},
+		},
+	})
+	delta := hist.UploadDelta()
+	if r, o := hist.UploadedCounts(); r != 0 || o != 0 {
+		t.Fatalf("cutting a delta moved the watermark to (%d, %d)", r, o)
+	}
+	hist.MarkUploaded(delta)
+	// Runs position counts runs + failed; observation position counts
+	// every overflow and dangling observation.
+	if r, o := hist.UploadedCounts(); r != 3 || o != 3 {
+		t.Fatalf("watermark position (%d, %d) after ack, want (3, 3)", r, o)
+	}
+}
+
+// TestLineageMintedOnceAndPersisted: a history's lineage is minted when
+// the first upload delta is cut, stays fixed across later deltas and a
+// persist round trip, differs between two fresh histories, and is
+// re-minted when Canonicalize resets the watermark.
+func TestLineageMintedOnceAndPersisted(t *testing.T) {
+	hist := NewHistory(DefaultConfig())
+	hist.Absorb(&Snapshot{Runs: 1, Sites: []site.ID{1}})
+	if got := encodeDecode(t, hist).uploaded.lineage; got != 0 {
+		t.Fatalf("lineage %x minted before any delta was cut", got)
+	}
+	first := hist.UploadDelta()
+	if first.Lineage == 0 {
+		t.Fatal("first delta carries no lineage")
+	}
+	if again := hist.UploadDelta(); again.Lineage != first.Lineage {
+		t.Fatalf("re-cut delta lineage %x, want %x", again.Lineage, first.Lineage)
+	}
+	hist.MarkUploaded(first)
+	hist.Absorb(&Snapshot{Runs: 1})
+	restored := encodeDecode(t, hist)
+	if got := restored.UploadDelta().Lineage; got != first.Lineage {
+		t.Fatalf("restored lineage %x, want %x", got, first.Lineage)
+	}
+
+	other := NewHistory(DefaultConfig())
+	other.Absorb(&Snapshot{Runs: 1, Sites: []site.ID{1}})
+	if got := other.UploadDelta().Lineage; got == first.Lineage {
+		t.Fatal("two fresh histories share a lineage")
+	}
+
+	hist.Canonicalize()
+	if got := hist.UploadDelta().Lineage; got == first.Lineage || got == 0 {
+		t.Fatalf("lineage %x after the watermark reset, want a fresh one", got)
+	}
+}

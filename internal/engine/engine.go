@@ -31,8 +31,10 @@
 // per accepted flush), so a live fleet sees the evidence before the
 // session exits and a crash loses at most one flush interval.
 //
-// The legacy entry points in internal/modes are thin deprecated wrappers
-// over this package.
+// This package is the only front door: commands, examples and the
+// paper's experiments all build a Session. HistoryFile/LoadHistoryFile
+// and PatchFile/LoadPatchFile are the matching writers and readers of
+// the two on-disk formats a session produces.
 package engine
 
 import (

@@ -3,25 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
-	"os"
+	"path/filepath"
 	"testing"
 
-	"exterminator/internal/cumulative"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
 	"exterminator/internal/workloads"
 )
-
-func loadHistory(path string) (*cumulative.History, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return cumulative.DecodeHistory(f)
-}
 
 func espresso() mutator.Program {
 	p, _ := workloads.ByName("espresso", 1)
@@ -57,7 +47,7 @@ func TestNewValidatesOptions(t *testing.T) {
 
 // TestSeedZeroHonored is the seed-zero footgun fix: WithSeeds must
 // distinguish "unset" (historical defaults apply) from an explicit
-// zero, which the legacy modes.Options silently remapped.
+// zero, which must run as zero.
 func TestSeedZeroHonored(t *testing.T) {
 	var def, zero config
 	for _, o := range []Option{WithMode(ModeIterative)} {
@@ -109,34 +99,44 @@ func TestUnifiedResultCleanIterative(t *testing.T) {
 	}
 }
 
+// TestIterativeCorrectsThroughEngine is the §7.2 experiment: injected
+// overflows of 4, 20 and 36 bytes, iterative mode. A single detection
+// run may miss the overflow when it lands on uncanaried space (the paper
+// ran 10 experiments per size), so each size tries a few heap seeds and
+// requires one correction that an independent run verifies.
 func TestIterativeCorrectsThroughEngine(t *testing.T) {
-	for seed := uint64(0); seed < 5; seed++ {
-		sess, err := New(Batch(espresso()),
-			WithMode(ModeIterative),
-			WithSeeds(120+seed*977, 0x9106),
-			WithHook(overflowHook(20)))
-		if err != nil {
-			t.Fatal(err)
+	for _, size := range []int{4, 20, 36} {
+		corrected := false
+		for seed := uint64(0); seed < 5 && !corrected; seed++ {
+			sess, err := New(Batch(espresso()),
+				WithMode(ModeIterative),
+				WithSeeds(uint64(100+size)+seed*977, 0x9106),
+				WithHook(overflowHook(size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Corrected {
+				continue
+			}
+			if !res.Detected {
+				t.Fatalf("size %d: corrected without detection: %s", size, res)
+			}
+			if res.Derived.Len() == 0 {
+				t.Fatalf("size %d: corrected but no derived patches: %s", size, res)
+			}
+			if _, clean := Verify(espresso(), nil, overflowHook(size)(), res.Patches, 0xFEED+seed, 0x9106); !clean {
+				t.Fatalf("size %d: patched program still misbehaves", size)
+			}
+			corrected = true
 		}
-		res, err := sess.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		if !corrected {
+			t.Fatalf("size %d: overflow never corrected across 5 seeds", size)
 		}
-		if !res.Corrected {
-			continue
-		}
-		if !res.Detected {
-			t.Fatalf("corrected without detection: %s", res)
-		}
-		if res.Derived.Len() == 0 {
-			t.Fatalf("corrected but no derived patches: %s", res)
-		}
-		if _, clean := Verify(espresso(), nil, overflowHook(20)(), res.Patches, 0xFEED+seed, 0x9106); !clean {
-			t.Fatal("patched program still misbehaves")
-		}
-		return
 	}
-	t.Fatal("overflow never corrected across 5 seeds")
 }
 
 // TestSessionRerunnable: a session may be driven multiple times; each
@@ -258,7 +258,7 @@ func TestHistoryFileSinkRoundTrip(t *testing.T) {
 		t.Fatalf("sink errors: %v", res.SinkErrors)
 	}
 	// Resume from the written history: the run counter carries over.
-	resumed, err := loadHistory(path)
+	resumed, err := LoadHistoryFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +277,42 @@ func TestHistoryFileSinkRoundTrip(t *testing.T) {
 	}
 	if res2.Cumulative.Runs != 4 {
 		t.Fatalf("resumed session ended at %d runs, want 4", res2.Cumulative.Runs)
+	}
+}
+
+// TestPatchFileRoundTrip: what the PatchFile sink writes, LoadPatchFile
+// reads back unchanged.
+func TestPatchFileRoundTrip(t *testing.T) {
+	p := patch.New()
+	p.AddPad(site.ID(0xAA), 6)
+	p.AddDeferral(site.Pair{Alloc: 1, Free: 2}, 33)
+	path := filepath.Join(t.TempDir(), "app.xtp")
+	if err := PatchFile(path).Commit(context.Background(), &Evidence{Result: &Result{Patches: p}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadPatchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(p) {
+		t.Fatalf("round trip mismatch: %s vs %s", got, p)
+	}
+}
+
+func TestLoadFilesMissing(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nope")
+	if _, err := LoadPatchFile(missing); err == nil {
+		t.Fatal("missing patch file loaded")
+	}
+	if _, err := LoadHistoryFile(missing); err == nil {
+		t.Fatal("missing history file loaded")
+	}
+}
+
+func TestPatchFileBadPath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "no", "such", "dir", "x.xtp")
+	if err := PatchFile(path).Commit(context.Background(), &Evidence{Result: &Result{Patches: patch.New()}}); err == nil {
+		t.Fatal("save to a bad path succeeded")
 	}
 }
 

@@ -220,7 +220,7 @@ func TestHistoryFileStreamsAtomically(t *testing.T) {
 		if !ok {
 			return
 		}
-		hist, err := loadHistory(path)
+		hist, err := LoadHistoryFile(path)
 		if err != nil {
 			t.Errorf("history file undecodable mid-run: %v", err)
 			return
@@ -252,7 +252,7 @@ func TestHistoryFileStreamsAtomically(t *testing.T) {
 			t.Fatalf("persisted run counts not monotone: %v", midRuns)
 		}
 	}
-	final, err := loadHistory(path)
+	final, err := LoadHistoryFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,9 @@ type config struct {
 	sinks     []EvidenceSink
 }
 
-// fill applies the paper's defaults to anything left unset. Unlike the
-// legacy modes.Options.fill, explicitly configured zero seeds are NOT
-// remapped: WithSeeds(0, 0) really runs with seed zero.
+// fill applies the paper's defaults to anything left unset. Explicitly
+// configured zero seeds are NOT remapped: WithSeeds(0, 0) really runs
+// with seed zero.
 func (c *config) fill() {
 	if c.images <= 0 {
 		c.images = 3

@@ -139,6 +139,21 @@ func (h historyFile) write(ev *Evidence) error {
 	return nil
 }
 
+// LoadHistoryFile reads a history written by HistoryFile — the
+// -resume-history input.
+func LoadHistoryFile(path string) (*cumulative.History, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("engine: load history: %w", err)
+	}
+	defer f.Close()
+	hist, err := cumulative.DecodeHistory(f)
+	if err != nil {
+		return nil, fmt.Errorf("engine: load history %s: %w", path, err)
+	}
+	return hist, nil
+}
+
 // PatchFile returns a sink that writes the session's full working patch
 // set to path in the binary .xtp format — the -patches flag, as a sink.
 func PatchFile(path string) EvidenceSink {
@@ -159,4 +174,18 @@ func (p patchFile) Commit(_ context.Context, ev *Evidence) error {
 		return fmt.Errorf("engine: save patches: %w", err)
 	}
 	return f.Close()
+}
+
+// LoadPatchFile reads a patch set written by PatchFile.
+func LoadPatchFile(path string) (*patch.Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("engine: load patches: %w", err)
+	}
+	defer f.Close()
+	p, err := patch.Decode(f)
+	if err != nil {
+		return nil, fmt.Errorf("engine: load patches %s: %w", path, err)
+	}
+	return p, nil
 }

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"exterminator/internal/engine"
 	"exterminator/internal/inject"
-	"exterminator/internal/modes"
 	"exterminator/internal/mutator"
 	"exterminator/internal/stats"
 	"exterminator/internal/workloads"
@@ -62,7 +62,7 @@ func InjectedOverflows(trials int, seed uint64) *OverflowResult {
 					Size: size, Seed: trialSeed,
 				})
 			}
-			ir := modes.Iterative(prog, nil, hookFor, modes.Options{HeapSeed: trialSeed * 31})
+			ir := run(engine.ModeIterative, prog, trialSeed*31, engine.WithHook(hookFor)).Iterative
 			t := OverflowTrial{Size: size, Seed: trialSeed, Detected: !ir.CleanAtStart, Corrected: ir.Corrected}
 			for _, round := range ir.Rounds {
 				t.Images += round.Images
@@ -132,7 +132,7 @@ func InjectedDanglingIterative(trials int, seed uint64) *DanglingIterResult {
 		}
 		found++
 		hookFor := func() mutator.Hook { return inject.New(plan) }
-		ir := modes.Iterative(prog, nil, hookFor, modes.Options{HeapSeed: seed + s*311})
+		ir := run(engine.ModeIterative, prog, seed+s*311, engine.WithHook(hookFor)).Iterative
 		switch {
 		case ir.Corrected:
 			res.Corrected++
@@ -149,7 +149,7 @@ func InjectedDanglingIterative(trials int, seed uint64) *DanglingIterResult {
 // planTriggersIterative probes a fault under the iterative-mode heap
 // configuration (canaries always filled).
 func planTriggersIterative(prog mutator.Program, plan inject.Plan) bool {
-	out, clean := modes.Verify(prog, nil, inject.New(plan), nil, 0xABCD, 0x9106)
+	out, clean := engine.Verify(prog, nil, inject.New(plan), nil, 0xABCD, 0x9106)
 	return out.Bad() || !clean
 }
 
@@ -207,7 +207,7 @@ func InjectedDanglingCumulative(trials int, seed uint64) *DanglingCumResult {
 		}
 		found++
 		hook := func(run int) mutator.Hook { return inject.New(plan) }
-		cr := modes.Cumulative(prog, nil, hook, modes.Options{HeapSeed: seed + s*104729, MaxRuns: 80})
+		cr := run(engine.ModeCumulative, prog, seed+s*104729, engine.WithMaxRuns(80), engine.WithRunHook(hook)).Cumulative
 		res.Trials = append(res.Trials, DanglingCumTrial{
 			Identified: cr.Identified && len(cr.Findings.Danglings) > 0,
 			Runs:       cr.Runs,
@@ -235,7 +235,7 @@ func planFails(prog mutator.Program, plan inject.Plan) bool {
 
 // cumulativeProbe runs one execution under CumulativeConfig.
 func cumulativeProbe(prog mutator.Program, plan inject.Plan, heapSeed uint64) *mutator.Outcome {
-	out, _ := modes.VerifyCumulative(prog, nil, inject.New(plan), heapSeed, 0x9106)
+	out, _ := engine.VerifyCumulative(prog, nil, inject.New(plan), heapSeed, 0x9106)
 	return out
 }
 
@@ -275,7 +275,7 @@ func InjectedUnderflows(trials int, seed uint64) *UnderflowResult {
 				Size: 12, Seed: seed + uint64(i)*7,
 			})
 		}
-		ir := modes.Iterative(prog, nil, hookFor, modes.Options{HeapSeed: seed + uint64(i)*15485863})
+		ir := run(engine.ModeIterative, prog, seed+uint64(i)*15485863, engine.WithHook(hookFor)).Iterative
 		if !ir.CleanAtStart {
 			res.Detected++
 		}

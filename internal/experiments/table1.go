@@ -6,10 +6,10 @@ import (
 	"exterminator/internal/alloc"
 	"exterminator/internal/diefast"
 	"exterminator/internal/diehard"
+	"exterminator/internal/engine"
 	"exterminator/internal/freelist"
 	"exterminator/internal/inject"
 	"exterminator/internal/mem"
-	"exterminator/internal/modes"
 	"exterminator/internal/mutator"
 	"exterminator/internal/workloads"
 	"exterminator/internal/xrand"
@@ -124,7 +124,7 @@ func correctionUnder(kind inject.Kind, seed uint64) string {
 		return inject.New(inject.Plan{Kind: kind, TriggerAlloc: 700, Size: 20, Seed: 17})
 	}
 	for s := uint64(0); s < 5; s++ {
-		res := modes.Iterative(prog, nil, hookFor, modes.Options{HeapSeed: seed + s*977})
+		res := run(engine.ModeIterative, prog, seed+s*977, engine.WithHook(hookFor)).Iterative
 		if res.Corrected {
 			return "tolerated & corrected*"
 		}

@@ -206,7 +206,7 @@ func (c *Client) PushSnapshot(s *cumulative.Snapshot) (*IngestReply, error) {
 // PushSnapshotContext is PushSnapshot honoring ctx. The batch carries no
 // batch ID, so delivery is at-least-once: a retry after a lost ack is
 // absorbed again. Exactly-once callers stamp their batches with
-// cumulative.BatchID and use PushBatchContext (fleet.Sink does this).
+// codec.BatchID and use PushBatchContext (fleet.Sink does this).
 func (c *Client) PushSnapshotContext(ctx context.Context, s *cumulative.Snapshot) (*IngestReply, error) {
 	if s == nil {
 		return nil, fmt.Errorf("fleet: nil snapshot")

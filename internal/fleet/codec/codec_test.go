@@ -365,18 +365,59 @@ func TestForgedCountsFailBeforeAllocating(t *testing.T) {
 
 func TestBatchIDStable(t *testing.T) {
 	s := testSnapshot(t)
-	a := BatchID("client", 10, 20, s)
-	b := BatchID("client", 10, 20, s)
+	a := BatchID("client", 7, 10, 20, s)
+	b := BatchID("client", 7, 10, 20, s)
 	if a != b {
 		t.Fatalf("BatchID not deterministic: %s vs %s", a, b)
 	}
-	if BatchID("client", 10, 21, s) == a {
+	if BatchID("client", 7, 10, 21, s) == a {
 		t.Fatal("BatchID ignores watermark position")
 	}
-	if BatchID("other", 10, 20, s) == a {
+	if BatchID("other", 7, 10, 20, s) == a {
 		t.Fatal("BatchID ignores client")
+	}
+	if BatchID("client", 8, 10, 20, s) == a {
+		t.Fatal("BatchID ignores lineage")
 	}
 	if len(a) != 32 {
 		t.Fatalf("BatchID length %d, want 32 hex chars", len(a))
+	}
+}
+
+// TestBatchIDStableAndDiscriminating: the ID is a pure function of
+// (client, lineage, watermark position, content) — identical for a
+// verbatim retry, different for any other batch.
+func TestBatchIDStableAndDiscriminating(t *testing.T) {
+	snap := func() *cumulative.Snapshot {
+		return &cumulative.Snapshot{
+			C: 4, P: 0.5, Runs: 3,
+			Sites: []site.ID{0x10, 0x20},
+			Overflow: []cumulative.SiteObservations{
+				{Site: 0x10, Obs: []cumulative.Observation{{X: 0.25, Y: true}}},
+			},
+		}
+	}
+	base := BatchID("client-a", 1, 5, 17, snap())
+	if got := BatchID("client-a", 1, 5, 17, snap()); got != base {
+		t.Fatalf("retry of an identical batch changed ID: %s vs %s", got, base)
+	}
+	for name, got := range map[string]string{
+		"client":               BatchID("client-b", 1, 5, 17, snap()),
+		"lineage":              BatchID("client-a", 2, 5, 17, snap()),
+		"watermark runs":       BatchID("client-a", 1, 6, 17, snap()),
+		"watermark obs":        BatchID("client-a", 1, 5, 18, snap()),
+		"content":              BatchID("client-a", 1, 5, 17, &cumulative.Snapshot{C: 4, P: 0.5, Runs: 4}),
+		"lineage and position": BatchID("client-a", 0, 0, 0, snap()),
+	} {
+		if got == base {
+			t.Errorf("different %s, same ID", name)
+		}
+	}
+	// The lineage rides on the snapshot for the caller's convenience but
+	// is not hashed from there: only the argument counts.
+	tagged := snap()
+	tagged.Lineage = 99
+	if got := BatchID("client-a", 1, 5, 17, tagged); got != base {
+		t.Fatal("snapshot's Lineage field leaked into the content hash")
 	}
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync"
@@ -629,20 +630,28 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	return d, nil
 }
 
-// BatchID is the binary-wire twin of cumulative.BatchID: the same
-// content-addressed identity contract (WHO, WHERE in the client's
-// history, WHAT), hashed over the codec's snapshot encoding instead of
-// canonical JSON — an order of magnitude cheaper to stamp, which is
-// what lets the cluster router split and re-stamp pieces without a
-// JSON round-trip. The "v2\x00" domain separator keeps the two ID
-// spaces disjoint by construction; a given uploader must stamp one
-// batch's deliveries with one scheme (retries then reproduce the ID
-// exactly, which is all the dedup window needs).
-func BatchID(client string, wmRuns, wmObs int, s *cumulative.Snapshot) string {
+// BatchID is an upload batch's content-addressed identity: a digest of
+// WHO sends it (the client id), WHICH history it comes from (the
+// lineage, see cumulative.Snapshot.Lineage), WHERE in that history the
+// delta starts (the upload watermark position wmRuns, wmObs — see
+// cumulative.History.UploadedCounts) and WHAT it carries (the
+// snapshot's codec encoding). A retry of the same batch — the lost-ack
+// case — reproduces the ID, so a server's bounded dedup window
+// acknowledges it without absorbing twice; a new delta differs in
+// content or position and gets a fresh ID. The lineage keeps two fresh
+// histories under one client id apart: their first deltas share the
+// position (0, 0) and may share content. Every uploader stamps with
+// this function, whichever wire codec carries the batch.
+//
+// The snapshot should be in canonical order (UploadDelta and Snapshot
+// always produce one); an unsorted hand-built snapshot still dedups
+// exact retries, but two equal batches in different orders get
+// different IDs.
+func BatchID(client string, lineage uint64, wmRuns, wmObs int, s *cumulative.Snapshot) string {
 	buf := GetBuffer()
 	defer PutBuffer(buf)
-	buf.B = append(buf.B, "v2\x00"...)
 	buf.str(client)
+	buf.B = binary.LittleEndian.AppendUint64(buf.B, lineage)
 	buf.svarint(int64(wmRuns))
 	buf.svarint(int64(wmObs))
 	if s != nil {

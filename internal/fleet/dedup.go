@@ -3,7 +3,7 @@ package fleet
 import "sync"
 
 // dedupWindow is the server side of exactly-once ingest: a bounded FIFO
-// set of recently absorbed batch IDs (cumulative.BatchID). An upload
+// set of recently absorbed batch IDs (codec.BatchID). An upload
 // whose ID is already present is acknowledged without being re-absorbed
 // — the lost-ack retry case. The window is bounded because IDs are
 // client-supplied: retaining them forever would let uploads grow server

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,16 +13,18 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/engine"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
 
 // stampedBatch builds an upload with a content-addressed batch ID, the
 // way fleet.Sink cuts one from a history at watermark position (0, 0).
+// The fixed lineage stands in for one history's.
 func stampedBatch(client string, s *cumulative.Snapshot) *ObservationBatch {
 	return &ObservationBatch{
 		Client:   client,
 		Snapshot: s,
-		BatchID:  cumulative.BatchID(client, 0, 0, s),
+		BatchID:  codec.BatchID(client, 1, 0, 0, s),
 	}
 }
 
@@ -113,8 +117,7 @@ func TestDedupWindowBounded(t *testing.T) {
 
 // TestDedupSurvivesSnapshotRestore: the dedup window persists inside the
 // fleet snapshot, so a batch absorbed before a restart and retried after
-// it is still recognized — exactly-once survives crashes. Legacy
-// snapshots (bare cumulative history files) still restore.
+// it is still recognized — exactly-once survives crashes.
 func TestDedupSurvivesSnapshotRestore(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1})
 	ts := httptest.NewServer(srv.Handler())
@@ -147,24 +150,57 @@ func TestDedupSurvivesSnapshotRestore(t *testing.T) {
 	if got := restored.Store().Runs(); got != 2 {
 		t.Fatalf("restored server double-counted the retry: runs = %d, want 2", got)
 	}
+}
 
-	// Legacy snapshot: a bare cumulative history file (what SaveSnapshot
-	// wrote before the container format) restores with an empty window.
-	legacy := filepath.Join(t.TempDir(), "legacy.snap")
-	f, err := os.Create(legacy)
-	if err != nil {
+// TestLoadSnapshotRejectsRetiredFormats: the fleet snapshot has one
+// container version. A bare cumulative history file (what SaveSnapshot
+// wrote before the container existed), a version-1 container (no ring
+// version, no evict cache) and a container from a future version must
+// all fail to load rather than restore a guessed layout.
+func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
+	hist := cumulative.NewHistory(cumulative.DefaultConfig())
+	hist.Absorb(smallSnapshot(2, 0x400))
+	var bare bytes.Buffer
+	if err := hist.Encode(&bare); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Store().Combined().Encode(f); err != nil {
-		t.Fatal(err)
+	container := func(version uint32) []byte {
+		var b bytes.Buffer
+		binary.Write(&b, binary.LittleEndian, uint32(fleetSnapMagic))
+		binary.Write(&b, binary.LittleEndian, version)
+		if version >= 2 {
+			binary.Write(&b, binary.LittleEndian, uint64(0)) // ring version
+			binary.Write(&b, binary.LittleEndian, uint32(0)) // evict cache
+		}
+		binary.Write(&b, binary.LittleEndian, uint32(0)) // dedup ids
+		b.Write(bare.Bytes())
+		return b.Bytes()
 	}
-	f.Close()
-	fromLegacy := NewServer(ServerOptions{CorrectEvery: -1})
-	if err := fromLegacy.LoadSnapshot(legacy); err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if got := fromLegacy.Store().Runs(); got != 2 {
-		t.Fatalf("legacy restore lost evidence: runs = %d, want 2", got)
+	// The current version built the same way loads: the rejections below
+	// are about the version, not the hand encoding.
+	if err := NewServer(ServerOptions{CorrectEvery: -1}).LoadSnapshot(write("current.snap", container(fleetSnapVersion))); err != nil {
+		t.Fatalf("current container rejected: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"bare-history.snap": bare.Bytes(),
+		"xfsn-v1.snap":      container(1),
+		"xfsn-future.snap":  container(fleetSnapVersion + 1),
+	} {
+		srv := NewServer(ServerOptions{CorrectEvery: -1})
+		if err := srv.LoadSnapshot(write(name, data)); err == nil {
+			t.Errorf("%s loaded", name)
+		}
+		if got := srv.Store().Runs(); got != 0 {
+			t.Errorf("%s: rejected file left %d runs behind", name, got)
+		}
 	}
 }
 
@@ -243,5 +279,37 @@ func TestSinkExactlyOnceAfterLostAck(t *testing.T) {
 	}
 	if got := srv.Store().Runs(); got != 5 {
 		t.Fatalf("follow-up delta lost: runs = %d, want 5", got)
+	}
+}
+
+// TestSinkFreshHistoriesUnderOneIDBothCount is the batch-ID collision
+// regression: two fresh sessions of one installation id cut the same
+// first delta — watermark position (0, 0), identical content. Their
+// histories' lineages differ, so their batch IDs differ, and the server
+// absorbs both. Without the lineage the second upload would be
+// acknowledged as a duplicate of the first and its runs lost.
+func TestSinkFreshHistoriesUnderOneIDBothCount(t *testing.T) {
+	for _, v2 := range []bool{false, true} {
+		name := "json"
+		if v2 {
+			name = "v2"
+		}
+		t.Run(name, func(t *testing.T) {
+			srv := NewServer(ServerOptions{CorrectEvery: -1})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			for session := 0; session < 2; session++ {
+				c := NewClient(ts.URL, "install-1")
+				c.SetWireV2(v2)
+				hist := cumulative.NewHistory(cumulative.DefaultConfig())
+				hist.Absorb(smallSnapshot(3, 0x600, 0x601))
+				if err := NewSink(c).Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := srv.Store().Runs(); got != 6 {
+				t.Fatalf("runs = %d, want 6: the second session's upload was deduped against the first", got)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
 
@@ -25,7 +26,7 @@ func ExampleServer_exactlyOnceIngest() {
 	}
 	batch := &fleet.ObservationBatch{
 		Snapshot: snap,
-		BatchID:  cumulative.BatchID("install-1", 0, 0, snap),
+		BatchID:  codec.BatchID("install-1", 1, 0, 0, snap),
 	}
 
 	first, _ := client.PushBatchContext(context.Background(), batch)

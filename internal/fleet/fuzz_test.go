@@ -10,9 +10,10 @@ import (
 	"exterminator/internal/site"
 )
 
-// fuzzSnapshotSeed builds a small valid XFSN container to seed the
-// corpus: ring version, one evict entry, two dedup IDs, and a history
-// carrying every section (sites, overflow, dangling, hints, watermark).
+// fuzzSnapshotSeed builds a small valid XFSN container, in the one
+// version the decoder accepts, to seed the corpus: ring version, one
+// evict entry, two dedup IDs, and a history carrying every section
+// (sites, overflow, dangling, hints, and a watermark with a lineage).
 func fuzzSnapshotSeed(t testing.TB) []byte {
 	hist := cumulative.NewHistory(cumulative.DefaultConfig())
 	snap := &cumulative.Snapshot{
@@ -27,6 +28,10 @@ func fuzzSnapshotSeed(t testing.TB) []byte {
 		PadHints: []cumulative.PadHint{{Site: 1, Pad: 16}},
 	}
 	hist.Absorb(snap)
+	// Acknowledge a first upload so the watermark (lineage included)
+	// carries data.
+	hist.MarkUploaded(hist.UploadDelta())
+	hist.Absorb(&cumulative.Snapshot{Runs: 1, Sites: []site.ID{3}})
 	st := fleetSnapState{
 		hist:   hist,
 		ring:   7,
@@ -50,7 +55,7 @@ func FuzzXFSNDecode(f *testing.F) {
 	f.Add(seed[:len(seed)/2]) // truncated mid-container
 	f.Add(seed[:9])           // truncated inside the header
 	f.Add([]byte{})
-	f.Add([]byte("XTCH legacy-looking junk"))
+	f.Add([]byte("XTCH bare-history-looking junk"))
 	// Forged dedup-id length prefix: header claims far more bytes than
 	// the input holds.
 	forged := append([]byte{}, seed[:12]...)

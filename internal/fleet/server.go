@@ -1124,10 +1124,8 @@ func WriteJSON(w http.ResponseWriter, v any) {
 // persist format. Persisting the window alongside the evidence is what
 // carries exactly-once ingest across restarts: a batch absorbed before
 // the snapshot and retried after the restore is still recognized as a
-// duplicate. Plain cumulative history files (what SaveSnapshot wrote
-// before the container existed) still load, with an empty window;
-// version-1 containers (pre-rebalancing) load with ring version 0 and an
-// empty evict cache.
+// duplicate. The container has one version, fleetSnapVersion; any other
+// file — an older container, or a bare cumulative history — is rejected.
 const (
 	fleetSnapMagic   = 0x4E534658 // "XFSN" little-endian
 	fleetSnapVersion = 2
@@ -1186,8 +1184,7 @@ func (s *Server) SaveSnapshot(path string) error {
 // LoadSnapshot restores evidence (and the dedup window) from a snapshot
 // file written by SaveSnapshot and runs a correction pass so the patch
 // log is warm before the first poll. A missing file is not an error
-// (fresh start); a pre-container file (bare cumulative history) restores
-// with an empty dedup window.
+// (fresh start); a file in any other format or version is.
 func (s *Server) LoadSnapshot(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1251,21 +1248,14 @@ func writeFleetSnapshot(w io.Writer, st fleetSnapState) error {
 	return st.hist.Encode(w)
 }
 
-// readFleetSnapshot decodes a container written by writeFleetSnapshot —
-// any supported version — or a legacy bare cumulative history file
-// (empty window, ring version 0).
+// readFleetSnapshot decodes a container written by writeFleetSnapshot.
 func readFleetSnapshot(r io.Reader) (fleetSnapState, error) {
-	var st fleetSnapState
+	var (
+		st             fleetSnapState
+		err            error
+		magic, version uint32
+	)
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		return st, err
-	}
-	if binary.LittleEndian.Uint32(head) != fleetSnapMagic {
-		st.hist, err = cumulative.DecodeHistory(br)
-		return st, err
-	}
-	var magic, version uint32
 	read := func(v *uint32) {
 		if err == nil {
 			err = binary.Read(br, binary.LittleEndian, v)
@@ -1294,34 +1284,35 @@ func readFleetSnapshot(r io.Reader) (fleetSnapState, error) {
 	if err != nil {
 		return st, err
 	}
-	if version < 1 || version > fleetSnapVersion {
+	if magic != fleetSnapMagic {
+		return st, fmt.Errorf("not a fleet snapshot (magic %#x)", magic)
+	}
+	if version != fleetSnapVersion {
 		return st, fmt.Errorf("unsupported fleet snapshot version %d", version)
 	}
-	if version >= 2 {
-		if err = binary.Read(br, binary.LittleEndian, &st.ring); err != nil {
-			return st, err
-		}
-		var ne uint32
-		read(&ne)
-		if err == nil && ne > maxSnapEvicts {
-			err = fmt.Errorf("implausible evict cache size %d", ne)
-		}
-		for i := uint32(0); err == nil && i < ne; i++ {
-			tok := readStr(1024, "evict token")
-			blob := readStr(maxEvictBytes, "evict snapshot")
-			if err != nil {
-				break
-			}
-			var snap cumulative.Snapshot
-			if jerr := json.Unmarshal([]byte(blob), &snap); jerr != nil {
-				err = jerr
-				break
-			}
-			st.evicts = append(st.evicts, evictEntry{Token: tok, Snap: &snap})
-		}
+	if err = binary.Read(br, binary.LittleEndian, &st.ring); err != nil {
+		return st, err
+	}
+	var ne uint32
+	read(&ne)
+	if err == nil && ne > maxSnapEvicts {
+		err = fmt.Errorf("implausible evict cache size %d", ne)
+	}
+	for i := uint32(0); err == nil && i < ne; i++ {
+		tok := readStr(1024, "evict token")
+		blob := readStr(maxEvictBytes, "evict snapshot")
 		if err != nil {
-			return st, fmt.Errorf("fleet snapshot evict cache: %w", err)
+			break
 		}
+		var snap cumulative.Snapshot
+		if jerr := json.Unmarshal([]byte(blob), &snap); jerr != nil {
+			err = jerr
+			break
+		}
+		st.evicts = append(st.evicts, evictEntry{Token: tok, Snap: &snap})
+	}
+	if err != nil {
+		return st, fmt.Errorf("fleet snapshot evict cache: %w", err)
 	}
 	var n uint32
 	read(&n)

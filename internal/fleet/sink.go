@@ -69,7 +69,9 @@ func (s *Sink) FetchPatches(ctx context.Context) (*patch.Set, error) {
 // along in the persisted history file.
 //
 // Uploads are also exactly-once: every batch is stamped with a
-// content-addressed ID (cumulative.BatchID) and an unacknowledged batch
+// content-addressed ID (codec.BatchID, which folds in the history's
+// lineage so two fresh histories under one client id never share an
+// ID) and an unacknowledged batch
 // is retried verbatim before a new delta is cut, so a server keeping a
 // dedup window absorbs each batch at most once even when acks are lost.
 func (s *Sink) Commit(ctx context.Context, ev *engine.Evidence) error {
@@ -129,19 +131,10 @@ func (s *Sink) stream(ctx context.Context, hist *cumulative.History) error {
 		return nil
 	}
 	wmRuns, wmObs := hist.UploadedCounts()
-	// Both ID schemes satisfy the identity contract (retries reproduce
-	// the ID); the binary one skips the canonical-JSON round trip, so a
-	// v2 client stamps an order of magnitude cheaper. The scheme is
-	// fixed at stamping time: a mid-flight codec downgrade retries the
-	// pending batch verbatim, ID included.
-	stamp := cumulative.BatchID
-	if s.c.WireV2() {
-		stamp = codec.BatchID
-	}
 	batch := &ObservationBatch{
 		Client:   s.c.ID(),
 		Snapshot: delta,
-		BatchID:  stamp(s.c.ID(), wmRuns, wmObs, delta),
+		BatchID:  codec.BatchID(s.c.ID(), delta.Lineage, wmRuns, wmObs, delta),
 	}
 	reply, err := s.c.PushBatchContext(ctx, batch)
 	if err != nil {

@@ -23,11 +23,11 @@
 // (internal/cluster) builds on.
 //
 // Ingest is exactly-once for stamped uploads: batches carry a
-// content-addressed identity (cumulative.BatchID over the client id,
-// upload-watermark position and canonical snapshot), and the server
-// keeps a bounded, snapshot-persisted window of recently absorbed IDs —
-// a retry after a lost ack is acknowledged as a duplicate without being
-// re-absorbed. Unstamped batches from legacy clients stay
+// content-addressed identity (codec.BatchID over the client id, the
+// history's lineage, the upload-watermark position and the snapshot),
+// and the server keeps a bounded, snapshot-persisted window of recently
+// absorbed IDs — a retry after a lost ack is acknowledged as a
+// duplicate without being re-absorbed. Unstamped batches from legacy clients stay
 // at-least-once. Sink streams evidence both mid-run (as an
 // engine.StreamingSink under WithFlushInterval/WithFlushEvery) and at
 // session end, retrying unacknowledged batches verbatim so the
@@ -61,9 +61,9 @@ type ObservationBatch struct {
 	Client   string               `json:"client,omitempty" v2:"1"`
 	Snapshot *cumulative.Snapshot `json:"snapshot" v2:"2"`
 	// BatchID is the batch's content-addressed identity
-	// (cumulative.BatchID): a digest of the client id, the upload
-	// watermark position the delta was cut at, and the canonical
-	// snapshot. Servers keep a bounded window of recently absorbed IDs
+	// (codec.BatchID): a digest of the client id, the uploading
+	// history's lineage, the upload watermark position the delta was cut
+	// at, and the snapshot. Servers keep a bounded window of recently absorbed IDs
 	// and acknowledge a duplicate without re-absorbing it, which makes
 	// ingest exactly-once under retried uploads (lost acks). Empty means
 	// "no identity": the batch is absorbed unconditionally (legacy

@@ -25,7 +25,7 @@ func sampleWireBatch() *ObservationBatch {
 	return &ObservationBatch{
 		Client:      "codec-test",
 		Snapshot:    s,
-		BatchID:     cumulative.BatchID("codec-test", 0, 0, s),
+		BatchID:     codec.BatchID("codec-test", 1, 0, 0, s),
 		RingVersion: 7,
 	}
 }
@@ -294,7 +294,7 @@ func TestServerIngestV2Dedup(t *testing.T) {
 	batch := &ObservationBatch{
 		Client:   "dedup-install",
 		Snapshot: s,
-		BatchID:  codec.BatchID("dedup-install", 0, 0, s),
+		BatchID:  codec.BatchID("dedup-install", 1, 0, 0, s),
 	}
 	first, err := c.PushBatchContext(t.Context(), batch)
 	if err != nil {
