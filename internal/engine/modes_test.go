@@ -109,27 +109,60 @@ func TestIterativeCorrectsInjectedUnderflow(t *testing.T) {
 	t.Fatal("underflow never corrected across 8 seeds")
 }
 
-// TestReplicatedHealthyRun: replicas of a deterministic program agree on
-// a healthy run — the synthetic espresso profile and the real
-// multi-precision factorizer alike.
-func TestReplicatedHealthyRun(t *testing.T) {
-	for _, tc := range []struct {
-		workload string
-		seed     uint64
-	}{{"espresso", 5}, {"cfrac-mp", 77}} {
-		prog, _ := workloads.ByName(tc.workload, 1)
-		res := runSession(t, Batch(prog), ModeReplicated, tc.seed).Replicated
-		if res.ErrorDetected {
-			t.Fatalf("%s: healthy run flagged: %s", tc.workload, res.Detection)
-		}
-		if len(res.Agreed) == 0 {
-			t.Fatalf("%s: no agreed output", tc.workload)
-		}
-		for _, o := range res.Outcomes {
-			if !o.Completed {
-				t.Fatalf("%s: replica outcome: %s", tc.workload, o)
+func TestIterativeCorrectsInjectedOverflow(t *testing.T) {
+	// The §7.2 experiment: injected overflows, iterative mode. The paper
+	// observed 3 images sufficing; we assert correction within the
+	// default budget and verify the patched program runs clean.
+	for _, size := range []int{4, 20, 36} {
+		// A single detection run may miss the overflow when it lands on
+		// uncanaried space (the paper ran 10 experiments per size); try a
+		// few heap seeds and require at least one full correction.
+		corrected := false
+		for seed := uint64(0); seed < 5 && !corrected; seed++ {
+			res := runSession(t, Batch(espresso()), ModeIterative, uint64(100+size)+seed*977,
+				WithHook(overflowHook(size))).Iterative
+			if res.CleanAtStart || !res.Corrected {
+				continue
 			}
+			if res.Patches.Len() == 0 {
+				t.Fatalf("size %d: corrected without patches?", size)
+			}
+			// Independent verification on a fresh seed.
+			if _, clean := Verify(espresso(), nil, overflowHook(size)(), res.Patches, 0xFEED+seed, 0x9106); !clean {
+				t.Fatalf("size %d: patched program still misbehaves", size)
+			}
+			corrected = true
 		}
+		if !corrected {
+			t.Fatalf("size %d: never corrected across 5 seeds", size)
+		}
+	}
+}
+
+func TestReplicatedHealthyRun(t *testing.T) {
+	res := runSession(t, Batch(espresso()), ModeReplicated, 5).Replicated
+	if res.ErrorDetected {
+		t.Fatalf("healthy run flagged: %s", res.Detection)
+	}
+	if len(res.Agreed) == 0 {
+		t.Fatal("no agreed output")
+	}
+	for _, o := range res.Outcomes {
+		if !o.Completed {
+			t.Fatalf("replica outcome: %s", o)
+		}
+	}
+}
+
+func TestReplicatedRealFactorizer(t *testing.T) {
+	// The factorizer is deterministic: replicas agree on healthy runs.
+	prog, _ := workloads.ByName("cfrac-mp", 1)
+	res := runSession(t, Batch(prog), ModeReplicated, 77).Replicated
+	if res.ErrorDetected {
+		t.Fatalf("healthy factorizer flagged: %s", res.Detection)
+	}
+	if len(res.Agreed) == 0 {
+		t.Fatal("no agreed output")
 	}
 }
 
@@ -271,6 +304,20 @@ func TestServeHealthyStream(t *testing.T) {
 		if len(out) == 0 {
 			t.Fatalf("chunk %d produced no voted output", i)
 		}
+	}
+}
+
+// TestServeShortBenignStream: three replicas serve a short benign stream
+// to the end without an incident.
+func TestServeShortBenignStream(t *testing.T) {
+	chunks := workloads.SquidRequestStream(workloads.SquidBenignInput(40))
+	res := runSession(t, Stream(workloads.NewSquidStream()), ModeServe, 44,
+		WithReplicas(3), WithChunks(chunks)).Serve
+	if res.Chunks != len(chunks) {
+		t.Fatalf("served %d of %d", res.Chunks, len(chunks))
+	}
+	if len(res.Incidents) != 0 {
+		t.Fatalf("benign stream had incidents: %+v", res.Incidents)
 	}
 }
 

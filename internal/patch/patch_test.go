@@ -83,6 +83,24 @@ func TestMergeSemilattice(t *testing.T) {
 	}
 }
 
+func TestMergeCollaborative(t *testing.T) {
+	// Two users hit different bugs; merging covers both (§6.4).
+	u1 := New()
+	u1.AddPad(site.ID(0x1), 6)
+	u2 := New()
+	u2.AddPad(site.ID(0x1), 4) // same site, smaller pad
+	u2.AddDeferral(site.Pair{Alloc: 0x2, Free: 0x3}, 100)
+	merged := New()
+	merged.Merge(u1)
+	merged.Merge(u2)
+	if merged.Pad(site.ID(0x1)) != 6 {
+		t.Fatal("merge did not take max pad")
+	}
+	if merged.Deferral(site.Pair{Alloc: 0x2, Free: 0x3}) != 100 {
+		t.Fatal("merge lost deferral")
+	}
+}
+
 func TestMergeAssociative(t *testing.T) {
 	if err := quick.Check(func(p1, p2, p3 map[uint32]uint32) bool {
 		a := mkSet(p1, nil)
