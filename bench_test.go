@@ -732,41 +732,95 @@ func BenchmarkServeHealthyStream(b *testing.B) {
 	}
 }
 
-// BenchmarkTriage: one triage pass over a fleet-scale candidate set —
+// BenchmarkTriage: triage passes over a fleet-scale candidate set —
 // 10k overflow sites (stack-clustered in groups of 8) plus 1k dangling
-// pairs — measuring the clustering, pooling, lifecycle and ranking work
-// a coordinator pays per correction pass.
+// pairs, ~1500 clusters — after one set-up pass that saw them all.
+//
+//	full   every candidate changed and carried, Full set: the pass after
+//	       a coordinator rebuilds its merged history
+//	clean  nothing changed: the pass costs nothing per cluster
+//	dirty  1 % of the candidates changed: a steady-state coordinator pass
 func BenchmarkTriage(b *testing.B) {
-	eng := triage.New(triage.Config{})
-	var overs, dangs []cumulative.Candidate
-	for i := 0; i < 10000; i++ {
-		id := site.ID(0x10000 + uint32(i))
-		// Eight sites share each innermost suffix: realistic many-paths-
-		// one-defect clustering, ~1250 overflow clusters.
-		eng.RecordFrames(id, []uint64{uint64(i), uint64(i / 8), 0xAA, 0xBB})
-		overs = append(overs, cumulative.Candidate{
-			Site: id, Bayes: 1 + float64(i%97), Obs: 1 + i%5,
-		})
+	setup := func(b *testing.B) (*triage.Engine, []triage.PassInput) {
+		eng := triage.New(triage.Config{})
+		var overs, dangs []cumulative.Candidate
+		for i := 0; i < 10000; i++ {
+			id := site.ID(0x10000 + uint32(i))
+			// Eight sites share each innermost suffix: realistic many-paths-
+			// one-defect clustering, ~1250 overflow clusters.
+			eng.RecordFrames(id, []uint64{uint64(i), uint64(i / 8), 0xAA, 0xBB})
+			overs = append(overs, cumulative.Candidate{
+				Site: id, Bayes: 1 + float64(i%97), Obs: 1 + i%5,
+			})
+		}
+		for i := 0; i < 1000; i++ {
+			dangs = append(dangs, cumulative.Candidate{
+				Pair:  site.Pair{Alloc: site.ID(0x40000 + uint32(i%250)), Free: site.ID(0x50000 + uint32(i))},
+				Bayes: 1 + float64(i%31), Obs: 1 + i%3,
+			})
+		}
+		ps := patch.New()
+		for i := 0; i < 100; i++ {
+			ps.AddPad(site.ID(0x10000+uint32(i)), 8)
+		}
+		eng.Pass(triage.PassInput{Overflows: overs, Danglings: dangs, Patches: ps, Threshold: 50, Full: true})
+		if eng.Clusters() == 0 {
+			b.Fatal("no clusters formed")
+		}
+		// Two variants of every candidate, so consecutive passes change
+		// the scores they carry.
+		variants := make([]triage.PassInput, 2)
+		for v := range variants {
+			in := triage.PassInput{Threshold: 50, Full: true}
+			for _, c := range overs {
+				c.Bayes += float64(v+1) / 4
+				in.Overflows = append(in.Overflows, c)
+			}
+			for _, c := range dangs {
+				c.Bayes += float64(v+1) / 4
+				in.Danglings = append(in.Danglings, c)
+			}
+			variants[v] = in
+		}
+		return eng, variants
 	}
-	for i := 0; i < 1000; i++ {
-		dangs = append(dangs, cumulative.Candidate{
-			Pair:  site.Pair{Alloc: site.ID(0x40000 + uint32(i%250)), Free: site.ID(0x50000 + uint32(i))},
-			Bayes: 1 + float64(i%31), Obs: 1 + i%3,
-		})
-	}
-	ps := patch.New()
-	for i := 0; i < 100; i++ {
-		ps.AddPad(site.ID(0x10000+uint32(i)), 8)
-	}
-	in := triage.PassInput{Overflows: overs, Danglings: dangs, Patches: ps, Threshold: 50}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Pass(in)
-	}
-	if eng.Clusters() == 0 {
-		b.Fatal("no clusters formed")
-	}
+	b.Run("full", func(b *testing.B) {
+		eng, variants := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Pass(variants[i%2])
+		}
+		// A full pass is the one that drops members; it must not drop
+		// any of these.
+		if eng.Clusters() == 0 {
+			b.Fatal("no clusters left after full passes")
+		}
+	})
+	b.Run("clean", func(b *testing.B) {
+		eng, _ := setup(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Pass(triage.PassInput{Threshold: 50})
+		}
+	})
+	b.Run("dirty", func(b *testing.B) {
+		eng, variants := setup(b)
+		// 100 overflow and 10 dangling candidates per pass, a different
+		// slice each time; a slice's next visit carries the other variant.
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v := variants[(i/100)%2]
+			o, d := (i*100)%len(v.Overflows), (i*10)%len(v.Danglings)
+			eng.Pass(triage.PassInput{
+				Overflows: v.Overflows[o : o+100],
+				Danglings: v.Danglings[d : d+10],
+				Threshold: 50,
+			})
+		}
+	})
 }
 
 // Read-replica patch fan-out: what one replica can absorb from a patch

@@ -33,6 +33,7 @@ var LockOrder = []LockRank{
 	// —— coordination scope (outermost) ——
 	{Class: "cluster.Coordinator.rebalMu", Doc: "serializes rebalance plans; held across announce/drain/backfill/commit"},
 	{Class: "cluster.Coordinator.pollMu", Doc: "serializes poll passes (Run loop vs manual Sync vs frozen rebalance)"},
+	{Class: "cluster.Coordinator.correctMu", Doc: "serializes coordinator correction passes: identify and fold under mu, then the triage pass fed by what that identify rescored"},
 	{Class: "engine.Session.histMu", Doc: "session cumulative history: run-loop collector vs mid-run flusher"},
 	{Class: "cluster.Coordinator.mu", Doc: "coordinator merge state: partition mirrors, merged history, membership"},
 	{Class: "cluster.Sink.mu", Doc: "cluster sink flush state: pending pieces, upload watermark"},
@@ -45,7 +46,7 @@ var LockOrder = []LockRank{
 	{Class: "cluster.Replica.mu", Doc: "read-replica cache: mirrored patch set, delta ring, triage body; poll I/O happens before it is taken, responses are assembled under it and written after release"},
 	// —— partition / server scope ——
 	{Class: "cluster.Coordinator.reportMu", Doc: "coordinator bug-report accumulator"},
-	{Class: "fleet.Server.correctMu", Doc: "serializes correction passes (O(dirty-sites) identify+patch)"},
+	{Class: "fleet.Server.correctMu", Doc: "serializes correction passes (O(dirty-sites) identify, patch fold and triage)"},
 	{Class: "fleet.Server.deltaMu", Doc: "partition delta/journal window, ring-version raises, snapshot capture"},
 	{Class: "fleet.Server.reportMu", Doc: "partition bug-report accumulator"},
 	// —— triage scope ——

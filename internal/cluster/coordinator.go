@@ -91,10 +91,15 @@ type Coordinator struct {
 	parts []*partition
 	ring  *Ring // current membership; bumped by Rebalance
 
-	pollMu  sync.Mutex // serializes PollOnce (Run loop vs manual Sync)
-	mu      sync.Mutex
-	merged  *cumulative.History
-	rebuild bool // a partition resynced; merged must be rebuilt from mirrors
+	pollMu sync.Mutex // serializes PollOnce (Run loop vs manual Sync)
+	// correctMu serializes Correct: each triage pass must see the passes
+	// before it, in order. triagedVersion (guarded by it) is the patch-log
+	// version the triage engine has seen.
+	correctMu      sync.Mutex
+	triagedVersion uint64
+	mu             sync.Mutex
+	merged         *cumulative.History
+	rebuild        bool // a partition resynced; merged must be rebuilt from mirrors
 
 	// Rebalance state: rebalMu serializes Rebalance/ResumeRebalance,
 	// rebalPath is the two-phase journal, rebalState is reported in
@@ -203,7 +208,7 @@ func (m *coordMetrics) register(reg *telemetry.Registry, c *Coordinator) {
 	m.primaryG = reg.Gauge("cluster_primary",
 		"1 while this coordinator holds the lease (serves the client-facing surface), 0 while standing by.")
 	m.correctSec = reg.Histogram("cluster_correct_seconds",
-		"Correction pass latency (rebuild, if any, plus incremental identify and fold).",
+		"Correction pass latency (rebuild, if any, plus incremental identify, patch fold and triage).",
 		telemetry.DefBuckets)
 	m.mergedSites = reg.Gauge("cluster_merged_sites",
 		"Distinct allocation sites in the merged history.")
@@ -560,25 +565,34 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 	return changed, errors.Join(errs...)
 }
 
-// Correct runs one correction pass over the merged evidence and folds
-// newly derived patches into the fleet-wide log. After a partition
-// resync the merged history is rebuilt from the mirrors first (the rare
-// slow path); otherwise the pass rescores only dirty sites. The triage
-// pass that follows runs outside c.mu — a /metrics scrape or delta poll
-// never waits behind clustering.
+// Correct runs one correction pass over the merged evidence: identify,
+// fold newly derived patches into the fleet-wide log, and a triage pass
+// fed by what the identify pass rescored plus the patch-log entries added
+// since the previous pass. After a partition resync the merged history
+// is rebuilt from the mirrors first (the rare slow path); every key is
+// then rescored, so that triage pass carries every candidate and drops
+// members that vanished. Otherwise only dirty sites are rescored. Passes
+// serialize on correctMu; the triage pass runs outside c.mu — a /metrics
+// scrape or delta poll never waits behind clustering.
 func (c *Coordinator) Correct() (uint64, bool) {
-	v, changed := c.correctLocked()
-	c.triagePass()
+	c.correctMu.Lock()
+	defer c.correctMu.Unlock()
+	defer c.metrics.correctSec.ObserveSince(time.Now())
+	v, changed, in := c.correctLocked()
+	fleet.PassTriage(c.triage, c.log, &c.triagedVersion, in)
 	return v, changed
 }
 
-func (c *Coordinator) correctLocked() (uint64, bool) {
+// correctLocked is the part of a pass that holds c.mu: rebuild, identify
+// and fold. It harvests the triage input while the merged history is
+// still locked.
+func (c *Coordinator) correctLocked() (uint64, bool, triage.PassInput) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.updateMergedGauges()
 	c.corrections.Add(1)
 	c.metrics.corrections.Inc()
-	defer c.metrics.correctSec.ObserveSince(time.Now())
+	in := triage.PassInput{Full: c.rebuild}
 	if c.rebuild {
 		merged := cumulative.NewHistory(c.cfg)
 		for _, p := range c.parts {
@@ -589,37 +603,17 @@ func (c *Coordinator) correctLocked() (uint64, bool) {
 		c.metrics.rebuilds.Inc()
 	}
 	findings := c.merged.Identify()
+	in.Overflows, in.Danglings = c.merged.Rescored()
+	in.Threshold = c.merged.Threshold()
 	if findings.Empty() {
-		return c.log.Version(), false
+		return c.log.Version(), false, in
 	}
 	v, changed := c.log.Fold(findings.Patches())
 	if changed {
 		c.logger.Info("correction pass folded fleet-wide patches",
 			"patchVersion", v, "patchEntries", c.log.Len())
 	}
-	return v, changed
-}
-
-// triagePass feeds the merged evidence's ranked candidates through the
-// triage engine. Candidates are harvested under c.mu (they are cheap
-// copies of cached per-key Bayes factors); the clustering pass itself
-// runs unlocked.
-func (c *Coordinator) triagePass() {
-	if c.triage == nil {
-		return
-	}
-	c.mu.Lock()
-	over := c.merged.OverflowCandidates()
-	dang := c.merged.DanglingCandidates()
-	threshold := c.merged.Threshold()
-	c.mu.Unlock()
-	patches, _ := c.log.Since(0)
-	c.triage.Pass(triage.PassInput{
-		Overflows: over,
-		Danglings: dang,
-		Patches:   patches,
-		Threshold: threshold,
-	})
+	return v, changed, in
 }
 
 // Triage exposes the coordinator's triage engine (rankings, alert

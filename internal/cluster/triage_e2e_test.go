@@ -9,8 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -345,5 +347,79 @@ func TestReadPathCorrelationAcrossTiers(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get(fleet.RequestIDHeader); got != "feedfacefeedface" {
 		t.Fatalf("triage read echoed %q, want the caller's ID", got)
+	}
+}
+
+// TestConcurrentCorrectKeepsTriageCurrent: correction passes run from
+// several goroutines at once (the Run loop, Sync, a promotion) while
+// evidence streams in. Passes serialize, so each triage pass builds on
+// the ones before it: after a final sync the coordinator ranks exactly
+// like a fresh coordinator that synced once over the same evidence.
+func TestConcurrentCorrectKeepsTriageCurrent(t *testing.T) {
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	var partURLs []string
+	for i := 0; i < 2; i++ {
+		srv := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, DisableCorrection: true})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		partURLs = append(partURLs, ts.URL)
+	}
+	router, err := NewRouter("routed", partURLs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCoord := func() *Coordinator {
+		c, err := NewCoordinator(CoordinatorOptions{Partitions: partURLs, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	coord := newCoord()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				if _, err := coord.Sync(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20; i++ {
+		if _, err := router.PushSnapshot(ctx, testBatch(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newCoord()
+	if _, err := fresh.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	type row struct {
+		id                 string
+		sites, occurrences int
+		pooled, top        float64
+	}
+	rows := func(c *Coordinator) []row {
+		var out []row
+		for _, s := range c.Triage().Rankings(0, triage.MaxPageSize).Clusters {
+			out = append(out, row{s.ID, s.Sites, s.Occurrences, s.PooledBayes, s.TopBayes})
+		}
+		return out
+	}
+	got, want := rows(coord), rows(fresh)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ranking after concurrent passes:\n%v\nfresh coordinator:\n%v", got, want)
 	}
 }

@@ -30,11 +30,11 @@
 //
 // Beyond the classifier, the package provides the machinery that lets
 // evidence travel: binary persistence (Encode/DecodeHistory), canonical
-// Snapshot exchange (Snapshot/Absorb/Merge), the upload watermark
+// Snapshot exchange (Snapshot/Absorb/Merge), and the upload watermark
 // (UploadDelta/MarkUploaded — what keeps fleet uploads from
-// double-counting across flushes, retries and process restarts), and
-// content-addressed batch identity (BatchID — what lets servers dedup a
-// retried upload whose ack was lost).
+// double-counting across flushes, retries and process restarts, and
+// whose lineage codec.BatchID hashes so servers can dedup a retried
+// upload whose ack was lost).
 package cumulative
 
 import (
@@ -87,6 +87,11 @@ type History struct {
 	bfDangling map[site.Pair]float64
 	dirtyOvf   map[site.ID]bool
 	dirtyDan   map[site.Pair]bool
+
+	// rescoredOvf and rescoredDan are the candidates the most recent
+	// identify pass recomputed (see Rescored).
+	rescoredOvf []Candidate
+	rescoredDan []Candidate
 
 	// Upload watermark: how much of this history has already been
 	// uploaded to a fleet (see watermark.go).
@@ -320,6 +325,13 @@ func (f *Findings) Empty() bool {
 // factor (identical to a recompute — factors are deterministic functions
 // of the canonically ordered observation list). The threshold comparison
 // itself reruns for every key because N, and hence the prior, moves.
+//
+// The keys the pass recomputed are what the triage engine consumes:
+// Rescored hands them out as candidates, one per changed overflow site
+// and dangling pair, whether or not they crossed the threshold. Every
+// key Rescored leaves out kept its factor and observation count, so a
+// consumer that folds each pass's candidates into its own state stays
+// current without rereading the whole history.
 func (hist *History) Identify() *Findings {
 	return hist.IdentifyWithSites(len(hist.sites))
 }
@@ -327,17 +339,17 @@ func (hist *History) Identify() *Findings {
 // IdentifyWithSites is Identify with the prior's N supplied externally.
 // A sharded evidence store holds disjoint slices of one logical history;
 // each shard must test its keys against the *global* site count, not its
-// own subset, to decide exactly as an unsharded store would.
+// own subset, to decide exactly as an unsharded store would. With n = 0
+// nothing is tested, but changed keys are still rescored and handed out.
 func (hist *History) IdentifyWithSites(n int) *Findings {
 	f := &Findings{}
-	if n == 0 {
-		return f
-	}
 	threshold := hist.cfg.C*float64(n) - 1
+	hist.rescoredOvf = make([]Candidate, 0, len(hist.dirtyOvf))
+	hist.rescoredDan = make([]Candidate, 0, len(hist.dirtyDan))
 
 	for s, obs := range hist.overflow {
 		ratio := hist.overflowFactor(s, obs)
-		if ratio > threshold {
+		if n > 0 && ratio > threshold {
 			pad := hist.padHint[s]
 			if pad == 0 {
 				continue // identified but no pad estimate yet
@@ -347,7 +359,7 @@ func (hist *History) IdentifyWithSites(n int) *Findings {
 	}
 	for p, obs := range hist.dangling {
 		ratio := hist.danglingFactor(p, obs)
-		if ratio > threshold {
+		if n > 0 && ratio > threshold {
 			d := hist.dferHint[p]
 			if d == 0 {
 				continue
@@ -362,8 +374,18 @@ func (hist *History) IdentifyWithSites(n int) *Findings {
 // IdentifyFull drops every cached factor and rescores all keys from
 // scratch — the O(keys × observations) pass Identify used to be. It
 // exists as the reference for equivalence tests and benchmarks; results
-// are identical to Identify by construction.
+// are identical to Identify by construction. Since every key is
+// rescored, Rescored then hands out the complete candidate set.
 func (hist *History) IdentifyFull() *Findings {
+	hist.Invalidate()
+	return hist.Identify()
+}
+
+// Invalidate drops every cached factor, so the next identify pass
+// rescores every key and Rescored hands out the complete candidate set.
+// A consumer that must rebuild its view of the candidates from scratch
+// (a triage pass after a snapshot restore) calls it first.
+func (hist *History) Invalidate() {
 	hist.bfOverflow = make(map[site.ID]float64, len(hist.overflow))
 	hist.bfDangling = make(map[site.Pair]float64, len(hist.dangling))
 	for s := range hist.overflow {
@@ -372,7 +394,16 @@ func (hist *History) IdentifyFull() *Findings {
 	for p := range hist.dangling {
 		hist.touchDangling(p)
 	}
-	return hist.Identify()
+}
+
+// Rescored hands over the candidates the most recent identify pass
+// recomputed, overflow sites and dangling pairs apart, in no particular
+// order. The slices become the caller's: the history drops its
+// references, so a second call before the next pass returns nothing.
+func (hist *History) Rescored() (over, dang []Candidate) {
+	over, dang = hist.rescoredOvf, hist.rescoredDan
+	hist.rescoredOvf, hist.rescoredDan = nil, nil
+	return over, dang
 }
 
 // overflowFactor returns the (possibly cached) Bayes factor for one site.
@@ -386,6 +417,7 @@ func (hist *History) overflowFactor(s site.ID, obs []Observation) float64 {
 	v := canonicalBayesFactor(obs)
 	hist.bfOverflow[s] = v
 	delete(hist.dirtyOvf, s)
+	hist.rescoredOvf = append(hist.rescoredOvf, Candidate{Site: s, Bayes: v, Obs: len(obs)})
 	return v
 }
 
@@ -397,6 +429,7 @@ func (hist *History) danglingFactor(p site.Pair, obs []Observation) float64 {
 	v := canonicalBayesFactor(obs)
 	hist.bfDangling[p] = v
 	delete(hist.dirtyDan, p)
+	hist.rescoredDan = append(hist.rescoredDan, Candidate{Pair: p, Bayes: v, Obs: len(obs)})
 	return v
 }
 
@@ -488,53 +521,15 @@ func integrateRatio(obs []Observation) float64 {
 	return sum * h / 3
 }
 
-// Candidate is a (site or pair, Bayes factor) ranking entry, exposed for
-// diagnostics and tooling regardless of whether it crossed the threshold.
+// Candidate is one key's score as of the identify pass that rescored it:
+// the site (overflow) or pair (dangling), its Bayes factor and its
+// observation count, whether or not it crossed the threshold. Identify
+// hands these to the triage engine through Rescored.
 type Candidate struct {
 	Site  site.ID   // overflow candidates
 	Pair  site.Pair // dangling candidates
 	Bayes float64
 	Obs   int
-	YRate float64 // fraction of observations with Y=1
-}
-
-// OverflowCandidates returns all tracked allocation sites ranked by Bayes
-// factor, descending.
-func (hist *History) OverflowCandidates() []Candidate {
-	var out []Candidate
-	for s, obs := range hist.overflow {
-		out = append(out, Candidate{Site: s, Bayes: hist.overflowFactor(s, obs), Obs: len(obs), YRate: yRate(obs)})
-	}
-	sortCandidates(out)
-	return out
-}
-
-// DanglingCandidates returns all tracked site pairs ranked by Bayes
-// factor, descending.
-func (hist *History) DanglingCandidates() []Candidate {
-	var out []Candidate
-	for p, obs := range hist.dangling {
-		out = append(out, Candidate{Pair: p, Bayes: hist.danglingFactor(p, obs), Obs: len(obs), YRate: yRate(obs)})
-	}
-	sortCandidates(out)
-	return out
-}
-
-func yRate(obs []Observation) float64 {
-	if len(obs) == 0 {
-		return 0
-	}
-	y := 0
-	for _, o := range obs {
-		if o.Y {
-			y++
-		}
-	}
-	return float64(y) / float64(len(obs))
-}
-
-func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Bayes > cs[j].Bayes })
 }
 
 // Threshold returns the decision threshold cN−1 for the current N.

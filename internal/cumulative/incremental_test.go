@@ -154,3 +154,50 @@ func TestDirtyKeysTracksChanges(t *testing.T) {
 		t.Fatalf("DirtyKeys after one-key absorb = %d, want 1", got)
 	}
 }
+
+// TestRescoredKeepsConsumersCurrent: a consumer that folds each pass's
+// Rescored candidates into its own map holds, key for key, the complete
+// candidate set a fresh history rescoring everything hands out — the
+// contract the triage engine's incremental passes rest on.
+func TestRescoredKeepsConsumersCurrent(t *testing.T) {
+	fold := func(ovf map[site.ID]Candidate, dan map[site.Pair]Candidate, hist *History) {
+		o, d := hist.Rescored()
+		for _, c := range o {
+			ovf[c.Site] = c
+		}
+		for _, c := range d {
+			dan[c.Pair] = c
+		}
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hist := NewHistory(DefaultConfig())
+		ovf, dan := map[site.ID]Candidate{}, map[site.Pair]Candidate{}
+		for round := 0; round < 25; round++ {
+			hist.Absorb(randSnapshot(rng))
+			if round%3 != 0 {
+				continue
+			}
+			hist.Identify()
+			fold(ovf, dan, hist)
+			// Rescored hands the candidates over; the history keeps none.
+			if o, d := hist.Rescored(); len(o)+len(d) != 0 {
+				t.Fatalf("seed %d round %d: a second Rescored handed out %d candidates", seed, round, len(o)+len(d))
+			}
+
+			ref := NewHistory(DefaultConfig())
+			ref.Absorb(hist.Snapshot())
+			ref.IdentifyFull()
+			wantOvf, wantDan := map[site.ID]Candidate{}, map[site.Pair]Candidate{}
+			fold(wantOvf, wantDan, ref)
+			if !reflect.DeepEqual(ovf, wantOvf) || !reflect.DeepEqual(dan, wantDan) {
+				t.Fatalf("seed %d round %d: folded candidates diverge from a full rescore", seed, round)
+			}
+			// A pass with no new evidence rescores, and hands out, nothing.
+			hist.Identify()
+			if o, d := hist.Rescored(); len(o)+len(d) != 0 {
+				t.Fatalf("seed %d round %d: a clean pass handed out %d candidates", seed, round, len(o)+len(d))
+			}
+		}
+	}
+}

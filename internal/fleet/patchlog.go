@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"exterminator/internal/patch"
+	"exterminator/internal/triage"
 )
 
 // PatchLog is the versioned patch store behind GET /v1/patches. Every
@@ -102,4 +103,16 @@ func (l *PatchLog) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.full.Len()
+}
+
+// PassTriage runs one triage pass fed with in plus the entries added to
+// log after version *seen, and advances *seen to the version it read. It
+// is how every correction pass (Server.Correct and the cluster
+// coordinator's) feeds its triage engine the patch-log delta; callers
+// serialize the passes that share a cursor.
+func PassTriage(eng *triage.Engine, log *PatchLog, seen *uint64, in triage.PassInput) {
+	if log.Version() != *seen {
+		in.Patches, *seen = log.Since(*seen)
+	}
+	eng.Pass(in)
 }

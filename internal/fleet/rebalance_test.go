@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/site"
+	"exterminator/internal/triage"
 )
 
 // rebalanceTestSnapshot builds a small batch with deterministic keys.
@@ -449,5 +451,54 @@ func TestSnapshotRoundTripsRingVersionAndEvictCache(t *testing.T) {
 	b2, _ := json.Marshal(again.Evicted)
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("restored evict cache returned different evidence")
+	}
+}
+
+// TestEvictRetriagesFromScratch: drained evidence keys leave the
+// evidence store, so a server that runs triage makes its next pass a
+// full one. The drained keys' clusters leave the ranking, which then
+// matches a server that never held them. A drain that removes no
+// evidence key leaves the next pass incremental.
+func TestEvictRetriagesFromScratch(t *testing.T) {
+	batches := testBatches(6)
+	drained := []site.ID{guiltySite, guiltyAlloc}
+	build := func() *Server {
+		srv := NewServer(ServerOptions{CorrectEvery: -1})
+		for _, b := range batches {
+			srv.Store().AbsorbSnapshot(b)
+		}
+		return srv
+	}
+	srv := build()
+	srv.Correct()
+	srv.Evict("drain-0", []site.ID{0xFEED}, false)
+	if srv.retriage.Load() {
+		t.Fatal("a drain that removed no evidence key forced a full pass")
+	}
+	srv.Evict("drain-1", drained, false)
+	if !srv.retriage.Load() {
+		t.Fatal("a drain that removed evidence keys left the next pass incremental")
+	}
+	srv.Correct()
+
+	fresh := build()
+	fresh.Store().Extract(drained)
+	fresh.Correct()
+
+	type row struct {
+		id          string
+		occurrences int
+		pooled      float64
+	}
+	rows := func(s *Server) []row {
+		var out []row
+		for _, c := range s.Triage().Rankings(0, triage.MaxPageSize).Clusters {
+			out = append(out, row{c.ID, c.Occurrences, c.PooledBayes})
+		}
+		return out
+	}
+	got, want := rows(srv), rows(fresh)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ranking after evict = %v, want %v", got, want)
 	}
 }

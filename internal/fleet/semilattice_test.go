@@ -8,6 +8,7 @@ import (
 	"exterminator/internal/cumulative"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
+	"exterminator/internal/testutil"
 	"exterminator/internal/xrand"
 )
 
@@ -91,23 +92,6 @@ func checkSemilattice(opsA, opsB, opsC []patchOp) error {
 	return nil
 }
 
-// shrinkOps minimizes one op list against a still-failing predicate by
-// repeatedly dropping ops while the failure reproduces.
-func shrinkOps(ops []patchOp, fails func([]patchOp) bool) []patchOp {
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(ops); i++ {
-			cand := append(append([]patchOp{}, ops[:i]...), ops[i+1:]...)
-			if fails(cand) {
-				ops = cand
-				changed = true
-				break
-			}
-		}
-	}
-	return ops
-}
-
 func TestPatchSetIsJoinSemilattice(t *testing.T) {
 	const seed, trials = 0xE57E12, 500
 	rng := xrand.New(seed)
@@ -121,9 +105,9 @@ func TestPatchSetIsJoinSemilattice(t *testing.T) {
 		}
 		// Shrink each list in turn while the same-law failure holds.
 		fails := func(a, b, c []patchOp) bool { return checkSemilattice(a, b, c) != nil }
-		opsA = shrinkOps(opsA, func(o []patchOp) bool { return fails(o, opsB, opsC) })
-		opsB = shrinkOps(opsB, func(o []patchOp) bool { return fails(opsA, o, opsC) })
-		opsC = shrinkOps(opsC, func(o []patchOp) bool { return fails(opsA, opsB, o) })
+		opsA = testutil.Shrink(opsA, func(o []patchOp) bool { return fails(o, opsB, opsC) })
+		opsB = testutil.Shrink(opsB, func(o []patchOp) bool { return fails(opsA, o, opsC) })
+		opsC = testutil.Shrink(opsC, func(o []patchOp) bool { return fails(opsA, opsB, o) })
 		t.Fatalf("seed %#x trial %d: %v\nshrunk a: %v\nshrunk b: %v\nshrunk c: %v",
 			seed, trial, checkSemilattice(opsA, opsB, opsC), opsA, opsB, opsC)
 	}

@@ -115,6 +115,12 @@ type Server struct {
 	pending      atomic.Int64 // batches since the last correction pass
 	correctMu    sync.Mutex   // serializes correction passes
 	corrections  atomic.Int64
+	// triagedVersion is the patch-log version the triage engine has
+	// seen (guarded by correctMu). retriage asks the next pass to hand
+	// triage every candidate: after a snapshot restore, and after an
+	// eviction removed evidence keys.
+	triagedVersion uint64
+	retriage       atomic.Bool
 
 	token   string
 	limiter *rateLimiter
@@ -212,7 +218,7 @@ func (m *serverMetrics) register(reg *telemetry.Registry, s *Server) {
 	m.identifySec = reg.Histogram("fleet_identify_seconds",
 		"Incremental Bayesian identify latency per correction pass, in seconds.", nil)
 	m.correctSec = reg.Histogram("fleet_correct_seconds",
-		"Whole correction-pass latency (identify + patch fold), in seconds.", nil)
+		"Whole correction-pass latency (identify + patch fold + triage), in seconds.", nil)
 	reg.GaugeFunc("fleet_dirty_keys",
 		"Evidence keys the next correction pass must rescore (recompute backlog).",
 		func() float64 { return float64(s.store.DirtyKeys()) })
@@ -326,11 +332,12 @@ func (s *Server) Store() *Store { return s.store }
 func (s *Server) PatchLog() *PatchLog { return s.log }
 
 // Correct runs one correction pass: rerun the Bayesian test over the
-// sharded store and fold any derived patches into the versioned log. It
-// returns the current version and whether it changed. Passes are
-// incremental — only sites whose evidence changed since the previous
-// pass are rescored (Store.Identify) — and serialize; ingest is never
-// blocked by a running pass.
+// sharded store, fold any derived patches into the versioned log, and
+// feed the triage engine what the pass changed. It returns the current
+// version and whether it changed. Passes are incremental — only sites
+// whose evidence changed since the previous pass are rescored
+// (Store.Identify) and only their clusters re-triaged — and serialize;
+// ingest is never blocked by a running pass.
 func (s *Server) Correct() (uint64, bool) {
 	if s.noCorrect {
 		// Partition mode: every derivation path — inline, background
@@ -345,9 +352,15 @@ func (s *Server) Correct() (uint64, bool) {
 	s.pending.Store(0)
 	s.corrections.Add(1)
 	s.metrics.corrections.Inc()
+	// A full triage pass must carry every candidate, so its identify
+	// pass rescores every key.
+	full := s.retriage.Swap(false)
+	if full {
+		s.store.Invalidate()
+	}
 	identifyStart := time.Now()
 	//extlint:ignore lockio correctMu exists to serialize whole correction passes; the elastic identify pool's WaitGroup joins CPU-bound stripe scorers, not IO, and the serial pass held the lock for the same work
-	findings := s.store.Identify()
+	findings, in := s.store.Identify()
 	s.metrics.identifySec.ObserveSince(identifyStart)
 	changed := false
 	if findings.Empty() {
@@ -360,27 +373,13 @@ func (s *Server) Correct() (uint64, bool) {
 				"version", v, "patchEntries", s.log.Len(), "durationSec", time.Since(start).Seconds())
 		}
 	}
-	// Triage rides the correction pass: cluster the rescored candidates
-	// against the patch log the pass just folded. Still under correctMu,
-	// so passes (and their lifecycle transitions) stay serialized.
-	s.triagePass()
+	// Triage rides the correction pass: the rescored candidates and the
+	// patch-log entries added since the previous pass. Still under
+	// correctMu, so passes (and their lifecycle transitions) stay
+	// serialized.
+	in.Full = full
+	PassTriage(s.triage, s.log, &s.triagedVersion, in)
 	return s.log.Version(), changed
-}
-
-// triagePass folds the store's current per-site candidates into the
-// triage engine. No-op in partition mode.
-func (s *Server) triagePass() {
-	if s.triage == nil {
-		return
-	}
-	over, dang := s.store.TriageCandidates()
-	ps, _ := s.log.Since(0)
-	s.triage.Pass(triage.PassInput{
-		Overflows: over,
-		Danglings: dang,
-		Patches:   ps,
-		Threshold: s.store.Threshold(),
-	})
 }
 
 // Triage exposes the triage engine (nil in partition mode).
@@ -730,6 +729,10 @@ func (s *Server) Evict(token string, keys []site.ID, counters bool) (snap *cumul
 		return prev, true
 	}
 	snap = s.store.Extract(keys)
+	if len(snap.Overflow)+len(snap.Dangling) > 0 {
+		// The drained evidence keys' triage members are gone with them.
+		s.retriage.Store(true)
+	}
 	switch {
 	case counters:
 		r, f, cr := s.store.DrainCounters()
@@ -1213,6 +1216,8 @@ func (s *Server) LoadSnapshot(path string) error {
 	s.store.AbsorbHistory(st.hist)
 	s.journal.invalidate()
 	s.deltaMu.Unlock()
+	// The warm-up pass hands triage the complete candidate set.
+	s.retriage.Store(true)
 	s.Correct()
 	return nil
 }

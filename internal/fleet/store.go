@@ -6,6 +6,7 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/site"
+	"exterminator/internal/triage"
 )
 
 // Store is the server-side evidence pool: cumulative-mode histories
@@ -243,57 +244,77 @@ func (st *Store) Combined() *cumulative.History {
 // caches Bayes factors and rescores only keys whose evidence changed
 // since the last pass — which is what keeps correction O(dirty sites),
 // not O(all sites), as the fleet grows.
-func (st *Store) Identify() *cumulative.Findings {
+//
+// Alongside the findings it returns the triage input the pass produced:
+// every candidate a shard rescored (cumulative.History.Rescored) and the
+// threshold cN−1 they were tested against. Keys stripe deterministically
+// across shards, so the concatenation is exactly what an unsharded
+// history would have rescored.
+func (st *Store) Identify() (*cumulative.Findings, triage.PassInput) {
 	n := st.Sites()
 	f := &cumulative.Findings{}
-	if n == 0 {
-		return f
-	}
-	workers := int(st.identifyWorkers.Load())
-	if workers <= 1 || len(st.shards) == 1 {
-		for i := range st.shards {
-			sh := &st.shards[i]
-			sh.mu.Lock()
-			sf := sh.hist.IdentifyWithSites(n)
-			sh.mu.Unlock()
-			f.Overflows = append(f.Overflows, sf.Overflows...)
-			f.Danglings = append(f.Danglings, sf.Danglings...)
-		}
-		return f
-	}
-	// Elastic pool: score up to `workers` shards concurrently, each
-	// goroutine holding exactly one shard lock at a time (no nesting, so
-	// no ordering constraint between shard locks). Per-shard results land
-	// in indexed slots and merge in shard order, keeping findings
-	// deterministic regardless of which shard finishes first.
-	if workers > len(st.shards) {
-		workers = len(st.shards)
-	}
+	in := triage.PassInput{Threshold: st.cfg.C*float64(n) - 1}
 	results := make([]*cumulative.Findings, len(st.shards))
-	next := atomic.Int64{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(st.shards) {
-					return
+	over := make([][]cumulative.Candidate, len(st.shards))
+	dang := make([][]cumulative.Candidate, len(st.shards))
+	workers := min(int(st.identifyWorkers.Load()), len(st.shards))
+	if workers <= 1 {
+		for i := range st.shards {
+			results[i], over[i], dang[i] = st.identifyShard(i, n)
+		}
+	} else {
+		// Elastic pool: score up to `workers` shards concurrently, each
+		// goroutine holding exactly one shard lock at a time (no nesting,
+		// so no ordering constraint between shard locks). Per-shard
+		// results land in indexed slots and merge in shard order, keeping
+		// findings deterministic regardless of which shard finishes first.
+		next := atomic.Int64{}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(st.shards) {
+						return
+					}
+					results[i], over[i], dang[i] = st.identifyShard(i, n)
 				}
-				sh := &st.shards[i]
-				sh.mu.Lock()
-				results[i] = sh.hist.IdentifyWithSites(n)
-				sh.mu.Unlock()
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	for _, sf := range results {
+	for i, sf := range results {
 		f.Overflows = append(f.Overflows, sf.Overflows...)
 		f.Danglings = append(f.Danglings, sf.Danglings...)
+		in.Overflows = append(in.Overflows, over[i]...)
+		in.Danglings = append(in.Danglings, dang[i]...)
 	}
-	return f
+	return f, in
+}
+
+// identifyShard runs one shard's identify pass against the global N and
+// takes the candidates it rescored, under the shard's lock.
+func (st *Store) identifyShard(i, n int) (*cumulative.Findings, []cumulative.Candidate, []cumulative.Candidate) {
+	sh := &st.shards[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	f := sh.hist.IdentifyWithSites(n)
+	over, dang := sh.hist.Rescored()
+	return f, over, dang
+}
+
+// Invalidate drops every shard's cached factors, so the next Identify
+// rescores every key and hands the triage engine the complete candidate
+// set (cumulative.History.Invalidate).
+func (st *Store) Invalidate() {
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		sh.hist.Invalidate()
+		sh.mu.Unlock()
+	}
 }
 
 // SetIdentifyWorkers sets the correction pool width: how many shards an
@@ -304,27 +325,6 @@ func (st *Store) SetIdentifyWorkers(n int) {
 		n = 1
 	}
 	st.identifyWorkers.Store(int64(n))
-}
-
-// TriageCandidates collects every shard's ranked per-site candidates
-// for a triage pass. Keys stripe deterministically across shards, so
-// concatenation is exactly the unsharded candidate set; the triage
-// engine re-sorts internally, so cross-shard order does not matter.
-func (st *Store) TriageCandidates() (over, dang []cumulative.Candidate) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		over = append(over, sh.hist.OverflowCandidates()...)
-		dang = append(dang, sh.hist.DanglingCandidates()...)
-		sh.mu.Unlock()
-	}
-	return over, dang
-}
-
-// Threshold returns the store-wide identification threshold cN−1, with
-// N the global distinct-site count — the same N Identify tests against.
-func (st *Store) Threshold() float64 {
-	return st.cfg.C*float64(st.Sites()) - 1
 }
 
 // DirtyKeys returns the number of evidence keys (overflow sites plus

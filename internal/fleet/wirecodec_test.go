@@ -8,12 +8,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 	"exterminator/internal/telemetry"
+	"exterminator/internal/triage"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the cross-codec golden files under testdata/")
@@ -497,7 +500,8 @@ func TestDeltasNegotiation(t *testing.T) {
 }
 
 // TestElasticIdentifyEquivalence: the parallel correction pool must
-// derive exactly the serial pass's findings, whatever the worker count.
+// derive exactly the serial pass's findings, and hand triage exactly its
+// candidates, whatever the worker count.
 func TestElasticIdentifyEquivalence(t *testing.T) {
 	batches := testBatches(32)
 	build := func(workers int) *Store {
@@ -509,14 +513,35 @@ func TestElasticIdentifyEquivalence(t *testing.T) {
 		return st
 	}
 
-	want := build(1).Identify().Patches()
+	wantF, wantIn := build(1).Identify()
+	want := wantF.Patches()
 	if want.Len() == 0 {
 		t.Fatal("serial pass derived no patches; evidence too weak")
 	}
 	for _, workers := range []int{2, 4, 8, 32} {
-		got := build(workers).Identify().Patches()
-		if !got.Equal(want) {
+		gotF, gotIn := build(workers).Identify()
+		if got := gotF.Patches(); !got.Equal(want) {
 			t.Fatalf("workers=%d diverged:\n got  %s\n want %s", workers, got, want)
 		}
+		if !reflect.DeepEqual(sortedCandidates(gotIn), sortedCandidates(wantIn)) {
+			t.Fatalf("workers=%d handed triage different candidates", workers)
+		}
 	}
+}
+
+// sortedCandidates puts a triage input's candidates in key order (a
+// shard hands out its rescored keys in map order).
+func sortedCandidates(in triage.PassInput) triage.PassInput {
+	for _, cs := range [][]cumulative.Candidate{in.Overflows, in.Danglings} {
+		sort.Slice(cs, func(i, j int) bool {
+			if cs[i].Site != cs[j].Site {
+				return cs[i].Site < cs[j].Site
+			}
+			if cs[i].Pair.Alloc != cs[j].Pair.Alloc {
+				return cs[i].Pair.Alloc < cs[j].Pair.Alloc
+			}
+			return cs[i].Pair.Free < cs[j].Pair.Free
+		})
+	}
+	return in
 }

@@ -125,12 +125,14 @@ func newAlerter(cfg AlertConfig, source string) *Alerter {
 }
 
 // consider arms an alert for the cluster when a trigger holds and
-// neither the dedup record nor the cooldown suppresses it. Called from
-// Pass under the engine lock; takes only the alerter lock and does no
-// I/O.
-func (a *Alerter) consider(c ClusterSummary, pass uint64) (queued bool, reason string) {
+// neither the dedup record nor the cooldown suppresses it. held reports
+// a regression that only the cooldown suppressed: it arms on a later
+// pass without new evidence, so the engine reconsiders it every pass.
+// Called from Pass under the engine lock; takes only the alerter lock
+// and does no I/O.
+func (a *Alerter) consider(c ClusterSummary, pass uint64) (queued bool, reason string, held bool) {
 	if !a.cfg.Enabled() {
-		return false, ""
+		return false, "", false
 	}
 	switch {
 	case a.cfg.BayesThreshold > 0 && c.PooledBayes >= a.cfg.BayesThreshold:
@@ -138,7 +140,7 @@ func (a *Alerter) consider(c ClusterSummary, pass uint64) (queued bool, reason s
 	case a.cfg.MinOccurrences > 0 && c.Occurrences >= a.cfg.MinOccurrences:
 		reason = "occurrences"
 	default:
-		return false, ""
+		return false, "", false
 	}
 	now := a.now()
 	a.mu.Lock()
@@ -147,10 +149,10 @@ func (a *Alerter) consider(c ClusterSummary, pass uint64) (queued bool, reason s
 		// Already alerted: only a fresh regression re-arms, and never
 		// inside the cooldown window.
 		if c.Regressions <= rec.Regressions {
-			return false, ""
+			return false, "", false
 		}
 		if now.Sub(time.Unix(0, rec.At)) < a.cfg.Cooldown {
-			return false, ""
+			return false, "", true
 		}
 		reason = "regression"
 	}
@@ -159,7 +161,7 @@ func (a *Alerter) consider(c ClusterSummary, pass uint64) (queued bool, reason s
 		Payload:   AlertPayload{Source: a.source, Reason: reason, Pass: pass, Cluster: c},
 		NotBefore: now.UnixNano(),
 	})
-	return true, reason
+	return true, reason, false
 }
 
 // status reports a cluster's alert state for detail replies. Returns
@@ -296,7 +298,8 @@ func (e *Engine) AlertState() ([]byte, error) {
 }
 
 // RestoreAlertState replaces the alerter's state from a snapshot blob.
-// Empty input is a no-op (snapshots predating the alert blob).
+// Empty input is a no-op (snapshots predating the alert blob). The next
+// pass reconsiders every cluster against the restored records.
 func (e *Engine) RestoreAlertState(data []byte) error {
 	if e == nil || len(data) == 0 {
 		return nil
@@ -305,6 +308,9 @@ func (e *Engine) RestoreAlertState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("triage: decode alert state: %w", err)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.recheck = true
 	a := e.alerter
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -466,3 +466,81 @@ func TestDeterministicRankingsAcrossShuffles(t *testing.T) {
 		t.Fatalf("rankings depend on arrival order:\n%s\n%s", a, b)
 	}
 }
+
+// TestLateFramesRetireSiteHashCluster: a site's stack can arrive (with a
+// bug report) after its evidence was clustered by site hash. The
+// site-hash cluster must leave the ranking once its member moves to the
+// signature cluster — otherwise the site's evidence counts twice and a
+// restarted tier, rebuilding triage from candidates, ranks differently.
+func TestLateFramesRetireSiteHashCluster(t *testing.T) {
+	frames := []uint64{0x1, 0x2, 0x3}
+	e := New(Config{})
+	passOver(e, nil, 10, 1)
+	e.RecordFrames(0x42, frames)
+	passOver(e, nil, 10, 1)
+	passOver(e, nil, 10, 1)
+
+	fresh := New(Config{})
+	fresh.RecordFrames(0x42, frames)
+	passOver(fresh, nil, 10, 1)
+
+	got, want := e.Rankings(0, 10), fresh.Rankings(0, 10)
+	if got.Total != 1 || want.Total != 1 {
+		t.Fatalf("ranking total = %d (fresh engine: %d), want 1", got.Total, want.Total)
+	}
+	if got.Clusters[0].ID != want.Clusters[0].ID || got.Clusters[0].Occurrences != 1 {
+		t.Fatalf("ranking = %+v, want the signature cluster %s alone", got.Clusters, want.Clusters[0].ID)
+	}
+	if _, ok := e.Detail("overflow-site-42"); ok {
+		t.Fatal("the site-hash cluster still serves details after its site's stack arrived")
+	}
+}
+
+// TestRestoredAlertStateIsReconsidered: restoring alert state swaps the
+// records every later pass is judged against, so the next pass
+// reconsiders every cluster even though none changed.
+func TestRestoredAlertStateIsReconsidered(t *testing.T) {
+	e := New(Config{Alert: AlertConfig{URL: "http://unreachable.invalid", MinOccurrences: 1}})
+	if st := passOver(e, nil, 10, 2); st.Queued != 1 {
+		t.Fatalf("first pass queued %d alerts, want 1", st.Queued)
+	}
+	if err := e.RestoreAlertState([]byte(`{"fired":{},"pending":[]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Pass(PassInput{}); st.Queued != 1 {
+		t.Fatalf("pass after restoring an empty record queued %d alerts, want 1", st.Queued)
+	}
+}
+
+// TestCleanPassAllocsFlat: a pass with nothing dirty allocates the same
+// at 1k and at 10k clusters — its cost does not grow with the ranking.
+func TestCleanPassAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		e := New(Config{Alert: AlertConfig{URL: "http://unreachable.invalid", BayesThreshold: 1}})
+		var in PassInput
+		ps := patch.New()
+		for i := 0; i < n; i++ {
+			id := site.ID(0x1000 + i)
+			if i%4 == 0 {
+				e.RecordFrames(id, []uint64{uint64(i), uint64(i / 8), 0xAA})
+			}
+			in.Overflows = append(in.Overflows, over(id, float64(1+i%97), 1+i%5))
+			if i%10 == 0 {
+				in.Danglings = append(in.Danglings, dang(id, 0x9, float64(1+i%31), 1))
+				ps.AddPad(id, 8)
+			}
+		}
+		in.Patches, in.Threshold, in.Full = ps, 50, true
+		e.Pass(in)
+		// Let every due transition (new → active, patched → resolved)
+		// play out first.
+		for i := 0; i <= DefaultResolveAfter; i++ {
+			e.Pass(PassInput{Threshold: 50})
+		}
+		return testing.AllocsPerRun(50, func() { e.Pass(PassInput{Threshold: 50}) })
+	}
+	small, large := allocs(1000), allocs(10000)
+	if small != large {
+		t.Fatalf("clean pass allocates %v at 1k clusters but %v at 10k", small, large)
+	}
+}
