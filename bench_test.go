@@ -14,11 +14,13 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,11 +327,11 @@ func BenchmarkAblationMSweep(b *testing.B) {
 	}
 }
 
-// benchIngestBatch builds the realistic upload batch both wire-protocol
-// benches share: ~30 sites of overflow evidence, a handful of dangling
-// pairs, hints — a few KB of JSON, like one installation's session
-// (§3.4: "a few kilobytes per execution").
-func benchIngestBatch() *fleet.ObservationBatch {
+// benchIngestBatch builds the realistic upload batch the ingest benches
+// share: ~30 sites of overflow evidence, a handful of dangling pairs,
+// hints — a few KB, like one installation's session (§3.4: "a few
+// kilobytes per execution").
+func benchIngestBatch() *codec.Batch {
 	snap := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 5, FailedRuns: 2, CorruptRuns: 2}
 	for i := 0; i < 30; i++ {
 		id := site.ID(0x1000 + uint32(i))
@@ -348,59 +350,61 @@ func benchIngestBatch() *fleet.ObservationBatch {
 		})
 	}
 	snap.PadHints = append(snap.PadHints, cumulative.PadHint{Site: 0x1003, Pad: 24})
-	return &fleet.ObservationBatch{Client: "bench", Snapshot: snap}
+	return &codec.Batch{Client: "bench", Snapshot: snap}
 }
 
-// benchIngestBodies encodes the shared batch under both codecs.
-func benchIngestBodies(b *testing.B) (bodyV1, bodyV2 []byte) {
+// benchIngestFrame encodes the shared batch as an upload frame whose
+// batch ID ends in a 16-hex-digit counter, and returns a function that
+// rewrites that counter in place (no allocation): a benchmark restamps
+// each delivery so every one is absorbed, not acknowledged as a
+// duplicate of the first.
+func benchIngestFrame(b *testing.B) (frame []byte, restamp func(frame []byte, n uint64)) {
+	const id = "bench-0000000000000000"
 	batch := benchIngestBatch()
-	bodyV1, err := json.Marshal(batch)
-	if err != nil {
-		b.Fatal(err)
+	batch.BatchID = id
+	frame = codec.EncodeBatch(&codec.Buffer{}, batch)
+	at := bytes.Index(frame, []byte(id))
+	if at < 0 {
+		b.Fatal("batch ID not found in the frame")
 	}
-	var buf codec.Buffer
-	bodyV2, err = fleet.V2Codec.EncodeBatch(&buf, batch)
-	if err != nil {
-		b.Fatal(err)
+	at += len(id) - 16
+	return frame, func(frame []byte, n uint64) {
+		var v [8]byte
+		binary.BigEndian.PutUint64(v[:], n)
+		hex.Encode(frame[at:at+16], v[:])
 	}
-	return bodyV1, bodyV2
 }
 
 // Fleet aggregation: batched observation ingest through the HTTP handler
-// (POST /v1/observations), the hot path of the networked cumulative mode,
-// under each wire protocol — the v1 JSON document vs the v2 binary frame
-// the codec seam negotiates. Inline correction is disabled so the
-// measurement isolates decode + sharded absorb; the Bayesian pass runs on
-// the background loop in deployment.
+// (POST /v1/observations), the hot path of the networked cumulative mode.
+// Inline correction is disabled so the measurement isolates decode,
+// dedup admission and sharded absorb; the Bayesian pass runs on the
+// background loop in deployment.
 func BenchmarkFleetIngest(b *testing.B) {
-	bodyV1, bodyV2 := benchIngestBodies(b)
-	run := func(body []byte, contentType string) func(*testing.B) {
-		return func(b *testing.B) {
-			srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1})
-			handler := srv.Handler()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body))
-				req.Header.Set("Content-Type", contentType)
-				rec := httptest.NewRecorder()
-				handler.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					b.Fatalf("ingest failed: %s: %s", rec.Result().Status, rec.Body)
-				}
+	body, restamp := benchIngestFrame(b)
+	b.Run("v2", func(b *testing.B) {
+		srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1})
+		handler := srv.Handler()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			restamp(body, uint64(i))
+			req := httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body))
+			req.Header.Set("Content-Type", codec.ContentTypeV2)
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("ingest failed: %s: %s", rec.Result().Status, rec.Body)
 			}
 		}
-	}
-	b.Run("v1", run(bodyV1, "application/json"))
-	b.Run("v2", run(bodyV2, codec.ContentTypeV2))
+	})
 }
 
 // Saturation: aggregate observations/sec one partition sustains when
 // GOMAXPROCS concurrent installations hammer the ingest handler
-// in-process, per wire protocol — the fleet-scale number the v2 codec
-// exists to move (ISSUE 10: the ingest path must cost near-zero per
-// observation).
+// in-process — the fleet-scale number the binary wire exists to move
+// (the ingest path must cost near-zero per observation).
 func BenchmarkFleetSaturation(b *testing.B) {
 	batch := benchIngestBatch()
 	nObs := 0
@@ -410,31 +414,30 @@ func BenchmarkFleetSaturation(b *testing.B) {
 	for _, po := range batch.Snapshot.Dangling {
 		nObs += len(po.Obs)
 	}
-	bodyV1, bodyV2 := benchIngestBodies(b)
-	run := func(body []byte, contentType string) func(*testing.B) {
-		return func(b *testing.B) {
-			srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1})
-			handler := srv.Handler()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(body)))
-			b.ResetTimer()
-			start := time.Now()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					req := httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body))
-					req.Header.Set("Content-Type", contentType)
-					rec := httptest.NewRecorder()
-					handler.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						b.Fatalf("ingest failed: %s: %s", rec.Result().Status, rec.Body)
-					}
+	frame, restamp := benchIngestFrame(b)
+	b.Run("v2", func(b *testing.B) {
+		srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1})
+		handler := srv.Handler()
+		var deliveries atomic.Uint64
+		b.ReportAllocs()
+		b.SetBytes(int64(len(frame)))
+		b.ResetTimer()
+		start := time.Now()
+		b.RunParallel(func(pb *testing.PB) {
+			body := append([]byte(nil), frame...)
+			for pb.Next() {
+				restamp(body, deliveries.Add(1))
+				req := httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body))
+				req.Header.Set("Content-Type", codec.ContentTypeV2)
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("ingest failed: %s: %s", rec.Result().Status, rec.Body)
 				}
-			})
-			b.ReportMetric(float64(b.N*nObs)/time.Since(start).Seconds(), "obs/sec")
-		}
-	}
-	b.Run("v1", run(bodyV1, "application/json"))
-	b.Run("v2", run(bodyV2, codec.ContentTypeV2))
+			}
+		})
+		b.ReportMetric(float64(b.N*nObs)/time.Since(start).Seconds(), "obs/sec")
+	})
 }
 
 // Codec microbenches: the cost of producing and parsing one v2 batch
@@ -442,35 +445,24 @@ func BenchmarkFleetSaturation(b *testing.B) {
 // pays to encode and a partition pays to decode.
 func BenchmarkWireEncodeV2(b *testing.B) {
 	batch := benchIngestBatch()
-	var sized codec.Buffer
-	frame, err := fleet.V2Codec.EncodeBatch(&sized, batch)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frame := codec.EncodeBatch(&codec.Buffer{}, batch)
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := codec.GetBuffer()
-		if _, err := fleet.V2Codec.EncodeBatch(buf, batch); err != nil {
-			b.Fatal(err)
-		}
+		codec.EncodeBatch(buf, batch)
 		codec.PutBuffer(buf)
 	}
 }
 
 func BenchmarkWireDecodeV2(b *testing.B) {
-	batch := benchIngestBatch()
-	var buf codec.Buffer
-	frame, err := fleet.V2Codec.EncodeBatch(&buf, batch)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frame := codec.EncodeBatch(&codec.Buffer{}, benchIngestBatch())
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fleet.V2Codec.DecodeBatch(frame); err != nil {
+		if _, err := codec.DecodeBatch(frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -532,7 +524,7 @@ func BenchmarkIncrementalIdentify(b *testing.B) {
 // Cluster routing: splitting one realistic observation batch across an
 // 8-partition consistent-hash ring and encoding each piece for the wire
 // — the per-upload CPU cost the cluster-aware client adds over a
-// single-server push, under each negotiated codec.
+// single-server push.
 func BenchmarkClusterRoute(b *testing.B) {
 	ring := cluster.NewRing(0,
 		"http://p1:7077", "http://p2:7077", "http://p3:7077", "http://p4:7077",
@@ -553,29 +545,20 @@ func BenchmarkClusterRoute(b *testing.B) {
 		})
 	}
 	snap.PadHints = append(snap.PadHints, cumulative.PadHint{Site: snap.Sites[3], Pad: 24})
-	run := func(enc fleet.Codec) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				parts := cluster.SplitSnapshot(ring, snap)
-				if len(parts) < 2 {
-					b.Fatal("batch not split")
-				}
-				for _, part := range parts {
-					buf := codec.GetBuffer()
-					_, err := enc.EncodeBatch(buf, &fleet.ObservationBatch{
-						Client: "bench", Snapshot: part, RingVersion: 1,
-					})
-					codec.PutBuffer(buf)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
+	b.Run("v2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			parts := cluster.SplitSnapshot(ring, snap)
+			if len(parts) < 2 {
+				b.Fatal("batch not split")
+			}
+			for _, part := range parts {
+				buf := codec.GetBuffer()
+				codec.EncodeBatch(buf, &codec.Batch{Client: "bench", Snapshot: part, RingVersion: 1})
+				codec.PutBuffer(buf)
 			}
 		}
-	}
-	b.Run("v1", run(fleet.JSONCodec))
-	b.Run("v2", run(fleet.V2Codec))
+	})
 }
 
 // Live ring rebalancing: moved-keys throughput of a 3→4 node resize
@@ -619,8 +602,14 @@ func BenchmarkRebalance(b *testing.B) {
 				Obs:  []cumulative.Observation{{X: 0.25, Y: i%5 == 0}, {X: 0.5, Y: i%2 == 0}},
 			})
 		}
-		if _, err := router.PushSnapshot(ctx, snap); err != nil {
+		pieces, err := router.SplitBatch(0, 0, snap)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, p := range pieces {
+			if _, err := router.PushPiece(ctx, p); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	if _, err := coord.Sync(ctx); err != nil {
@@ -848,7 +837,10 @@ func BenchmarkReplicaPatchFanout(b *testing.B) {
 		snap.Overflow = append(snap.Overflow, cumulative.SiteObservations{Site: id, Obs: obs})
 		snap.PadHints = append(snap.PadHints, cumulative.PadHint{Site: id, Pad: 16})
 	}
-	if _, err := fleet.NewClient(partTS.URL, "bench").PushSnapshot(snap); err != nil {
+	if _, err := fleet.NewClient(partTS.URL, "bench").PushBatchContext(ctx, &fleet.ObservationBatch{
+		Snapshot: snap,
+		BatchID:  codec.BatchID("bench", 1, 0, 0, snap),
+	}); err != nil {
 		b.Fatal(err)
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{

@@ -9,11 +9,12 @@
 // State survives restarts through periodic snapshots of the evidence
 // store plus the exactly-once ingest dedup window; on startup the daemon
 // restores the snapshot and rederives patches before accepting traffic.
-// Ingest is exactly-once for batch-ID-stamped uploads: a retried batch
-// whose ack was lost is acknowledged as a duplicate, never re-absorbed
-// (-dedup sizes the window). In coordinator mode -snapshot persists the
-// partition mirrors and journal cursors instead, so a restarted
-// coordinator resumes with cheap deltas rather than full resyncs.
+// Ingest is exactly-once: every upload is a binary frame stamped with a
+// batch ID, and a retried batch whose ack was lost is acknowledged as a
+// duplicate, never re-absorbed (-dedup sizes the window). In
+// coordinator mode -snapshot persists the partition mirrors and journal
+// cursors instead, so a restarted coordinator resumes with cheap deltas
+// rather than full resyncs.
 //
 // Cluster deployment (internal/cluster): run N fleetd instances with
 // -partition (evidence store + journal, no local patch derivation —
@@ -70,7 +71,7 @@ func main() {
 		rate         = flag.Float64("rate", 0, "per-client observation uploads per second (0: unlimited)")
 		burst        = flag.Int("burst", 0, "rate-limit burst (0: 2x rate)")
 		journalLen   = flag.Int("journal", 0, "evidence journal window in batches for GET /v1/deltas (0: 1024)")
-		dedupLen     = flag.Int("dedup", 0, "exactly-once ingest window: recently absorbed batch IDs retained (0: 4096, negative: disable dedup)")
+		dedupLen     = flag.Int("dedup", 0, "exactly-once ingest window: recently absorbed batch IDs retained (0: 4096)")
 		partition    = flag.Bool("partition", false, "run as a cluster partition: store and journal evidence but derive no patches (the coordinator runs the fleet-wide hypothesis test)")
 		coordinator  = flag.String("coordinator", "", "run as cluster coordinator over these comma-separated partition base URLs instead of an evidence store")
 		standby      = flag.Bool("standby", false, "coordinator: start as a warm standby — mirror the partitions but gate the client surface behind 503 until promoted (see docs/OPERATIONS.md, Failover)")
@@ -85,7 +86,6 @@ func main() {
 		alertOccurs  = flag.Int("alert-occurrences", 0, "triage alert trigger: total occurrences a cluster must accumulate (0: disabled)")
 		alertCool    = flag.Duration("alert-cooldown", 0, "minimum gap between webhook alerts for the same cluster (0: 1h)")
 		debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof and /metrics (empty: no debug listener; /metrics is always on the main listener too)")
-		wireV2       = flag.Bool("wire-v2", false, "coordinator/replica: ask upstream tiers for the binary v2 wire protocol (servers that lack it keep answering JSON; the node's own surface always negotiates per request)")
 		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: human-readable text)")
 		logDebug     = flag.Bool("log-debug", false, "log at debug level: per-request read-path lines (patches/deltas/status served) with their X-Request-ID")
 		showVersion  = flag.Bool("version", false, "print build version and exit")
@@ -95,6 +95,9 @@ func main() {
 	if *showVersion {
 		fmt.Println("fleetd", version.String())
 		return
+	}
+	if *dedupLen < 0 {
+		log.Fatal("fleetd: -dedup must not be negative: every upload is deduplicated (0: the 4096 default)")
 	}
 
 	hopts := &slog.HandlerOptions{}
@@ -129,7 +132,7 @@ func main() {
 		if *partition || *coordinator != "" {
 			log.Fatal("fleetd: -replica is exclusive with -partition/-coordinator: a replica is a stateless read cache in front of the merge tier")
 		}
-		runReplica(ctx, *addr, *replica, *token, *pollInt, *wireV2, reg, logger)
+		runReplica(ctx, *addr, *replica, *token, *pollInt, reg, logger)
 		return
 	}
 
@@ -154,7 +157,7 @@ func main() {
 		}
 		ha := haOptions{standby: *standby, primary: *primary, takeoverAfter: *takeoverN, holder: holder}
 		runCoordinator(ctx, *addr, *coordinator, *token, cumulative.Config{C: *priorC, P: *fillP},
-			*pollInt, *snapshot, *snapshotInt, *rebalJournal, *wireV2, ha, triageCfg, reg, logger)
+			*pollInt, *snapshot, *snapshotInt, *rebalJournal, ha, triageCfg, reg, logger)
 		return
 	}
 	if *rebalJournal != "" {
@@ -234,7 +237,7 @@ type haOptions struct {
 // writes a final snapshot on graceful shutdown.
 func runCoordinator(ctx context.Context, addr, partitions, token string, cfg cumulative.Config,
 	pollInt time.Duration, snapshot string, snapshotInt time.Duration, rebalJournal string,
-	wireV2 bool, ha haOptions, triageCfg triage.Config, reg *telemetry.Registry, logger *slog.Logger) {
+	ha haOptions, triageCfg triage.Config, reg *telemetry.Registry, logger *slog.Logger) {
 	var parts []string
 	for _, p := range strings.Split(partitions, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -247,7 +250,6 @@ func runCoordinator(ctx context.Context, addr, partitions, token string, cfg cum
 		Token:            token,
 		Triage:           triageCfg,
 		RebalanceJournal: rebalJournal,
-		WireV2:           wireV2,
 		Standby:          ha.standby,
 		Primary:          ha.primary,
 		TakeoverAfter:    ha.takeoverAfter,
@@ -311,7 +313,7 @@ func runCoordinator(ctx context.Context, addr, partitions, token string, cfg cum
 // snapshot, no journal — a restarted replica rebuilds its entire state
 // from one upstream poll.
 func runReplica(ctx context.Context, addr, upstreams, token string, pollInt time.Duration,
-	wireV2 bool, reg *telemetry.Registry, logger *slog.Logger) {
+	reg *telemetry.Registry, logger *slog.Logger) {
 	var ups []string
 	for _, u := range strings.Split(upstreams, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -322,7 +324,6 @@ func runReplica(ctx context.Context, addr, upstreams, token string, pollInt time
 		Upstreams:    ups,
 		PollInterval: pollInt,
 		Token:        token,
-		WireV2:       wireV2,
 		Metrics:      reg,
 		Logger:       logger,
 	})

@@ -3,16 +3,19 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/engine"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/report"
 	"exterminator/internal/site"
 )
@@ -66,6 +69,40 @@ func testBatch(rng *rand.Rand) *cumulative.Snapshot {
 	return s
 }
 
+// uploads hands every test upload its own lineage, so equal contents —
+// a piece carrying only the constant guilty-site evidence, say — still
+// count once per upload instead of deduplicating against each other.
+var uploads atomic.Uint64
+
+// pushStamped uploads s through a plain fleet client as one stamped
+// batch with its own lineage.
+func pushStamped(ctx context.Context, c *fleet.Client, s *cumulative.Snapshot) (*fleet.IngestReply, error) {
+	return c.PushBatchContext(ctx, &fleet.ObservationBatch{
+		Snapshot: s,
+		BatchID:  codec.BatchID(c.ID(), uploads.Add(1), 0, 0, s),
+	})
+}
+
+// pushRouted uploads s through rt the way Sink does, with its own
+// lineage: split along the ring into stamped pieces, then push every
+// piece. Failed pieces are joined into the error; the others stay
+// absorbed.
+func pushRouted(ctx context.Context, rt *Router, s *cumulative.Snapshot) error {
+	d := *s
+	d.Lineage = uploads.Add(1)
+	pieces, err := rt.SplitBatch(0, 0, &d)
+	if err != nil {
+		return err
+	}
+	var errs []error
+	for _, p := range pieces {
+		if _, err := rt.PushPiece(ctx, p); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 func canonicalPatchBytes(t *testing.T, log *fleet.PatchLog) []byte {
 	t.Helper()
 	ps, _ := log.Full()
@@ -110,10 +147,10 @@ func TestClusterConvergesWithSingleFleetd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
 		batch := testBatch(rng)
-		if _, err := singleClient.PushSnapshot(batch); err != nil {
+		if _, err := pushStamped(ctx, singleClient, batch); err != nil {
 			t.Fatalf("single push: %v", err)
 		}
-		if _, err := router.PushSnapshot(ctx, batch); err != nil {
+		if err := pushRouted(ctx, router, batch); err != nil {
 			t.Fatalf("routed push: %v", err)
 		}
 		if i%10 == 5 {
@@ -229,7 +266,7 @@ func TestCoordinatorIdempotentUnderPartitionRestart(t *testing.T) {
 	client := fleet.NewClient(ts.URL, "c1")
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 30; i++ {
-		if _, err := client.PushSnapshot(testBatch(rng)); err != nil {
+		if _, err := pushStamped(ctx, client, testBatch(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +313,7 @@ func TestCoordinatorIdempotentUnderPartitionRestart(t *testing.T) {
 	// coordinator's stale cursor, exercising the cross-epoch refetch path
 	// (a naive delta there would drop the snapshot-restored evidence).
 	for i := 0; i < 35; i++ {
-		if _, err := client.PushSnapshot(testBatch(rng)); err != nil {
+		if _, err := pushStamped(ctx, client, testBatch(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,43 +406,37 @@ func TestClusterSinkPartialPushNoDoubleCount(t *testing.T) {
 // watermark position (0, 0). Their lineages differ, so every piece ID
 // differs and the partitions absorb both uploads.
 func TestClusterSinkFreshHistoriesUnderOneIDBothCount(t *testing.T) {
-	for _, v2 := range []bool{false, true} {
-		name := "json"
-		if v2 {
-			name = "v2"
+	// The subtest is named for the wire the uploads ride.
+	t.Run("v2", func(t *testing.T) {
+		cfg := cumulative.DefaultConfig()
+		var parts []*fleet.Server
+		var urls []string
+		for i := 0; i < 2; i++ {
+			srv := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			parts = append(parts, srv)
+			urls = append(urls, ts.URL)
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := cumulative.DefaultConfig()
-			var parts []*fleet.Server
-			var urls []string
-			for i := 0; i < 2; i++ {
-				srv := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
-				ts := httptest.NewServer(srv.Handler())
-				defer ts.Close()
-				parts = append(parts, srv)
-				urls = append(urls, ts.URL)
+		for session := 0; session < 2; session++ {
+			sink, err := NewSink(urls[0] /* coordinator unused: no derived patches */, "install-1", urls...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for session := 0; session < 2; session++ {
-				sink, err := NewSink(urls[0] /* coordinator unused: no derived patches */, "install-1", urls...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sink.SetWireV2(v2)
-				hist := cumulative.NewHistory(cfg)
-				hist.Absorb(testBatch(rand.New(rand.NewSource(43))))
-				if err := sink.Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
-					t.Fatal(err)
-				}
+			hist := cumulative.NewHistory(cfg)
+			hist.Absorb(testBatch(rand.New(rand.NewSource(43))))
+			if err := sink.Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
+				t.Fatal(err)
 			}
-			var runs int64
-			for _, p := range parts {
-				runs += p.Store().Runs()
-			}
-			if runs != 6 {
-				t.Fatalf("runs = %d, want 6: the second session's pieces were deduped against the first", runs)
-			}
-		})
-	}
+		}
+		var runs int64
+		for _, p := range parts {
+			runs += p.Store().Runs()
+		}
+		if runs != 6 {
+			t.Fatalf("runs = %d, want 6: the second session's pieces were deduped against the first", runs)
+		}
+	})
 }
 
 // TestSplitSnapshotPartitionsEvidence: the split is a partition of the
@@ -476,7 +507,7 @@ func TestCoordinatorToleratesPartitionOutage(t *testing.T) {
 	upClient := fleet.NewClient(upTS.URL, "up")
 	downClient := fleet.NewClient(downTS.URL, "down")
 	for i := 0; i < 5; i++ {
-		if _, err := upClient.PushSnapshot(testBatch(rng)); err != nil {
+		if _, err := pushStamped(ctx, upClient, testBatch(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,7 +520,7 @@ func TestCoordinatorToleratesPartitionOutage(t *testing.T) {
 
 	// Partition recovers with its own evidence.
 	downSW.set(down.Handler())
-	if _, err := downClient.PushSnapshot(testBatch(rng)); err != nil {
+	if _, err := pushStamped(ctx, downClient, testBatch(rng)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Sync(ctx); err != nil {

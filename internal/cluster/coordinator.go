@@ -63,11 +63,10 @@ type CoordinatorOptions struct {
 	// single observation. Empty disables crash safety for rebalances —
 	// fine for tests, not for production resizes.
 	RebalanceJournal string
-	// WireV2 opts the coordinator's partition clients into the binary
-	// v2 wire protocol: delta polls advertise v2 in Accept (partitions
-	// that speak it answer in frames; older ones keep answering JSON).
-	// The coordinator's own served surface negotiates per request either
-	// way, so this only controls what it asks its partitions for.
+	// WireV2 is ignored: delta polls always ride v2 frames.
+	//
+	// Deprecated: the benchmark module (bench/) still sets it; the next
+	// change to the benchmark drops that, and then this field is deleted.
 	WireV2 bool
 	// Metrics is the registry the coordinator's instruments register into
 	// (poll/resync counters, per-partition lag gauges, rebalance phase
@@ -133,7 +132,6 @@ type Coordinator struct {
 	seenPrimaryEpoch atomic.Uint64
 
 	token      string
-	wireV2     bool
 	reportMu   sync.Mutex
 	reports    []*report.Report
 	maxReports int
@@ -277,7 +275,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		rebalState:    RebalanceState{State: RebalanceIdle},
 		holder:        opts.LeaseHolder,
 		takeoverAfter: opts.TakeoverAfter,
-		wireV2:        opts.WireV2,
 	}
 	c.epoch.Store(uint64(time.Now().UnixNano()))
 	c.primary.Store(!opts.Standby)
@@ -364,7 +361,6 @@ func (c *Coordinator) newPartition(base string) *partition {
 	if c.token != "" {
 		client.SetToken(c.token)
 	}
-	client.SetWireV2(c.wireV2)
 	p := &partition{
 		base:   base,
 		client: client,

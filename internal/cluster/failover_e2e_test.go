@@ -81,10 +81,10 @@ func TestCoordinatorKillFailoverE2E(t *testing.T) {
 	}
 	pushBoth := func(s *cumulative.Snapshot) {
 		t.Helper()
-		if _, err := ctrlRouter.PushSnapshot(ctx, s); err != nil {
+		if err := pushRouted(ctx, ctrlRouter, s); err != nil {
 			t.Fatalf("control push: %v", err)
 		}
-		if _, err := haRouter.PushSnapshot(ctx, s); err != nil {
+		if err := pushRouted(ctx, haRouter, s); err != nil {
 			t.Fatalf("ha push: %v", err)
 		}
 	}

@@ -38,7 +38,7 @@ func feedCluster(t *testing.T, ctx context.Context, seed int64, n int, partURLs 
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		if _, err := router.PushSnapshot(ctx, testBatch(rng)); err != nil {
+		if err := pushRouted(ctx, router, testBatch(rng)); err != nil {
 			t.Fatalf("push %d: %v", i, err)
 		}
 	}
@@ -61,7 +61,7 @@ func feedSecondWave(t *testing.T, ctx context.Context, partURLs ...string) {
 			Obs:  []cumulative.Observation{{X: 0.1, Y: true}, {X: 0.15, Y: true}},
 		})
 		s.PadHints = append(s.PadHints, cumulative.PadHint{Site: lateGuiltySite, Pad: lateGuiltyPad})
-		if _, err := router.PushSnapshot(ctx, s); err != nil {
+		if err := pushRouted(ctx, router, s); err != nil {
 			t.Fatalf("second-wave push %d: %v", i, err)
 		}
 	}

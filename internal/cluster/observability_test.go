@@ -102,7 +102,7 @@ func TestUploadCorrelationAcrossTiers(t *testing.T) {
 		Site: site.ID(0x900),
 		Obs:  []cumulative.Observation{{X: 0.25, Y: false}, {X: 0.5, Y: true}},
 	})
-	reply, err := c.PushSnapshotContext(ctx, snap)
+	reply, err := pushStamped(ctx, c, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRebalanceMetrics(t *testing.T) {
 			Site: id, Obs: []cumulative.Observation{{X: 0.25, Y: false}},
 		})
 	}
-	if _, err := rt.PushSnapshot(ctx, snap); err != nil {
+	if err := pushRouted(ctx, rt, snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Sync(ctx); err != nil {
@@ -264,7 +264,7 @@ func TestScrapeDuringMembershipChange(t *testing.T) {
 			Site: id, Obs: []cumulative.Observation{{X: 0.25, Y: false}},
 		})
 	}
-	if _, err := rt.PushSnapshot(ctx, snap); err != nil {
+	if err := pushRouted(ctx, rt, snap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Sync(ctx); err != nil {

@@ -70,9 +70,6 @@ func TestRouterEmptyRing(t *testing.T) {
 	}
 	router.Ring().Remove("http://p1")
 
-	if _, _, err := router.PushSplit(context.Background(), testBatch(rand.New(rand.NewSource(1)))); !errors.Is(err, ErrNoMembers) {
-		t.Fatalf("PushSplit on empty ring: %v, want ErrNoMembers", err)
-	}
 	if _, err := router.SplitBatch(0, 0, testBatch(rand.New(rand.NewSource(2)))); !errors.Is(err, ErrNoMembers) {
 		t.Fatalf("SplitBatch on empty ring: %v, want ErrNoMembers", err)
 	}
@@ -212,7 +209,7 @@ func TestRebalanceMembershipChangeUnderLiveUploads(t *testing.T) {
 			ctrl := fleet.NewClient(rc.ctrlTS.URL, "up")
 			for r := 0; r < rounds; r++ {
 				batch := testBatch(rng)
-				if _, err := ctrl.PushSnapshot(batch); err != nil {
+				if _, err := pushStamped(ctx, ctrl, batch); err != nil {
 					errCh <- err
 					return
 				}
@@ -306,10 +303,10 @@ func TestRebalanceCoordinatorKilledMidDrain(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			batch := testBatch(rng)
-			if _, err := ctrl.PushSnapshot(batch); err != nil {
+			if _, err := pushStamped(ctx, ctrl, batch); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := router.PushSnapshot(ctx, batch); err != nil {
+			if err := pushRouted(ctx, router, batch); err != nil {
 				t.Fatal(err)
 			}
 		}

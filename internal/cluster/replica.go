@@ -39,7 +39,6 @@ type Replica struct {
 	hc        *http.Client
 	interval  time.Duration
 	maxDeltas int
-	wireV2    bool
 	logger    *slog.Logger
 	reg       *telemetry.Registry
 	metrics   replicaMetrics
@@ -82,11 +81,10 @@ type ReplicaOptions struct {
 	// token-hardened (optional; the replica's own read surface is
 	// unauthenticated, like every patch read path).
 	Token string
-	// WireV2 makes upstream patch polls advertise the binary v2 wire
-	// protocol in Accept; upstreams that speak it answer in frames,
-	// older ones keep answering JSON (the decode negotiates per
-	// response). The replica's own served surface negotiates per
-	// request regardless.
+	// WireV2 is ignored: upstream patch polls always ask for v2 frames.
+	//
+	// Deprecated: the benchmark module (bench/) still sets it; the next
+	// change to the benchmark drops that, and then this field is deleted.
 	WireV2 bool
 	// Metrics is the registry the replica's instruments register into
 	// (nil gets a private one); Logger receives its structured log
@@ -148,7 +146,6 @@ func NewReplica(opts ReplicaOptions) (*Replica, error) {
 		hc:        &http.Client{Timeout: 15 * time.Second},
 		interval:  opts.PollInterval,
 		maxDeltas: opts.MaxDeltas,
-		wireV2:    opts.WireV2,
 		full:      patch.New(),
 		start:     time.Now(),
 	}
@@ -309,11 +306,7 @@ func (r *Replica) fetchPatches(ctx context.Context, since uint64) (*fleet.WirePa
 	var lastErr error
 	for i := 0; i < len(r.upstreams); i++ {
 		base := r.upstream()
-		accept := ""
-		if r.wireV2 {
-			accept = codec.ContentTypeV2
-		}
-		resp, err := r.getURL(ctx, fmt.Sprintf("%s/v1/patches?since=%d", base, since), accept)
+		resp, err := r.getURL(ctx, fmt.Sprintf("%s/v1/patches?since=%d", base, since), codec.ContentTypeV2)
 		if err != nil {
 			lastErr = err
 			r.rotate()

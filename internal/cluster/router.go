@@ -26,8 +26,6 @@ type Router struct {
 	token   string
 	logger  *slog.Logger
 	reg     *telemetry.Registry
-	// wireV2 opts every partition client into binary v2 uploads.
-	wireV2 bool
 }
 
 // ErrNoMembers reports a routing attempt against a ring with no
@@ -86,18 +84,12 @@ func (rt *Router) SetMetrics(reg *telemetry.Registry) {
 	}
 }
 
-// SetWireV2 opts the router into the binary v2 wire protocol: every
-// partition client (existing and lazily created) uploads v2 frames.
-// Per-client negotiation still applies — a partition that doesn't speak
-// v2 downgrades its own client to JSON without affecting the others.
-func (rt *Router) SetWireV2(on bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.wireV2 = on
-	for _, c := range rt.clients {
-		c.SetWireV2(on)
-	}
-}
+// SetWireV2 does nothing.
+//
+// Deprecated: the binary v2 frame is the only wire on uploads. The
+// benchmark module (bench/) still calls this; the next change to the
+// benchmark drops those calls, and then this shim is deleted.
+func (rt *Router) SetWireV2(bool) {}
 
 // client returns (creating lazily) the fleet client for a partition.
 func (rt *Router) client(node string) *fleet.Client {
@@ -115,66 +107,9 @@ func (rt *Router) client(node string) *fleet.Client {
 		if rt.reg != nil {
 			c.SetMetrics(rt.reg)
 		}
-		c.SetWireV2(rt.wireV2)
 		rt.clients[node] = c
 	}
 	return c
-}
-
-// PushSnapshot splits one batch along the ring and uploads the pieces to
-// their partitions concurrently. It returns per-partition ingest replies
-// for the pieces that succeeded; any failures are joined into the
-// returned error. A partial failure means the successful pieces stay
-// absorbed — callers that retry must re-send only the failed pieces
-// (PushSplit exposes which pieces were delivered), because blindly
-// re-sending the whole batch would double-count the evidence the
-// healthy partitions already absorbed. These pieces carry no batch IDs,
-// so delivery is at-least-once; exactly-once callers use SplitBatch +
-// PushPiece instead, as cluster.Sink does.
-func (rt *Router) PushSnapshot(ctx context.Context, s *cumulative.Snapshot) (map[string]*fleet.IngestReply, error) {
-	replies, _, err := rt.PushSplit(ctx, s)
-	return replies, err
-}
-
-// PushSplit is PushSnapshot exposing the delivered pieces: the
-// per-partition sub-snapshots that were actually absorbed. Watermarking
-// callers advance their cursor by exactly these, so a retry after a
-// partial failure re-sends only what is missing.
-func (rt *Router) PushSplit(ctx context.Context, s *cumulative.Snapshot) (replies map[string]*fleet.IngestReply, delivered []*cumulative.Snapshot, err error) {
-	if s == nil {
-		return nil, nil, errors.New("cluster: nil snapshot")
-	}
-	version, parts, err := rt.split(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	replies = make(map[string]*fleet.IngestReply, len(parts))
-	var (
-		wg   sync.WaitGroup
-		rmu  sync.Mutex
-		errs []error
-	)
-	for node, part := range parts {
-		wg.Add(1)
-		go func(node string, part *cumulative.Snapshot) {
-			defer wg.Done()
-			reply, err := rt.client(node).PushBatchContext(ctx, &fleet.ObservationBatch{
-				Client:      rt.id,
-				Snapshot:    part,
-				RingVersion: version,
-			})
-			rmu.Lock()
-			defer rmu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("cluster: push to %s: %w", node, err))
-				return
-			}
-			replies[node] = reply
-			delivered = append(delivered, part)
-		}(node, part)
-	}
-	wg.Wait()
-	return replies, delivered, errors.Join(errs...)
 }
 
 // split partitions one snapshot under a consistent (version, ownership)
@@ -192,14 +127,6 @@ func (rt *Router) split(s *cumulative.Snapshot) (uint64, map[string]*cumulative.
 			return version, parts, nil
 		}
 	}
-}
-
-// PushHistory uploads a whole local history as one routed batch.
-func (rt *Router) PushHistory(ctx context.Context, h *cumulative.History) (map[string]*fleet.IngestReply, error) {
-	if h == nil {
-		return nil, errors.New("cluster: nil history")
-	}
-	return rt.PushSnapshot(ctx, h.Snapshot())
 }
 
 // Piece is one ring-partitioned share of an upload batch, stamped with

@@ -31,7 +31,7 @@ func TestCoordinatorShutdownLeavesNoGoroutines(t *testing.T) {
 	}
 
 	client := fleet.NewClient(ts.URL, "leak-test")
-	if _, err := client.PushSnapshot(testBatch(rand.New(rand.NewSource(1)))); err != nil {
+	if _, err := pushStamped(context.Background(), client, testBatch(rand.New(rand.NewSource(1)))); err != nil {
 		t.Fatalf("push: %v", err)
 	}
 

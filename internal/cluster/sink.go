@@ -62,15 +62,12 @@ func (s *Sink) SetToken(token string) {
 	s.router.SetToken(token)
 }
 
-// SetWireV2 switches the sink's uploads and patch polls to the binary
-// v2 wire protocol: the router's per-partition clients frame their
-// pieces, and the coordinator client advertises v2 in Accept on patch
-// polls. Servers that lack v2 keep working — clients self-downgrade on
-// rejection and polls negotiate per response.
-func (s *Sink) SetWireV2(on bool) {
-	s.coord.SetWireV2(on)
-	s.router.SetWireV2(on)
-}
+// SetWireV2 does nothing.
+//
+// Deprecated: the binary v2 frame is the only wire on uploads and patch
+// polls. The benchmark module (bench/) still calls this; the next change
+// to the benchmark drops those calls, and then this shim is deleted.
+func (s *Sink) SetWireV2(bool) {}
 
 // SetLogger attaches a structured logger to the sink and every client
 // under it (coordinator and per-partition); by default all are silent.

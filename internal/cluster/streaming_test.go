@@ -57,7 +57,7 @@ func TestDuplicateUploadsConvergeWithCleanSender(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
 		batch := testBatch(rng)
-		if _, err := clean.PushSnapshot(batch); err != nil {
+		if _, err := pushStamped(ctx, clean, batch); err != nil {
 			t.Fatalf("clean push: %v", err)
 		}
 		hist.Absorb(batch)
@@ -242,7 +242,7 @@ func TestCoordinatorSnapshotRestart(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 30; i++ {
-		if _, err := router.PushSnapshot(ctx, testBatch(rng)); err != nil {
+		if err := pushRouted(ctx, router, testBatch(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func TestCoordinatorSnapshotRestart(t *testing.T) {
 
 	// New evidence still flows incrementally through the restored cursors.
 	for i := 0; i < 5; i++ {
-		if _, err := router.PushSnapshot(ctx, testBatch(rng)); err != nil {
+		if err := pushRouted(ctx, router, testBatch(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -102,10 +102,10 @@ func TestTriageRankingsConvergeWithSingleFleetd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
 		batch := testBatch(rng)
-		if _, err := singleClient.PushSnapshot(batch); err != nil {
+		if _, err := pushStamped(ctx, singleClient, batch); err != nil {
 			t.Fatalf("single push: %v", err)
 		}
-		if _, err := router.PushSnapshot(ctx, batch); err != nil {
+		if err := pushRouted(ctx, router, batch); err != nil {
 			t.Fatalf("routed push: %v", err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestAlertExactlyOnceAcrossSnapshotRestart(t *testing.T) {
 		Site: 0x900,
 		Obs:  []cumulative.Observation{{X: 0.25, Y: true}, {X: 0.5, Y: true}},
 	})
-	if _, err := fleet.NewClient(partTS.URL, "inst").PushSnapshot(snap); err != nil {
+	if _, err := pushStamped(ctx, fleet.NewClient(partTS.URL, "inst"), snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -393,7 +393,7 @@ func TestConcurrentCorrectKeepsTriageCurrent(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20; i++ {
-		if _, err := router.PushSnapshot(ctx, testBatch(rng)); err != nil {
+		if err := pushRouted(ctx, router, testBatch(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}

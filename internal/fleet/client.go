@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,10 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/report"
@@ -28,25 +27,16 @@ import (
 // Client talks to a fleet aggregation server. It is safe for concurrent
 // use. The zero value is not usable; call NewClient.
 //
-// Uploads are gzip-compressed (Content-Encoding: gzip) by default:
-// observation batches are highly repetitive JSON, and large fleets care
-// about ingest bandwidth. Set DisableCompression for servers that
-// predate transparent decompression.
+// Observation batches go up as binary v2 frames, gzip-compressed
+// (Content-Encoding: gzip) past v2GzipMinBytes; the other uploads
+// (reports, admin requests) are gzipped JSON. Patch and delta polls ask
+// for v2 frames.
 type Client struct {
 	id     string
 	token  string
 	hc     *http.Client
 	logger *slog.Logger
 	m      *clientMetrics
-
-	// DisableCompression sends request bodies uncompressed.
-	DisableCompression bool
-
-	// wireV2 switches observation uploads to binary v2 frames and adds
-	// the v2 Accept header to patch/delta polls (SetWireV2). A server
-	// that rejects the frame downgrades the client back to JSON for the
-	// rest of its lifetime — the fleet never wedges on an old server.
-	wireV2 atomic.Bool
 
 	mu sync.Mutex
 	// bases are the server base URLs in failover order; active indexes
@@ -74,14 +64,13 @@ type Client struct {
 // embedding process hands the client a registry (SetMetrics). Nil on
 // clients that never did — every touch point is nil-guarded.
 type clientMetrics struct {
-	pushes       *telemetry.Counter
-	retries      *telemetry.Counter
-	backoffSec   *telemetry.Counter
-	errors       *telemetry.Counter
-	notMod       *telemetry.Counter
-	failovers    *telemetry.Counter
-	v2Downgrades *telemetry.Counter
-	pushSec      *telemetry.Histogram
+	pushes     *telemetry.Counter
+	retries    *telemetry.Counter
+	backoffSec *telemetry.Counter
+	errors     *telemetry.Counter
+	notMod     *telemetry.Counter
+	failovers  *telemetry.Counter
+	pushSec    *telemetry.Histogram
 }
 
 func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
@@ -98,8 +87,6 @@ func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 			"Patch polls answered 304 Not Modified off the If-None-Match validator (no body shipped)."),
 		failovers: reg.Counter("fleet_client_failovers_total",
 			"Requests rotated to a fallback base after a transport failure or 503."),
-		v2Downgrades: reg.Counter("fleet_client_v2_downgrades_total",
-			"Uploads permanently downgraded from v2 binary frames to JSON after a server rejection."),
 		pushSec: reg.Histogram("fleet_client_push_seconds",
 			"Observation upload round-trip latency, including 429 backoff.",
 			telemetry.DefBuckets),
@@ -185,39 +172,18 @@ func (c *Client) SetMetrics(reg *telemetry.Registry) {
 // unauthenticated writes).
 func (c *Client) SetToken(token string) { c.token = token }
 
-// SetWireV2 opts the client into the binary v2 wire protocol:
-// observation uploads go out as application/x-exterminator-v2 frames,
-// and patch/delta polls advertise v2 in Accept so servers that speak it
-// answer in frames. Negotiation is self-healing — a server that
-// rejects a v2 upload (415, or 400 from a pre-v2 server that tried to
-// parse the frame as JSON) permanently downgrades this client back to
-// JSON, so pointing a v2 client at a v1 fleet costs one extra
-// round-trip, ever.
-func (c *Client) SetWireV2(on bool) { c.wireV2.Store(on) }
+// SetWireV2 does nothing.
+//
+// Deprecated: the binary v2 frame is the only wire on uploads and polls.
+// The benchmark module (bench/) still calls this; the next change to the
+// benchmark drops those calls, and then this shim is deleted.
+func (c *Client) SetWireV2(bool) {}
 
-// WireV2 reports whether the client currently uploads v2 frames.
-func (c *Client) WireV2() bool { return c.wireV2.Load() }
-
-// PushSnapshot uploads one batch of observations.
-func (c *Client) PushSnapshot(s *cumulative.Snapshot) (*IngestReply, error) {
-	return c.PushSnapshotContext(context.Background(), s)
-}
-
-// PushSnapshotContext is PushSnapshot honoring ctx. The batch carries no
-// batch ID, so delivery is at-least-once: a retry after a lost ack is
-// absorbed again. Exactly-once callers stamp their batches with
-// codec.BatchID and use PushBatchContext (fleet.Sink does this).
-func (c *Client) PushSnapshotContext(ctx context.Context, s *cumulative.Snapshot) (*IngestReply, error) {
-	if s == nil {
-		return nil, fmt.Errorf("fleet: nil snapshot")
-	}
-	return c.PushBatchContext(ctx, &ObservationBatch{Client: c.id, Snapshot: s})
-}
-
-// PushBatchContext uploads a prepared ObservationBatch verbatim —
-// including its BatchID, which is what makes retries of the same batch
-// idempotent against servers keeping a dedup window. The batch's Client
-// field is filled from the client's id when empty.
+// PushBatchContext uploads a prepared ObservationBatch verbatim as a v2
+// frame. The batch must be stamped with a BatchID (codec.BatchID):
+// servers reject unstamped batches, and the ID is what makes retries of
+// the same batch idempotent against their dedup window. The batch's
+// Client field is filled from the client's id when empty.
 func (c *Client) PushBatchContext(ctx context.Context, b *ObservationBatch) (*IngestReply, error) {
 	if b == nil || b.Snapshot == nil {
 		return nil, fmt.Errorf("fleet: nil batch")
@@ -225,8 +191,14 @@ func (c *Client) PushBatchContext(ctx context.Context, b *ObservationBatch) (*In
 	if b.Client == "" {
 		b.Client = c.id
 	}
+	buf := codec.GetBuffer()
+	pb, err := gzipBody(encodeBatchFrame(buf, b), codec.ContentTypeV2, v2GzipMinBytes)
+	codec.PutBuffer(buf)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: compress /v1/observations: %w", err)
+	}
 	var reply IngestReply
-	if err := c.post(ctx, "/v1/observations", b.BatchID, b, &reply); err != nil {
+	if err := c.post(ctx, "/v1/observations", b.BatchID, pb, &reply); err != nil {
 		if c.m != nil {
 			c.m.errors.Inc()
 		}
@@ -237,22 +209,6 @@ func (c *Client) PushBatchContext(ctx context.Context, b *ObservationBatch) (*In
 
 // ID returns the installation identifier uploads are attributed to.
 func (c *Client) ID() string { return c.id }
-
-// PushHistory uploads a whole local cumulative history as one batch.
-// Upload the *delta* accumulated since the previous push, not the same
-// history repeatedly: the server appends observations (evidence is a
-// multiset, not a lattice).
-func (c *Client) PushHistory(h *cumulative.History) (*IngestReply, error) {
-	return c.PushHistoryContext(context.Background(), h)
-}
-
-// PushHistoryContext is PushHistory honoring ctx.
-func (c *Client) PushHistoryContext(ctx context.Context, h *cumulative.History) (*IngestReply, error) {
-	if h == nil {
-		return nil, fmt.Errorf("fleet: nil history")
-	}
-	return c.PushSnapshotContext(ctx, h.Snapshot())
-}
 
 // PushReport uploads a human-readable bug report.
 func (c *Client) PushReport(r *report.Report) error {
@@ -351,14 +307,9 @@ func (c *Client) PatchesContext(ctx context.Context, since uint64) (*patch.Set, 
 // fetchPatches issues one patch poll. A nil WirePatchSet with nil error
 // reports 304 Not Modified (only possible when ifNoneMatch was sent).
 func (c *Client) fetchPatches(ctx context.Context, since uint64, ifNoneMatch string) (*WirePatchSet, string, error) {
-	hdr := map[string]string{}
+	hdr := map[string]string{"Accept": codec.ContentTypeV2}
 	if ifNoneMatch != "" {
 		hdr["If-None-Match"] = ifNoneMatch
-	}
-	if c.wireV2.Load() {
-		// Advertise v2; servers that don't speak it ignore Accept and
-		// answer JSON, which the response decode handles either way.
-		hdr["Accept"] = codec.ContentTypeV2
 	}
 	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/patches?since=%d", since), hdr)
 	if err != nil {
@@ -454,11 +405,7 @@ func (c *Client) TriageCluster(ctx context.Context, id string) (*triage.ClusterD
 // feed cluster coordinators (internal/cluster) mirror partitions with;
 // ordinary installations never need it.
 func (c *Client) Deltas(ctx context.Context, since uint64) (*SnapshotDelta, error) {
-	var hdr map[string]string
-	if c.wireV2.Load() {
-		hdr = map[string]string{"Accept": codec.ContentTypeV2}
-	}
-	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), hdr)
+	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), map[string]string{"Accept": codec.ContentTypeV2})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: get deltas (request %s): %w", reqID, err)
 	}
@@ -602,14 +549,17 @@ const (
 	maxRetryAfterWait = 10 * time.Second
 )
 
-// postJSON encodes body as JSON — gzip-compressed unless
-// DisableCompression — and posts it to path. Rate-limited requests
-// (429, which the server sends with Retry-After and *without* having
-// processed the body) are retried after the advertised delay, bounded
-// by maxPushAttempts; a 409 stale-ring rejection surfaces as a
-// *StaleRingError.
+// postJSON encodes body as gzipped JSON and posts it to path (see post).
 func (c *Client) postJSON(ctx context.Context, path string, body, reply any) error {
-	return c.post(ctx, path, "", body, reply)
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("fleet: encode %s: %w", path, err)
+	}
+	pb, err := gzipBody(raw, "application/json", 0)
+	if err != nil {
+		return fmt.Errorf("fleet: compress %s: %w", path, err)
+	}
+	return c.post(ctx, path, "", pb, reply)
 }
 
 // gzWriterPool recycles upload gzip.Writers: each carries ~hundreds of
@@ -632,70 +582,34 @@ type postBody struct {
 	gzipped     bool
 }
 
-// encodePostBody encodes body for path under the client's current wire
-// settings: a v2 binary frame for observation uploads when SetWireV2 is
-// on (gzipped only past v2GzipMinBytes — small frames aren't worth the
-// deflate round-trip), JSON (gzipped unless DisableCompression)
-// otherwise.
-func (c *Client) encodePostBody(path string, body any, allowV2 bool) (postBody, error) {
-	if allowV2 {
-		if b, ok := body.(*ObservationBatch); ok && path == "/v1/observations" {
-			buf := codec.GetBuffer()
-			defer codec.PutBuffer(buf)
-			frame, err := V2Codec.EncodeBatch(buf, b)
-			if err != nil {
-				return postBody{}, fmt.Errorf("fleet: encode %s: %w", path, err)
-			}
-			if c.DisableCompression || len(frame) < v2GzipMinBytes {
-				return postBody{payload: append([]byte(nil), frame...), contentType: codec.ContentTypeV2}, nil
-			}
-			var zbuf bytes.Buffer
-			zw := gzWriterPool.Get().(*gzip.Writer)
-			zw.Reset(&zbuf)
-			_, werr := zw.Write(frame)
-			cerr := zw.Close()
-			gzWriterPool.Put(zw)
-			if werr != nil || cerr != nil {
-				if werr == nil {
-					werr = cerr
-				}
-				return postBody{}, fmt.Errorf("fleet: compress %s: %w", path, werr)
-			}
-			return postBody{payload: zbuf.Bytes(), contentType: codec.ContentTypeV2, gzipped: true}, nil
-		}
+// gzipBody compresses raw into a request body of contentType, or copies
+// it uncompressed when it is shorter than minBytes. raw may alias a
+// pooled buffer: the body never does.
+func gzipBody(raw []byte, contentType string, minBytes int) (postBody, error) {
+	if len(raw) < minBytes {
+		return postBody{payload: append([]byte(nil), raw...), contentType: contentType}, nil
 	}
-	var buf bytes.Buffer
-	if c.DisableCompression {
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			return postBody{}, fmt.Errorf("fleet: encode %s: %w", path, err)
-		}
-		return postBody{payload: buf.Bytes(), contentType: "application/json"}, nil
-	}
+	var zbuf bytes.Buffer
 	zw := gzWriterPool.Get().(*gzip.Writer)
-	zw.Reset(&buf)
-	err := json.NewEncoder(zw).Encode(body)
+	zw.Reset(&zbuf)
+	_, werr := zw.Write(raw)
 	cerr := zw.Close()
 	gzWriterPool.Put(zw)
-	if err != nil {
-		return postBody{}, fmt.Errorf("fleet: encode %s: %w", path, err)
+	if err := errors.Join(werr, cerr); err != nil {
+		return postBody{}, err
 	}
-	if cerr != nil {
-		return postBody{}, fmt.Errorf("fleet: compress %s: %w", path, cerr)
-	}
-	return postBody{payload: buf.Bytes(), contentType: "application/json", gzipped: true}, nil
+	return postBody{payload: zbuf.Bytes(), contentType: contentType, gzipped: true}, nil
 }
 
-// post is postJSON carrying the batch's identity for log correlation.
-// Every delivery is stamped with one X-Request-ID, held constant across
-// 429 retries of the same payload so all server-side log lines for this
-// upload share a single correlation handle.
-func (c *Client) post(ctx context.Context, path, batchID string, body, reply any) error {
-	usingV2 := c.wireV2.Load()
-	pb, err := c.encodePostBody(path, body, usingV2)
-	if err != nil {
-		return err
-	}
-	usingV2 = pb.contentType == codec.ContentTypeV2
+// post sends an encoded body to path. Every delivery is stamped with one
+// X-Request-ID, held constant across retries of the same payload so all
+// server-side log lines for this upload share a single correlation
+// handle; batchID rides the retry log lines. Rate-limited requests (429,
+// which the server sends with Retry-After and *without* having
+// processed the body) are retried after the advertised delay, bounded by
+// maxPushAttempts; a transport failure or 503 rotates to the next base;
+// a 409 stale-ring rejection surfaces as a *StaleRingError.
+func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, reply any) error {
 	reqID := telemetry.NewRequestID()
 	if path == "/v1/observations" && c.m != nil {
 		c.m.pushes.Inc()
@@ -755,25 +669,6 @@ func (c *Client) post(ctx context.Context, path, batchID string, body, reply any
 				return fmt.Errorf("fleet: post %s: %w", path, ctx.Err())
 			case <-time.After(wait):
 			}
-			continue
-		}
-		if usingV2 && (resp.StatusCode == http.StatusUnsupportedMediaType || resp.StatusCode == http.StatusBadRequest) {
-			// The server doesn't speak v2 (415 from one that says so, 400
-			// from a pre-v2 server that tried to parse the frame as JSON).
-			// Downgrade this client permanently and redeliver as JSON — a
-			// genuinely malformed batch fails again there and surfaces.
-			drain(resp)
-			c.wireV2.Store(false)
-			usingV2 = false
-			if c.m != nil {
-				c.m.v2Downgrades.Inc()
-			}
-			c.logger.Warn("server rejected v2 frame; downgrading to JSON",
-				"path", path, "base", base, "status", resp.StatusCode, "requestId", reqID)
-			if pb, err = c.encodePostBody(path, body, false); err != nil {
-				return err
-			}
-			attempt--
 			continue
 		}
 		defer drain(resp)

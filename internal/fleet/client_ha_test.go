@@ -48,7 +48,7 @@ func (o *patchOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	wire := ToWire(set, version)
 	wire.Epoch = epoch
-	WriteJSON(w, wire)
+	WritePatchSet(w, r, wire)
 }
 
 func (o *patchOrigin) seen() (sinces, inms []string) {

@@ -1,6 +1,6 @@
-// Package codec implements the fleet's v2 binary wire encoding: the
-// negotiated alternative to the v1 JSON protocol (docs/PROTOCOL.md,
-// "v2 binary framing"). v1 burns the aggregation tier's CPU
+// Package codec implements the fleet's v2 binary wire encoding
+// (docs/PROTOCOL.md, "Binary v2 frames"): the one representation on every
+// upload and tier-internal poll. JSON burned the aggregation tier's CPU
 // marshalling at fleet scale; v2 exists so the ingest path costs near
 // zero per observation.
 //
@@ -20,8 +20,7 @@
 // The package deliberately depends only on the evidence types
 // (internal/cumulative, internal/site, internal/patch): the fleet and
 // cluster tiers convert their wire structs to and from the codec's
-// neutral forms, keeping JSON and binary as two implementations behind
-// one seam.
+// neutral forms.
 package codec
 
 import (
@@ -33,10 +32,9 @@ import (
 	"exterminator/internal/site"
 )
 
-// ContentTypeV2 is the negotiated media type: requests carrying a v2
-// frame declare it in Content-Type, pollers willing to receive one
-// declare it in Accept, and servers answering with a frame stamp it on
-// the response. Anything else means v1 JSON.
+// ContentTypeV2 is the v2 media type: requests carrying a frame declare
+// it in Content-Type, pollers declare it in Accept, and servers
+// answering with a frame stamp it on the response.
 const ContentTypeV2 = "application/x-exterminator-v2"
 
 // Frame types. One frame type per wire struct, so a frame is

@@ -23,14 +23,10 @@ type dedupWindow struct {
 // megabyte.
 const defaultDedupLen = 4096
 
-// newDedupWindow returns a window retaining up to max IDs (0 = default,
-// negative = dedup disabled — returns nil, and admit on a nil window is
-// never called).
+// newDedupWindow returns a window retaining up to max IDs (<= 0 =
+// defaultDedupLen).
 func newDedupWindow(max int) *dedupWindow {
-	if max < 0 {
-		return nil
-	}
-	if max == 0 {
+	if max <= 0 {
 		max = defaultDedupLen
 	}
 	return &dedupWindow{max: max, seen: make(map[string]bool)}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -21,11 +22,23 @@ import (
 // way fleet.Sink cuts one from a history at watermark position (0, 0).
 // The fixed lineage stands in for one history's.
 func stampedBatch(client string, s *cumulative.Snapshot) *ObservationBatch {
+	return lineageBatch(client, 1, s)
+}
+
+// lineageBatch is stampedBatch cut from the history with the given
+// lineage: equal contents from different lineages get different IDs,
+// so each upload is absorbed.
+func lineageBatch(client string, lineage uint64, s *cumulative.Snapshot) *ObservationBatch {
 	return &ObservationBatch{
 		Client:   client,
 		Snapshot: s,
-		BatchID:  codec.BatchID(client, 1, 0, 0, s),
+		BatchID:  codec.BatchID(client, lineage, 0, 0, s),
 	}
+}
+
+// frame encodes b as the v2 request body of a hand-built upload.
+func frame(b *ObservationBatch) []byte {
+	return encodeBatchFrame(&codec.Buffer{}, b)
 }
 
 func smallSnapshot(runs int, sites ...site.ID) *cumulative.Snapshot {
@@ -42,7 +55,7 @@ func smallSnapshot(runs int, sites ...site.ID) *cumulative.Snapshot {
 
 // TestExactlyOnceIngest: re-sending a stamped batch (the lost-ack retry)
 // is acknowledged as a duplicate and absorbed exactly once; an unstamped
-// batch keeps the legacy at-least-once behavior.
+// batch is rejected and absorbs nothing.
 func TestExactlyOnceIngest(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1})
 	ts := httptest.NewServer(srv.Handler())
@@ -71,15 +84,16 @@ func TestExactlyOnceIngest(t *testing.T) {
 		t.Fatalf("retried batch absorbed twice: batches = %d, want 1", got)
 	}
 
-	// Legacy clients (no batch ID) are still at-least-once.
-	plain := smallSnapshot(1, 0x102)
-	for i := 0; i < 2; i++ {
-		if _, err := c.PushSnapshot(plain); err != nil {
-			t.Fatal(err)
-		}
+	// An unstamped batch has no exactly-once identity: it is rejected.
+	_, err = c.PushBatchContext(context.Background(), &ObservationBatch{Client: "dup", Snapshot: smallSnapshot(1, 0x102)})
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("unstamped batch: err = %v, want a 400 rejection", err)
 	}
-	if got := srv.Store().Runs(); got != 5 {
-		t.Fatalf("unstamped batches should absorb every time: runs = %d, want 5", got)
+	if got := srv.Store().Runs(); got != 3 {
+		t.Fatalf("unstamped batch absorbed: runs = %d, want 3", got)
+	}
+	if got := srv.Store().Batches(); got != 1 {
+		t.Fatalf("unstamped batch absorbed: batches = %d, want 1", got)
 	}
 }
 
@@ -289,27 +303,21 @@ func TestSinkExactlyOnceAfterLostAck(t *testing.T) {
 // absorbs both. Without the lineage the second upload would be
 // acknowledged as a duplicate of the first and its runs lost.
 func TestSinkFreshHistoriesUnderOneIDBothCount(t *testing.T) {
-	for _, v2 := range []bool{false, true} {
-		name := "json"
-		if v2 {
-			name = "v2"
+	// The subtest is named for the wire the uploads ride.
+	t.Run("v2", func(t *testing.T) {
+		srv := NewServer(ServerOptions{CorrectEvery: -1})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		for session := 0; session < 2; session++ {
+			c := NewClient(ts.URL, "install-1")
+			hist := cumulative.NewHistory(cumulative.DefaultConfig())
+			hist.Absorb(smallSnapshot(3, 0x600, 0x601))
+			if err := NewSink(c).Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			srv := NewServer(ServerOptions{CorrectEvery: -1})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			for session := 0; session < 2; session++ {
-				c := NewClient(ts.URL, "install-1")
-				c.SetWireV2(v2)
-				hist := cumulative.NewHistory(cumulative.DefaultConfig())
-				hist.Absorb(smallSnapshot(3, 0x600, 0x601))
-				if err := NewSink(c).Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := srv.Store().Runs(); got != 6 {
-				t.Fatalf("runs = %d, want 6: the second session's upload was deduped against the first", got)
-			}
-		})
-	}
+		if got := srv.Store().Runs(); got != 6 {
+			t.Fatalf("runs = %d, want 6: the second session's upload was deduped against the first", got)
+		}
+	})
 }

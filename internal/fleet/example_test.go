@@ -61,7 +61,10 @@ func ExampleClient_patches() {
 		PadHints: []cumulative.PadHint{{Site: 0xBAD, Pad: 16}},
 	}
 	client := fleet.NewClient(ts.URL, "install-2")
-	client.PushSnapshot(snap)
+	client.PushBatchContext(context.Background(), &fleet.ObservationBatch{
+		Snapshot: snap,
+		BatchID:  codec.BatchID("install-2", 1, 0, 0, snap),
+	})
 	srv.Correct()
 
 	ps, version, _ := client.Patches(0)

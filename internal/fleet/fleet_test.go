@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/report"
 	"exterminator/internal/site"
@@ -192,8 +193,8 @@ func TestServerEndToEnd(t *testing.T) {
 
 	c := NewClient(ts.URL, "test-install")
 	var lastVersion uint64
-	for _, b := range testBatches(40) {
-		reply, err := c.PushSnapshot(b)
+	for i, b := range testBatches(40) {
+		reply, err := c.PushBatchContext(t.Context(), lineageBatch("test-install", uint64(i+1), b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,9 +246,9 @@ func TestServerRejectsBadInput(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Non-JSON body.
-	resp, err := http.Post(ts.URL+"/v1/observations", "application/json",
-		strings.NewReader("not json"))
+	// Not a frame.
+	resp, err := http.Post(ts.URL+"/v1/observations", codec.ContentTypeV2,
+		strings.NewReader("not a frame"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +257,8 @@ func TestServerRejectsBadInput(t *testing.T) {
 		t.Fatalf("garbage body: %s", resp.Status)
 	}
 	// Batch without a snapshot.
-	resp, err = http.Post(ts.URL+"/v1/observations", "application/json",
-		strings.NewReader(`{"client":"x"}`))
+	resp, err = http.Post(ts.URL+"/v1/observations", codec.ContentTypeV2,
+		bytes.NewReader(frame(&ObservationBatch{Client: "x", BatchID: "id"})))
 	if err != nil {
 		t.Fatal(err)
 	}

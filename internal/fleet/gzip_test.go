@@ -3,12 +3,16 @@ package fleet
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
 
@@ -52,9 +56,9 @@ func (g *gzipSpy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.next.ServeHTTP(w, r)
 }
 
-// TestGzipUploadRoundTrip is the satellite acceptance test: the client
-// sends Content-Encoding: gzip bodies, the server transparently
-// decompresses, and a large snapshot survives the round trip intact.
+// TestGzipUploadRoundTrip: the client sends Content-Encoding: gzip
+// bodies, the server transparently decompresses, and a large snapshot
+// survives the round trip intact.
 func TestGzipUploadRoundTrip(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1})
 	spy := &gzipSpy{next: srv.Handler()}
@@ -63,7 +67,7 @@ func TestGzipUploadRoundTrip(t *testing.T) {
 
 	snap := bigSnapshot(2000, 4)
 	c := NewClient(ts.URL, "gzip-client")
-	reply, err := c.PushSnapshot(snap)
+	reply, err := c.PushBatchContext(t.Context(), stampedBatch("gzip-client", snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,39 +100,60 @@ func TestGzipUploadRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Compression must actually pay for this payload shape.
-	var raw int64
-	{
-		// Re-encode uncompressed for a size baseline.
-		uc := NewClient(ts.URL, "baseline")
-		uc.DisableCompression = true
-		if _, err := uc.PushSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-		if !spy.sawIdentity.Load() {
-			t.Fatal("baseline upload unexpectedly compressed")
-		}
-		raw = spy.wireBytes.Load()
+	// Compression must actually pay for this payload shape: post the
+	// same frame uncompressed for a size baseline.
+	gzipped := spy.wireBytes.Load()
+	resp, err := http.Post(ts.URL+"/v1/observations", codec.ContentTypeV2,
+		bytes.NewReader(frame(stampedBatch("baseline", snap))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("wire bytes for 2x upload (1 gzip + 1 identity): %d", raw)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !spy.sawIdentity.Load() {
+		t.Fatalf("baseline identity upload: %s", resp.Status)
+	}
+	t.Logf("wire bytes for one upload: %d gzip, %d identity", gzipped, spy.wireBytes.Load()-gzipped)
 }
 
 // TestUncompressedClientStillAccepted: servers must keep accepting
-// plain JSON bodies from clients that predate compression.
+// identity-encoded frames (no Content-Encoding), which is what the
+// client sends below the gzip threshold and what hand-rolled uploaders
+// send.
 func TestUncompressedClientStillAccepted(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	c := NewClient(ts.URL, "legacy")
-	c.DisableCompression = true
-	reply, err := c.PushSnapshot(bigSnapshot(10, 2))
+	resp, err := http.Post(ts.URL+"/v1/observations", codec.ContentTypeV2,
+		bytes.NewReader(frame(stampedBatch("legacy", bigSnapshot(10, 2)))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reply.OK || reply.Sites != 10 {
-		t.Fatalf("reply: %+v", reply)
+	defer resp.Body.Close()
+	var reply IngestReply
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatalf("%s: %v", resp.Status, err)
 	}
+	if resp.StatusCode != http.StatusOK || !reply.OK || reply.Sites != 10 {
+		t.Fatalf("%s: reply %+v", resp.Status, reply)
+	}
+}
+
+// postEncoded posts body as a stamped-frame upload with the given
+// Content-Encoding and returns the status and the error text the server
+// answered with.
+func postEncoded(t *testing.T, url, encoding string, body []byte) (int, string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, url+"/v1/observations", bytes.NewReader(body))
+	req.Header.Set("Content-Type", codec.ContentTypeV2)
+	req.Header.Set("Content-Encoding", encoding)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
 }
 
 // TestServerRejectsUnknownEncoding: anything but gzip is a 400, not a
@@ -138,17 +163,12 @@ func TestServerRejectsUnknownEncoding(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/observations",
-		nil)
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Content-Encoding", "br")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	code, msg := postEncoded(t, ts.URL, "br", frame(stampedBatch("br", bigSnapshot(1, 1))))
+	if code != http.StatusBadRequest || !strings.Contains(msg, `unsupported Content-Encoding "br"`) {
+		t.Fatalf("status %d %q, want 400 for the unsupported encoding", code, msg)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	if runs := srv.Store().Runs(); runs != 0 {
+		t.Fatalf("rejected upload absorbed: runs = %d", runs)
 	}
 }
 
@@ -160,16 +180,9 @@ func TestServerRejectsCorruptGzip(t *testing.T) {
 	defer ts.Close()
 
 	body := []byte{0x1f, 0x8b, 0xff, 0x00, 0x01, 0x02} // bad gzip stream
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/observations", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Content-Encoding", "gzip")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	code, msg := postEncoded(t, ts.URL, "gzip", body)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "decode gzip body") {
+		t.Fatalf("status %d %q, want 400 for the corrupt gzip stream", code, msg)
 	}
 }
 
@@ -180,30 +193,22 @@ func TestGzipBombBounded(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// ~40 KiB of JSON-ish filler compresses to well under 4 KiB.
-	var huge []byte
-	huge = append(huge, '"')
-	for i := 0; i < 40<<10; i++ {
-		huge = append(huge, 'a')
-	}
-	huge = append(huge, '"')
+	// A valid frame of ~40 KiB, mostly repetitive observations,
+	// compresses to well under 4 KiB.
+	huge := frame(stampedBatch("bomb", bigSnapshot(1, 5000)))
 	var b bytes.Buffer
 	zw := gzip.NewWriter(&b)
 	zw.Write(huge)
 	zw.Close()
 	buf := b.Bytes()
-	if len(buf) >= 4096 {
-		t.Fatalf("test setup: compressed body %d bytes does not fit the wire limit", len(buf))
+	if len(huge) <= 4096 || len(buf) >= 4096 {
+		t.Fatalf("test setup: frame %d bytes, compressed %d: want > 4096 and < 4096", len(huge), len(buf))
 	}
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/observations", bytes.NewReader(buf))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Content-Encoding", "gzip")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	code, msg := postEncoded(t, ts.URL, "gzip", buf)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "decompressed body exceeds 4096 bytes") {
+		t.Fatalf("status %d %q, want 400 (decompressed size exceeded)", code, msg)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 (decompressed size exceeded)", resp.StatusCode)
+	if runs := srv.Store().Runs(); runs != 0 {
+		t.Fatalf("bomb absorbed: runs = %d", runs)
 	}
 }

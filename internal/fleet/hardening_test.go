@@ -1,15 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/engine"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
 
@@ -30,7 +31,7 @@ func TestIngestTokenAuth(t *testing.T) {
 
 	// No token: writes rejected, reads still open.
 	anon := NewClient(ts.URL, "anon")
-	if _, err := anon.PushSnapshot(evidenceBatch(0x1)); err == nil {
+	if _, err := anon.PushBatchContext(context.Background(), stampedBatch("anon", evidenceBatch(0x1))); err == nil {
 		t.Fatal("unauthenticated push accepted")
 	}
 	if _, _, err := anon.Patches(0); err != nil {
@@ -40,14 +41,14 @@ func TestIngestTokenAuth(t *testing.T) {
 	// Wrong token.
 	wrong := NewClient(ts.URL, "wrong")
 	wrong.SetToken("not-it")
-	if _, err := wrong.PushSnapshot(evidenceBatch(0x1)); err == nil {
+	if _, err := wrong.PushBatchContext(context.Background(), stampedBatch("wrong", evidenceBatch(0x1))); err == nil {
 		t.Fatal("wrong token accepted")
 	}
 
 	// Right token.
 	ok := NewClient(ts.URL, "ok")
 	ok.SetToken("sekrit")
-	if _, err := ok.PushSnapshot(evidenceBatch(0x1)); err != nil {
+	if _, err := ok.PushBatchContext(context.Background(), stampedBatch("ok", evidenceBatch(0x1))); err != nil {
 		t.Fatalf("authenticated push rejected: %v", err)
 	}
 	if srv.Store().Runs() != 2 {
@@ -59,23 +60,25 @@ func TestIngestRateLimit(t *testing.T) {
 	srv := NewServer(ServerOptions{RatePerSec: 1, RateBurst: 2, CorrectEvery: -1})
 	handler := srv.Handler()
 
-	post := func() *httptest.ResponseRecorder {
-		body := `{"client":"rl","snapshot":{"c":4,"p":0.5,"runs":1}}`
-		req := httptest.NewRequest(http.MethodPost, "/v1/observations", strings.NewReader(body))
-		req.RemoteAddr = "10.0.0.9:4242"
-		req.Header.Set("Content-Type", "application/json")
+	posts := uint64(0)
+	post := func(remote string) *httptest.ResponseRecorder {
+		posts++
+		body := frame(lineageBatch("rl", posts, &cumulative.Snapshot{C: 4, P: 0.5, Runs: 1}))
+		req := httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body))
+		req.RemoteAddr = remote
+		req.Header.Set("Content-Type", codec.ContentTypeV2)
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
 		return rec
 	}
 
-	if rec := post(); rec.Code != http.StatusOK {
+	if rec := post("10.0.0.9:4242"); rec.Code != http.StatusOK {
 		t.Fatalf("first request: %d %s", rec.Code, rec.Body)
 	}
-	if rec := post(); rec.Code != http.StatusOK {
+	if rec := post("10.0.0.9:4242"); rec.Code != http.StatusOK {
 		t.Fatalf("second request (burst): %d %s", rec.Code, rec.Body)
 	}
-	rec := post()
+	rec := post("10.0.0.9:4242")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("third request = %d, want 429", rec.Code)
 	}
@@ -84,12 +87,7 @@ func TestIngestRateLimit(t *testing.T) {
 	}
 
 	// A different client is not throttled by the first one's bucket.
-	req := httptest.NewRequest(http.MethodPost, "/v1/observations", strings.NewReader(`{"client":"other","snapshot":{"c":4,"p":0.5,"runs":1}}`))
-	req.RemoteAddr = "10.0.0.10:4242"
-	req.Header.Set("Content-Type", "application/json")
-	other := httptest.NewRecorder()
-	handler.ServeHTTP(other, req)
-	if other.Code != http.StatusOK {
+	if other := post("10.0.0.10:4242"); other.Code != http.StatusOK {
 		t.Fatalf("independent client throttled: %d", other.Code)
 	}
 }
@@ -128,10 +126,10 @@ func TestDeltasEndpoint(t *testing.T) {
 		t.Fatalf("empty server delta: %+v", d)
 	}
 
-	if _, err := c.PushSnapshot(evidenceBatch(0x10)); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("d", evidenceBatch(0x10))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PushSnapshot(evidenceBatch(0x20)); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("d", evidenceBatch(0x20))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,7 +172,7 @@ func TestDeltasJournalWindowFallsBackToFull(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		if _, err := c.PushSnapshot(evidenceBatch(site.ID(0x100 + uint32(i)))); err != nil {
+		if _, err := c.PushBatchContext(ctx, stampedBatch("w", evidenceBatch(site.ID(0x100+uint32(i))))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +197,7 @@ func TestDeltasSeeSnapshotRestoredEvidence(t *testing.T) {
 	oldTS := httptest.NewServer(old.Handler())
 	c := NewClient(oldTS.URL, "r")
 	ctx := context.Background()
-	if _, err := c.PushSnapshot(evidenceBatch(0x77)); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("r", evidenceBatch(0x77))); err != nil {
 		t.Fatal(err)
 	}
 	snap := t.TempDir() + "/restore.snap"
@@ -217,7 +215,7 @@ func TestDeltasSeeSnapshotRestoredEvidence(t *testing.T) {
 	c = NewClient(ts.URL, "r2")
 
 	// Post-restore batches land in the new journal.
-	if _, err := c.PushSnapshot(evidenceBatch(0x78)); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("r2", evidenceBatch(0x78))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,7 +231,7 @@ func TestDeltasSeeSnapshotRestoredEvidence(t *testing.T) {
 	}
 
 	// The returned cursor delta-polls cleanly from here on.
-	if _, err := c.PushSnapshot(evidenceBatch(0x79)); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("r2", evidenceBatch(0x79))); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := c.Deltas(ctx, d.Seq)
@@ -252,7 +250,7 @@ func TestStatusReportsDirtyAndShardCounts(t *testing.T) {
 	c := NewClient(ts.URL, "s")
 
 	for i := 0; i < 8; i++ {
-		if _, err := c.PushSnapshot(evidenceBatch(site.ID(0x900 + uint32(i)*17))); err != nil {
+		if _, err := c.PushBatchContext(context.Background(), stampedBatch("s", evidenceBatch(site.ID(0x900+uint32(i)*17)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +307,7 @@ func TestDisableCorrectionSuppressesEveryDerivationPath(t *testing.T) {
 	snap.Overflow[0].Obs = []cumulative.Observation{
 		{X: 0.01, Y: true}, {X: 0.01, Y: true}, {X: 0.01, Y: true},
 	}
-	if _, err := c.PushSnapshot(snap); err != nil {
+	if _, err := c.PushBatchContext(context.Background(), stampedBatch("part", snap)); err != nil {
 		t.Fatal(err)
 	}
 	if v, changed := srv.Correct(); v != 0 || changed {

@@ -23,14 +23,13 @@ type journal struct {
 	entries []journalEntry
 }
 
-// journalEntry is one journal step: an absorbed batch (snap, or parts
-// when the batch arrived pre-split on the v2 ingest path) or an
-// eviction (evict — the key set a rebalance drained from this
-// partition). reqID is the batch's X-Request-ID correlation field; it
-// rides the delta reply so the coordinator's log can be joined with
-// this partition's, upload by upload.
+// journalEntry is one journal step: an absorbed batch (parts — it
+// arrives pre-split along the store's shards) or an eviction (evict —
+// the key set a rebalance drained from this partition). reqID is the
+// batch's X-Request-ID correlation field; it rides the delta reply so
+// the coordinator's log can be joined with this partition's, upload by
+// upload.
 type journalEntry struct {
-	snap  *cumulative.Snapshot
 	parts []*cumulative.Snapshot
 	evict []site.ID
 	reqID string
@@ -54,18 +53,12 @@ func newJournal(max int) *journal {
 	return &journal{max: max}
 }
 
-// append records one absorbed batch (tagged with its request's
-// correlation ID) and returns its sequence number. The snapshot must
-// not be mutated afterwards (the journal keeps the reference).
-func (j *journal) append(s *cumulative.Snapshot, reqID string) uint64 {
-	return j.push(journalEntry{snap: s, reqID: reqID})
-}
-
-// appendParts records one absorbed batch that arrived pre-split into
-// per-shard parts (v2 ingest): the parts are journaled as-is, never
+// appendParts records one absorbed batch, tagged with its request's
+// correlation ID, and returns its sequence number. The batch arrived
+// pre-split into per-shard parts; they are journaled as-is, never
 // merged — delta pollers absorb each part in turn, which is equivalent
 // because Absorb is commutative over disjoint key sets. The parts must
-// not be mutated afterwards.
+// not be mutated afterwards (the journal keeps the references).
 func (j *journal) appendParts(parts []*cumulative.Snapshot, reqID string) uint64 {
 	return j.push(journalEntry{parts: parts, reqID: reqID})
 }

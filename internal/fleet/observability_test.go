@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/telemetry"
 )
 
@@ -148,9 +149,8 @@ func TestRequestIDProvidedByCaller(t *testing.T) {
 	defer ts.Close()
 
 	batch := stampedBatch("hdr-client", smallSnapshot(1, 0x300))
-	payload, _ := json.Marshal(batch)
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/observations", bytes.NewReader(payload))
-	req.Header.Set("Content-Type", "application/json")
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/observations", bytes.NewReader(frame(batch)))
+	req.Header.Set("Content-Type", codec.ContentTypeV2)
 	req.Header.Set(RequestIDHeader, "caller-chosen-id-42")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -193,7 +193,6 @@ func TestClientRetryLogging(t *testing.T) {
 	var logBuf syncBuffer
 	reg := telemetry.NewRegistry()
 	c := NewClient(ts.URL, "retry-client")
-	c.DisableCompression = true
 	c.SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
 	c.SetMetrics(reg)
 

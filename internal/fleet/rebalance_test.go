@@ -104,8 +104,8 @@ func TestStaleRingRejectionOrdering(t *testing.T) {
 		t.Fatalf("regressive announce: %v, %+v", err, reply)
 	}
 
-	// Legacy unversioned uploads stay accepted.
-	if _, err := c.PushSnapshot(rebalanceTestSnapshot(3)); err != nil {
+	// Unversioned uploads stay accepted.
+	if _, err := c.PushBatchContext(ctx, stampedBatch("c1", rebalanceTestSnapshot(3))); err != nil {
 		t.Fatalf("unversioned push: %v", err)
 	}
 	if got := srv.Store().Batches(); got != 3 {
@@ -130,7 +130,7 @@ func TestEvictExtractsJournalsAndCaches(t *testing.T) {
 	c := NewClient(ts.URL, "c1")
 
 	batch := rebalanceTestSnapshot(1)
-	if _, err := c.PushSnapshot(batch); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("c1", batch)); err != nil {
 		t.Fatal(err)
 	}
 	// Establish a delta cursor before the eviction.
@@ -158,7 +158,7 @@ func TestEvictExtractsJournalsAndCaches(t *testing.T) {
 	}
 
 	// Same token again — the cached original, even though the store moved on.
-	if _, err := c.PushSnapshot(rebalanceTestSnapshot(7)); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("c1", rebalanceTestSnapshot(7))); err != nil {
 		t.Fatal(err)
 	}
 	again, err := c.EvictKeys(ctx, "tok-1", nil, false)
@@ -221,7 +221,7 @@ func TestEvictCountersInvalidatesJournal(t *testing.T) {
 	c := NewClient(ts.URL, "c1")
 
 	batch := rebalanceTestSnapshot(1)
-	if _, err := c.PushSnapshot(batch); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("c1", batch)); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := c.EvictKeys(ctx, "leave-1", srv.Store().Combined().EvidenceKeys(), true)
@@ -294,7 +294,7 @@ func TestClient429RetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.PushSnapshotContext(ctx, rebalanceTestSnapshot(0))
+	_, err := c.PushBatchContext(ctx, stampedBatch("canceled", rebalanceTestSnapshot(0)))
 	if err == nil {
 		t.Fatal("push against a permanent 429 succeeded")
 	}
@@ -321,7 +321,7 @@ func TestClient429BoundedRetries(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, err := c.PushSnapshotContext(ctx, rebalanceTestSnapshot(0))
+	_, err := c.PushBatchContext(ctx, stampedBatch("bounded", rebalanceTestSnapshot(0)))
 	if err == nil {
 		t.Fatal("push against a permanent 429 succeeded")
 	}
@@ -413,7 +413,7 @@ func TestSnapshotRoundTripsRingVersionAndEvictCache(t *testing.T) {
 	c := NewClient(ts.URL, "c1")
 
 	batch := rebalanceTestSnapshot(1)
-	if _, err := c.PushSnapshot(batch); err != nil {
+	if _, err := c.PushBatchContext(ctx, stampedBatch("c1", batch)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AnnounceRing(ctx, 3); err != nil {
@@ -437,7 +437,7 @@ func TestSnapshotRoundTripsRingVersionAndEvictCache(t *testing.T) {
 	c2 := NewClient(ts2.URL, "c1")
 
 	// Stale writers still bounce after the restart.
-	_, err = c2.PushBatchContext(ctx, &ObservationBatch{Snapshot: rebalanceTestSnapshot(2), RingVersion: 2})
+	_, err = c2.PushBatchContext(ctx, &ObservationBatch{Snapshot: rebalanceTestSnapshot(2), BatchID: "batch-2", RingVersion: 2})
 	var sre *StaleRingError
 	if !errors.As(err, &sre) || sre.Required != 3 {
 		t.Fatalf("restored server did not enforce ring version: %v", err)

@@ -78,11 +78,11 @@ type ServerOptions struct {
 	// the hypothesis test.
 	DisableCorrection bool
 	// DedupWindow bounds the exactly-once ingest window: the number of
-	// recently absorbed batch IDs retained (0 = 4096; negative disables
-	// dedup entirely). An upload stamped with a batch ID already in the
-	// window is acknowledged without being re-absorbed, so a client
-	// retrying after a lost ack cannot double-count evidence. The window
-	// is persisted in snapshots, so the guarantee survives restarts.
+	// recently absorbed batch IDs retained (<= 0 = 4096). An upload whose
+	// batch ID is already in the window is acknowledged without being
+	// re-absorbed, so a client retrying after a lost ack cannot
+	// double-count evidence. The window is persisted in snapshots, so the
+	// guarantee survives restarts.
 	DedupWindow int
 	// Triage configures the triage engine behind GET /v1/triage
 	// (clustered top-offender rankings) and its webhook alerter. The
@@ -126,9 +126,9 @@ type Server struct {
 	limiter *rateLimiter
 	limited atomic.Int64 // requests rejected with 429
 
-	// dedup is the exactly-once ingest window (nil when disabled). IDs
-	// are admitted *before* the absorb, so a concurrent duplicate is
-	// acked while the first delivery is still folding in.
+	// dedup is the exactly-once ingest window. IDs are admitted *before*
+	// the absorb, so a concurrent duplicate is acked while the first
+	// delivery is still folding in.
 	dedup   *dedupWindow
 	deduped atomic.Int64 // batches acked as duplicates without absorbing
 
@@ -169,7 +169,6 @@ type Server struct {
 // docs/OBSERVABILITY.md for the full reference).
 type serverMetrics struct {
 	batches      *telemetry.Counter
-	v2Batches    *telemetry.Counter
 	observations *telemetry.Counter
 	runs         *telemetry.Counter
 	wireBytes    *telemetry.Counter
@@ -191,8 +190,6 @@ type serverMetrics struct {
 func (m *serverMetrics) register(reg *telemetry.Registry, s *Server) {
 	m.batches = reg.Counter("fleet_ingest_batches_total",
 		"Observation batches absorbed (duplicates and rejections excluded).")
-	m.v2Batches = reg.Counter("fleet_ingest_v2_batches_total",
-		"Batches that arrived as v2 binary frames (subset of fleet_ingest_batches_total).")
 	m.observations = reg.Counter("fleet_ingest_observations_total",
 		"Individual overflow/dangling observations absorbed.")
 	m.runs = reg.Counter("fleet_ingest_runs_total",
@@ -475,6 +472,13 @@ func EchoRequestID(w http.ResponseWriter, r *http.Request) string {
 	return id
 }
 
+// handleObservations is the ingest path. The body must be a v2 batch
+// frame carrying a batch ID. The frame is decoded straight into
+// per-shard sub-snapshots along the store's own stripes
+// (codec.DecodeBatchSharded keyed by Store.ShardIndex) — no intermediate
+// merged snapshot, no re-split under the ingest lock — and the whole
+// decode runs before deltaMu is even touched, so decoding cost never
+// extends lock hold time. Replies are JSON on success and failure.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -487,91 +491,11 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	}
 	reqID := requestID(r)
 	w.Header().Set(RequestIDHeader, reqID)
-	if CodecForContentType(r.Header.Get("Content-Type")) == V2Codec {
-		s.ingestV2(w, r, reqID)
+	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(strings.TrimSpace(ct), codec.ContentTypeV2) {
+		http.Error(w, fmt.Sprintf("fleet: observations must be %s frames, not %q", codec.ContentTypeV2, ct),
+			http.StatusUnsupportedMediaType)
 		return
 	}
-	var batch ObservationBatch
-	wireBytes, bodyBytes, err := decodeBodyMetered(w, r, s.maxBody, &batch)
-	s.metrics.wireBytes.Add(float64(wireBytes))
-	s.metrics.bodyBytes.Add(float64(bodyBytes))
-	if err != nil {
-		s.logger.Warn("ingest body rejected", "requestId", reqID, "error", err.Error())
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if batch.Snapshot == nil {
-		http.Error(w, "fleet: batch has no snapshot", http.StatusBadRequest)
-		return
-	}
-	// Exactly-once ingest: a batch whose content-addressed ID is already
-	// in the dedup window was absorbed by an earlier delivery whose ack
-	// was lost — acknowledge it (Duplicate set) without re-absorbing.
-	// Unstamped batches (legacy clients) skip the window and stay
-	// at-least-once. The duplicate check comes BEFORE the stale-ring
-	// check: a retry of a batch absorbed before a rebalance must ack as
-	// a duplicate (its evidence was drained to the new owner), not make
-	// the client re-split and double-deliver it.
-	if batch.BatchID != "" && s.dedup != nil && s.dedup.has(batch.BatchID) {
-		s.ackDuplicate(w, &batch, reqID)
-		return
-	}
-	// Cheap pre-check; the authoritative stale-ring check runs under the
-	// shared deltaMu below, ordered against the rebalance announcement.
-	if s.writeIfStale(w, &batch, reqID) {
-		return
-	}
-	// Shared deltaMu: absorbs from many clients stay concurrent, but a
-	// full-resync read (which takes it exclusively) sees store and
-	// journal at one consistent point — and the ring-version requirement
-	// (raised exclusively) is re-checked here, so no stale batch can slip
-	// in behind a rebalance's drain.
-	s.deltaMu.RLock()
-	if s.writeIfStale(w, &batch, reqID) {
-		s.deltaMu.RUnlock()
-		return
-	}
-	if batch.BatchID != "" && s.dedup != nil && !s.dedup.admit(batch.BatchID) {
-		s.deltaMu.RUnlock()
-		s.ackDuplicate(w, &batch, reqID)
-		return
-	}
-	s.store.AbsorbSnapshot(batch.Snapshot)
-	seq := s.journal.append(batch.Snapshot, reqID)
-	s.deltaMu.RUnlock()
-	s.store.NoteClient(batch.Client)
-	obs := SnapshotObservations(batch.Snapshot)
-	s.metrics.batches.Inc()
-	s.metrics.observations.Add(float64(obs))
-	s.metrics.runs.Add(float64(batch.Snapshot.Runs))
-	s.logger.Info("ingest absorbed",
-		"requestId", reqID, "batchId", batch.BatchID, "client", batch.Client,
-		"runs", batch.Snapshot.Runs, "observations", obs, "seq", seq,
-		"wireBytes", wireBytes, "bodyBytes", bodyBytes)
-	version := s.log.Version()
-	if n := s.pending.Add(1); s.correctEvery >= 0 && n > int64(s.correctEvery) {
-		version, _ = s.Correct()
-	}
-	WriteJSON(w, IngestReply{
-		OK:          true,
-		RequestID:   reqID,
-		Version:     version,
-		Sites:       s.store.Sites(),
-		Runs:        s.store.Runs(),
-		RingVersion: s.ringVersion.Load(),
-	})
-}
-
-// ingestV2 is the binary-wire ingest path: the frame is decoded
-// straight into per-shard sub-snapshots along the store's own stripes
-// (codec.DecodeBatchSharded keyed by Store.ShardIndex) — no
-// intermediate merged snapshot, no re-split under the ingest lock, and
-// the whole decode runs before deltaMu is even touched, so decoding
-// cost never extends lock hold time. The exactly-once window, the
-// stale-ring fence and the journal discipline are identical to the v1
-// path; only the wire format and the absorb shape differ. Replies stay
-// JSON on every ingest response (success and failure), v2 or not.
-func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) {
 	buf := codec.GetBuffer()
 	wireBytes, bodyBytes, err := readBodyMetered(w, r, s.maxBody, buf)
 	s.metrics.wireBytes.Add(float64(wireBytes))
@@ -585,7 +509,7 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) 
 	info, parts, err := codec.DecodeBatchSharded(buf.B, s.store.NumShards(), s.store.ShardIndex)
 	codec.PutBuffer(buf) // decoded values never alias the frame bytes
 	if err != nil {
-		s.logger.Warn("ingest v2 frame rejected", "requestId", reqID, "error", err.Error())
+		s.logger.Warn("ingest frame rejected", "requestId", reqID, "error", err.Error())
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -593,24 +517,39 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) 
 		http.Error(w, "fleet: batch has no snapshot", http.StatusBadRequest)
 		return
 	}
-	// stub carries the batch's identity fields through the same dedup /
-	// stale-ring / ack helpers the v1 path uses.
-	stub := &ObservationBatch{Client: info.Client, BatchID: info.BatchID, RingVersion: info.RingVersion}
-	if stub.BatchID != "" && s.dedup != nil && s.dedup.has(stub.BatchID) {
-		s.ackDuplicate(w, stub, reqID)
+	if info.BatchID == "" {
+		http.Error(w, "fleet: batch has no batchId", http.StatusBadRequest)
 		return
 	}
-	if s.writeIfStale(w, stub, reqID) {
+	// Exactly-once ingest: a batch whose content-addressed ID is already
+	// in the dedup window was absorbed by an earlier delivery whose ack
+	// was lost — acknowledge it (Duplicate set) without re-absorbing. The
+	// duplicate check comes BEFORE the stale-ring check: a retry of a
+	// batch absorbed before a rebalance must ack as a duplicate (its
+	// evidence was drained to the new owner), not make the client
+	// re-split and double-deliver it.
+	if s.dedup.has(info.BatchID) {
+		s.ackDuplicate(w, &info, reqID)
 		return
 	}
+	// Cheap pre-check; the authoritative stale-ring check runs under the
+	// shared deltaMu below, ordered against the rebalance announcement.
+	if s.writeIfStale(w, &info, reqID) {
+		return
+	}
+	// Shared deltaMu: absorbs from many clients stay concurrent, but a
+	// full-resync read (which takes it exclusively) sees store and
+	// journal at one consistent point — and the ring-version requirement
+	// (raised exclusively) is re-checked here, so no stale batch can slip
+	// in behind a rebalance's drain.
 	s.deltaMu.RLock()
-	if s.writeIfStale(w, stub, reqID) {
+	if s.writeIfStale(w, &info, reqID) {
 		s.deltaMu.RUnlock()
 		return
 	}
-	if stub.BatchID != "" && s.dedup != nil && !s.dedup.admit(stub.BatchID) {
+	if !s.dedup.admit(info.BatchID) {
 		s.deltaMu.RUnlock()
-		s.ackDuplicate(w, stub, reqID)
+		s.ackDuplicate(w, &info, reqID)
 		return
 	}
 	s.store.AbsorbParts(parts)
@@ -618,13 +557,12 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) 
 	s.deltaMu.RUnlock()
 	s.store.NoteClient(info.Client)
 	s.metrics.batches.Inc()
-	s.metrics.v2Batches.Inc()
 	s.metrics.observations.Add(float64(info.Observations))
 	s.metrics.runs.Add(float64(info.Runs))
 	s.logger.Info("ingest absorbed",
 		"requestId", reqID, "batchId", info.BatchID, "client", info.Client,
 		"runs", info.Runs, "observations", info.Observations, "seq", seq,
-		"wireBytes", wireBytes, "bodyBytes", bodyBytes, "wire", "v2")
+		"wireBytes", wireBytes, "bodyBytes", bodyBytes)
 	version := s.log.Version()
 	if n := s.pending.Add(1); s.correctEvery >= 0 && n > int64(s.correctEvery) {
 		version, _ = s.Correct()
@@ -641,7 +579,7 @@ func (s *Server) ingestV2(w http.ResponseWriter, r *http.Request, reqID string) 
 
 // ackDuplicate acknowledges a batch the dedup window already holds,
 // without re-absorbing it.
-func (s *Server) ackDuplicate(w http.ResponseWriter, batch *ObservationBatch, reqID string) {
+func (s *Server) ackDuplicate(w http.ResponseWriter, batch *codec.BatchInfo, reqID string) {
 	s.deduped.Add(1)
 	s.metrics.dedupHits.Inc()
 	s.logger.Info("ingest duplicate acknowledged",
@@ -660,7 +598,7 @@ func (s *Server) ackDuplicate(w http.ResponseWriter, batch *ObservationBatch, re
 // writeIfStale rejects a versioned batch split under an older membership
 // than this partition requires (409 + StaleRing), reporting whether it
 // wrote the response. Unversioned batches always pass.
-func (s *Server) writeIfStale(w http.ResponseWriter, batch *ObservationBatch, reqID string) bool {
+func (s *Server) writeIfStale(w http.ResponseWriter, batch *codec.BatchInfo, reqID string) bool {
 	cur := s.ringVersion.Load()
 	if batch.RingVersion == 0 || cur == 0 || batch.RingVersion >= cur {
 		return false
@@ -890,7 +828,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		s.deltaMu.Unlock()
 		s.logger.Info("delta poll answered with full resync",
 			"since", since, "seq", seq, "requestId", reqID)
-		WriteSnapshotDelta(w, r, &SnapshotDelta{Epoch: s.epoch, Seq: seq, Full: true, Snapshot: hist.Snapshot()})
+		WriteSnapshotDelta(w, &SnapshotDelta{Epoch: s.epoch, Seq: seq, Full: true, Snapshot: hist.Snapshot()})
 		return
 	}
 	reply := SnapshotDelta{Epoch: s.epoch, Seq: seq}
@@ -924,11 +862,8 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		if merged == nil {
 			merged = cumulative.NewHistory(s.store.cfg)
 		}
-		if e.snap != nil {
-			merged.Absorb(e.snap)
-		}
-		// v2 uploads are journaled pre-split; Absorb is commutative over
-		// the parts' disjoint key sets, so folding them one by one equals
+		// Uploads are journaled pre-split; Absorb is commutative over the
+		// parts' disjoint key sets, so folding them one by one equals
 		// folding the original batch.
 		for _, p := range e.parts {
 			merged.Absorb(p)
@@ -943,7 +878,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger.Debug("deltas served",
 		"since", since, "seq", seq, "entries", len(entries), "requestId", reqID)
-	WriteSnapshotDelta(w, r, &reply)
+	WriteSnapshotDelta(w, &reply)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -976,82 +911,60 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// DecodeJSONBody strictly decodes one JSON document from the request,
-// transparently decompressing gzip-encoded bodies (Content-Encoding:
-// gzip — the client's default upload encoding). limit bounds both the
-// compressed bytes read off the wire and the decompressed bytes fed to
-// the decoder, so a decompression bomb cannot expand past it. Exported
-// so every fleet tier (the cluster coordinator included) accepts
-// exactly the request bodies fleet.Client sends.
+// DecodeJSONBody strictly decodes one JSON document from the request
+// body, opened by openBody. Exported so every fleet tier (the cluster
+// coordinator included) accepts exactly the request bodies fleet.Client
+// sends.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, dst any) error {
-	_, _, err := decodeBodyMetered(w, r, limit, dst)
-	return err
-}
-
-// decodeBodyMetered is DecodeJSONBody additionally reporting the bytes
-// read off the wire (compressed, when the client gzips) and the decoded
-// body bytes fed to the JSON decoder — the pair behind the ingest
-// byte/gzip-ratio metrics. Byte counts are valid even on error (they
-// cover whatever was consumed before the failure).
-func decodeBodyMetered(w http.ResponseWriter, r *http.Request, limit int64, dst any) (wireBytes, bodyBytes int64, err error) {
-	wire := &countReader{r: http.MaxBytesReader(w, r.Body, limit)}
-	var body io.Reader = wire
-	gz := false
-	if enc := r.Header.Get("Content-Encoding"); enc != "" {
-		if !strings.EqualFold(enc, "gzip") {
-			return wire.n, wire.n, fmt.Errorf("fleet: unsupported Content-Encoding %q", enc)
-		}
-		zr, zerr := gzip.NewReader(body)
-		if zerr != nil {
-			return wire.n, 0, fmt.Errorf("fleet: decode gzip body: %w", zerr)
-		}
-		defer zr.Close()
-		// Stream straight into the decoder — no full-body buffer — but
-		// fail as soon as the decompressed stream exceeds the limit.
-		body = &boundedReader{r: zr, remaining: limit + 1, limit: limit}
-		gz = true
+	body, _, err := openBody(w, r, limit)
+	if err != nil {
+		return err
 	}
-	decoded := &countReader{r: body}
-	dec := json.NewDecoder(decoded)
-	bytesRead := func() (int64, int64) {
-		if gz {
-			return wire.n, decoded.n
-		}
-		return wire.n, wire.n
-	}
+	dec := json.NewDecoder(body)
 	if err := dec.Decode(dst); err != nil {
-		wireBytes, bodyBytes = bytesRead()
-		return wireBytes, bodyBytes, fmt.Errorf("fleet: decode body: %w", err)
+		return fmt.Errorf("fleet: decode body: %w", err)
 	}
 	if dec.More() {
-		wireBytes, bodyBytes = bytesRead()
-		return wireBytes, bodyBytes, fmt.Errorf("fleet: decode body: trailing data")
+		return fmt.Errorf("fleet: decode body: trailing data")
 	}
-	wireBytes, bodyBytes = bytesRead()
-	return wireBytes, bodyBytes, nil
+	return nil
 }
 
-// readBodyMetered reads a raw (non-JSON) request body into buf,
-// applying the same wire/decompression limits and byte accounting as
-// decodeBodyMetered: limit bounds both the compressed bytes and the
-// decompressed expansion, and the returned counts are valid even on
-// error. The v2 ingest path uses it to land a whole binary frame in one
-// pooled buffer before decoding.
+// openBody opens a request body for reading, transparently
+// decompressing Content-Encoding: gzip (the client's upload encoding
+// for larger bodies). limit bounds both the bytes read off the wire and
+// the decompressed bytes, so a decompression bomb cannot expand past
+// it; any other encoding is an error. wire counts the bytes read off
+// the wire. A gzip.Reader holds nothing its Close would release, so
+// there is nothing to close.
+func openBody(w http.ResponseWriter, r *http.Request, limit int64) (body io.Reader, wire *countReader, err error) {
+	wire = &countReader{r: http.MaxBytesReader(w, r.Body, limit)}
+	enc := r.Header.Get("Content-Encoding")
+	if enc == "" {
+		return wire, wire, nil
+	}
+	if !strings.EqualFold(enc, "gzip") {
+		return nil, wire, fmt.Errorf("fleet: unsupported Content-Encoding %q", enc)
+	}
+	zr, err := gzip.NewReader(wire)
+	if err != nil {
+		return nil, wire, fmt.Errorf("fleet: decode gzip body: %w", err)
+	}
+	// Stream, no full-body buffer, but fail as soon as the decompressed
+	// stream exceeds the limit.
+	return &boundedReader{r: zr, remaining: limit + 1, limit: limit}, wire, nil
+}
+
+// readBodyMetered reads a whole request body, opened by openBody, into
+// buf, so the ingest path can decode a frame from one pooled buffer. It
+// reports the bytes read off the wire (compressed, when the client
+// gzips) and the decoded body bytes — the pair behind the ingest
+// byte/gzip-ratio metrics. The counts are valid even on error: they
+// cover whatever was consumed before the failure.
 func readBodyMetered(w http.ResponseWriter, r *http.Request, limit int64, buf *codec.Buffer) (wireBytes, bodyBytes int64, err error) {
-	wire := &countReader{r: http.MaxBytesReader(w, r.Body, limit)}
-	var body io.Reader = wire
-	gz := false
-	if enc := r.Header.Get("Content-Encoding"); enc != "" {
-		if !strings.EqualFold(enc, "gzip") {
-			return wire.n, wire.n, fmt.Errorf("fleet: unsupported Content-Encoding %q", enc)
-		}
-		zr, zerr := gzip.NewReader(body)
-		if zerr != nil {
-			return wire.n, 0, fmt.Errorf("fleet: decode gzip body: %w", zerr)
-		}
-		defer zr.Close()
-		body = &boundedReader{r: zr, remaining: limit + 1, limit: limit}
-		gz = true
+	body, wire, err := openBody(w, r, limit)
+	if err != nil {
+		return wire.n, 0, err
 	}
 	decoded := &countReader{r: body}
 	for {
@@ -1061,19 +974,12 @@ func readBodyMetered(w http.ResponseWriter, r *http.Request, limit int64, buf *c
 		n, rerr := decoded.Read(buf.B[len(buf.B):cap(buf.B)])
 		buf.B = buf.B[:len(buf.B)+n]
 		if rerr == io.EOF {
-			break
+			return wire.n, decoded.n, nil
 		}
 		if rerr != nil {
-			if !gz {
-				return wire.n, wire.n, fmt.Errorf("fleet: read body: %w", rerr)
-			}
 			return wire.n, decoded.n, fmt.Errorf("fleet: read body: %w", rerr)
 		}
 	}
-	if gz {
-		return wire.n, decoded.n, nil
-	}
-	return wire.n, wire.n, nil
 }
 
 // countReader counts the bytes read through it.
@@ -1159,13 +1065,11 @@ type fleetSnapState struct {
 func (s *Server) SaveSnapshot(path string) error {
 	s.deltaMu.Lock()
 	st := fleetSnapState{
-		hist: s.store.Combined(),
-		ring: s.ringVersion.Load(),
+		ids:    s.dedup.ids(),
+		ring:   s.ringVersion.Load(),
+		evicts: s.evicts.entries(),
+		hist:   s.store.Combined(),
 	}
-	if s.dedup != nil {
-		st.ids = s.dedup.ids()
-	}
-	st.evicts = s.evicts.entries()
 	s.deltaMu.Unlock()
 
 	dir := filepath.Dir(path)
@@ -1201,9 +1105,7 @@ func (s *Server) LoadSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("fleet: restore %s: %w", path, err)
 	}
-	if s.dedup != nil {
-		s.dedup.restore(st.ids)
-	}
+	s.dedup.restore(st.ids)
 	s.evicts.restore(st.evicts)
 	if st.ring > 0 {
 		s.RequireRingVersion(st.ring)

@@ -28,8 +28,8 @@ func TestServerShutdownLeavesNoGoroutines(t *testing.T) {
 	}()
 
 	c := NewClient(ts.URL, "leak-test")
-	for _, b := range testBatches(3) {
-		if _, err := c.PushSnapshot(b); err != nil {
+	for i, b := range testBatches(3) {
+		if _, err := c.PushBatchContext(ctx, lineageBatch("leak-test", uint64(i+1), b)); err != nil {
 			cancel()
 			t.Fatalf("push: %v", err)
 		}

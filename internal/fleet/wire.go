@@ -5,13 +5,14 @@
 // derived runtime patches back to the fleet with cheap delta polling —
 // the "automatic distribution" deployment the paper's §6.3/§6.4 sketch.
 //
-// Protocol (all JSON over HTTP):
+// Protocol (HTTP; uploads and delta polls are binary v2 frames, the rest
+// JSON):
 //
-//	POST /v1/observations   ObservationBatch (a cumulative.Snapshot + client id)
+//	POST /v1/observations   ObservationBatch frame (a cumulative.Snapshot + client id + batch ID)
 //	POST /v1/reports        report.Report (human-readable bug reports)
 //	GET  /v1/reports        recently received reports
-//	GET  /v1/patches?since=V WirePatchSet with entries added after version V
-//	GET  /v1/deltas?since=S  SnapshotDelta with evidence absorbed after journal seq S
+//	GET  /v1/patches?since=V WirePatchSet with entries added after version V (a frame when asked for)
+//	GET  /v1/deltas?since=S  SnapshotDelta frame with evidence absorbed after journal seq S
 //	POST /v1/evict          EvictRequest: drain a key set (cluster rebalancing)
 //	POST /v1/ring           RingUpdate: raise the required membership version
 //	GET  /v1/status         aggregate statistics
@@ -22,13 +23,13 @@
 // /v1/deltas is the partition→coordinator feed the cluster tier
 // (internal/cluster) builds on.
 //
-// Ingest is exactly-once for stamped uploads: batches carry a
-// content-addressed identity (codec.BatchID over the client id, the
-// history's lineage, the upload-watermark position and the snapshot),
-// and the server keeps a bounded, snapshot-persisted window of recently
-// absorbed IDs — a retry after a lost ack is acknowledged as a
-// duplicate without being re-absorbed. Unstamped batches from legacy clients stay
-// at-least-once. Sink streams evidence both mid-run (as an
+// Ingest is exactly-once: every batch carries a content-addressed
+// identity (codec.BatchID over the client id, the history's lineage, the
+// upload-watermark position and the snapshot), and the server keeps a
+// bounded, snapshot-persisted window of recently absorbed IDs — a retry
+// after a lost ack is acknowledged as a duplicate without being
+// re-absorbed. A batch without an ID is rejected. Sink streams evidence
+// both mid-run (as an
 // engine.StreamingSink under WithFlushInterval/WithFlushEvery) and at
 // session end, retrying unacknowledged batches verbatim so the
 // guarantee holds end to end.
@@ -53,7 +54,7 @@ import (
 	"exterminator/internal/site"
 )
 
-// ObservationBatch is the POST /v1/observations request body: one
+// ObservationBatch is what a POST /v1/observations frame carries: one
 // installation's accumulated run summaries, in the canonical snapshot
 // form. Client is an opaque installation identifier used only for
 // statistics.
@@ -65,9 +66,8 @@ type ObservationBatch struct {
 	// history's lineage, the upload watermark position the delta was cut
 	// at, and the snapshot. Servers keep a bounded window of recently absorbed IDs
 	// and acknowledge a duplicate without re-absorbing it, which makes
-	// ingest exactly-once under retried uploads (lost acks). Empty means
-	// "no identity": the batch is absorbed unconditionally (legacy
-	// at-least-once clients).
+	// ingest exactly-once under retried uploads (lost acks). Required:
+	// a batch without one is rejected with 400.
 	BatchID string `json:"batchId,omitempty" v2:"3"`
 	// RingVersion is the cluster membership version the uploader split
 	// this batch under (cluster.Ring.Version). A partition whose
@@ -75,7 +75,7 @@ type ObservationBatch struct {
 	// IngestReply.StaleRing, so a writer that missed a rebalance
 	// re-splits under the new topology instead of stranding evidence on
 	// a former owner. Zero means "unversioned": the batch is accepted
-	// regardless (single-node deployments and legacy clients).
+	// regardless (single-node deployments).
 	RingVersion uint64 `json:"ringVersion,omitempty" v2:"4"`
 }
 

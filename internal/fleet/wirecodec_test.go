@@ -3,35 +3,25 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
-	"exterminator/internal/telemetry"
 	"exterminator/internal/triage"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the cross-codec golden files under testdata/")
-
-// sampleWireBatch is the fixed batch the cross-codec tests run on:
-// deterministic content exercising every snapshot section.
-func sampleWireBatch() *ObservationBatch {
-	s := testBatches(1)[0]
-	return &ObservationBatch{
-		Client:      "codec-test",
-		Snapshot:    s,
-		BatchID:     codec.BatchID("codec-test", 1, 0, 0, s),
-		RingVersion: 7,
-	}
-}
 
 func sampleWirePatchSet() *WirePatchSet {
 	return &WirePatchSet{
@@ -48,19 +38,6 @@ func sampleWirePatchSet() *WirePatchSet {
 	}
 }
 
-func sampleSnapshotDelta() *SnapshotDelta {
-	return &SnapshotDelta{
-		Epoch:    2,
-		Seq:      41,
-		Snapshot: testBatches(2)[1],
-		Ops: []DeltaOp{
-			{Snapshot: testBatches(1)[0]},
-			{Evict: []site.ID{0x100, 0x104, guiltySite}},
-		},
-		ReqIDs: []string{"req-1", "req-2"},
-	}
-}
-
 // canonJSON renders v through encoding/json for structural comparison:
 // two wire values that marshal identically carry identical evidence.
 func canonJSON(t *testing.T, v any) string {
@@ -72,215 +49,132 @@ func canonJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestCrossCodecEquivalence round-trips every wire struct through both
-// codecs and requires the decoded values to be structurally identical:
-// v1 JSON and v2 frames must carry the same canonical evidence.
+// patchSetJSON is the JSON document GET /v1/patches answers (WriteJSON
+// ends it with a newline).
+func patchSetJSON(t *testing.T, w *WirePatchSet) []byte {
+	t.Helper()
+	return append([]byte(canonJSON(t, w)), '\n')
+}
+
+// patchSetFrame is the v2 frame GET /v1/patches answers to a poll that
+// asks for one.
+func patchSetFrame(w *WirePatchSet) []byte {
+	return codec.EncodePatches(&codec.Buffer{}, patchSetToCodec(w))
+}
+
+func decodePatchSetFrame(t *testing.T, data []byte) *WirePatchSet {
+	t.Helper()
+	ps, err := codec.DecodePatches(data)
+	if err != nil {
+		t.Fatalf("decode patch-set frame: %v", err)
+	}
+	return patchSetFromCodec(ps)
+}
+
+// TestCrossCodecEquivalence round-trips a patch set through both of its
+// representations — the JSON document and the v2 frame — and requires
+// the decoded values to be structurally identical.
 func TestCrossCodecEquivalence(t *testing.T) {
-	batch := sampleWireBatch()
 	patches := sampleWirePatchSet()
-	delta := sampleSnapshotDelta()
-
-	roundTrip := func(c Codec, encode func(*codec.Buffer) ([]byte, error), decode func([]byte) (any, error)) any {
-		buf := codec.GetBuffer()
-		defer codec.PutBuffer(buf)
-		data, err := encode(buf)
-		if err != nil {
-			t.Fatalf("%s encode: %v", c.ContentType(), err)
-		}
-		v, err := decode(data)
-		if err != nil {
-			t.Fatalf("%s decode: %v", c.ContentType(), err)
-		}
-		return v
+	var fromJSON WirePatchSet
+	if err := json.Unmarshal(patchSetJSON(t, patches), &fromJSON); err != nil {
+		t.Fatal(err)
 	}
-
-	for _, c := range []Codec{JSONCodec, V2Codec} {
-		got := roundTrip(c,
-			func(buf *codec.Buffer) ([]byte, error) { return c.EncodeBatch(buf, batch) },
-			func(d []byte) (any, error) { return c.DecodeBatch(d) })
-		if canonJSON(t, got) != canonJSON(t, batch) {
-			t.Errorf("%s batch round trip diverged:\n got  %s\n want %s",
-				c.ContentType(), canonJSON(t, got), canonJSON(t, batch))
-		}
-		// The decoded snapshot must also absorb to the same history as
-		// the original — the equivalence the store actually relies on.
-		ref := cumulative.NewHistory(cumulative.DefaultConfig())
-		ref.Absorb(batch.Snapshot)
-		dec := cumulative.NewHistory(cumulative.DefaultConfig())
-		dec.Absorb(got.(*ObservationBatch).Snapshot)
-		if !dec.Equal(ref) {
-			t.Errorf("%s: absorbed decoded snapshot differs from absorbed original", c.ContentType())
-		}
-
-		got = roundTrip(c,
-			func(buf *codec.Buffer) ([]byte, error) { return c.EncodePatchSet(buf, patches) },
-			func(d []byte) (any, error) { return c.DecodePatchSet(d) })
-		if canonJSON(t, got) != canonJSON(t, patches) {
-			t.Errorf("%s patch set round trip diverged", c.ContentType())
-		}
-
-		got = roundTrip(c,
-			func(buf *codec.Buffer) ([]byte, error) { return c.EncodeDelta(buf, delta) },
-			func(d []byte) (any, error) { return c.DecodeDelta(d) })
-		if canonJSON(t, got) != canonJSON(t, delta) {
-			t.Errorf("%s delta round trip diverged", c.ContentType())
-		}
+	if canonJSON(t, &fromJSON) != canonJSON(t, patches) {
+		t.Errorf("JSON patch set round trip diverged")
+	}
+	if got := decodePatchSetFrame(t, patchSetFrame(patches)); canonJSON(t, got) != canonJSON(t, patches) {
+		t.Errorf("v2 patch set round trip diverged")
 	}
 }
 
-// TestCrossCodecGolden pins both wire representations byte-for-byte
-// with checked-in golden files, and proves the codecs interconvert in
-// both directions: decoding the v1 golden and re-encoding as v2 must
+// TestCrossCodecGolden pins both patch-set representations byte-for-byte
+// with checked-in golden files, and proves they interconvert in both
+// directions: decoding the JSON golden and re-encoding as a frame must
 // reproduce the v2 golden exactly, and vice versa. Run with -update to
-// regenerate after a deliberate format change (which must also bump
-// the spec in docs/PROTOCOL.md).
+// regenerate after a deliberate format change (which must also bump the
+// spec in docs/PROTOCOL.md).
 func TestCrossCodecGolden(t *testing.T) {
-	cases := []struct {
-		name   string
-		value  any
-		encode func(Codec, *codec.Buffer) ([]byte, error)
-		decode func(Codec, []byte) (any, error)
-	}{
-		{
-			name:   "batch",
-			value:  sampleWireBatch(),
-			encode: func(c Codec, buf *codec.Buffer) ([]byte, error) { return c.EncodeBatch(buf, sampleWireBatch()) },
-			decode: func(c Codec, d []byte) (any, error) { return c.DecodeBatch(d) },
-		},
-		{
-			name:   "patchset",
-			value:  sampleWirePatchSet(),
-			encode: func(c Codec, buf *codec.Buffer) ([]byte, error) { return c.EncodePatchSet(buf, sampleWirePatchSet()) },
-			decode: func(c Codec, d []byte) (any, error) { return c.DecodePatchSet(d) },
-		},
-		{
-			name:   "delta",
-			value:  sampleSnapshotDelta(),
-			encode: func(c Codec, buf *codec.Buffer) ([]byte, error) { return c.EncodeDelta(buf, sampleSnapshotDelta()) },
-			decode: func(c Codec, d []byte) (any, error) { return c.DecodeDelta(d) },
-		},
+	jsonPath := filepath.Join("testdata", "wire_patchset.v1.json")
+	v2Path := filepath.Join("testdata", "wire_patchset.v2.bin")
+	if *updateGolden {
+		if err := os.WriteFile(jsonPath, patchSetJSON(t, sampleWirePatchSet()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(v2Path, patchSetFrame(sampleWirePatchSet()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jsonGolden, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	v2Golden, err := os.ReadFile(v2Path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
 	}
 
-	reencode := func(c Codec, tc int, v any) []byte {
-		buf := codec.GetBuffer()
-		defer codec.PutBuffer(buf)
-		var data []byte
-		var err error
-		switch v := v.(type) {
-		case *ObservationBatch:
-			data, err = c.EncodeBatch(buf, v)
-		case *WirePatchSet:
-			data, err = c.EncodePatchSet(buf, v)
-		case *SnapshotDelta:
-			data, err = c.EncodeDelta(buf, v)
-		}
-		if err != nil {
-			t.Fatalf("%s re-encode %s: %v", cases[tc].name, c.ContentType(), err)
-		}
-		return append([]byte(nil), data...)
+	// JSON → decode → v2 must hit the v2 golden byte-for-byte.
+	var fromJSON WirePatchSet
+	if err := json.Unmarshal(jsonGolden, &fromJSON); err != nil {
+		t.Fatalf("decode JSON golden: %v", err)
 	}
-
-	for i, tc := range cases {
-		v1Path := filepath.Join("testdata", "wire_"+tc.name+".v1.json")
-		v2Path := filepath.Join("testdata", "wire_"+tc.name+".v2.bin")
-
-		if *updateGolden {
-			for _, out := range []struct {
-				c    Codec
-				path string
-			}{{JSONCodec, v1Path}, {V2Codec, v2Path}} {
-				buf := codec.GetBuffer()
-				data, err := tc.encode(out.c, buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(out.path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				codec.PutBuffer(buf)
-			}
-		}
-
-		v1Golden, err := os.ReadFile(v1Path)
-		if err != nil {
-			t.Fatalf("missing golden (run with -update): %v", err)
-		}
-		v2Golden, err := os.ReadFile(v2Path)
-		if err != nil {
-			t.Fatalf("missing golden (run with -update): %v", err)
-		}
-
-		// v1 → decode → v2 must hit the v2 golden byte-for-byte.
-		fromV1, err := tc.decode(JSONCodec, v1Golden)
-		if err != nil {
-			t.Fatalf("%s: decode v1 golden: %v", tc.name, err)
-		}
-		if got := reencode(V2Codec, i, fromV1); !bytes.Equal(got, v2Golden) {
-			t.Errorf("%s: v1 golden → v2 encode diverged from v2 golden (%d vs %d bytes)",
-				tc.name, len(got), len(v2Golden))
-		}
-
-		// v2 → decode → v1 must hit the v1 golden byte-for-byte.
-		fromV2, err := tc.decode(V2Codec, v2Golden)
-		if err != nil {
-			t.Fatalf("%s: decode v2 golden: %v", tc.name, err)
-		}
-		if got := reencode(JSONCodec, i, fromV2); !bytes.Equal(got, v1Golden) {
-			t.Errorf("%s: v2 golden → v1 encode diverged from v1 golden:\n got  %s\n want %s",
-				tc.name, got, v1Golden)
-		}
-
-		// And the current in-memory sample still encodes to both goldens
-		// (the format itself has not drifted).
-		if got := reencode(JSONCodec, i, tc.value); !bytes.Equal(got, v1Golden) {
-			t.Errorf("%s: sample's v1 encoding drifted from golden", tc.name)
-		}
-		if got := reencode(V2Codec, i, tc.value); !bytes.Equal(got, v2Golden) {
-			t.Errorf("%s: sample's v2 encoding drifted from golden", tc.name)
-		}
+	if got := patchSetFrame(&fromJSON); !bytes.Equal(got, v2Golden) {
+		t.Errorf("JSON golden → v2 encode diverged from v2 golden (%d vs %d bytes)", len(got), len(v2Golden))
+	}
+	// v2 → decode → JSON must hit the JSON golden byte-for-byte.
+	if got := patchSetJSON(t, decodePatchSetFrame(t, v2Golden)); !bytes.Equal(got, jsonGolden) {
+		t.Errorf("v2 golden → JSON encode diverged from JSON golden:\n got  %s\n want %s", got, jsonGolden)
+	}
+	// And the in-memory sample still encodes to both goldens (the format
+	// itself has not drifted).
+	if got := patchSetJSON(t, sampleWirePatchSet()); !bytes.Equal(got, jsonGolden) {
+		t.Error("sample's JSON encoding drifted from golden")
+	}
+	if got := patchSetFrame(sampleWirePatchSet()); !bytes.Equal(got, v2Golden) {
+		t.Error("sample's v2 encoding drifted from golden")
 	}
 }
 
-// TestServerIngestV2Equivalence feeds the same batches to one server
-// over v1 JSON and another over v2 frames: the stores, run counters and
-// derived patches must match exactly — the zero-copy sharded decode is
-// an encoding change, never an evidence change.
+// TestServerIngestV2Equivalence feeds batches to a server over v2
+// frames and the same snapshots straight into a reference
+// cumulative.History: the store, run counters and derived patches must
+// match exactly — the zero-copy sharded decode is an encoding step,
+// never an evidence change.
 func TestServerIngestV2Equivalence(t *testing.T) {
 	batches := testBatches(24)
-
-	run := func(v2 bool) (*Server, *cumulative.History) {
-		srv := NewServer(ServerOptions{Shards: 4, CorrectEvery: 0})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		c := NewClient(ts.URL, "install-x")
-		c.SetWireV2(v2)
-		for _, b := range batches {
-			if _, err := c.PushSnapshot(b); err != nil {
-				t.Fatalf("push (v2=%v): %v", v2, err)
-			}
+	srv := NewServer(ServerOptions{Shards: 4, CorrectEvery: 0})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, "install-x")
+	ref := cumulative.NewHistory(cumulative.DefaultConfig())
+	for i, b := range batches {
+		if _, err := c.PushBatchContext(t.Context(), lineageBatch("install-x", uint64(i+1), b)); err != nil {
+			t.Fatalf("push %d: %v", i, err)
 		}
-		return srv, srv.Store().Combined()
+		ref.Absorb(b)
 	}
 
-	srvJSON, histJSON := run(false)
-	srvV2, histV2 := run(true)
-
-	if !histV2.Equal(histJSON) {
-		t.Fatal("v2-ingested store differs from JSON-ingested store")
+	got := srv.Store().Combined()
+	got.Canonicalize()
+	ref.Canonicalize()
+	if !got.Equal(ref) {
+		t.Fatal("v2-ingested store differs from the reference history")
 	}
-	pJSON := histJSON.Identify().Patches()
-	pV2 := histV2.Identify().Patches()
-	if !pV2.Equal(pJSON) {
-		t.Fatalf("derived patches diverge:\n v2:   %s\n json: %s", pV2, pJSON)
+	if runs := srv.Store().Runs(); runs != int64(ref.Runs) {
+		t.Fatalf("run counters diverge: server %d, reference %d", runs, ref.Runs)
 	}
-	if got := srvV2.Store().Runs(); got != srvJSON.Store().Runs() {
-		t.Fatalf("run counters diverge: v2 %d, json %d", got, srvJSON.Store().Runs())
+	if srv.Store().FailedRuns() != int64(ref.FailedRuns) || srv.Store().CorruptRuns() != int64(ref.CorruptRuns) {
+		t.Fatalf("failed/corrupt counters diverge: server %d/%d, reference %d/%d",
+			srv.Store().FailedRuns(), srv.Store().CorruptRuns(), ref.FailedRuns, ref.CorruptRuns)
 	}
-	if v := srvV2.metrics.v2Batches.Value(); v != float64(len(batches)) {
-		t.Fatalf("fleet_ingest_v2_batches_total = %v, want %d", v, len(batches))
+	want := ref.Identify().Patches()
+	if want.Len() == 0 {
+		t.Fatal("reference derived no patches; evidence too weak")
 	}
-	if v := srvJSON.metrics.v2Batches.Value(); v != 0 {
-		t.Fatalf("JSON server counted %v v2 batches", v)
+	served, _ := srv.PatchLog().Full()
+	if !served.Equal(want) {
+		t.Fatalf("derived patches diverge:\n server:    %s\n reference: %s", served, want)
 	}
 }
 
@@ -292,13 +186,8 @@ func TestServerIngestV2Dedup(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClient(ts.URL, "dedup-install")
-	c.SetWireV2(true)
 	s := testBatches(1)[0]
-	batch := &ObservationBatch{
-		Client:   "dedup-install",
-		Snapshot: s,
-		BatchID:  codec.BatchID("dedup-install", 1, 0, 0, s),
-	}
+	batch := stampedBatch("dedup-install", s)
 	first, err := c.PushBatchContext(t.Context(), batch)
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +207,8 @@ func TestServerIngestV2Dedup(t *testing.T) {
 	}
 }
 
-// TestServerIngestV2StaleRing: the stale-membership rejection must
-// fire on the v2 path exactly as on v1 — after decode, before absorb.
+// TestServerIngestV2StaleRing: the stale-membership rejection fires
+// after decode, before absorb.
 func TestServerIngestV2StaleRing(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: 0})
 	srv.RequireRingVersion(3)
@@ -327,72 +216,139 @@ func TestServerIngestV2StaleRing(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClient(ts.URL, "stale-install")
-	c.SetWireV2(true)
-	s := testBatches(1)[0]
-	_, err := c.PushBatchContext(t.Context(), &ObservationBatch{
-		Client:      "stale-install",
-		Snapshot:    s,
-		RingVersion: 2,
-	})
-	if err == nil {
-		t.Fatal("stale ring version accepted over v2")
+	batch := stampedBatch("stale-install", testBatches(1)[0])
+	batch.RingVersion = 2
+	_, err := c.PushBatchContext(t.Context(), batch)
+	var sre *StaleRingError
+	if !errors.As(err, &sre) {
+		t.Fatalf("stale ring version: err = %v, want StaleRingError", err)
 	}
 	if runs := srv.Store().Runs(); runs != 0 {
 		t.Fatalf("stale batch absorbed: runs = %d", runs)
 	}
 	// Current membership goes through.
-	if _, err := c.PushBatchContext(t.Context(), &ObservationBatch{
-		Client:      "stale-install",
-		Snapshot:    s,
-		RingVersion: 3,
-	}); err != nil {
+	batch.RingVersion = 3
+	if _, err := c.PushBatchContext(t.Context(), batch); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestClientV2Downgrade: a v2 client facing a server that rejects the
-// media type must fall back to JSON, re-deliver the same batch, and
-// stay on JSON for good.
-func TestClientV2Downgrade(t *testing.T) {
+// TestIngestRejectsJSON: POST /v1/observations takes v2 frames only. A
+// JSON body — even a well-formed, stamped batch — is refused with 415
+// and absorbs nothing.
+func TestIngestRejectsJSON(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body, err := json.Marshal(stampedBatch("json-install", testBatches(1)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/observations", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON upload: %s, want 415", resp.Status)
+	}
+	if runs, batches := srv.Store().Runs(), srv.Store().Batches(); runs != 0 || batches != 0 {
+		t.Fatalf("JSON upload absorbed: runs = %d, batches = %d", runs, batches)
+	}
+}
+
+// TestClientSpeaksFramesByDefault: a client built with NewClient and no
+// further set-up — what exterminate -fleet builds — uploads v2 frames
+// and asks for frames on patch and delta polls.
+func TestClientSpeaksFramesByDefault(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: 0})
 	inner := srv.Handler()
-	var rejected int
+	var mu sync.Mutex
+	seen := map[string][2]string{} // path → request Content-Type or Accept, response Content-Type
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// A pre-v2 server: unknown media type on ingest is a 415.
-		if r.URL.Path == "/v1/observations" && r.Header.Get("Content-Type") == codec.ContentTypeV2 {
-			rejected++
-			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
-			return
-		}
 		inner.ServeHTTP(w, r)
+		req := r.Header.Get("Accept")
+		if r.Method == http.MethodPost {
+			req = r.Header.Get("Content-Type")
+		}
+		mu.Lock()
+		seen[r.URL.Path] = [2]string{req, w.Header().Get("Content-Type")}
+		mu.Unlock()
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, "downgrade-install")
-	c.SetMetrics(telemetry.NewRegistry())
-	c.SetWireV2(true)
-	s := testBatches(1)[0]
-	if _, err := c.PushSnapshot(s); err != nil {
-		t.Fatalf("push across downgrade: %v", err)
+	c := NewClient(ts.URL, "default-install")
+	for i, b := range testBatches(8) {
+		if _, err := c.PushBatchContext(t.Context(), lineageBatch("default-install", uint64(i+1), b)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rejected != 1 {
-		t.Fatalf("server rejected %d v2 deliveries, want exactly 1", rejected)
-	}
-	if c.WireV2() {
-		t.Fatal("client still in v2 mode after rejection")
-	}
-	if runs := srv.Store().Runs(); runs != int64(s.Runs) {
-		t.Fatalf("batch not re-delivered as JSON: runs = %d", runs)
-	}
-	// The next push must go straight to JSON (no second rejection).
-	if _, err := c.PushSnapshot(testBatches(2)[1]); err != nil {
+	ps, _, err := c.Patches(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rejected != 1 {
-		t.Fatalf("downgrade not sticky: %d rejections", rejected)
+	if ps.Pad(guiltySite) == 0 {
+		t.Fatalf("patch poll missed the guilty site: %s", ps)
 	}
-	if v := c.m.v2Downgrades.Value(); v != 1 {
-		t.Fatalf("fleet_client_v2_downgrades_total = %v, want 1", v)
+	if _, err := c.Deltas(t.Context(), 0); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string][2]string{
+		"/v1/observations": {codec.ContentTypeV2, "application/json"},
+		"/v1/patches":      {codec.ContentTypeV2, codec.ContentTypeV2},
+		"/v1/deltas":       {codec.ContentTypeV2, codec.ContentTypeV2},
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("request/response content types:\n got  %v\n want %v", seen, want)
+	}
+}
+
+// TestPatchesNegotiation pins the one negotiation left: GET /v1/patches
+// without an Accept header answers the JSON document people read with
+// curl, and with Accept: application/x-exterminator-v2 a frame carrying
+// the same entries.
+func TestPatchesNegotiation(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	for _, b := range testBatches(8) {
+		srv.Store().AbsorbSnapshot(b)
+	}
+	srv.Correct()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	get := func(accept string) (string, []byte) {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/patches?since=0", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/patches (Accept %q): %s %v", accept, resp.Status, err)
+		}
+		return resp.Header.Get("Content-Type"), body
+	}
+	ct, plain := get("")
+	var doc WirePatchSet
+	if err := json.Unmarshal(plain, &doc); ct != "application/json" || err != nil {
+		t.Fatalf("plain poll: Content-Type %q, decode %v; want the JSON document", ct, err)
+	}
+	if doc.Set().Pad(guiltySite) == 0 {
+		t.Fatalf("JSON patch set missed the guilty site: %s", plain)
+	}
+	ct, framed := get(codec.ContentTypeV2)
+	if ct != codec.ContentTypeV2 || !bytes.HasPrefix(framed, []byte("XWF2")) {
+		t.Fatalf("v2 poll: Content-Type %q, body % x; want an XWF2 frame", ct, framed[:min(len(framed), 8)])
+	}
+	if got := decodePatchSetFrame(t, framed); canonJSON(t, got) != canonJSON(t, &doc) {
+		t.Fatalf("frame and JSON carry different entries:\n frame %s\n json  %s", canonJSON(t, got), plain)
 	}
 }
 
@@ -412,10 +368,9 @@ func TestClientV2GzipThreshold(t *testing.T) {
 	defer ts.Close()
 
 	c := NewClient(ts.URL, "gzip-install")
-	c.SetWireV2(true)
 
 	small := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 1, Sites: []site.ID{1, 2, 3}}
-	if _, err := c.PushSnapshot(small); err != nil {
+	if _, err := c.PushBatchContext(t.Context(), stampedBatch("gzip-install", small)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -427,7 +382,7 @@ func TestClientV2GzipThreshold(t *testing.T) {
 			Obs:  []cumulative.Observation{{X: float64(i), Y: i%3 == 0}},
 		})
 	}
-	if _, err := c.PushSnapshot(big); err != nil {
+	if _, err := c.PushBatchContext(t.Context(), stampedBatch("gzip-install", big)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -445,57 +400,53 @@ func TestClientV2GzipThreshold(t *testing.T) {
 	}
 }
 
-// TestDeltasNegotiation: the same journal must replay identically over
-// a v2-negotiated delta poll and the v1 JSON one.
+// TestDeltasNegotiation: GET /v1/deltas answers a v2 frame whatever the
+// request's Accept says — a plain poll with no Accept header included —
+// and the frame replays to the uploaded evidence.
 func TestDeltasNegotiation(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: 0})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	up := NewClient(ts.URL, "uploader")
-	up.SetWireV2(true)
 	batches := testBatches(6)
-	for _, b := range batches {
-		if _, err := up.PushSnapshot(b); err != nil {
+	for i, b := range batches {
+		if _, err := up.PushBatchContext(t.Context(), lineageBatch("uploader", uint64(i+1), b)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	mirror := func(v2 bool) *cumulative.History {
-		c := NewClient(ts.URL, "mirror")
-		c.SetWireV2(v2)
-		d, err := c.Deltas(t.Context(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := cumulative.NewHistory(cumulative.DefaultConfig())
-		if d.Snapshot != nil {
-			h.Absorb(d.Snapshot)
-		}
-		for _, op := range d.Ops {
-			if op.Snapshot != nil {
-				h.Absorb(op.Snapshot)
-			}
-		}
-		return h
+	resp, err := http.Get(ts.URL + "/v1/deltas?since=0")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	hV2 := mirror(true)
-	hJSON := mirror(false)
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != codec.ContentTypeV2 {
+		t.Fatalf("plain delta poll: %s, Content-Type %q; want a v2 frame", resp.Status, ct)
+	}
+	d, err := DecodeSnapshotDeltaResponse(resp)
+	if err != nil {
+		t.Fatalf("plain delta poll is not an XWF2 delta frame: %v", err)
+	}
+	h := cumulative.NewHistory(cumulative.DefaultConfig())
+	if d.Snapshot != nil {
+		h.Absorb(d.Snapshot)
+	}
+	for _, op := range d.Ops {
+		if op.Snapshot != nil {
+			h.Absorb(op.Snapshot)
+		}
+	}
 	ref := cumulative.NewHistory(cumulative.DefaultConfig())
 	for _, b := range batches {
 		ref.Absorb(b)
 	}
 	// Canonicalize before comparing: Equal is order-sensitive and the
 	// journal replay arrives pre-sorted while ref absorbed raw batches.
-	hV2.Canonicalize()
-	hJSON.Canonicalize()
+	h.Canonicalize()
 	ref.Canonicalize()
-	if !hV2.Equal(hJSON) {
-		t.Fatal("v2 delta poll reconstructed a different history than JSON")
-	}
-	if !hV2.Equal(ref) {
-		t.Fatal("v2 delta poll diverged from the uploaded evidence")
+	if !h.Equal(ref) {
+		t.Fatal("delta poll diverged from the uploaded evidence")
 	}
 }
 
