@@ -43,12 +43,11 @@ var LockOrder = []LockRank{
 	{Class: "cluster.Router.mu", Doc: "router membership snapshot and per-partition clients"},
 	{Class: "cluster.Ring.mu", Doc: "consistent-hash ring membership and version"},
 	{Class: "fleet.Client.mu", Doc: "upload client request-id/backoff/failover state: active base, last epoch, ETag"},
-	{Class: "cluster.Replica.mu", Doc: "read-replica cache: mirrored patch set, delta ring, triage body; poll I/O happens before it is taken, responses are assembled under it and written after release"},
+	{Class: "cluster.Replica.mu", Doc: "read-replica triage cache: the re-encoded ranking body and its ETag (the patch mirror is a fleet.PatchLog); poll I/O happens before it is taken, reads copy under it and write after release"},
 	// —— partition / server scope ——
-	{Class: "cluster.Coordinator.reportMu", Doc: "coordinator bug-report accumulator"},
 	{Class: "fleet.Server.correctMu", Doc: "serializes correction passes (O(dirty-sites) identify, patch fold and triage)"},
 	{Class: "fleet.Server.deltaMu", Doc: "partition delta/journal window, ring-version raises, snapshot capture"},
-	{Class: "fleet.Server.reportMu", Doc: "partition bug-report accumulator"},
+	{Class: "fleet.Reports.mu", Doc: "bug-report ring behind /v1/reports on fleetd and the coordinator"},
 	// —— triage scope ——
 	{Class: "triage.Engine.mu", Doc: "triage cluster table and rankings; taken by correction passes (under correctMu or after the coordinator's mu is released) and /v1/triage reads"},
 	{Class: "triage.Alerter.mu", Doc: "webhook exactly-once state: fired records and pending queue; armed under Engine.mu, drained lock-free of it — delivery POSTs hold no lock"},
@@ -56,7 +55,7 @@ var LockOrder = []LockRank{
 	{Class: "fleet.Store.clientMu", Doc: "per-client run-counter ownership"},
 	{Class: "fleet.storeShard.mu", Doc: "one evidence shard of the mutex-striped store"},
 	{Class: "fleet.journal.mu", Doc: "evidence journal append/window/cursor state"},
-	{Class: "fleet.PatchLog.mu", Doc: "versioned patch log"},
+	{Class: "fleet.PatchLog.mu", Doc: "versioned patch log: set, delta window, version and epoch; GET /v1/patches checks its ETag and builds the answer under the read lock, and writes after release"},
 	{Class: "fleet.dedupWindow.mu", Doc: "bounded exactly-once ingest dedup window"},
 	{Class: "fleet.evictCache.mu", Doc: "eviction idempotency-token cache"},
 	{Class: "fleet.rateLimiter.mu", Doc: "per-remote-host token buckets"},

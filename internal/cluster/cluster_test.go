@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -528,5 +529,49 @@ func TestCoordinatorToleratesPartitionOutage(t *testing.T) {
 	}
 	if got := coord.Status().Runs; got != 18 {
 		t.Fatalf("recovered partition's evidence missing: runs %d, want 18", got)
+	}
+}
+
+// TestReportIntakeSharedAcrossTiers: fleetd and the coordinator run one
+// /v1/reports intake, so both replies carry the retained count and both
+// rings keep only the newest MaxReports.
+func TestReportIntakeSharedAcrossTiers(t *testing.T) {
+	single := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, MaxReports: 2})
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+	_, partURL := haPartition(t, cumulative.DefaultConfig())
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, MaxReports: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+
+	for tier, base := range map[string]string{"fleetd": singleTS.URL, "coordinator": coordTS.URL} {
+		for i, want := range []int{1, 2, 2} {
+			body := `{"Findings":[{"Kind":"buffer-overflow","Title":"report-` + string(rune('a'+i)) + `"}]}`
+			resp, err := http.Post(base+"/v1/reports", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply struct {
+				OK       bool `json:"ok"`
+				Retained *int `json:"retained"`
+			}
+			decodeBody(t, resp, &reply)
+			if !reply.OK || reply.Retained == nil || *reply.Retained != want {
+				t.Fatalf("%s: report %d reply %+v, want ok with retained %d", tier, i, reply, want)
+			}
+		}
+		var kept []report.Report
+		getJSON(t, base+"/v1/reports", &kept)
+		if len(kept) != 2 || kept[0].Findings[0].Title != "report-b" || kept[1].Findings[0].Title != "report-c" {
+			t.Fatalf("%s: GET /v1/reports kept %+v, want the newest two", tier, kept)
+		}
+	}
+	var st fleet.StatusReply
+	getJSON(t, singleTS.URL+"/v1/status", &st)
+	if st.Reports != 3 || coord.Status().Reports != 3 {
+		t.Fatalf("reports seen: fleetd %d, coordinator %d, want 3", st.Reports, coord.Status().Reports)
 	}
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
-	"exterminator/internal/report"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/triage"
 	"exterminator/internal/version"
@@ -116,14 +114,13 @@ type Coordinator struct {
 	resyncs     atomic.Int64
 	corrections atomic.Int64
 
-	// Failover state: epoch stamps every patch response (rises across
-	// failovers — clients reject anything lower than they have seen);
-	// primary gates the client-facing surface; a standby probes the
-	// primary's lease through primaryClient and promotes itself after
-	// takeoverAfter consecutive probe failures (probeFails is touched
-	// only by the Run loop). seenPrimaryEpoch floors the epoch a
-	// promotion mints.
-	epoch            atomic.Uint64
+	// Failover state: the patch log's epoch stamps every patch response
+	// (it rises across failovers — clients reject anything lower than
+	// they have seen); primary gates the client-facing surface; a standby
+	// probes the primary's lease through primaryClient and promotes
+	// itself after takeoverAfter consecutive probe failures (probeFails
+	// is touched only by the Run loop). seenPrimaryEpoch floors the epoch
+	// a promotion mints.
 	primary          atomic.Bool
 	holder           string
 	primaryClient    *fleet.Client
@@ -131,11 +128,8 @@ type Coordinator struct {
 	probeFails       int
 	seenPrimaryEpoch atomic.Uint64
 
-	token      string
-	reportMu   sync.Mutex
-	reports    []*report.Report
-	maxReports int
-	reportSeen atomic.Int64
+	token   string
+	reports *fleet.Reports
 
 	reg     *telemetry.Registry
 	metrics coordMetrics
@@ -270,22 +264,18 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		log:           fleet.NewPatchLog(),
 		start:         time.Now(),
 		token:         opts.Token,
-		maxReports:    opts.MaxReports,
 		rebalPath:     opts.RebalanceJournal,
 		rebalState:    RebalanceState{State: RebalanceIdle},
 		holder:        opts.LeaseHolder,
 		takeoverAfter: opts.TakeoverAfter,
 	}
-	c.epoch.Store(uint64(time.Now().UnixNano()))
+	c.log.SetEpoch(uint64(time.Now().UnixNano()))
 	c.primary.Store(!opts.Standby)
 	if c.holder == "" {
 		c.holder = "coordinator"
 	}
 	if c.takeoverAfter <= 0 {
 		c.takeoverAfter = leaseProbeDefault
-	}
-	if c.maxReports <= 0 {
-		c.maxReports = 128
 	}
 	c.reg = opts.Metrics
 	if c.reg == nil {
@@ -302,6 +292,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.triage.SetMetrics(c.reg)
 	c.logger = logger.With("component", "coordinator")
 	c.metrics.register(c.reg, c)
+	c.reports = fleet.NewReports(opts.MaxReports, 16<<20, c.triage, c.authorize)
 	if c.primary.Load() {
 		c.metrics.primaryG.Set(1)
 	}
@@ -322,8 +313,8 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	// until promoted. Topology and diagnostics (membership, status,
 	// lease, health, metrics) always serve — they are how operators and
 	// probes see the standby at all.
-	mux.Handle("/v1/patches", c.gatePrimary(http.HandlerFunc(c.handlePatches)))
-	mux.Handle("/v1/reports", c.gatePrimary(http.HandlerFunc(c.handleReports)))
+	mux.Handle("/v1/patches", c.gatePrimary(c.log.Handler(c.logger, c.metrics.patchPolls, c.metrics.patchNotMod)))
+	mux.Handle("/v1/reports", c.gatePrimary(c.reports))
 	mux.HandleFunc("/v1/membership", c.handleMembership)
 	mux.Handle("/v1/rebalance", c.gatePrimary(http.HandlerFunc(c.handleRebalance)))
 	mux.HandleFunc("/v1/status", c.handleStatus)
@@ -660,88 +651,16 @@ func (c *Coordinator) Sync(ctx context.Context) (uint64, error) {
 	return c.log.Version(), err
 }
 
-func (c *Coordinator) handlePatches(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+// authorize enforces the cluster token on the coordinator's writes
+// (reports, rebalance, manual promotion), answering 401 itself. With no
+// token configured it always passes.
+func (c *Coordinator) authorize(w http.ResponseWriter, r *http.Request) bool {
+	if c.token == "" || fleet.BearerAuthorized(r, c.token) {
+		return true
 	}
-	reqID := fleet.EchoRequestID(w, r)
-	c.metrics.patchPolls.Inc()
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "cluster: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
-	}
-	ps, version := c.log.Since(since)
-	epoch := c.epoch.Load()
-	if fleet.MatchETag(w, r, fleet.PatchETag(epoch, version)) {
-		c.metrics.patchNotMod.Inc()
-		c.logger.Debug("patches revalidated (304)",
-			"since", since, "version", version, "requestId", reqID)
-		return
-	}
-	wire := fleet.ToWire(ps, version)
-	wire.Epoch = epoch
-	c.logger.Debug("patches served",
-		"since", since, "version", version, "requestId", reqID)
-	fleet.WritePatchSet(w, r, wire)
-}
-
-func (c *Coordinator) handleReports(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if c.token != "" && !fleet.BearerAuthorized(r, c.token) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="fleet"`)
-			http.Error(w, "cluster: missing or invalid ingest token", http.StatusUnauthorized)
-			return
-		}
-		var rep report.Report
-		// fleet.DecodeJSONBody, not a plain json.Decoder: fleet.Client
-		// gzips request bodies by default, and the coordinator must accept
-		// exactly what any fleetd accepts.
-		if err := fleet.DecodeJSONBody(w, r, 16<<20, &rep); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Same retention hygiene as fleetd: sanitize on ingest (paths,
-		// PII, caps) so a re-served report never leaks what a client
-		// forgot to redact, and feed stack provenance to triage.
-		report.Redact(&rep)
-		c.feedTriageFrames(&rep)
-		c.reportSeen.Add(1)
-		c.reportMu.Lock()
-		c.reports = append(c.reports, &rep)
-		if len(c.reports) > c.maxReports {
-			c.reports = append([]*report.Report(nil), c.reports[len(c.reports)-c.maxReports:]...)
-		}
-		c.reportMu.Unlock()
-		fleet.WriteJSON(w, map[string]any{"ok": true})
-	case http.MethodGet:
-		c.reportMu.Lock()
-		out := append([]*report.Report{}, c.reports...)
-		c.reportMu.Unlock()
-		fleet.WriteJSON(w, out)
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-	}
-}
-
-// feedTriageFrames records uploaded findings' call stacks with the
-// triage engine so clusters can group by normalized callsite signature
-// instead of falling back to per-site keys.
-func (c *Coordinator) feedTriageFrames(rep *report.Report) {
-	if c.triage == nil {
-		return
-	}
-	for _, f := range rep.Findings {
-		for _, t := range f.Sites {
-			c.triage.RecordFrames(t.Site, t.Frames)
-		}
-	}
+	w.Header().Set("WWW-Authenticate", `Bearer realm="fleet"`)
+	http.Error(w, "cluster: missing or invalid ingest token", http.StatusUnauthorized)
+	return false
 }
 
 // ClusterStatus is the coordinator's GET /v1/status body: the standard
@@ -815,7 +734,7 @@ func (c *Coordinator) Status() *ClusterStatus {
 			Runs:        int64(c.merged.Runs),
 			FailedRuns:  int64(c.merged.FailedRuns),
 			CorruptRuns: int64(c.merged.CorruptRuns),
-			Reports:     c.reportSeen.Load(),
+			Reports:     c.reports.Seen(),
 			PatchLen:    c.log.Len(),
 			UptimeSec:   int64(time.Since(c.start).Seconds()),
 			Corrections: c.corrections.Load(),
@@ -827,7 +746,7 @@ func (c *Coordinator) Status() *ClusterStatus {
 		Nodes:             nodes,
 		Rebalance:         c.rebalState,
 		Primary:           c.primary.Load(),
-		LeaseEpoch:        c.epoch.Load(),
+		LeaseEpoch:        c.log.Epoch(),
 		LeaseHolder:       c.holder,
 	}
 	for _, p := range c.parts {

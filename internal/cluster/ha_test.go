@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"testing"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
+	"exterminator/internal/patch"
 	"exterminator/internal/site"
 	"exterminator/internal/testutil"
 	"exterminator/internal/testutil/chaos"
@@ -401,6 +404,131 @@ func TestReplicaServesCachedPatchesAndTriage(t *testing.T) {
 	}
 }
 
+// TestPatchesIdenticalAcrossTiers: GET /v1/patches has one
+// implementation, fleet.PatchLog's, so fleetd, a coordinator and a
+// replica following that coordinator answer every poll of one patch
+// history alike — status, ETag and body, on either encoding — whatever
+// the cursor. The history is long enough that every log has compacted
+// its delta window.
+func TestPatchesIdenticalAcrossTiers(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	single := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+	_, partURL := haPartition(t, cfg)
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+	// Both origins speak for one incarnation, so their validators match.
+	const epoch = 0xE90C
+	single.PatchLog().SetEpoch(epoch)
+	coord.PatchLog().SetEpoch(epoch)
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{coordTS.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repTS := httptest.NewServer(rep.Handler())
+	defer repTS.Close()
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	const versions = 300
+	for v := 1; v <= versions; v++ {
+		ps := patch.New()
+		ps.AddPad(site.ID(0x4000+v), uint32(8+v%5))
+		if v%3 == 0 {
+			ps.AddDeferral(site.Pair{Alloc: site.ID(0x4000 + v), Free: 0x99}, uint64(v))
+		}
+		single.PatchLog().Fold(ps)
+		coord.PatchLog().Fold(ps)
+		if err := rep.PollOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rep.Status(); st.ReplicaVersion != versions || st.ReplicaEpoch != epoch {
+		t.Fatalf("replica at epoch %d version %d, want %d/%d", st.ReplicaEpoch, st.ReplicaVersion, epoch, versions)
+	}
+
+	type answer struct {
+		status     int
+		etag, body string
+	}
+	poll := func(base, query, inm, accept string) answer {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, base+"/v1/patches"+query, nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("ETag"), string(body)}
+	}
+	full, _ := coord.PatchLog().Full()
+	cases := []struct {
+		name, query, inm string
+		want             int // entries in the 200 answer
+	}{
+		{"cursor 0", "?since=0", "", full.Len()},
+		{"current version", "?since=300", "", 0},
+		{"cursor inside the window", "?since=297", "", 4},
+		{"cursor below the window", "?since=100", "", full.Len()},
+		{"cursor ahead of the version", "?since=1000", "", full.Len()},
+		{"matching If-None-Match", "?since=100", fleet.PatchETag(epoch, versions), 0},
+	}
+	for _, tc := range cases {
+		for _, accept := range []string{"", codec.ContentTypeV2} {
+			tiers := map[string]answer{
+				"fleetd":      poll(singleTS.URL, tc.query, tc.inm, accept),
+				"coordinator": poll(coordTS.URL, tc.query, tc.inm, accept),
+				"replica":     poll(repTS.URL, tc.query, tc.inm, accept),
+			}
+			want := tiers["fleetd"]
+			for tier, got := range tiers {
+				if got != want {
+					t.Errorf("%s (accept %q): %s answered %d %s %q, fleetd %d %s %q",
+						tc.name, accept, tier, got.status, got.etag, got.body, want.status, want.etag, want.body)
+				}
+			}
+			if want.etag != fleet.PatchETag(epoch, versions) {
+				t.Errorf("%s: ETag %s", tc.name, want.etag)
+			}
+			if tc.inm != "" {
+				if want.status != http.StatusNotModified || want.body != "" {
+					t.Errorf("%s: answered %d with %d body bytes, want a bare 304", tc.name, want.status, len(want.body))
+				}
+				continue
+			}
+			if accept != "" {
+				continue
+			}
+			var w fleet.WirePatchSet
+			if err := json.Unmarshal([]byte(want.body), &w); err != nil || want.status != http.StatusOK {
+				t.Fatalf("%s: answered %d %q (%v)", tc.name, want.status, want.body, err)
+			}
+			if n := w.Set().Len(); n != tc.want || w.Version != versions || w.Epoch != epoch {
+				t.Errorf("%s: %d entries at epoch %d version %d, want %d at %d/%d",
+					tc.name, n, w.Epoch, w.Version, tc.want, epoch, versions)
+			}
+		}
+	}
+}
+
 func TestReplicaFollowsCoordinatorFailover(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx := context.Background()
@@ -434,8 +562,13 @@ func TestReplicaFollowsCoordinatorFailover(t *testing.T) {
 	if _, err := standby.PollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	standbyProxy, err := chaos.NewProxy(standbyTS.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standbyProxy.Close()
 
-	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{proxy.URL(), standbyTS.URL}})
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{proxy.URL(), standbyProxy.URL()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,31 +588,61 @@ func TestReplicaFollowsCoordinatorFailover(t *testing.T) {
 	if err := rep.PollOnce(ctx); err != nil {
 		t.Fatalf("post-failover poll: %v", err)
 	}
-	st := rep.Status()
-	if st.ReplicaEpoch != standby.Epoch() {
-		t.Fatalf("replica epoch %d after failover, want promoted %d", st.ReplicaEpoch, standby.Epoch())
+	want := rep.Status()
+	if want.ReplicaEpoch != standby.Epoch() || want.ReplicaVersion != standby.PatchLog().Version() {
+		t.Fatalf("replica at epoch %d version %d after failover, want promoted %d/%d",
+			want.ReplicaEpoch, want.ReplicaVersion, standby.Epoch(), standby.PatchLog().Version())
 	}
-	if st.Upstream != strings.TrimRight(standbyTS.URL, "/") {
-		t.Fatalf("replica upstream %q after failover, want %q", st.Upstream, standbyTS.URL)
+	// holds checks that the cache still mirrors the promoted upstream and
+	// that the replica polls it.
+	holds := func(when string) {
+		t.Helper()
+		st := rep.Status()
+		if st.ReplicaEpoch != want.ReplicaEpoch || st.ReplicaVersion != want.ReplicaVersion {
+			t.Fatalf("%s: replica at epoch %d version %d, want promoted %d/%d",
+				when, st.ReplicaEpoch, st.ReplicaVersion, want.ReplicaEpoch, want.ReplicaVersion)
+		}
+		if st.Upstream != standbyProxy.URL() {
+			t.Fatalf("%s: replica upstream %q, want the promoted %q", when, st.Upstream, standbyProxy.URL())
+		}
+	}
+	holds("after failover")
+
+	// The deposed primary keeps deriving under its old epoch and comes
+	// back: a poll must never cache its epoch or version.
+	feedSecondWave(t, ctx, partURL)
+	if _, err := primary.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if primary.PatchLog().Version() == want.ReplicaVersion {
+		t.Fatal("the deposed primary's version does not differ from the promoted one's")
+	}
+	proxy.Restore()
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatalf("poll with the deposed primary reachable: %v", err)
+	}
+	holds("deposed primary reachable")
+
+	// With the promoted standby unreachable, only the stale primary
+	// answers: the poll fails with StalePrimaryError and changes nothing.
+	standbyProxy.Drop()
+	err = rep.PollOnce(ctx)
+	var stale *fleet.StalePrimaryError
+	if !errors.As(err, &stale) {
+		t.Fatalf("poll with every upstream stale = %v, want *fleet.StalePrimaryError", err)
+	}
+	if st := rep.Status(); st.ReplicaEpoch != want.ReplicaEpoch || st.ReplicaVersion != want.ReplicaVersion {
+		t.Fatalf("stale answer changed the cache to epoch %d version %d", st.ReplicaEpoch, st.ReplicaVersion)
 	}
 
-	// A zombie primary answering with its deposed epoch is rejected —
-	// rotated away from, never cached.
-	proxy.Restore()
-	rep.mu.Lock()
-	rep.active = 0 // point the replica back at the deposed primary
-	rep.mu.Unlock()
-	if err := rep.PollOnce(ctx); err == nil {
-		t.Fatal("replica accepted a stale-epoch answer from the deposed primary")
-	}
-	if got := rep.Status(); got.ReplicaEpoch != standby.Epoch() {
-		t.Fatalf("zombie answer changed the cached epoch to %d", got.ReplicaEpoch)
-	}
-	// ...and the rotation means the next poll succeeds against the new
-	// primary without intervention.
+	// The standby heals. The next poll meets the deposed primary first —
+	// the client was left on it — rejects its epoch and lands back on
+	// the promoted upstream.
+	standbyProxy.Restore()
 	if err := rep.PollOnce(ctx); err != nil {
-		t.Fatalf("poll after zombie rotation: %v", err)
+		t.Fatalf("poll after the standby healed: %v", err)
 	}
+	holds("after the standby healed")
 }
 
 // getLease fetches and decodes GET /v1/lease.

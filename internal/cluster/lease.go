@@ -32,12 +32,12 @@ func (c *Coordinator) Primary() bool { return c.primary.Load() }
 
 // Epoch returns the incarnation stamp this coordinator puts in patch
 // responses. It rises monotonically across failovers.
-func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
+func (c *Coordinator) Epoch() uint64 { return c.log.Epoch() }
 
 // Lease assembles the GET /v1/lease body.
 func (c *Coordinator) Lease() *fleet.LeaseReply {
 	return &fleet.LeaseReply{
-		Epoch:        c.epoch.Load(),
+		Epoch:        c.log.Epoch(),
 		Holder:       c.holder,
 		Primary:      c.primary.Load(),
 		PatchVersion: c.log.Version(),
@@ -58,7 +58,7 @@ func (c *Coordinator) Promote(ctx context.Context) error {
 	if seen := c.seenPrimaryEpoch.Load(); seen >= epoch {
 		epoch = seen + 1
 	}
-	c.epoch.Store(epoch)
+	c.log.SetEpoch(epoch)
 	c.metrics.failovers.Inc()
 	c.metrics.primaryG.Set(1)
 	c.logger.Info("promoted to primary", "epoch", epoch, "holder", c.holder)
@@ -116,9 +116,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.logger.Debug("lease served", "requestId", reqID)
 		fleet.WriteJSON(w, c.Lease())
 	case http.MethodPost:
-		if c.token != "" && !fleet.BearerAuthorized(r, c.token) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="fleet"`)
-			http.Error(w, "cluster: missing or invalid ingest token", http.StatusUnauthorized)
+		if !c.authorize(w, r) {
 			return
 		}
 		if err := c.Promote(r.Context()); err != nil {

@@ -397,9 +397,7 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if c.token != "" && !fleet.BearerAuthorized(r, c.token) {
-		w.Header().Set("WWW-Authenticate", `Bearer realm="fleet"`)
-		http.Error(w, "cluster: missing or invalid admin token", http.StatusUnauthorized)
+	if !c.authorize(w, r) {
 		return
 	}
 	var req struct {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -421,5 +422,73 @@ func TestConcurrentCorrectKeepsTriageCurrent(t *testing.T) {
 	got, want := rows(coord), rows(fresh)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("ranking after concurrent passes:\n%v\nfresh coordinator:\n%v", got, want)
+	}
+}
+
+// TestInfiniteBayesFactorKeepsTriageEncodable: under §5.1 an X = 0,
+// Y = 1 observation is infinite evidence, and cumulative.BayesFactor
+// says so with +Inf. One such upload over N = 1,000 sites must leave
+// GET /v1/triage decodable on fleetd and on the coordinator, with that
+// site's cluster ranked first; the alert it arms must marshal, and the
+// coordinator snapshot that carries the alert must save.
+func TestInfiniteBayesFactorKeepsTriageEncodable(t *testing.T) {
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	alerting := triage.Config{Alert: triage.AlertConfig{URL: "http://127.0.0.1:1/hook", BayesThreshold: 2}}
+
+	single := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, Triage: alerting})
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+	_, partURL := haPartition(t, cfg)
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg, Triage: alerting})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+
+	const certain = site.ID(0xC0DE)
+	s := &cumulative.Snapshot{C: cfg.C, P: cfg.P, Runs: 1}
+	for i := 0; i < 1000; i++ {
+		id := site.ID(0x10000 + i)
+		s.Sites = append(s.Sites, id)
+		s.Overflow = append(s.Overflow, cumulative.SiteObservations{Site: id, Obs: []cumulative.Observation{{X: 0.5}}})
+	}
+	s.Sites = append(s.Sites, certain)
+	s.Overflow = append(s.Overflow, cumulative.SiteObservations{Site: certain, Obs: []cumulative.Observation{{X: 0, Y: true}}})
+	if _, err := pushStamped(ctx, fleet.NewClient(singleTS.URL, "single"), s); err != nil {
+		t.Fatal(err)
+	}
+	router, err := NewRouter("certain", partURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pushRouted(ctx, router, s); err != nil {
+		t.Fatal(err)
+	}
+	single.Correct()
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	want := "overflow-site-" + strconv.FormatUint(uint64(certain), 16)
+	for tier, base := range map[string]string{"fleetd": singleTS.URL, "coordinator": coordTS.URL} {
+		var rr triage.RankingReply
+		getJSON(t, base+"/v1/triage", &rr)
+		if len(rr.Clusters) == 0 || rr.Clusters[0].ID != want {
+			t.Fatalf("%s: ranking %+v, want %s first", tier, rr.Clusters, want)
+		}
+	}
+	for tier, eng := range map[string]*triage.Engine{"fleetd": single.Triage(), "coordinator": coord.Triage()} {
+		state, err := eng.AlertState()
+		if err != nil {
+			t.Fatalf("%s: alert state does not marshal: %v", tier, err)
+		}
+		if !strings.Contains(string(state), want) {
+			t.Fatalf("%s: no alert armed for %s: %s", tier, want, state)
+		}
+	}
+	if err := coord.SaveSnapshot(filepath.Join(t.TempDir(), "coord.snap")); err != nil {
+		t.Fatalf("coordinator snapshot: %v", err)
 	}
 }

@@ -120,11 +120,20 @@ func (c *Client) SetFallbacks(bases ...string) {
 	}
 }
 
-// activeBase returns the base URL requests currently target.
-func (c *Client) activeBase() string {
+// Base returns the base URL requests currently go to: the first base,
+// or the fallback a failover rotated to.
+func (c *Client) Base() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bases[c.active]
+}
+
+// Epoch returns the highest server epoch a patch poll has integrated:
+// the incarnation whose numbering the last polled version belongs to.
+func (c *Client) Epoch() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastEpoch
 }
 
 // numBases returns the failover set's size.
@@ -274,7 +283,7 @@ func (c *Client) PatchesContext(ctx context.Context, since uint64) (*patch.Set, 
 		if tries >= c.numBases() {
 			return nil, 0, &StalePrimaryError{Seen: lastEpoch, Got: w.Epoch}
 		}
-		c.rotateFrom(c.activeBase())
+		c.rotateFrom(c.Base())
 		if c.m != nil {
 			c.m.failovers.Inc()
 		}
@@ -322,7 +331,7 @@ func (c *Client) fetchPatches(ctx context.Context, since uint64, ifNoneMatch str
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", httpError("get patches (request "+reqID+")", resp)
 	}
-	w, err := DecodePatchSetResponse(resp)
+	w, err := decodePatchSetResponse(resp)
 	if err != nil {
 		return nil, "", err
 	}
@@ -475,7 +484,7 @@ func (c *Client) get(ctx context.Context, path string, header map[string]string)
 	reqID = telemetry.NewRequestID()
 	attempts := c.numBases()
 	for attempt := 0; ; attempt++ {
-		base := c.activeBase()
+		base := c.Base()
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 		if rerr != nil {
 			return nil, reqID, rerr
@@ -617,7 +626,7 @@ func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, re
 	}
 	failovers := 0
 	for attempt := 1; ; attempt++ {
-		base := c.activeBase()
+		base := c.Base()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(pb.payload))
 		if err != nil {
 			return fmt.Errorf("fleet: post %s: %w", path, err)

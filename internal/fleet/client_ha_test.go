@@ -48,7 +48,7 @@ func (o *patchOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	wire := ToWire(set, version)
 	wire.Epoch = epoch
-	WritePatchSet(w, r, wire)
+	writePatchSet(w, r, wire)
 }
 
 func (o *patchOrigin) seen() (sinces, inms []string) {
@@ -111,7 +111,7 @@ func TestClientRotatesToFallbackOnTransportError(t *testing.T) {
 	if _, _, err := c.Patches(0); err != nil {
 		t.Fatalf("poll with dead active base: %v", err)
 	}
-	if got := c.activeBase(); got != ts.URL {
+	if got := c.Base(); got != ts.URL {
 		t.Fatalf("active base after failover = %q, want %q", got, ts.URL)
 	}
 	if got := c.m.failovers.Value(); got < 1 {

@@ -178,6 +178,10 @@ type reader struct {
 	b   []byte
 	off int
 	err error
+	// probs makes every observation X a checked probability: a finite
+	// number in [0, 1]. Batch decodes (client uploads) set it; frames
+	// between tiers carry evidence a partition already absorbed.
+	probs bool
 }
 
 func (r *reader) fail(format string, args ...any) {

@@ -128,6 +128,55 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// xSnapshot is a one-upload snapshot whose second observation, in the
+// overflow or the dangling section, carries x.
+func xSnapshot(x float64, dangling bool) *cumulative.Snapshot {
+	s := &cumulative.Snapshot{Runs: 1, Sites: []site.ID{0x10, 0x20}}
+	obs := []cumulative.Observation{{X: 0.5}, {X: x, Y: true}}
+	if dangling {
+		s.Dangling = []cumulative.PairObservations{{Alloc: 0x20, Free: 0x21, Obs: obs}}
+	} else {
+		s.Overflow = []cumulative.SiteObservations{{Site: 0x10, Obs: obs}}
+	}
+	return s
+}
+
+// TestBatchDecodeRejectsNonProbabilityX: an uploaded observation's X is
+// a probability. Both batch decoders reject NaN, infinities and values
+// outside [0, 1] in either section and accept the bounds; delta frames
+// between tiers still carry whatever a partition absorbed.
+func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
+	shardOf := func(id site.ID) int { return int(uint32(id) % 4) }
+	decode := func(x float64, dangling bool) (batchErr, shardedErr, deltaErr error) {
+		buf := GetBuffer()
+		defer PutBuffer(buf)
+		s := xSnapshot(x, dangling)
+		batch := append([]byte(nil), EncodeBatch(buf, &Batch{Client: "c", BatchID: "b", Snapshot: s})...)
+		_, batchErr = DecodeBatch(batch)
+		_, _, shardedErr = DecodeBatchSharded(batch, 4, shardOf)
+		buf.B = buf.B[:0]
+		_, deltaErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Snapshot: s}))
+		return batchErr, shardedErr, deltaErr
+	}
+	for _, dangling := range []bool{false, true} {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 7, -3, math.Nextafter(1, 2), -math.SmallestNonzeroFloat64} {
+			batchErr, shardedErr, deltaErr := decode(x, dangling)
+			if batchErr == nil || shardedErr == nil {
+				t.Errorf("dangling=%v X=%v: DecodeBatch err %v, DecodeBatchSharded err %v; want both rejected",
+					dangling, x, batchErr, shardedErr)
+			}
+			if deltaErr != nil {
+				t.Errorf("dangling=%v X=%v: delta frame rejected: %v", dangling, x, deltaErr)
+			}
+		}
+		for _, x := range []float64{0, 1, 0.5, math.SmallestNonzeroFloat64} {
+			if batchErr, shardedErr, _ := decode(x, dangling); batchErr != nil || shardedErr != nil {
+				t.Errorf("dangling=%v X=%v rejected: %v / %v", dangling, x, batchErr, shardedErr)
+			}
+		}
+	}
+}
+
 func TestDecodeBatchSharded(t *testing.T) {
 	const shards = 8
 	shardOf := func(id site.ID) int {

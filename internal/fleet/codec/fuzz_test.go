@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math"
 	"testing"
 
 	"exterminator/internal/cumulative"
@@ -12,7 +13,8 @@ import (
 // panic, and no allocation sized from a forged length or count prefix
 // (every decoder validates counts against the bytes actually present
 // first). Valid frames that decode must re-encode and decode to the
-// same value — a cheap round-trip oracle on top of crash safety.
+// same value — a cheap round-trip oracle on top of crash safety — and
+// every batch that decodes carries only probabilities as X.
 func FuzzV2FrameDecode(f *testing.F) {
 	// Seed with one valid frame of each type, so mutation starts from
 	// structurally plausible inputs.
@@ -51,10 +53,21 @@ func FuzzV2FrameDecode(f *testing.F) {
 		f.Add(whole[:12:12])
 	}
 	f.Add([]byte("XWF2\x01\x01\xff\xff\xff\x7f"))
+	// Batches whose X is no probability: they must not decode.
+	for _, x := range []float64{math.NaN(), 7, -3} {
+		for _, dangling := range []bool{false, true} {
+			buf := GetBuffer()
+			f.Add(append([]byte(nil), EncodeBatch(buf, &Batch{Client: "c", BatchID: "b", Snapshot: xSnapshot(x, dangling)})...))
+			PutBuffer(buf)
+		}
+	}
 
 	shardOf := func(id site.ID) int { return int(uint32(id) % 7) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := DecodeBatch(data); err == nil {
+			if b.Snapshot != nil {
+				assertProbabilities(t, b.Snapshot)
+			}
 			rt := GetBuffer()
 			re := EncodeBatch(rt, b)
 			if _, err := DecodeBatch(re); err != nil {
@@ -67,6 +80,7 @@ func FuzzV2FrameDecode(f *testing.F) {
 				if p == nil {
 					continue
 				}
+				assertProbabilities(t, p)
 				for _, id := range p.Sites {
 					if shardOf(id) != i {
 						t.Fatalf("sharded decode misplaced site %v", id)
@@ -99,4 +113,24 @@ func FuzzV2FrameDecode(f *testing.F) {
 			PutBuffer(rt)
 		}
 	})
+}
+
+// assertProbabilities fails unless every observation X in s lies in
+// [0, 1].
+func assertProbabilities(t *testing.T, s *cumulative.Snapshot) {
+	t.Helper()
+	for _, g := range s.Overflow {
+		for _, o := range g.Obs {
+			if !(o.X >= 0 && o.X <= 1) {
+				t.Fatalf("batch decoded overflow X %v outside [0, 1]", o.X)
+			}
+		}
+	}
+	for _, g := range s.Dangling {
+		for _, o := range g.Obs {
+			if !(o.X >= 0 && o.X <= 1) {
+				t.Fatalf("batch decoded dangling X %v outside [0, 1]", o.X)
+			}
+		}
+	}
 }

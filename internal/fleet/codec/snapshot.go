@@ -298,6 +298,11 @@ func readObsGroups(r *reader, pairs bool, sc *shardScratch) (groups int, counts 
 	}
 	for i := range obs {
 		obs[i].X = r.f64()
+		// The negated test also rejects NaN.
+		if r.probs && !(obs[i].X >= 0 && obs[i].X <= 1) {
+			r.fail("observation X %v is not a probability in [0, 1]", obs[i].X)
+			return 0, nil, nil, nil, nil
+		}
 	}
 	readYBits(r, obs)
 	return groups, counts, ids, frees, obs

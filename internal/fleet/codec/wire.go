@@ -46,13 +46,14 @@ func EncodeBatch(buf *Buffer, b *Batch) []byte {
 	return buf.endFrame(start)
 }
 
-// DecodeBatch decodes a FrameBatch frame into one whole snapshot.
+// DecodeBatch decodes a FrameBatch frame into one whole snapshot. An
+// observation X that is not a finite number in [0, 1] fails the decode.
 func DecodeBatch(data []byte) (*Batch, error) {
 	payload, err := expectFrame(data, FrameBatch)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload}
+	r := &reader{b: payload, probs: true}
 	b := &Batch{}
 	flags := r.u8()
 	b.Client = r.str("client id")
@@ -94,7 +95,8 @@ type BatchInfo struct {
 // set shard by site, dangling evidence and deferral hints by their
 // allocation side. Run counters ride the first non-nil part (one is
 // created if the batch has counters but no evidence), so a store or
-// mirror absorbing every part sees each run exactly once.
+// mirror absorbing every part sees each run exactly once. Like
+// DecodeBatch it rejects any observation X outside [0, 1].
 func DecodeBatchSharded(data []byte, shards int, shardOf func(site.ID) int) (BatchInfo, []*cumulative.Snapshot, error) {
 	var info BatchInfo
 	if shards <= 0 {
@@ -104,7 +106,7 @@ func DecodeBatchSharded(data []byte, shards int, shardOf func(site.ID) int) (Bat
 	if err != nil {
 		return info, nil, err
 	}
-	r := &reader{b: payload}
+	r := &reader{b: payload, probs: true}
 	flags := r.u8()
 	info.Client = r.str("client id")
 	info.BatchID = r.str("batch id")

@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"fmt"
 	"net/http"
+	"strconv"
 )
 
 // PatchETag formats the strong validator every patch-serving tier
@@ -12,7 +12,7 @@ import (
 // or a failover to a new epoch — so If-None-Match revalidation is
 // correct by construction.
 func PatchETag(epoch, version uint64) string {
-	return fmt.Sprintf("%q", fmt.Sprintf("e%d.v%d", epoch, version))
+	return `"e` + strconv.FormatUint(epoch, 10) + ".v" + strconv.FormatUint(version, 10) + `"`
 }
 
 // MatchETag stamps etag on the response and, when the request's

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,127 @@ func TestPatchLogCompaction(t *testing.T) {
 	ps, _ = l.Since(uint64(maxDeltas + 9))
 	if ps.Len() != 1 || ps.Pad(site.ID(maxDeltas+10)) == 0 {
 		t.Fatalf("recent delta wrong: %s", ps)
+	}
+}
+
+// padSet is a patch set of pads for the given sites, each padded by its
+// own value.
+func padSet(sites ...site.ID) *patch.Set {
+	ps := patch.New()
+	for _, s := range sites {
+		ps.AddPad(s, uint32(s))
+	}
+	return ps
+}
+
+// TestPatchLogFollow pins a log that mirrors another: a cursor inside a
+// delta spanning several upstream versions gets the whole delta, an
+// answer at or below the current version is ignored, and a resync
+// replaces set, version and epoch.
+func TestPatchLogFollow(t *testing.T) {
+	l := NewPatchLog()
+	l.Follow(padSet(1, 2), 3) // upstream versions 1..3 in one answer
+	l.Follow(padSet(3), 4)
+	for since, want := range map[uint64]*patch.Set{
+		0: padSet(1, 2, 3),
+		1: padSet(1, 2, 3), // inside (0, 3]: the whole span
+		2: padSet(1, 2, 3),
+		3: padSet(3),
+		4: padSet(),
+	} {
+		if got, v := l.Since(since); v != 4 || !got.Equal(want) {
+			t.Errorf("since=%d: v%d %s, want v4 %s", since, v, got, want)
+		}
+	}
+
+	l.Follow(padSet(9), 4) // equal version: a replayed answer
+	l.Follow(padSet(9), 2) // older version: a stale answer
+	if full, v := l.Full(); v != 4 || !full.Equal(padSet(1, 2, 3)) {
+		t.Fatalf("stale answers changed the log: v%d %s", v, full)
+	}
+
+	l.Resync(padSet(7), 2, 9)
+	if full, v := l.Full(); v != 2 || l.Epoch() != 9 || !full.Equal(padSet(7)) {
+		t.Fatalf("after resync: epoch %d v%d %s, want epoch 9 v2 {7}", l.Epoch(), v, full)
+	}
+	for since, want := range map[uint64]*patch.Set{1: padSet(7), 2: padSet(), 4: padSet(7)} {
+		if got, _ := l.Since(since); !got.Equal(want) {
+			t.Errorf("since=%d after resync: %s, want %s", since, got, want)
+		}
+	}
+	l.Follow(padSet(8), 6)
+	if got, _ := l.Since(5); !got.Equal(padSet(8)) {
+		t.Errorf("since=5 inside the post-resync delta: %s, want {8}", got)
+	}
+}
+
+// TestPatchLogCompactionOnlyWidens follows multi-version deltas far past
+// the retained window: at every checkpoint, every cursor gets at least
+// the entries added after it and nothing outside the full set, and a
+// cursor the window dropped gets the full set.
+func TestPatchLogCompactionOnlyWidens(t *testing.T) {
+	l := NewPatchLog()
+	var sets []*patch.Set // sets[i] took the log to version 2(i+1)
+	for i := 1; i <= maxDeltas+40; i++ {
+		to := uint64(2 * i)
+		sets = append(sets, padSet(site.ID(i)))
+		l.Follow(sets[i-1], to)
+		if i%37 != 0 {
+			continue
+		}
+		full, _ := l.Full()
+		exact := patch.New() // what was added after since
+		for since := to; ; since-- {
+			if since%2 == 1 {
+				exact.Merge(sets[since/2])
+			}
+			got, _ := l.Since(since)
+			if exact.Diff(got).Len() != 0 || got.Diff(full).Len() != 0 {
+				t.Fatalf("step %d since=%d: answer %s, want a superset of %s within the full set", i, since, got, exact)
+			}
+			if since == 0 {
+				break
+			}
+		}
+	}
+	full, _ := l.Full()
+	if got, _ := l.Since(1); !got.Equal(full) {
+		t.Fatalf("a cursor below the compacted window got %d entries, want all %d", got.Len(), full.Len())
+	}
+}
+
+// TestNotModifiedAllocsFlat pins the revalidation path: a poll whose
+// If-None-Match presents the current validator is answered before any
+// set is built, so its cost does not grow with the log — not even for
+// the cursors that would get the whole set (one below the window, one
+// ahead of the version).
+func TestNotModifiedAllocsFlat(t *testing.T) {
+	allocs := func(n int, since uint64) float64 {
+		srv := NewServer(ServerOptions{CorrectEvery: -1})
+		ps := patch.New()
+		for i := 0; i < n; i++ {
+			ps.AddPad(site.ID(0x10000+i), 8)
+		}
+		srv.PatchLog().Fold(ps)
+		for i := 1; i <= maxDeltas; i++ {
+			srv.PatchLog().Fold(padSet(site.ID(i)))
+		}
+		req := httptest.NewRequest(http.MethodGet, "/v1/patches?since="+strconv.FormatUint(since, 10), nil)
+		req.Header.Set("If-None-Match", PatchETag(srv.PatchLog().Epoch(), srv.PatchLog().Version()))
+		req.Header.Set(RequestIDHeader, "pin")
+		h := srv.Handler()
+		return testing.AllocsPerRun(50, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusNotModified {
+				t.Fatalf("revalidation answered %d, want 304", rec.Code)
+			}
+		})
+	}
+	for _, since := range []uint64{0, maxDeltas, maxDeltas + 1, maxDeltas + 50} {
+		if small, large := allocs(10, since), allocs(10000, since); small != large {
+			t.Errorf("since=%d: a 304 allocates %v at 10 entries but %v at 10,000", since, small, large)
+		}
 	}
 }
 

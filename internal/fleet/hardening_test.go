@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -53,6 +54,37 @@ func TestIngestTokenAuth(t *testing.T) {
 	}
 	if srv.Store().Runs() != 2 {
 		t.Fatalf("store runs = %d, want 2", srv.Store().Runs())
+	}
+}
+
+// TestIngestRejectsNonProbabilityX: an upload whose observation X is not
+// a finite number in [0, 1] is answered 400 and absorbs nothing — the
+// store's totals and the evidence journal stay where a good upload left
+// them.
+func TestIngestRejectsNonProbabilityX(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := NewClient(ts.URL, "good").PushBatchContext(context.Background(), stampedBatch("good", evidenceBatch(0x1))); err != nil {
+		t.Fatal(err)
+	}
+	runs, sites, batches, seq := srv.Store().Runs(), srv.Store().Sites(), srv.Store().Batches(), srv.journal.seqNow()
+
+	for i, x := range []float64{math.NaN(), 7, -3, math.Inf(1)} {
+		s := evidenceBatch(site.ID(0x100 + i))
+		s.Overflow[0].Obs = append(s.Overflow[0].Obs, cumulative.Observation{X: x, Y: true})
+		resp, err := http.Post(ts.URL+"/v1/observations", codec.ContentTypeV2, bytes.NewReader(frame(stampedBatch("bad", s))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("X=%v: ingest answered %d, want 400", x, resp.StatusCode)
+		}
+	}
+	if srv.Store().Runs() != runs || srv.Store().Sites() != sites || srv.Store().Batches() != batches || srv.journal.seqNow() != seq {
+		t.Fatalf("rejected uploads changed the store or journal: runs %d→%d, sites %d→%d, batches %d→%d, journal seq %d→%d",
+			runs, srv.Store().Runs(), sites, srv.Store().Sites(), batches, srv.Store().Batches(), seq, srv.journal.seqNow())
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
-	"exterminator/internal/report"
 	"exterminator/internal/site"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/triage"
@@ -151,10 +150,7 @@ type Server struct {
 	journal *journal
 	deltaMu sync.RWMutex
 
-	reportMu   sync.Mutex
-	reports    []*report.Report
-	maxReports int
-	reportSeen atomic.Int64
+	reports *Reports
 
 	reg     *telemetry.Registry
 	metrics serverMetrics
@@ -255,7 +251,6 @@ func NewServer(opts ServerOptions) *Server {
 		log:          NewPatchLog(),
 		correctEvery: opts.CorrectEvery,
 		noCorrect:    opts.DisableCorrection,
-		maxReports:   opts.MaxReports,
 		maxBody:      opts.MaxBodyBytes,
 		token:        opts.Token,
 		limiter:      newRateLimiter(opts.RatePerSec, burst),
@@ -267,9 +262,7 @@ func NewServer(opts ServerOptions) *Server {
 		start:        time.Now(),
 		epoch:        uint64(time.Now().UnixNano()),
 	}
-	if s.maxReports <= 0 {
-		s.maxReports = 128
-	}
+	s.log.SetEpoch(s.epoch)
 	if s.maxBody <= 0 {
 		s.maxBody = 16 << 20
 	}
@@ -294,10 +287,11 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	s.logger = s.logger.With("component", "fleet")
 	s.metrics.register(s.reg, s)
+	s.reports = NewReports(opts.MaxReports, s.maxBody, s.triage, s.authorize)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/observations", s.handleObservations)
-	mux.HandleFunc("/v1/reports", s.handleReports)
-	mux.HandleFunc("/v1/patches", s.handlePatches)
+	mux.Handle("/v1/reports", s.reports)
+	mux.Handle("/v1/patches", s.log.Handler(s.logger, nil, nil))
 	mux.HandleFunc("/v1/deltas", s.handleDeltas)
 	mux.HandleFunc("/v1/evict", s.handleEvict)
 	mux.HandleFunc("/v1/ring", s.handleRing)
@@ -717,87 +711,6 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, EvictReply{OK: true, Cached: cached, Evicted: snap, RingVersion: s.ringVersion.Load()})
 }
 
-func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if !s.authorize(w, r) {
-			return
-		}
-		var rep report.Report
-		if err := DecodeJSONBody(w, r, s.maxBody, &rep); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Clients redact before upload; redacting again here keeps the
-		// retained set clean even for hand-rolled uploaders.
-		report.Redact(&rep)
-		s.feedTriageFrames(&rep)
-		s.reportSeen.Add(1)
-		s.reportMu.Lock()
-		s.reports = append(s.reports, &rep)
-		if len(s.reports) > s.maxReports {
-			s.reports = append([]*report.Report(nil), s.reports[len(s.reports)-s.maxReports:]...)
-		}
-		s.reportMu.Unlock()
-		WriteJSON(w, map[string]any{"ok": true, "retained": s.retainedReports()})
-	case http.MethodGet:
-		s.reportMu.Lock()
-		out := append([]*report.Report{}, s.reports...)
-		s.reportMu.Unlock()
-		WriteJSON(w, out)
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
-	}
-}
-
-// feedTriageFrames hands a report's structured site provenance to the
-// triage engine: recorded call stacks are what upgrade site-hash
-// clusters into signature clusters.
-func (s *Server) feedTriageFrames(rep *report.Report) {
-	if s.triage == nil {
-		return
-	}
-	for _, f := range rep.Findings {
-		for _, t := range f.Sites {
-			s.triage.RecordFrames(t.Site, t.Frames)
-		}
-	}
-}
-
-func (s *Server) retainedReports() int {
-	s.reportMu.Lock()
-	defer s.reportMu.Unlock()
-	return len(s.reports)
-}
-
-func (s *Server) handlePatches(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "fleet: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
-	}
-	reqID := EchoRequestID(w, r)
-	ps, version := s.log.Since(since)
-	if MatchETag(w, r, PatchETag(s.epoch, version)) {
-		s.logger.Debug("patches revalidated (304)",
-			"since", since, "version", version, "requestId", reqID)
-		return
-	}
-	wire := ToWire(ps, version)
-	wire.Epoch = s.epoch
-	s.logger.Debug("patches served",
-		"since", since, "version", version, "entries", ps.Len(), "requestId", reqID)
-	WritePatchSet(w, r, wire)
-}
-
 // handleDeltas serves the partition→coordinator evidence feed: the
 // batches absorbed after journal position ?since=S, merged into one
 // canonical snapshot. Cursors outside the retained window (or from a
@@ -897,7 +810,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		CorruptRuns: s.store.CorruptRuns(),
 		Batches:     s.store.Batches(),
 		Clients:     s.store.Clients(),
-		Reports:     s.reportSeen.Load(),
+		Reports:     s.reports.Seen(),
 		PatchLen:    s.log.Len(),
 		UptimeSec:   int64(time.Since(s.start).Seconds()),
 		Corrections: s.corrections.Load(),

@@ -60,8 +60,8 @@ func TestSinkFetchAndCommit(t *testing.T) {
 	if got := srv.Store().Runs(); got != int64(hist.Runs) {
 		t.Fatalf("server runs: %d, want %d", got, hist.Runs)
 	}
-	if srv.retainedReports() != 1 {
-		t.Fatalf("derived-patch report not uploaded: %d retained", srv.retainedReports())
+	if srv.reports.Seen() != 1 {
+		t.Fatalf("derived-patch report not uploaded: %d retained", srv.reports.Seen())
 	}
 }
 
@@ -78,7 +78,7 @@ func TestSinkCommitSkipsEmptyEvidence(t *testing.T) {
 	if err := sink.Commit(context.Background(), ev); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Store().Batches() != 0 || srv.retainedReports() != 0 {
+	if srv.Store().Batches() != 0 || srv.reports.Seen() != 0 {
 		t.Fatal("empty evidence produced uploads")
 	}
 }

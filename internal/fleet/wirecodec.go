@@ -112,11 +112,9 @@ func deltaFromCodec(cd *codec.Delta) *SnapshotDelta {
 	return d
 }
 
-// WritePatchSet answers a patch poll: a v2 frame when the request's
+// writePatchSet answers a patch poll: a v2 frame when the request's
 // Accept header names the v2 media type, the JSON document otherwise.
-// Shared by every tier that serves GET /v1/patches (fleet server,
-// cluster coordinator, read replicas).
-func WritePatchSet(w http.ResponseWriter, r *http.Request, wire *WirePatchSet) {
+func writePatchSet(w http.ResponseWriter, r *http.Request, wire *WirePatchSet) {
 	if !strings.Contains(r.Header.Get("Accept"), codec.ContentTypeV2) {
 		WriteJSON(w, wire)
 		return
@@ -150,10 +148,9 @@ func readFrame(resp *http.Response, what string) ([]byte, error) {
 	return data, nil
 }
 
-// DecodePatchSetResponse decodes the v2 frame of a GET /v1/patches
-// response. Shared by fleet.Client and the cluster replica's poller,
-// which both ask for frames.
-func DecodePatchSetResponse(resp *http.Response) (*WirePatchSet, error) {
+// decodePatchSetResponse decodes the v2 frame of a GET /v1/patches
+// response.
+func decodePatchSetResponse(resp *http.Response) (*WirePatchSet, error) {
 	data, err := readFrame(resp, "patch set")
 	if err != nil {
 		return nil, err

@@ -379,7 +379,7 @@ func TestClientV2GzipThreshold(t *testing.T) {
 		big.Sites = append(big.Sites, site.ID(i*7+1))
 		big.Overflow = append(big.Overflow, cumulative.SiteObservations{
 			Site: site.ID(i*7 + 1),
-			Obs:  []cumulative.Observation{{X: float64(i), Y: i%3 == 0}},
+			Obs:  []cumulative.Observation{{X: float64(i) / 2000, Y: i%3 == 0}},
 		})
 	}
 	if _, err := c.PushBatchContext(t.Context(), stampedBatch("gzip-install", big)); err != nil {

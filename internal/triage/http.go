@@ -62,7 +62,12 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, reply)
 }
 
+// writeJSON answers with v as JSON. The encoder writes nothing when v
+// cannot be encoded, so that case is still free to answer 500 rather
+// than an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, "triage: encode reply: "+err.Error(), http.StatusInternalServerError)
+	}
 }

@@ -476,13 +476,17 @@ func (e *Engine) queueLocked(c *cluster) {
 }
 
 // updateLocked stores a candidate's score on its member, marking the
-// cluster for a refresh when it changed.
+// cluster for a refresh when it changed. The factor is clamped to the
+// largest finite float, as log10Clamped clamps the low end: §5.1 makes
+// an X = 0, Y = 1 observation infinite evidence, and no JSON reply,
+// alert or snapshot can carry an infinity.
 func (e *Engine) updateLocked(m *member, c cumulative.Candidate) {
 	m.seen = e.pass
-	if m.bayes == c.Bayes && m.obs == c.Obs {
+	bayes := min(c.Bayes, math.MaxFloat64)
+	if m.bayes == bayes && m.obs == c.Obs {
 		return
 	}
-	m.bayes, m.obs = c.Bayes, c.Obs
+	m.bayes, m.obs = bayes, c.Obs
 	m.c.stale = true
 	e.queueLocked(m.c)
 }

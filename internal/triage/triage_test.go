@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -542,5 +543,15 @@ func TestCleanPassAllocsFlat(t *testing.T) {
 	small, large := allocs(1000), allocs(10000)
 	if small != large {
 		t.Fatalf("clean pass allocates %v at 1k clusters but %v at 10k", small, large)
+	}
+}
+
+// TestWriteJSONUnencodableIs500: a reply that cannot be encoded answers
+// 500 with the reason, never an empty 200.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, ClusterSummary{TopBayes: math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !bytes.Contains(rec.Body.Bytes(), []byte("unsupported value")) {
+		t.Fatalf("unencodable reply answered %d %q, want 500 with the reason", rec.Code, rec.Body)
 	}
 }
