@@ -28,9 +28,9 @@ import (
 	"os/signal"
 	"syscall"
 
+	"exterminator/internal/cluster"
 	"exterminator/internal/diefast"
 	"exterminator/internal/engine"
-	"exterminator/internal/fleet"
 	"exterminator/internal/image"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
@@ -165,19 +165,22 @@ func main() {
 		opts = append(opts, engine.WithPatches(p))
 	}
 
-	var fleetSink *fleet.Sink
+	var fleetSink *cluster.Sink
 	// fatalSinks: local file sinks whose failure must fail the process
 	// (an unreachable fleet is a warning; a missing output file is not).
 	fatalSinks := make(map[string]bool)
 	if *fleetURL != "" {
-		fc := fleet.NewClient(*fleetURL, installID(*fleetID))
+		// A single fleetd is a one-partition ring that also serves
+		// patches and takes reports.
+		sink, err := cluster.NewSink(*fleetURL, installID(*fleetID), *fleetURL)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		fleetSink = sink
 		if *fleetToken != "" {
-			fc.SetToken(*fleetToken)
+			fleetSink.SetToken(*fleetToken)
 		}
-		if reg != nil {
-			fc.SetMetrics(reg)
-		}
-		fleetSink = fleet.NewSink(fc)
+		fleetSink.SetMetrics(reg)
 		opts = append(opts, engine.WithSink(fleetSink))
 		if *mode != "cumulative" {
 			fmt.Fprintln(os.Stderr, "exterminate: note: only cumulative mode produces uploadable observations; -fleet will still download patches and report newly derived ones")

@@ -33,11 +33,10 @@ var LockOrder = []LockRank{
 	// —— coordination scope (outermost) ——
 	{Class: "cluster.Coordinator.rebalMu", Doc: "serializes rebalance plans; held across announce/drain/backfill/commit"},
 	{Class: "cluster.Coordinator.pollMu", Doc: "serializes poll passes (Run loop vs manual Sync vs frozen rebalance)"},
-	{Class: "cluster.Coordinator.correctMu", Doc: "serializes coordinator correction passes: identify and fold under mu, then the triage pass fed by what that identify rescored"},
+	{Class: "fleet.Corrector.mu", Doc: "the pass lock: serializes correction passes on fleetd and the coordinator (full-pass refill, identify, patch fold, then the triage pass fed what that identify rescored)"},
 	{Class: "engine.Session.histMu", Doc: "session cumulative history: run-loop collector vs mid-run flusher"},
-	{Class: "cluster.Coordinator.mu", Doc: "coordinator merge state: partition mirrors, merged history, membership"},
+	{Class: "cluster.Coordinator.mu", Doc: "coordinator merge state: partition mirrors, the merged evidence store, membership"},
 	{Class: "cluster.Sink.mu", Doc: "cluster sink flush state: pending pieces, upload watermark"},
-	{Class: "fleet.Sink.mu", Doc: "fleet sink flush state: pending batch, upload watermark"},
 	{Class: "engine.Session.emitMu", Doc: "orders observer event delivery"},
 	// —— client / router scope ——
 	{Class: "cluster.Router.mu", Doc: "router membership snapshot and per-partition clients"},
@@ -45,11 +44,10 @@ var LockOrder = []LockRank{
 	{Class: "fleet.Client.mu", Doc: "upload client request-id/backoff/failover state: active base, last epoch, ETag"},
 	{Class: "cluster.Replica.mu", Doc: "read-replica triage cache: the re-encoded ranking body and its ETag (the patch mirror is a fleet.PatchLog); poll I/O happens before it is taken, reads copy under it and write after release"},
 	// —— partition / server scope ——
-	{Class: "fleet.Server.correctMu", Doc: "serializes correction passes (O(dirty-sites) identify, patch fold and triage)"},
 	{Class: "fleet.Server.deltaMu", Doc: "partition delta/journal window, ring-version raises, snapshot capture"},
 	{Class: "fleet.Reports.mu", Doc: "bug-report ring behind /v1/reports on fleetd and the coordinator"},
 	// —— triage scope ——
-	{Class: "triage.Engine.mu", Doc: "triage cluster table and rankings; taken by correction passes (under correctMu or after the coordinator's mu is released) and /v1/triage reads"},
+	{Class: "triage.Engine.mu", Doc: "triage cluster table and rankings; taken by correction passes (under the pass lock) and /v1/triage reads"},
 	{Class: "triage.Alerter.mu", Doc: "webhook exactly-once state: fired records and pending queue; armed under Engine.mu, drained lock-free of it — delivery POSTs hold no lock"},
 	// —— storage leaves ——
 	{Class: "fleet.Store.clientMu", Doc: "per-client run-counter ownership"},

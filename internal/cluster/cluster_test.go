@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/report"
 	"exterminator/internal/site"
+	"exterminator/internal/triage"
 )
 
 const (
@@ -323,6 +325,115 @@ func TestCoordinatorIdempotentUnderPartitionRestart(t *testing.T) {
 	}
 	if got := coord.Status().Runs; got != wantRuns+35*3 {
 		t.Fatalf("post-restart evidence lost or duplicated: runs %d, want %d", got, wantRuns+35*3)
+	}
+}
+
+// TestCoordinatorRebuildsAfterPartitionRestoresOlderSnapshot: a
+// partition restarts from a snapshot older than the evidence the
+// coordinator already mirrors, so its share of the later uploads is gone.
+// The resync replaces the mirror and the coordinator's next pass refills
+// its merged evidence from the mirrors and rescores every key: its patch
+// log and triage ranking must then equal those of a fresh coordinator
+// over the same partitions.
+func TestCoordinatorRebuildsAfterPartitionRestoresOlderSnapshot(t *testing.T) {
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+
+	sw := &swappable{}
+	older := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, DisableCorrection: true})
+	sw.set(older.Handler())
+	restartTS := httptest.NewServer(sw)
+	defer restartTS.Close()
+	steady := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, DisableCorrection: true})
+	steadyTS := httptest.NewServer(steady.Handler())
+	defer steadyTS.Close()
+	partURLs := []string{restartTS.URL, steadyTS.URL}
+
+	router, err := NewRouter("routed", partURLs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCoord := func() *Coordinator {
+		c, err := NewCoordinator(CoordinatorOptions{Partitions: partURLs, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	coord := newCoord()
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+
+	rng := rand.New(rand.NewSource(29))
+	push := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := pushRouted(ctx, router, testBatch(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := coord.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push(30)
+	snapPath := filepath.Join(t.TempDir(), "older.snap")
+	if err := older.SaveSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	push(15)
+
+	restarted := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, DisableCorrection: true})
+	if err := restarted.LoadSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	had := fleet.SnapshotObservations(older.Store().Combined().Snapshot())
+	if kept := fleet.SnapshotObservations(restarted.Store().Combined().Snapshot()); kept >= had {
+		t.Fatalf("the older snapshot holds %d observations, the partition had %d", kept, had)
+	}
+	sw.set(restarted.Handler())
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if coord.Status().Resyncs == 0 {
+		t.Fatal("coordinator never resynced the restarted partition")
+	}
+
+	fresh := newCoord()
+	freshTS := httptest.NewServer(fresh.Handler())
+	defer freshTS.Close()
+	if _, err := fresh.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonicalPatchBytes(t, coord.PatchLog()), canonicalPatchBytes(t, fresh.PatchLog()); !bytes.Equal(got, want) {
+		t.Fatalf("patch log after the rebuild diverged from a fresh coordinator:\ngot:  %s\nwant: %s", got, want)
+	}
+	if coord.PatchLog().Len() == 0 {
+		t.Fatal("no patches derived: the evidence is too weak for this test")
+	}
+	// Pass numbers and lifecycle age (new → active) differ between a
+	// long-lived and a fresh coordinator; the evidence in a ranking row
+	// must not.
+	type row struct {
+		ID, Kind              string
+		Sites, Occurrences    int
+		PooledBayes, TopBayes float64
+		AboveThreshold        bool
+	}
+	rows := func(url string) []row {
+		rank, err := fleet.NewClient(url, "poller").TriageRankings(ctx, 0, triage.MaxPageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []row
+		for _, c := range rank.Clusters {
+			out = append(out, row{c.ID, c.Kind, c.Sites, c.Occurrences, c.PooledBayes, c.TopBayes, c.AboveThreshold})
+		}
+		return out
+	}
+	got, want := rows(coordTS.URL), rows(freshTS.URL)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("triage after the rebuild:\n%v\nfresh coordinator:\n%v", got, want)
 	}
 }
 

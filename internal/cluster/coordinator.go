@@ -78,25 +78,27 @@ type CoordinatorOptions struct {
 }
 
 // Coordinator is the cluster's merge tier. It mirrors every partition's
-// evidence journal through GET /v1/deltas, maintains one merged history,
-// reruns the hypothesis test incrementally (only sites whose evidence
-// moved since the last pass are rescored), and serves the fleet-wide
-// patch log over the standard fleet wire protocol — fleet.Client and
-// fleet.Sink poll a coordinator exactly as they would a single fleetd.
+// evidence journal through GET /v1/deltas, pools the mirrors in one
+// evidence store, reruns the hypothesis test incrementally through the
+// same fleet.Corrector pass a single fleetd runs (only sites whose
+// evidence moved since the last pass are rescored), and serves the
+// fleet-wide patch log over the standard fleet wire protocol —
+// fleet.Client and cluster.Sink poll a coordinator exactly as they would
+// a single fleetd.
 type Coordinator struct {
 	cfg   cumulative.Config
 	parts []*partition
 	ring  *Ring // current membership; bumped by Rebalance
 
 	pollMu sync.Mutex // serializes PollOnce (Run loop vs manual Sync)
-	// correctMu serializes Correct: each triage pass must see the passes
-	// before it, in order. triagedVersion (guarded by it) is the patch-log
-	// version the triage engine has seen.
-	correctMu      sync.Mutex
-	triagedVersion uint64
-	mu             sync.Mutex
-	merged         *cumulative.History
-	rebuild        bool // a partition resynced; merged must be rebuilt from mirrors
+	mu     sync.Mutex
+	// store is the merged evidence: a one-stripe fleet.Store that every
+	// incremental delta folds into. A change it cannot follow key by key
+	// (a mirror replaced or evicted from, a membership change, a snapshot
+	// restore) marks the corrector full instead, and the next pass
+	// refills a fresh store from the mirrors (guarded by mu).
+	store     *fleet.Store
+	corrector *fleet.Corrector
 
 	// Rebalance state: rebalMu serializes Rebalance/ResumeRebalance,
 	// rebalPath is the two-phase journal, rebalState is reported in
@@ -107,12 +109,11 @@ type Coordinator struct {
 	rebalState         RebalanceState
 	testRebalanceCrash func(stage string) error
 
-	log         *fleet.PatchLog
-	triage      *triage.Engine
-	start       time.Time
-	polls       atomic.Int64
-	resyncs     atomic.Int64
-	corrections atomic.Int64
+	log     *fleet.PatchLog
+	triage  *triage.Engine
+	start   time.Time
+	polls   atomic.Int64
+	resyncs atomic.Int64
 
 	// Failover state: the patch log's epoch stamps every patch response
 	// (it rises across failovers — clients reject anything lower than
@@ -216,14 +217,14 @@ func (m *coordMetrics) register(reg *telemetry.Registry, c *Coordinator) {
 	telemetry.RegisterBuildInfo(reg)
 }
 
-// updateMergedGauges mirrors the merged-history state into the
+// updateMergedGauges mirrors the merged-evidence state into the
 // exposition gauges. The caller holds c.mu; every path that mutates the
-// merged history or the poll set calls it before unlocking, so scrapes
+// merged evidence or the poll set calls it before unlocking, so scrapes
 // read current values off atomics without ever touching c.mu.
 func (c *Coordinator) updateMergedGauges() {
-	c.metrics.mergedSites.Set(float64(c.merged.Sites()))
-	c.metrics.mergedRuns.Set(float64(c.merged.Runs))
-	c.metrics.dirtyKeys.Set(float64(c.merged.DirtyKeys()))
+	c.metrics.mergedSites.Set(float64(c.store.Sites()))
+	c.metrics.mergedRuns.Set(float64(c.store.Runs()))
+	c.metrics.dirtyKeys.Set(float64(c.store.DirtyKeys()))
 	c.metrics.partitions.Set(float64(len(c.parts)))
 }
 
@@ -260,7 +261,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:           cfg,
 		ring:          NewRing(0, opts.Partitions...),
-		merged:        cumulative.NewHistory(cfg),
+		store:         fleet.NewStore(1, cfg),
 		log:           fleet.NewPatchLog(),
 		start:         time.Now(),
 		token:         opts.Token,
@@ -292,6 +293,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.triage.SetMetrics(c.reg)
 	c.logger = logger.With("component", "coordinator")
 	c.metrics.register(c.reg, c)
+	c.corrector = fleet.NewCorrector(c.log, c.triage, c.logger, c.metrics.corrections, c.metrics.correctSec)
 	c.reports = fleet.NewReports(opts.MaxReports, 16<<20, c.triage, c.authorize)
 	if c.primary.Load() {
 		c.metrics.primaryG.Set(1)
@@ -386,7 +388,7 @@ func (c *Coordinator) partitionsSnapshot() []*partition {
 
 // setPartitions resets the poll set to exactly nodes, keeping existing
 // partitions' mirrors and cursors where the base URL matches (new nodes
-// start empty and full-resync on their first poll). The merged history
+// start empty and full-resync on their first poll). The merged evidence
 // is rebuilt from the surviving mirrors on the next correction pass.
 func (c *Coordinator) setPartitions(nodes []string) {
 	c.mu.Lock()
@@ -403,7 +405,7 @@ func (c *Coordinator) setPartitions(nodes []string) {
 		}
 		c.parts = append(c.parts, p)
 	}
-	c.rebuild = true
+	c.corrector.MarkFull()
 	c.updateMergedGauges()
 }
 
@@ -495,7 +497,7 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 			mirror := cumulative.NewHistory(c.cfg)
 			mirror.Absorb(d.Snapshot)
 			res.p.mirror = mirror
-			c.rebuild = true
+			c.corrector.MarkFull()
 			c.resyncs.Add(1)
 			c.metrics.resyncs.Inc()
 			c.metrics.deltaObs.Add(float64(fleet.SnapshotObservations(d.Snapshot)))
@@ -505,7 +507,7 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 		case len(d.Ops) > 0:
 			// Ordered delta: the window holds rebalance evictions. Apply
 			// each op to the mirror in sequence — an eviction removes the
-			// keys' entire evidence at that point. The merged history is
+			// keys' entire evidence at that point. The merged evidence is
 			// rebuilt from the mirrors afterwards: the drained keys'
 			// evidence reappears through the new owner's journal, and
 			// rebuilding (instead of in-place extraction) keeps the merge
@@ -514,14 +516,13 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 			for _, op := range d.Ops {
 				if len(op.Evict) > 0 {
 					res.p.mirror.Extract(op.Evict)
-					c.rebuild = true
 				}
 				if op.Snapshot != nil {
 					res.p.mirror.Absorb(op.Snapshot)
 					obs += fleet.SnapshotObservations(op.Snapshot)
 				}
 			}
-			c.rebuild = true
+			c.corrector.MarkFull()
 			c.metrics.deltas.Inc()
 			c.metrics.deltaObs.Add(float64(obs))
 			c.logger.Info("ordered delta applied",
@@ -530,12 +531,11 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 			changed = true
 		case d.Snapshot != nil:
 			res.p.mirror.Absorb(d.Snapshot)
-			if !c.rebuild {
-				// Fast path: fold the delta straight into the merged
-				// history; only these keys become dirty for the next
-				// incremental identify pass.
-				c.merged.Absorb(d.Snapshot)
-			}
+			// Fast path: fold the delta straight into the merged evidence
+			// as the one stripe's part; only these keys become dirty for
+			// the next incremental identify pass. A pending refill
+			// rebuilds from the mirrors, which hold this delta too.
+			c.store.AbsorbParts([]*cumulative.Snapshot{d.Snapshot})
 			obs := fleet.SnapshotObservations(d.Snapshot)
 			c.metrics.deltas.Inc()
 			c.metrics.deltaObs.Add(float64(obs))
@@ -552,55 +552,32 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 	return changed, errors.Join(errs...)
 }
 
-// Correct runs one correction pass over the merged evidence: identify,
-// fold newly derived patches into the fleet-wide log, and a triage pass
-// fed by what the identify pass rescored plus the patch-log entries added
-// since the previous pass. After a partition resync the merged history
-// is rebuilt from the mirrors first (the rare slow path); every key is
-// then rescored, so that triage pass carries every candidate and drops
-// members that vanished. Otherwise only dirty sites are rescored. Passes
-// serialize on correctMu; the triage pass runs outside c.mu — a /metrics
-// scrape or delta poll never waits behind clustering.
+// Correct runs one correction pass (see fleet.Corrector) over the merged
+// evidence. A full pass — after a partition resync, an ordered delta, a
+// membership change or a snapshot restore — first refills a fresh store
+// from the mirrors, so every key is rescored and triage drops members
+// that vanished; otherwise only dirty sites are rescored. The pass holds
+// c.mu only for the refill: identify serializes against delta folds on
+// the store's one stripe, and a /metrics scrape never waits behind
+// clustering.
 func (c *Coordinator) Correct() (uint64, bool) {
-	c.correctMu.Lock()
-	defer c.correctMu.Unlock()
-	defer c.metrics.correctSec.ObserveSince(time.Now())
-	v, changed, in := c.correctLocked()
-	fleet.PassTriage(c.triage, c.log, &c.triagedVersion, in)
-	return v, changed
-}
-
-// correctLocked is the part of a pass that holds c.mu: rebuild, identify
-// and fold. It harvests the triage input while the merged history is
-// still locked.
-func (c *Coordinator) correctLocked() (uint64, bool, triage.PassInput) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.updateMergedGauges()
-	c.corrections.Add(1)
-	c.metrics.corrections.Inc()
-	in := triage.PassInput{Full: c.rebuild}
-	if c.rebuild {
-		merged := cumulative.NewHistory(c.cfg)
-		for _, p := range c.parts {
-			merged.Absorb(p.mirror.Snapshot())
+	v, changed := c.corrector.Correct(func(full bool) *fleet.Store {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if full {
+			st := fleet.NewStore(1, c.cfg)
+			for _, p := range c.parts {
+				st.AbsorbParts([]*cumulative.Snapshot{p.mirror.Snapshot()})
+			}
+			c.store = st
+			c.metrics.rebuilds.Inc()
 		}
-		c.merged = merged
-		c.rebuild = false
-		c.metrics.rebuilds.Inc()
-	}
-	findings := c.merged.Identify()
-	in.Overflows, in.Danglings = c.merged.Rescored()
-	in.Threshold = c.merged.Threshold()
-	if findings.Empty() {
-		return c.log.Version(), false, in
-	}
-	v, changed := c.log.Fold(findings.Patches())
-	if changed {
-		c.logger.Info("correction pass folded fleet-wide patches",
-			"patchVersion", v, "patchEntries", c.log.Len())
-	}
-	return v, changed, in
+		return c.store
+	})
+	c.mu.Lock()
+	c.updateMergedGauges()
+	c.mu.Unlock()
+	return v, changed
 }
 
 // Triage exposes the coordinator's triage engine (rankings, alert
@@ -730,15 +707,15 @@ func (c *Coordinator) Status() *ClusterStatus {
 		StatusReply: fleet.StatusReply{
 			Build:       build,
 			Version:     c.log.Version(),
-			Sites:       c.merged.Sites(),
-			Runs:        int64(c.merged.Runs),
-			FailedRuns:  int64(c.merged.FailedRuns),
-			CorruptRuns: int64(c.merged.CorruptRuns),
+			Sites:       c.store.Sites(),
+			Runs:        c.store.Runs(),
+			FailedRuns:  c.store.FailedRuns(),
+			CorruptRuns: c.store.CorruptRuns(),
 			Reports:     c.reports.Seen(),
 			PatchLen:    c.log.Len(),
 			UptimeSec:   int64(time.Since(c.start).Seconds()),
-			Corrections: c.corrections.Load(),
-			DirtyKeys:   c.merged.DirtyKeys(),
+			Corrections: c.corrector.Passes(),
+			DirtyKeys:   c.store.DirtyKeys(),
 		},
 		Polls:             c.polls.Load(),
 		Resyncs:           c.resyncs.Load(),

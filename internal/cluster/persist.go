@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"exterminator/internal/atomicfile"
 	"exterminator/internal/cumulative"
 )
 
@@ -38,8 +38,8 @@ const (
 // stale), mirrors, cursors and the triage alerter's exactly-once state
 // (fired records and the undelivered queue, so a restart neither
 // re-fires a webhook already sent nor drops one still pending) to path
-// (write-to-temp, then rename — a crash mid-write never corrupts the
-// previous snapshot). The container has one version, coordSnapVersion;
+// (atomicfile.Write — a crash mid-write never corrupts the previous
+// snapshot). The container has one version, coordSnapVersion;
 // the decoder rejects every other.
 func (c *Coordinator) SaveSnapshot(path string) error {
 	ringVersion, nodes := c.ring.Membership()
@@ -66,42 +66,35 @@ func (c *Coordinator) SaveSnapshot(path string) error {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".coord-snap-*")
+	err = atomicfile.Write(path, 0o600, func(w io.Writer) error {
+		bw := bufio.NewWriter(w)
+		u32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
+		u64 := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
+		u32(coordSnapMagic)
+		u32(coordSnapVersion)
+		u64(ringVersion)
+		u32(uint32(len(nodes)))
+		for _, n := range nodes {
+			u32(uint32(len(n)))
+			bw.WriteString(n)
+		}
+		u32(uint32(len(entries)))
+		for _, e := range entries {
+			u32(uint32(len(e.base)))
+			bw.WriteString(e.base)
+			u64(e.seq)
+			u64(e.epoch)
+			u64(uint64(len(e.mirror)))
+			bw.Write(e.mirror)
+		}
+		u64(uint64(len(alerts)))
+		bw.Write(alerts)
+		return bw.Flush()
+	})
 	if err != nil {
 		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	u32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	u64 := func(v uint64) { binary.Write(bw, binary.LittleEndian, v) }
-	u32(coordSnapMagic)
-	u32(coordSnapVersion)
-	u64(ringVersion)
-	u32(uint32(len(nodes)))
-	for _, n := range nodes {
-		u32(uint32(len(n)))
-		bw.WriteString(n)
-	}
-	u32(uint32(len(entries)))
-	for _, e := range entries {
-		u32(uint32(len(e.base)))
-		bw.WriteString(e.base)
-		u64(e.seq)
-		u64(e.epoch)
-		u64(uint64(len(e.mirror)))
-		bw.Write(e.mirror)
-	}
-	u64(uint64(len(alerts)))
-	bw.Write(alerts)
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
 
 // coordSnapEntry is one partition's restored state.
@@ -262,7 +255,7 @@ func (c *Coordinator) LoadSnapshot(path string) error {
 		p.mirror = e.mirror
 		p.seq, p.epoch = e.seq, e.epoch
 	}
-	c.rebuild = true
+	c.corrector.MarkFull()
 	c.mu.Unlock()
 	// Alert state must land before the warm-up correction pass: the pass
 	// re-ranks the restored evidence, and only the restored fired records

@@ -357,7 +357,7 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 		}
 	}
 	c.parts = kept
-	c.rebuild = true
+	c.corrector.MarkFull()
 	c.updateMergedGauges()
 	c.mu.Unlock()
 

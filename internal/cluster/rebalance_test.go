@@ -282,6 +282,61 @@ func TestRebalanceMembershipChangeUnderLiveUploads(t *testing.T) {
 	}
 }
 
+// TestClusterSinkCommitFailsWhileStillStale: a rebalance that stops right
+// after announcing its version leaves every partition requiring a
+// membership the coordinator does not serve yet. A sink split under the
+// old ring is rejected, refreshes, gets the old ring again and is
+// rejected again: Commit must fail with the partitions' required version
+// and leave the watermark where it was. Once the rebalance resumes and
+// commits, the next Commit delivers and the coordinator counts every run
+// exactly once.
+func TestClusterSinkCommitFailsWhileStillStale(t *testing.T) {
+	ctx := context.Background()
+	rc := newRebalanceCluster(t, 4)
+	rc.coord.testRebalanceCrash = func(stage string) error {
+		if stage == "announced" {
+			return errors.New("simulated coordinator crash")
+		}
+		return nil
+	}
+	if _, err := rc.coord.AddNode(ctx, rc.partURLs[3]); err == nil {
+		t.Fatal("crashed rebalance reported success")
+	}
+	rc.coord.testRebalanceCrash = nil
+
+	sink, err := NewSink(rc.coordTS.URL, "stale", rc.partURLs[:3]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := cumulative.NewHistory(cumulative.DefaultConfig())
+	hist.Absorb(testBatch(rand.New(rand.NewSource(5))))
+	ev := &engine.Evidence{History: hist}
+	err = sink.Commit(ctx, ev)
+	var sre *fleet.StaleRingError
+	if !errors.As(err, &sre) || sre.Required != 2 {
+		t.Fatalf("commit under a still-stale ring: %v, want a StaleRingError requiring version 2", err)
+	}
+	if runs, obs := hist.UploadedCounts(); runs != 0 || obs != 0 {
+		t.Fatalf("watermark moved to (%d runs, %d observations) although no partition absorbed the delta", runs, obs)
+	}
+
+	if res, err := rc.coord.ResumeRebalance(ctx); err != nil || res == nil || res.Version != 2 {
+		t.Fatalf("resume: %v, %+v", err, res)
+	}
+	if err := sink.Commit(ctx, ev); err != nil {
+		t.Fatalf("commit after the rebalance committed: %v", err)
+	}
+	if d := hist.UploadDelta(); !cumulative.DeltaEmpty(d) {
+		t.Fatalf("watermark incomplete after delivery: %+v", d)
+	}
+	if _, err := rc.coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := rc.coord.Status().Runs; got != int64(hist.Runs) {
+		t.Fatalf("coordinator counts %d runs, the history holds %d", got, hist.Runs)
+	}
+}
+
 // TestRebalanceCoordinatorKilledMidDrain is the crash e2e the tentpole
 // is pinned by: the coordinator dies between drain and backfill (moved
 // evidence exists only in a partition's evict cache), a FRESH

@@ -4,8 +4,9 @@
 // batch along the ring, and a coordinator/merge tier mirrors each
 // partition's evidence journal (GET /v1/deltas), reruns the Bayesian
 // hypothesis test incrementally over the merged pool, and publishes a
-// fleet-wide versioned patch log that unmodified fleet.Client /
-// fleet.Sink consumers poll exactly as they would a single fleetd.
+// fleet-wide versioned patch log that fleet.Client and Sink consumers
+// poll exactly as they would a single fleetd. A single fleetd is the
+// one-partition case: Sink uploads to it through a one-node ring.
 //
 // Topology:
 //

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"sync"
 
@@ -14,11 +15,12 @@ import (
 	"exterminator/internal/telemetry"
 )
 
-// Sink is the cluster-aware engine.EvidenceSink: patches download from
-// the coordinator (the merge tier's fleet-wide log), observations upload
+// Sink is the fleet's engine.EvidenceSink: patches download from the
+// coordinator (the merge tier's fleet-wide log), observations upload
 // through the ring-partitioned router, and bug reports go to the
-// coordinator. Like fleet.Sink, uploads are watermarked so resumed
-// histories never double-count.
+// coordinator. A single fleetd is a one-partition ring that also serves
+// patches and reports: NewSink(url, id, url). Uploads are watermarked so
+// resumed histories never double-count.
 type Sink struct {
 	coord  *fleet.Client
 	router *Router
@@ -31,6 +33,7 @@ type Sink struct {
 	mu             sync.Mutex
 	fetchedEntries int
 	fetchedVersion uint64
+	lastIngest     *fleet.IngestReply
 	// pending holds, per partition, a piece that was sent but never
 	// acknowledged. Each is retried verbatim — same content, same batch
 	// ID — before any new delta is cut for that partition, so the
@@ -180,7 +183,10 @@ func (s *Sink) FlushEvidence(ctx context.Context, ev *engine.Evidence) error {
 // failures to park: the rejected piece was split under a dead topology,
 // so it is dropped — its evidence sits beyond the watermark — the
 // membership refreshes from the coordinator, and one more pass re-cuts
-// and re-routes the delta under the new ring.
+// and re-routes the delta under the new ring. Pieces still rejected
+// after that fail the upload with the *fleet.StaleRingError: the
+// coordinator does not serve the membership the partitions require yet
+// (a rebalance between announce and commit).
 func (s *Sink) stream(ctx context.Context, hist *cumulative.History) error {
 	var errs []error
 
@@ -190,7 +196,7 @@ func (s *Sink) stream(ctx context.Context, hist *cumulative.History) error {
 		retries = append(retries, p)
 	}
 	s.mu.Unlock()
-	delivered, failed, stale := s.pushAll(ctx, retries, &errs)
+	delivered, failed, stale, staleErr := s.pushAll(ctx, retries, &errs)
 	for _, p := range delivered {
 		hist.MarkUploaded(p.Batch.Snapshot)
 	}
@@ -261,7 +267,7 @@ func (s *Sink) stream(ctx context.Context, hist *cumulative.History) error {
 			fresh = append(fresh, p)
 		}
 		pushed += len(fresh)
-		delivered, failed, stale = s.pushAll(ctx, fresh, &errs)
+		delivered, failed, stale, staleErr = s.pushAll(ctx, fresh, &errs)
 		for _, p := range delivered {
 			hist.MarkUploaded(p.Batch.Snapshot)
 		}
@@ -275,6 +281,9 @@ func (s *Sink) stream(ctx context.Context, hist *cumulative.History) error {
 		}
 		sawStale = true
 	}
+	if staleErr != nil {
+		errs = append(errs, fmt.Errorf("cluster: upload still stale after a membership refresh: %w", staleErr))
+	}
 	if s.flushPieces != nil && pushed > 0 {
 		s.flushPieces.Observe(float64(pushed))
 	}
@@ -285,20 +294,27 @@ func (s *Sink) stream(ctx context.Context, hist *cumulative.History) error {
 // them into delivered, failed (retryable verbatim) and stale (rejected
 // for an outdated ring version — must be re-split, never retried
 // verbatim); push errors are appended to errs, except stale rejections,
-// which the caller recovers from by refreshing membership.
-func (s *Sink) pushAll(ctx context.Context, pieces []Piece, errs *[]error) (delivered, failed, stale []Piece) {
+// which come back joined in staleErr for the caller to recover from by
+// refreshing membership.
+func (s *Sink) pushAll(ctx context.Context, pieces []Piece, errs *[]error) (delivered, failed, stale []Piece, staleErr error) {
 	if len(pieces) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	var (
-		wg  sync.WaitGroup
-		rmu sync.Mutex
+		wg        sync.WaitGroup
+		rmu       sync.Mutex
+		staleErrs []error
 	)
 	for _, p := range pieces {
 		wg.Add(1)
 		go func(p Piece) {
 			defer wg.Done()
-			_, err := s.router.PushPiece(ctx, p)
+			reply, err := s.router.PushPiece(ctx, p)
+			if err == nil {
+				s.mu.Lock()
+				s.lastIngest = reply
+				s.mu.Unlock()
+			}
 			rmu.Lock()
 			defer rmu.Unlock()
 			var sre *fleet.StaleRingError
@@ -307,6 +323,7 @@ func (s *Sink) pushAll(ctx context.Context, pieces []Piece, errs *[]error) (deli
 				delivered = append(delivered, p)
 			case errors.As(err, &sre):
 				stale = append(stale, p)
+				staleErrs = append(staleErrs, err)
 			default:
 				*errs = append(*errs, err)
 				failed = append(failed, p)
@@ -314,7 +331,7 @@ func (s *Sink) pushAll(ctx context.Context, pieces []Piece, errs *[]error) (deli
 		}(p)
 	}
 	wg.Wait()
-	return delivered, failed, stale
+	return delivered, failed, stale, errors.Join(staleErrs...)
 }
 
 // Fetched reports what the pre-run download merged.
@@ -322,4 +339,12 @@ func (s *Sink) Fetched() (entries int, version uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.fetchedEntries, s.fetchedVersion
+}
+
+// LastIngest returns the reply to the most recently acknowledged piece
+// (nil before the first).
+func (s *Sink) LastIngest() *fleet.IngestReply {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastIngest
 }

@@ -39,6 +39,10 @@ func (r *IterativeResult) String() string {
 		r.Corrected, len(r.Rounds), r.Patches.Len(), r.GaveUp)
 }
 
+// isolationImages is k, the number of heap images an isolation round
+// starts from — the paper's empirical sweet spot.
+const isolationImages = 3
+
 // runIterative is the iterative-mode loop (§3.4): detect, replay with a
 // malloc breakpoint to gather k images, isolate, patch, repeat. The
 // context is checked before every execution, so cancellation returns a
@@ -78,10 +82,10 @@ func (s *Session) runIterative(ctx context.Context, work *patch.Set) (*Iterative
 		// isolation comes up empty, keep generating independent images
 		// ("this process can be repeated multiple times", §3.4) before
 		// giving up on this error.
-		maxImages := 3 * cfg.images
+		maxImages := 3 * isolationImages
 		var newPatches *patch.Set
 		next := uint64(1)
-		target := cfg.images
+		target := isolationImages
 		for {
 			for len(images) < target {
 				if ctx.Err() != nil {

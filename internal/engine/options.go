@@ -25,7 +25,6 @@ type config struct {
 	progSeed uint64
 	seedsSet bool // WithSeeds was called: zero seeds are honored
 
-	images        int
 	maxIterations int
 	replicas      int
 	maxRuns       int
@@ -54,9 +53,6 @@ type config struct {
 // configured zero seeds are NOT remapped: WithSeeds(0, 0) really runs
 // with seed zero.
 func (c *config) fill() {
-	if c.images <= 0 {
-		c.images = 3
-	}
 	if c.maxIterations <= 0 {
 		c.maxIterations = 8
 	}
@@ -96,18 +92,6 @@ func WithMode(m Mode) Option {
 func WithSeeds(heapSeed, progSeed uint64) Option {
 	return func(c *config) error {
 		c.heapSeed, c.progSeed, c.seedsSet = heapSeed, progSeed, true
-		return nil
-	}
-}
-
-// WithImages sets k, the number of heap images per isolation round
-// (default 3, the paper's empirical sweet spot).
-func WithImages(k int) Option {
-	return func(c *config) error {
-		if k < 0 {
-			return fmt.Errorf("engine: negative image count %d", k)
-		}
-		c.images = k
 		return nil
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 
+	"exterminator/internal/atomicfile"
 	"exterminator/internal/cumulative"
 	"exterminator/internal/patch"
 )
@@ -56,15 +56,15 @@ type PatchSource interface {
 // quiesced: no run is folding into ev.History concurrently, so
 // implementations may read it freely and use its upload-watermark pair
 // (UploadDelta / MarkUploaded) to cut and acknowledge deltas — that is
-// how fleet.Sink and cluster.Sink upload incrementally, and why a
-// mid-run flush can never double-count against the post-run Commit
-// (Commit sees only what no flush acknowledged). Flush failures are
-// soft, mirroring Commit: the error lands in Result.SinkErrors and the
-// unflushed evidence rides the next flush or the final Commit.
+// how cluster.Sink uploads incrementally, and why a mid-run flush can
+// never double-count against the post-run Commit (Commit sees only what
+// no flush acknowledged). Flush failures are soft, mirroring Commit: the
+// error lands in Result.SinkErrors and the unflushed evidence rides the
+// next flush or the final Commit.
 //
 // The history's upload watermark is a single cursor: sinks that advance
 // it share it, so configure at most one watermark-advancing streaming
-// sink (fleet or cluster) per session. Sinks that only read the history
+// sink (cluster.Sink) per session. Sinks that only read the history
 // (engine.HistoryFile) compose freely.
 type StreamingSink interface {
 	EvidenceSink
@@ -93,8 +93,8 @@ func (e *SinkError) Unwrap() error { return e.Err }
 //
 // The sink is streaming: under WithFlushInterval / WithFlushEvery it
 // rewrites the file at every flush, so a crash mid-session loses at most
-// one flush interval of evidence. Writes are atomic (write-to-temp, then
-// rename): the file on disk is always a complete, decodable history.
+// one flush interval of evidence. Writes are atomic (atomicfile.Write):
+// the file on disk is always a complete, decodable history.
 func HistoryFile(path string) EvidenceSink {
 	return historyFile(path)
 }
@@ -120,20 +120,7 @@ func (h historyFile) FlushEvidence(_ context.Context, ev *Evidence) error {
 }
 
 func (h historyFile) write(ev *Evidence) error {
-	dir := filepath.Dir(string(h))
-	tmp, err := os.CreateTemp(dir, ".history-*")
-	if err != nil {
-		return fmt.Errorf("engine: save history: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := ev.History.Encode(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("engine: save history: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("engine: save history: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), string(h)); err != nil {
+	if err := atomicfile.Write(string(h), 0o600, ev.History.Encode); err != nil {
 		return fmt.Errorf("engine: save history: %w", err)
 	}
 	return nil
@@ -156,6 +143,8 @@ func LoadHistoryFile(path string) (*cumulative.History, error) {
 
 // PatchFile returns a sink that writes the session's full working patch
 // set to path in the binary .xtp format — the -patches flag, as a sink.
+// Writes are atomic (atomicfile.Write): a failed or interrupted write
+// leaves the previous file in place.
 func PatchFile(path string) EvidenceSink {
 	return patchFile(path)
 }
@@ -165,15 +154,10 @@ type patchFile string
 func (p patchFile) SinkName() string { return "patch file " + string(p) }
 
 func (p patchFile) Commit(_ context.Context, ev *Evidence) error {
-	f, err := os.Create(string(p))
-	if err != nil {
+	if err := atomicfile.Write(string(p), 0o644, ev.Result.Patches.Encode); err != nil {
 		return fmt.Errorf("engine: save patches: %w", err)
 	}
-	if err := ev.Result.Patches.Encode(f); err != nil {
-		f.Close()
-		return fmt.Errorf("engine: save patches: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // LoadPatchFile reads a patch set written by PatchFile.

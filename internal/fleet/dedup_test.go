@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"exterminator/internal/cumulative"
-	"exterminator/internal/engine"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
 
 // stampedBatch builds an upload with a content-addressed batch ID, the
-// way fleet.Sink cuts one from a history at watermark position (0, 0).
+// way cluster.Sink cuts one from a history at watermark position (0, 0).
 // The fixed lineage stands in for one history's.
 func stampedBatch(client string, s *cumulative.Snapshot) *ObservationBatch {
 	return lineageBatch(client, 1, s)
@@ -216,108 +213,4 @@ func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 			t.Errorf("%s: rejected file left %d runs behind", name, got)
 		}
 	}
-}
-
-// lossyAck wraps a handler: while lossy, requests are fully processed
-// (the server absorbs the batch) but the client receives a 500 — the
-// lost-ack failure mode exactly-once ingest exists for.
-type lossyAck struct {
-	mu    sync.Mutex
-	lossy bool
-	inner http.Handler
-}
-
-func (l *lossyAck) set(lossy bool) {
-	l.mu.Lock()
-	l.lossy = lossy
-	l.mu.Unlock()
-}
-
-func (l *lossyAck) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	l.mu.Lock()
-	lossy := l.lossy
-	l.mu.Unlock()
-	if !lossy {
-		l.inner.ServeHTTP(w, r)
-		return
-	}
-	rec := httptest.NewRecorder()
-	l.inner.ServeHTTP(rec, r)
-	http.Error(w, "ack lost", http.StatusInternalServerError)
-}
-
-// TestSinkExactlyOnceAfterLostAck: the sink's first upload is absorbed
-// but the ack is lost; the retried commit re-sends the identical batch,
-// the server dedups it, and the fleet counts the evidence exactly once.
-func TestSinkExactlyOnceAfterLostAck(t *testing.T) {
-	srv := NewServer(ServerOptions{CorrectEvery: -1})
-	la := &lossyAck{inner: srv.Handler(), lossy: true}
-	ts := httptest.NewServer(la)
-	defer ts.Close()
-
-	sink := NewSink(NewClient(ts.URL, "lossy"))
-	hist := cumulative.NewHistory(cumulative.DefaultConfig())
-	hist.Absorb(smallSnapshot(4, 0x500, 0x501))
-	ev := &engine.Evidence{History: hist}
-
-	if err := sink.Commit(context.Background(), ev); err == nil {
-		t.Fatal("commit with a lost ack must report the failure")
-	}
-	if got := srv.Store().Runs(); got != 4 {
-		t.Fatalf("server should have absorbed the batch despite the lost ack: runs = %d", got)
-	}
-	// The watermark must NOT have advanced: the sink has no proof of
-	// delivery, so the evidence stays pending.
-	if d := hist.UploadDelta(); cumulative.DeltaEmpty(d) {
-		t.Fatal("watermark advanced on an unacknowledged upload")
-	}
-
-	la.set(false)
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatalf("retry commit: %v", err)
-	}
-	if got := srv.Store().Runs(); got != 4 {
-		t.Fatalf("lost-ack retry double-counted: runs = %d, want 4", got)
-	}
-	if got := srv.Store().Batches(); got != 1 {
-		t.Fatalf("batches = %d, want 1 (retry deduped, not re-absorbed)", got)
-	}
-	if d := hist.UploadDelta(); !cumulative.DeltaEmpty(d) {
-		t.Fatalf("watermark incomplete after acknowledged retry: %+v", d)
-	}
-
-	// New evidence after the recovery flows as a fresh batch.
-	hist.Absorb(smallSnapshot(1, 0x502))
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Store().Runs(); got != 5 {
-		t.Fatalf("follow-up delta lost: runs = %d, want 5", got)
-	}
-}
-
-// TestSinkFreshHistoriesUnderOneIDBothCount is the batch-ID collision
-// regression: two fresh sessions of one installation id cut the same
-// first delta — watermark position (0, 0), identical content. Their
-// histories' lineages differ, so their batch IDs differ, and the server
-// absorbs both. Without the lineage the second upload would be
-// acknowledged as a duplicate of the first and its runs lost.
-func TestSinkFreshHistoriesUnderOneIDBothCount(t *testing.T) {
-	// The subtest is named for the wire the uploads ride.
-	t.Run("v2", func(t *testing.T) {
-		srv := NewServer(ServerOptions{CorrectEvery: -1})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		for session := 0; session < 2; session++ {
-			c := NewClient(ts.URL, "install-1")
-			hist := cumulative.NewHistory(cumulative.DefaultConfig())
-			hist.Absorb(smallSnapshot(3, 0x600, 0x601))
-			if err := NewSink(c).Commit(context.Background(), &engine.Evidence{History: hist}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := srv.Store().Runs(); got != 6 {
-			t.Fatalf("runs = %d, want 6: the second session's upload was deduped against the first", got)
-		}
-	})
 }

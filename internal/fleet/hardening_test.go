@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"exterminator/internal/cumulative"
-	"exterminator/internal/engine"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
@@ -370,46 +369,5 @@ func TestDisableCorrectionSuppressesEveryDerivationPath(t *testing.T) {
 	ref.Correct()
 	if ref.PatchLog().Len() == 0 {
 		t.Fatal("reference server did not patch — evidence too weak for this test")
-	}
-}
-
-// TestSinkUploadsDeltaOnly is the -resume-history + -fleet dedup test at
-// the sink level: committing the same history twice must not double the
-// server's evidence.
-func TestSinkUploadsDeltaOnly(t *testing.T) {
-	srv := NewServer(ServerOptions{CorrectEvery: -1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	hist := cumulative.NewHistory(cumulative.DefaultConfig())
-	hist.Absorb(evidenceBatch(0x42))
-
-	sink := NewSink(NewClient(ts.URL, "dedup"))
-	ev := &engine.Evidence{History: hist}
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Store().Runs(); got != 2 {
-		t.Fatalf("first commit: runs = %d, want 2", got)
-	}
-
-	// Second commit with nothing new: nothing uploaded.
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Store().Runs(); got != 2 {
-		t.Fatalf("re-commit double-counted: runs = %d, want 2", got)
-	}
-	if got := srv.Store().Batches(); got != 1 {
-		t.Fatalf("re-commit sent a batch: %d", got)
-	}
-
-	// New evidence: only the delta goes up.
-	hist.Absorb(evidenceBatch(0x43))
-	if err := sink.Commit(context.Background(), ev); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Store().Runs(); got != 4 {
-		t.Fatalf("delta commit: runs = %d, want 4", got)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"exterminator/internal/patch"
 	"exterminator/internal/telemetry"
-	"exterminator/internal/triage"
 )
 
 // PatchLog is the versioned patch store behind GET /v1/patches. Every
@@ -221,16 +220,4 @@ func (l *PatchLog) Handler(logger *slog.Logger, requests, notModified *telemetry
 			"since", since, "version", version, "entries", ps.Len(), "requestId", reqID)
 		writePatchSet(w, r, wire)
 	})
-}
-
-// PassTriage runs one triage pass fed with in plus the entries added to
-// log after version *seen, and advances *seen to the version it read. It
-// is how every correction pass (Server.Correct and the cluster
-// coordinator's) feeds its triage engine the patch-log delta; callers
-// serialize the passes that share a cursor.
-func PassTriage(eng *triage.Engine, log *PatchLog, seen *uint64, in triage.PassInput) {
-	if log.Version() != *seen {
-		in.Patches, *seen = log.Since(*seen)
-	}
-	eng.Pass(in)
 }

@@ -472,11 +472,11 @@ func TestEvictRetriagesFromScratch(t *testing.T) {
 	srv := build()
 	srv.Correct()
 	srv.Evict("drain-0", []site.ID{0xFEED}, false)
-	if srv.retriage.Load() {
+	if srv.corrector.full.Load() {
 		t.Fatal("a drain that removed no evidence key forced a full pass")
 	}
 	srv.Evict("drain-1", drained, false)
-	if !srv.retriage.Load() {
+	if !srv.corrector.full.Load() {
 		t.Fatal("a drain that removed evidence keys left the next pass incremental")
 	}
 	srv.Correct()

@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -21,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"exterminator/internal/atomicfile"
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
@@ -108,18 +108,11 @@ type Server struct {
 	log    *PatchLog
 	triage *triage.Engine // nil in partition mode
 
+	corrector    *Corrector
 	correctEvery int
 	noCorrect    bool
 	maxBody      int64
 	pending      atomic.Int64 // batches since the last correction pass
-	correctMu    sync.Mutex   // serializes correction passes
-	corrections  atomic.Int64
-	// triagedVersion is the patch-log version the triage engine has
-	// seen (guarded by correctMu). retriage asks the next pass to hand
-	// triage every candidate: after a snapshot restore, and after an
-	// eviction removed evidence keys.
-	triagedVersion uint64
-	retriage       atomic.Bool
 
 	token   string
 	limiter *rateLimiter
@@ -176,12 +169,11 @@ type serverMetrics struct {
 	evictions    *telemetry.Counter
 	corrections  *telemetry.Counter
 	ingestSec    *telemetry.Histogram
-	identifySec  *telemetry.Histogram
 	correctSec   *telemetry.Histogram
 }
 
 // register instruments the server into reg: the ingest counter set, the
-// identify/correct latency histograms, and scrape-time gauges over the
+// correction-pass latency histogram, and scrape-time gauges over the
 // live store/journal/patch-log state.
 func (m *serverMetrics) register(reg *telemetry.Registry, s *Server) {
 	m.batches = reg.Counter("fleet_ingest_batches_total",
@@ -208,8 +200,6 @@ func (m *serverMetrics) register(reg *telemetry.Registry, s *Server) {
 		"Completed correction passes.")
 	m.ingestSec = reg.Histogram("fleet_ingest_seconds",
 		"POST /v1/observations handling latency in seconds.", nil)
-	m.identifySec = reg.Histogram("fleet_identify_seconds",
-		"Incremental Bayesian identify latency per correction pass, in seconds.", nil)
 	m.correctSec = reg.Histogram("fleet_correct_seconds",
 		"Whole correction-pass latency (identify + patch fold + triage), in seconds.", nil)
 	reg.GaugeFunc("fleet_dirty_keys",
@@ -287,6 +277,7 @@ func NewServer(opts ServerOptions) *Server {
 	}
 	s.logger = s.logger.With("component", "fleet")
 	s.metrics.register(s.reg, s)
+	s.corrector = NewCorrector(s.log, s.triage, s.logger, s.metrics.corrections, s.metrics.correctSec)
 	s.reports = NewReports(opts.MaxReports, s.maxBody, s.triage, s.authorize)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/observations", s.handleObservations)
@@ -322,12 +313,10 @@ func (s *Server) Store() *Store { return s.store }
 // PatchLog exposes the versioned patch log.
 func (s *Server) PatchLog() *PatchLog { return s.log }
 
-// Correct runs one correction pass: rerun the Bayesian test over the
-// sharded store, fold any derived patches into the versioned log, and
-// feed the triage engine what the pass changed. It returns the current
-// version and whether it changed. Passes are incremental — only sites
-// whose evidence changed since the previous pass are rescored
-// (Store.Identify) and only their clusters re-triaged — and serialize;
+// Correct runs one correction pass (see Corrector) over the sharded
+// store. It returns the current version and whether it changed. Passes
+// are incremental — only sites whose evidence changed since the previous
+// pass are rescored and only their clusters re-triaged — and serialize;
 // ingest is never blocked by a running pass.
 func (s *Server) Correct() (uint64, bool) {
 	if s.noCorrect {
@@ -336,41 +325,10 @@ func (s *Server) Correct() (uint64, bool) {
 		// no caller can accidentally publish partition-local patches.
 		return s.log.Version(), false
 	}
-	s.correctMu.Lock()
-	defer s.correctMu.Unlock()
-	start := time.Now()
-	defer s.metrics.correctSec.ObserveSince(start)
-	s.pending.Store(0)
-	s.corrections.Add(1)
-	s.metrics.corrections.Inc()
-	// A full triage pass must carry every candidate, so its identify
-	// pass rescores every key.
-	full := s.retriage.Swap(false)
-	if full {
-		s.store.Invalidate()
-	}
-	identifyStart := time.Now()
-	//extlint:ignore lockio correctMu exists to serialize whole correction passes; the elastic identify pool's WaitGroup joins CPU-bound stripe scorers, not IO, and the serial pass held the lock for the same work
-	findings, in := s.store.Identify()
-	s.metrics.identifySec.ObserveSince(identifyStart)
-	changed := false
-	if findings.Empty() {
-		s.logger.Debug("correction pass: no findings",
-			"version", s.log.Version(), "durationSec", time.Since(start).Seconds())
-	} else {
-		var v uint64
-		if v, changed = s.log.Fold(findings.Patches()); changed {
-			s.logger.Info("correction pass derived patches",
-				"version", v, "patchEntries", s.log.Len(), "durationSec", time.Since(start).Seconds())
-		}
-	}
-	// Triage rides the correction pass: the rescored candidates and the
-	// patch-log entries added since the previous pass. Still under
-	// correctMu, so passes (and their lifecycle transitions) stay
-	// serialized.
-	in.Full = full
-	PassTriage(s.triage, s.log, &s.triagedVersion, in)
-	return s.log.Version(), changed
+	return s.corrector.Correct(func(bool) *Store {
+		s.pending.Store(0)
+		return s.store
+	})
 }
 
 // Triage exposes the triage engine (nil in partition mode).
@@ -663,7 +621,7 @@ func (s *Server) Evict(token string, keys []site.ID, counters bool) (snap *cumul
 	snap = s.store.Extract(keys)
 	if len(snap.Overflow)+len(snap.Dangling) > 0 {
 		// The drained evidence keys' triage members are gone with them.
-		s.retriage.Store(true)
+		s.corrector.MarkFull()
 	}
 	switch {
 	case counters:
@@ -813,7 +771,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Reports:     s.reports.Seen(),
 		PatchLen:    s.log.Len(),
 		UptimeSec:   int64(time.Since(s.start).Seconds()),
-		Corrections: s.corrections.Load(),
+		Corrections: s.corrector.Passes(),
 		RateLimited: s.limited.Load(),
 		DirtyKeys:   s.store.DirtyKeys(),
 		Deduped:     s.deduped.Load(),
@@ -968,8 +926,8 @@ type fleetSnapState struct {
 }
 
 // SaveSnapshot writes the combined evidence store, the dedup window, the
-// required ring version and the evict cache to path (write-to-temp, then
-// rename, so a crash mid-write never corrupts the previous snapshot).
+// required ring version and the evict cache to path (atomicfile.Write,
+// so a crash mid-write never corrupts the previous snapshot).
 // The whole state is captured under deltaMu held exclusively, so the
 // dedup IDs correspond exactly to the evidence: no batch can slip
 // between the two captures, which is what makes restore-and-retry
@@ -985,20 +943,10 @@ func (s *Server) SaveSnapshot(path string) error {
 	}
 	s.deltaMu.Unlock()
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".fleet-snap-*")
-	if err != nil {
+	if err := atomicfile.Write(path, 0o600, func(w io.Writer) error { return writeFleetSnapshot(w, st) }); err != nil {
 		return fmt.Errorf("fleet: snapshot: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if err := writeFleetSnapshot(tmp, st); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: snapshot: %w", err)
-	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
 
 // LoadSnapshot restores evidence (and the dedup window) from a snapshot
@@ -1032,7 +980,7 @@ func (s *Server) LoadSnapshot(path string) error {
 	s.journal.invalidate()
 	s.deltaMu.Unlock()
 	// The warm-up pass hands triage the complete candidate set.
-	s.retriage.Store(true)
+	s.corrector.MarkFull()
 	s.Correct()
 	return nil
 }

@@ -9,10 +9,12 @@ import (
 	"exterminator/internal/triage"
 )
 
-// Store is the server-side evidence pool: cumulative-mode histories
-// sharded by call site across mutex-striped partitions. Concurrent
-// ingests touching different shards never contend; ingests touching the
-// same shard serialize on that shard's lock only.
+// Store is the evidence pool a correction pass (Corrector) runs over:
+// cumulative-mode histories sharded by call site across mutex-striped
+// partitions. Concurrent ingests touching different shards never
+// contend; ingests touching the same shard serialize on that shard's
+// lock only. The cluster coordinator keeps its merged evidence in a
+// one-stripe Store.
 //
 // Overflow evidence stripes by allocation site; dangling evidence, pad
 // hints and deferral hints stripe by the (allocation-side) site of their
@@ -251,6 +253,19 @@ func (st *Store) Combined() *cumulative.History {
 // across shards, so the concatenation is exactly what an unsharded
 // history would have rescored.
 func (st *Store) Identify() (*cumulative.Findings, triage.PassInput) {
+	if len(st.shards) == 1 {
+		// One stripe holds the whole pool (the coordinator's merged
+		// evidence): N is read and every key scored under one hold, so a
+		// delta folded in mid-pass cannot pair fresh observations with a
+		// stale N.
+		sh := &st.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		in := triage.PassInput{Threshold: sh.hist.Threshold()}
+		f := sh.hist.Identify()
+		in.Overflows, in.Danglings = sh.hist.Rescored()
+		return f, in
+	}
 	n := st.Sites()
 	f := &cumulative.Findings{}
 	in := triage.PassInput{Threshold: st.cfg.C*float64(n) - 1}

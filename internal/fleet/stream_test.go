@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"exterminator/internal/engine"
+	"exterminator/internal/fleet"
 	"exterminator/internal/mutator"
 	"exterminator/internal/testutil"
 )
@@ -43,12 +44,12 @@ func (p *flushOnRun) Run(e *mutator.Env) {
 // exactly the remainder, never double-counting what was flushed.
 func TestSessionStreamsToLiveFleetMidRun(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	client := NewClient(ts.URL, "live")
-	sink := NewSink(client)
+	client := fleet.NewClient(ts.URL, "live")
+	sink := singleFleetdSink(t, ts.URL, "live")
 
 	// The observer probes the server the moment the flush is
 	// acknowledged: the session is mid-run (its trigger run is blocked
@@ -60,6 +61,7 @@ func TestSessionStreamsToLiveFleetMidRun(t *testing.T) {
 		mu         sync.Mutex
 		midRunRuns int64
 		midRunSeen bool
+		flushes    int
 	)
 	obs := engine.ObserverFunc(func(ev engine.Event) {
 		if _, ok := ev.(engine.EvidenceFlushed); !ok {
@@ -67,6 +69,7 @@ func TestSessionStreamsToLiveFleetMidRun(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
+		flushes++
 		if midRunSeen {
 			return
 		}
@@ -116,7 +119,7 @@ func TestSessionStreamsToLiveFleetMidRun(t *testing.T) {
 	if got := srv.Store().Runs(); got != total {
 		t.Fatalf("fleet holds %d runs after session end, session recorded %d", got, total)
 	}
-	if sink.Flushes() == 0 {
-		t.Fatal("sink recorded no flushes")
+	if flushes == 0 {
+		t.Fatal("the session reported no evidence flushes")
 	}
 }
