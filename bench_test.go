@@ -472,8 +472,8 @@ func BenchmarkWireDecodeV2(b *testing.B) {
 // history. Each iteration dirties ONE site with a new observation and
 // rescores. The incremental path recomputes only that site's Bayes
 // factor (cached factors cover the other ~2000), while the full-rescore
-// reference re-integrates every key — the O(sites) per correction pass
-// the cluster tier's hot path eliminates:
+// reference rescores every key — the O(sites) per correction pass the
+// cluster tier's hot path eliminates:
 //
 //	go test -bench BenchmarkIncrementalIdentify -benchtime 20x
 func BenchmarkIncrementalIdentify(b *testing.B) {
@@ -519,6 +519,37 @@ func BenchmarkIncrementalIdentify(b *testing.B) {
 			hist.IdentifyFull()
 		}
 	})
+}
+
+// The §5.1 Bayes factor of one key, in the four regimes the fleet
+// scores: small fleet-ingest keys (n = 8, 64) and a large one (n = 5,000)
+// with X drawn from [0.02, 0.62] as the benchmark's generator does, and a
+// session-sized key (n = 864) at X ≈ 1. Y follows chance (Y = 1 with
+// probability X), so every key is innocent.
+func BenchmarkBayesFactor(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		lo, hi float64
+	}{
+		{"n=8", 8, 0.02, 0.62},
+		{"n=64", 64, 0.02, 0.62},
+		{"n=864_X~1", 864, 0.95, 1},
+		{"n=5000", 5000, 0.02, 0.62},
+	} {
+		rng := xrand.New(uint64(c.n))
+		obs := make([]cumulative.Observation, c.n)
+		for i := range obs {
+			x := c.lo + (c.hi-c.lo)*rng.Float64()
+			obs[i] = cumulative.Observation{X: x, Y: rng.Bool(x)}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				cumulative.BayesFactor(obs)
+			}
+		})
+	}
 }
 
 // Cluster routing: splitting one realistic observation batch across an

@@ -8,7 +8,9 @@
 //     allocation site has a pad-table entry;
 //   - on every free it consults the deferral table for the (allocation
 //     site, deallocation site) pair and either frees immediately or
-//     pushes the pointer on a deferral priority queue.
+//     pushes the object on a deferral priority queue, which frees it
+//     when due at the site and time the program freed it, unless the
+//     program has freed it itself meanwhile.
 //
 // Patches can be reloaded at any time (the paper's on-the-fly reload
 // signal for running replicas), and the pad/deferral tables rebuild
@@ -20,16 +22,21 @@ import (
 
 	"exterminator/internal/alloc"
 	"exterminator/internal/diefast"
+	"exterminator/internal/heap"
 	"exterminator/internal/mem"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
 )
 
-// deferred is one queued deallocation.
+// deferred is one queued deallocation: the object the program freed, and
+// where and when it freed it.
 type deferred struct {
-	ptr mem.Addr
-	due uint64 // allocation clock at which to really free
-	seq int    // FIFO tie-break for equal due times
+	ptr  mem.Addr
+	id   heap.ObjectID
+	site site.ID // logical free site
+	time uint64  // logical free time
+	due  uint64  // allocation clock at which to really free
+	seq  int     // FIFO tie-break for equal due times
 }
 
 // deferralQueue is a min-heap on due time.
@@ -174,7 +181,8 @@ func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 	// object sits in the queue still shows where the program freed it.
 	m.FreeSite = freeSite
 	a.seq++
-	stdheap.Push(&a.queue, deferred{ptr: base, due: a.heap.Clock() + d, seq: a.seq})
+	now := a.heap.Clock()
+	stdheap.Push(&a.queue, deferred{ptr: base, id: m.ID, site: freeSite, time: now, due: now + d, seq: a.seq})
 	a.deferredCount++
 	a.deferredBytes += uint64(m.ReqSize) * d
 	return alloc.FreeDeferred
@@ -185,9 +193,7 @@ func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 func (a *Allocator) drain() {
 	now := a.heap.Clock()
 	for len(a.queue) > 0 && a.queue[0].due <= now {
-		d := stdheap.Pop(&a.queue).(deferred)
-		a.unaccountPad(d.ptr)
-		a.heap.Free(d.ptr, 0)
+		a.release(stdheap.Pop(&a.queue).(deferred))
 	}
 }
 
@@ -195,10 +201,21 @@ func (a *Allocator) drain() {
 // program end so heap accounting balances).
 func (a *Allocator) Flush() {
 	for len(a.queue) > 0 {
-		d := stdheap.Pop(&a.queue).(deferred)
-		a.unaccountPad(d.ptr)
-		a.heap.Free(d.ptr, 0)
+		a.release(stdheap.Pop(&a.queue).(deferred))
 	}
+}
+
+// release carries out one deferred free at the site and time the program
+// made it. If the program has since freed the object itself, the slot is
+// free or holds another object, and the entry is dropped: freeing by
+// address alone would release an innocent occupant.
+func (a *Allocator) release(d deferred) {
+	mh, slot, ok := a.heap.Diehard().Lookup(d.ptr)
+	if !ok || !mh.InUse(slot) || mh.Meta(slot).ID != d.id {
+		return
+	}
+	a.unaccountPad(d.ptr)
+	a.heap.FreeAt(d.ptr, d.site, d.time)
 }
 
 // PendingDeferrals returns the number of queued deallocations.

@@ -341,3 +341,76 @@ func TestFrontPadDoubleFreeBenign(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeferredFreeSparesSlotReuse is the injected dangling fault under its
+// patch: a premature free is deferred, the program's own later free
+// releases the object, and its slot is reused. The deferral coming due
+// must leave the slot's new occupant alone.
+func TestDeferredFreeSparesSlotReuse(t *testing.T) {
+	a := newAllocator(15)
+	ps := patch.New()
+	ps.AddDeferral(site.Pair{Alloc: 0x1, Free: 0x2}, 1000)
+	a.Reload(ps)
+
+	p, _ := a.Malloc(32, 0x1)
+	if st := a.Free(p, 0x2); st != alloc.FreeDeferred {
+		t.Fatalf("premature free = %v, want deferred", st)
+	}
+	if st := a.Free(p, 0x3); st != alloc.FreeOK {
+		t.Fatalf("program's own free = %v, want ok", st)
+	}
+	// Allocate and free until an object lands in the freed slot, well
+	// before the deferral is due.
+	reused := false
+	for i := 0; i < 500 && !reused; i++ {
+		q, _ := a.Malloc(32, 0x4)
+		if reused = q == p; !reused {
+			a.Free(q, 0x5)
+		}
+	}
+	if !reused {
+		t.Fatal("the freed slot was never reused")
+	}
+	mh, slot, _ := a.Heap().Diehard().Lookup(p)
+	occupant := mh.Meta(slot).ID
+	for a.PendingDeferrals() > 0 {
+		q, _ := a.Malloc(16, 0x6)
+		a.Free(q, 0x7)
+	}
+	if !mh.InUse(slot) || mh.Meta(slot).ID != occupant {
+		t.Fatal("drain freed the slot's new occupant")
+	}
+	if st := a.Heap().Diehard().Stats(); st.DoubleFrees != 0 || st.InvalidFrees != 0 {
+		t.Fatalf("drain counted %d double and %d invalid frees", st.DoubleFrees, st.InvalidFrees)
+	}
+}
+
+// TestDeferredFreeLogsLogicalPair: when a deferred free comes due, the
+// free log records the pair and time of the program's free, not the
+// allocator's, so evidence from a patched run lands on the real pair.
+func TestDeferredFreeLogsLogicalPair(t *testing.T) {
+	a := New(diefast.New(diefast.CumulativeConfig(0.5), xrand.New(16)))
+	ps := patch.New()
+	ps.AddDeferral(site.Pair{Alloc: 0x1, Free: 0x2}, 10)
+	a.Reload(ps)
+
+	p, _ := a.Malloc(32, 0x1)
+	mh, slot, _ := a.Heap().Diehard().Lookup(p)
+	id := mh.Meta(slot).ID
+	freedAt := a.Clock()
+	a.Free(p, 0x2)
+	for i := 0; i < 20; i++ {
+		a.Malloc(16, 0x9)
+	}
+	for _, r := range a.Heap().FreeLog() {
+		if r.ID != id {
+			continue
+		}
+		if r.AllocSite != 0x1 || r.FreeSite != 0x2 || r.FreeTime != freedAt {
+			t.Fatalf("free log records (%v, %v) at %d, want (0x1, 0x2) at %d",
+				r.AllocSite, r.FreeSite, r.FreeTime, freedAt)
+		}
+		return
+	}
+	t.Fatal("the deferred free never reached the free log")
+}

@@ -26,7 +26,8 @@
 //	P(X̄,Ȳ | H1) / P(X̄,Ȳ | H0)  >  P(H0) / P(H1),
 //
 // with prior P(H1) = 1/(cN) (c = 4, N = number of sites), a uniform prior
-// on θ_A, and the H1 likelihood integrated numerically over θ.
+// on θ_A, and the H1 likelihood integrated over θ in closed form (see
+// BayesFactor).
 //
 // Beyond the classifier, the package provides the machinery that lets
 // evidence travel: binary persistence (Encode/DecodeHistory), canonical
@@ -80,13 +81,18 @@ type History struct {
 
 	// Incremental-identify state: Bayes factors are cached per key and
 	// recomputed only for keys whose observation list changed since the
-	// last pass ("dirty"). Factors are always computed over the canonical
-	// (X, Y)-sorted order, so a cached value is exactly what a fresh
-	// recompute would produce regardless of ingest order.
+	// last pass ("dirty"). A factor depends only on the key's miss count
+	// and the sorted X values of its hits, so a cached value is exactly
+	// what a fresh recompute would produce regardless of ingest order.
 	bfOverflow map[site.ID]float64
 	bfDangling map[site.Pair]float64
 	dirtyOvf   map[site.ID]bool
 	dirtyDan   map[site.Pair]bool
+
+	// scratch is what a rescore computes its factor in, so an identify
+	// pass allocates nothing per key. Identify's callers hold the lock
+	// that guards the history, and with it the scratch.
+	scratch scorer
 
 	// rescoredOvf and rescoredDan are the candidates the most recent
 	// identify pass recomputed (see Rescored).
@@ -322,8 +328,8 @@ func (f *Findings) Empty() bool {
 // Identify runs the hypothesis test over everything recorded so far. It
 // is incremental: Bayes factors are recomputed only for keys whose
 // evidence changed since the last pass; every other key reuses its cached
-// factor (identical to a recompute — factors are deterministic functions
-// of the canonically ordered observation list). The threshold comparison
+// factor (identical to a recompute — a factor is a function of the key's
+// miss count and the sorted X values of its hits). The threshold comparison
 // itself reruns for every key because N, and hence the prior, moves.
 //
 // The keys the pass recomputed are what the triage engine consumes:
@@ -407,14 +413,14 @@ func (hist *History) Rescored() (over, dang []Candidate) {
 }
 
 // overflowFactor returns the (possibly cached) Bayes factor for one site.
-// Recomputation scores a canonically sorted copy of the observations, so
+// A recompute reads only the miss count and the sorted hit X values, so
 // the factor — and therefore every identify decision — is independent of
 // the order evidence arrived in.
 func (hist *History) overflowFactor(s site.ID, obs []Observation) float64 {
 	if v, ok := hist.bfOverflow[s]; ok && !hist.dirtyOvf[s] {
 		return v
 	}
-	v := canonicalBayesFactor(obs)
+	v := hist.scratch.factor(obs)
 	hist.bfOverflow[s] = v
 	delete(hist.dirtyOvf, s)
 	hist.rescoredOvf = append(hist.rescoredOvf, Candidate{Site: s, Bayes: v, Obs: len(obs)})
@@ -426,19 +432,11 @@ func (hist *History) danglingFactor(p site.Pair, obs []Observation) float64 {
 	if v, ok := hist.bfDangling[p]; ok && !hist.dirtyDan[p] {
 		return v
 	}
-	v := canonicalBayesFactor(obs)
+	v := hist.scratch.factor(obs)
 	hist.bfDangling[p] = v
 	delete(hist.dirtyDan, p)
 	hist.rescoredDan = append(hist.rescoredDan, Candidate{Pair: p, Bayes: v, Obs: len(obs)})
 	return v
-}
-
-// canonicalBayesFactor scores a sorted copy of obs, fixing the
-// floating-point evaluation order without mutating the history.
-func canonicalBayesFactor(obs []Observation) float64 {
-	c := append([]Observation(nil), obs...)
-	sortObs(c)
-	return BayesFactor(c)
 }
 
 func sortFindings(f *Findings) {
@@ -458,67 +456,6 @@ func sortFindings(f *Findings) {
 		}
 		return pi.Free < pj.Free
 	})
-}
-
-// BayesFactor computes P(X̄,Ȳ|H1) / P(X̄,Ȳ|H0) for a site's observations
-// (§5.1). It returns +Inf when H0 assigns probability zero to the data
-// (Y observed with X = 0).
-//
-// The ratio is evaluated as ∫₀¹ Π_i [P(Y_i|θ,X_i) / P(Y_i|H0,X_i)] dθ:
-// dividing factor by factor keeps the integrand moderate for
-// chance-consistent observations, so histories of thousands of runs
-// neither underflow L0 (which would fabricate +Inf evidence) nor
-// overflow L1.
-func BayesFactor(obs []Observation) float64 {
-	if len(obs) == 0 {
-		return 0
-	}
-	for _, o := range obs {
-		if o.Y && o.X <= 0 {
-			return math.Inf(1) // impossible under H0
-		}
-	}
-	return integrateRatio(obs)
-}
-
-// integrateRatio evaluates the Bayes factor with Simpson's rule. Under
-// θ, P(Y_i = 1) = (1−θ)X_i + θ; under H0, P(Y_i = 1) = X_i.
-func integrateRatio(obs []Observation) float64 {
-	const steps = 512 // even
-	const eps = 1e-12
-	g := func(theta float64) float64 {
-		r := 1.0
-		for _, o := range obs {
-			x := o.X
-			if x < eps {
-				x = eps
-			}
-			if x > 1-eps {
-				x = 1 - eps
-			}
-			py := (1-theta)*x + theta
-			if o.Y {
-				r *= py / x
-			} else {
-				r *= (1 - py) / (1 - x)
-			}
-			if math.IsInf(r, 1) {
-				return r // genuinely overwhelming evidence
-			}
-		}
-		return r
-	}
-	h := 1.0 / steps
-	sum := g(0) + g(1)
-	for i := 1; i < steps; i++ {
-		x := float64(i) * h
-		if i%2 == 1 {
-			sum += 4 * g(x)
-		} else {
-			sum += 2 * g(x)
-		}
-	}
-	return sum * h / 3
 }
 
 // Candidate is one key's score as of the identify pass that rescored it:

@@ -12,12 +12,12 @@ import (
 // — the fleet aggregation service (internal/fleet) JSON-encodes Snapshots on
 // the wire — without exposing History's internals or its invariants.
 //
-// Canonical ordering matters beyond determinism of the encoding: observation
-// lists are sorted by (X, Y), which makes every downstream float computation
-// (BayesFactor multiplies factors in slice order) independent of the order
-// in which contributions arrived. Observations are exchangeable under the
-// §5.1 model, so sorting does not change their meaning — only fixes the
-// floating-point evaluation order.
+// Observation lists are sorted by (X, Y), so a snapshot's contents depend
+// only on the multiset of observations, not on the order in which
+// contributions arrived. Observations are exchangeable under the §5.1
+// model, so sorting does not change their meaning. (BayesFactor is order
+// independent on its own: it reads a key's miss count and the sorted X
+// values of its hits.)
 type Snapshot struct {
 	// Lineage is the uploading history's lineage (set by UploadDelta,
 	// zero otherwise). It is not on the wire: uploaders fold it into the

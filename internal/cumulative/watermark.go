@@ -170,10 +170,6 @@ func (hist *History) MarkUploaded(delta *Snapshot) {
 	}
 }
 
-// UploadedRuns returns the number of runs already covered by the
-// watermark (diagnostics).
-func (hist *History) UploadedRuns() int { return hist.uploaded.runs }
-
 // UploadedCounts summarizes the watermark position as two scalars: the
 // total run-counter movement covered (runs + failed + corrupt) and the
 // total number of observations covered across every key. Together with

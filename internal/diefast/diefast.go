@@ -209,11 +209,17 @@ func (h *Heap) Malloc(size int, allocSite site.ID) (mem.Addr, error) {
 // probabilistically canary it, and verify the canaries of both physically
 // adjacent slots if they are free.
 func (h *Heap) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
+	return h.FreeAt(ptr, freeSite, h.Clock())
+}
+
+// FreeAt is Free with the free time given, for a free the program made
+// earlier (a deferred free); the free log records that time.
+func (h *Heap) FreeAt(ptr mem.Addr, freeSite site.ID, freeTime uint64) alloc.FreeStatus {
 	mh, slot, ok := h.dh.Lookup(ptr)
 	if !ok {
-		return h.dh.Free(ptr, freeSite) // counts the invalid free
+		return h.dh.FreeAt(ptr, freeSite, freeTime) // counts the invalid free
 	}
-	st := h.dh.Free(ptr, freeSite)
+	st := h.dh.FreeAt(ptr, freeSite, freeTime)
 	if st != alloc.FreeOK {
 		return st
 	}

@@ -210,6 +210,13 @@ func (h *Heap) Lookup(ptr mem.Addr) (*heap.Miniheap, int, bool) {
 // Free releases ptr. Invalid and double frees are detected and ignored
 // (paper §2, Table 1).
 func (h *Heap) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
+	return h.FreeAt(ptr, freeSite, h.clock)
+}
+
+// FreeAt is Free with the free time given: a free the program made
+// earlier and the allocator carries out now records when the program
+// made it.
+func (h *Heap) FreeAt(ptr mem.Addr, freeSite site.ID, freeTime uint64) alloc.FreeStatus {
 	mh, slot, ok := h.Lookup(ptr)
 	if !ok {
 		h.stats.NoteFree(alloc.FreeInvalid, 0)
@@ -227,7 +234,7 @@ func (h *Heap) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 	}
 	h.classes[mh.Class].inUse--
 	m.FreeSite = freeSite
-	m.FreeTime = h.clock
+	m.FreeTime = freeTime
 	h.stats.NoteFree(alloc.FreeOK, int(m.ReqSize))
 	return alloc.FreeOK
 }

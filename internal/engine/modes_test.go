@@ -204,6 +204,27 @@ func TestCumulativeIdentifiesInjectedDangling(t *testing.T) {
 	t.Logf("identified after %d runs, %d failures (paper: 22–34 runs, ~15 failures)", res.Runs, res.Failures)
 }
 
+// TestDeferralPatchStopsDanglingFailures: the deferral cumulative mode
+// derives for espresso's injected dangling fault (allocation 2180, victim
+// seed 146) must stop the fault's failures. The fault is a premature free
+// followed by the program's own free; a deferred free that came due after
+// the slot was reused used to release the new occupant, and a few percent
+// of patched runs still failed.
+func TestDeferralPatchStopsDanglingFailures(t *testing.T) {
+	fault := WithHook(func() mutator.Hook {
+		return inject.New(inject.Plan{Kind: inject.Dangling, TriggerAlloc: 2180, Seed: 146})
+	})
+	found := runSession(t, Batch(espresso()), ModeCumulative, 977, WithMaxRuns(80), fault)
+	if len(found.Derived.Deferrals) == 0 {
+		t.Fatalf("no deferral derived: %s", found.Derived)
+	}
+	patched := runSession(t, Batch(espresso()), ModeCumulative, 4242, WithMaxRuns(300),
+		WithPatches(found.Patches), fault).Cumulative
+	if patched.Runs != 300 || patched.Failures != 0 {
+		t.Fatalf("%d of %d patched runs failed under %s", patched.Failures, patched.Runs, found.Patches)
+	}
+}
+
 func TestCumulativeMozilla(t *testing.T) {
 	// The Mozilla case study (§7.2): nondeterministic workload, cumulative
 	// mode, immediate-trigger scenario.

@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"exterminator/internal/cumulative"
+	"exterminator/internal/site"
+	"exterminator/internal/xrand"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -223,6 +227,91 @@ func TestTheorem2WithinBound(t *testing.T) {
 	if res.Rates[3] > res.Rates[0] {
 		t.Error("miss rate not decreasing in k")
 	}
+}
+
+// falsePatches simulates fleets whose every key is innocent: each run
+// gives each of keys keys one observation with X drawn by x and Y = 1 with
+// probability X (H0), the prior's N is sites, and an identify pass runs
+// every `every` runs. It returns the mean, over fleets, of the keys whose
+// Bayes factor ever exceeded cN − 1 at a pass: the fleet's false patches.
+// Keys are overflow sites unless dangling is set, when they are
+// (alloc, free) pairs over the sites' allocation sides.
+func falsePatches(fleets, sites, keys, runs, every int, dangling bool, x func(*xrand.RNG) float64) float64 {
+	total := 0
+	for f := 0; f < fleets; f++ {
+		rng := xrand.New(uint64(f) + 1)
+		hist := cumulative.NewHistory(cumulative.DefaultConfig())
+		ids := make([]site.ID, sites)
+		for i := range ids {
+			ids[i] = site.ID(0x1000 + i)
+		}
+		hist.Absorb(&cumulative.Snapshot{C: 4, P: 0.5, Sites: ids})
+		ever := map[cumulative.Candidate]bool{}
+		for r := 1; r <= runs; r++ {
+			snap := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 1}
+			for k := 0; k < keys; k++ {
+				xv := x(rng)
+				obs := []cumulative.Observation{{X: xv, Y: rng.Bool(xv)}}
+				if dangling {
+					snap.Dangling = append(snap.Dangling, cumulative.PairObservations{
+						Alloc: ids[k%sites], Free: site.ID(0x2000 + k/sites), Obs: obs})
+				} else {
+					snap.Overflow = append(snap.Overflow, cumulative.SiteObservations{Site: ids[k], Obs: obs})
+				}
+			}
+			hist.Absorb(snap)
+			if r%every != 0 {
+				continue
+			}
+			hist.Identify()
+			over, dang := hist.Rescored()
+			for _, c := range append(over, dang...) {
+				if c.Bayes > hist.Threshold() {
+					ever[cumulative.Candidate{Site: c.Site, Pair: c.Pair}] = true
+				}
+			}
+		}
+		total += len(ever)
+	}
+	return float64(total) / float64(fleets)
+}
+
+// TestFleetFalsePatchesWithinBound: pooling evidence across a fleet must
+// not pile up false patches. Under H0 each observation's likelihood ratio
+// has expectation 1, so a key's running Bayes factor is a nonnegative
+// martingale, and by Ville's inequality it ever exceeds cN − 1 with
+// probability at most 1/(cN − 1), however many runs are pooled. For K
+// innocent overflow sites (N = K) the mean number of sites a fleet ever
+// patches is therefore at most K/(cK − 1).
+//
+// Dangling keys are (alloc, free) pairs, which the prior's N does not
+// count: K pairs over N sites are bounded only by K/(cN − 1). The subtest
+// measures that regime (150 pairs over 12 sites, as in dangling-cum)
+// against its bound.
+func TestFleetFalsePatchesWithinBound(t *testing.T) {
+	const c = 4
+	t.Run("overflow", func(t *testing.T) {
+		const fleets, sites, runs, every = 50, 50, 300, 10
+		mean := falsePatches(fleets, sites, sites, runs, every, false, func(r *xrand.RNG) float64 {
+			return 0.02 + 0.6*r.Float64()
+		})
+		bound := float64(sites) / (c*sites - 1)
+		t.Logf("%d fleets of %d innocent sites, %d runs: %.3f false patches per fleet (bound %.3f)", fleets, sites, runs, mean, bound)
+		if mean > bound {
+			t.Errorf("mean false patches %.3f exceed the Ville bound %.3f", mean, bound)
+		}
+	})
+	t.Run("dangling", func(t *testing.T) {
+		const fleets, sites, pairs, runs, every = 20, 12, 150, 100, 10
+		mean := falsePatches(fleets, sites, pairs, runs, every, true, func(r *xrand.RNG) float64 {
+			return 1 - 1/float64(int(2)<<r.Intn(4)) // 1 − (1−p)^m, p = 1/2, m = 1..4
+		})
+		bound := float64(pairs) / (c*sites - 1)
+		t.Logf("%d fleets of %d innocent pairs over %d sites, %d runs: %.3f false patches per fleet (bound %.3f)", fleets, pairs, sites, runs, mean, bound)
+		if mean > bound {
+			t.Errorf("mean false patches %.3f exceed the Ville bound %.3f", mean, bound)
+		}
+	})
 }
 
 func TestTheorem3MatchesTheory(t *testing.T) {

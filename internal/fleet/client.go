@@ -10,7 +10,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -152,9 +151,6 @@ func (c *Client) rotateFrom(failed string) {
 		c.active = (c.active + 1) % len(c.bases)
 	}
 }
-
-// SetHTTPClient swaps the underlying HTTP client (tests, custom timeouts).
-func (c *Client) SetHTTPClient(hc *http.Client) { c.hc = hc }
 
 // SetLogger attaches a structured logger; by default the client is
 // silent. Each rate-limited retry is logged with the attempt count, the
@@ -390,23 +386,6 @@ func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage
 		return nil, fmt.Errorf("fleet: get triage (request %s): %w", reqID, err)
 	}
 	return &rr, nil
-}
-
-// TriageCluster fetches one cluster's detail (GET /v1/triage/{cluster}).
-func (c *Client) TriageCluster(ctx context.Context, id string) (*triage.ClusterDetail, error) {
-	resp, reqID, err := c.get(ctx, "/v1/triage/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: get triage cluster (request %s): %w", reqID, err)
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get triage cluster (request "+reqID+")", resp)
-	}
-	var d triage.ClusterDetail
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		return nil, fmt.Errorf("fleet: get triage cluster (request %s): %w", reqID, err)
-	}
-	return &d, nil
 }
 
 // Deltas polls the server's evidence journal: everything absorbed after

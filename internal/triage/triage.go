@@ -347,16 +347,6 @@ func (e *Engine) RecordFrames(id site.ID, frames []uint64) {
 	e.mu.Unlock()
 }
 
-// FramesKnown reports how many sites have recorded stacks.
-func (e *Engine) FramesKnown() int {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.frames)
-}
-
 // Pass folds what changed since the previous pass into the clusters it
 // touches, advances lifecycles that are due, re-ranks and arms alerts.
 // Given every pass's changes, the result equals a pass over the full
