@@ -868,7 +868,7 @@ func BenchmarkReplicaPatchFanout(b *testing.B) {
 		snap.Overflow = append(snap.Overflow, cumulative.SiteObservations{Site: id, Obs: obs})
 		snap.PadHints = append(snap.PadHints, cumulative.PadHint{Site: id, Pad: 16})
 	}
-	if _, err := fleet.NewClient(partTS.URL, "bench").PushBatchContext(ctx, &fleet.ObservationBatch{
+	if _, err := fleet.NewClient(partTS.URL, "bench").PushBatchContext(ctx, &codec.Batch{
 		Snapshot: snap,
 		BatchID:  codec.BatchID("bench", 1, 0, 0, snap),
 	}); err != nil {

@@ -138,7 +138,7 @@ func runClient(id int, base string) clientResult {
 		}
 		up := hist.UploadDelta()
 		wmRuns, wmObs := hist.UploadedCounts()
-		batch := &fleet.ObservationBatch{
+		batch := &codec.Batch{
 			Snapshot: up,
 			BatchID:  codec.BatchID(c.ID(), up.Lineage, wmRuns, wmObs, up),
 		}

@@ -50,7 +50,7 @@ var LockOrder = []LockRank{
 	{Class: "triage.Engine.mu", Doc: "triage cluster table and rankings; taken by correction passes (under the pass lock) and /v1/triage reads"},
 	{Class: "triage.Alerter.mu", Doc: "webhook exactly-once state: fired records and pending queue; armed under Engine.mu, drained lock-free of it — delivery POSTs hold no lock"},
 	// —— storage leaves ——
-	{Class: "fleet.Store.clientMu", Doc: "per-client run-counter ownership"},
+	{Class: "fleet.Store.clientMu", Doc: "distinct installation-ID set behind the clients statistic (NoteClient, Clients)"},
 	{Class: "fleet.storeShard.mu", Doc: "one evidence shard of the mutex-striped store"},
 	{Class: "fleet.journal.mu", Doc: "evidence journal append/window/cursor state"},
 	{Class: "fleet.PatchLog.mu", Doc: "versioned patch log: set, delta window, version and epoch; GET /v1/patches checks its ETag and builds the answer under the read lock, and writes after release"},

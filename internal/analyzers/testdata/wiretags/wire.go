@@ -13,6 +13,7 @@ type Msg struct {
 	Embedded
 	ID      string `json:"id"`
 	Name    string `json:"name"`
+	Items   []int  `json:"items"` // documented in its array form, `items[]`
 	NoTag   string // want `exported field NoTag has no explicit json tag`
 	Empty   string `json:",omitempty"` // want `json tag with an empty name`
 	Dup     string `json:"id"`         // want `duplicate json tag "id"`
@@ -27,18 +28,4 @@ type NotWire struct {
 	B int
 }
 
-// V2Msg opts into binary v2 field IDs: every wire field must then carry
-// a positive, unique, documented ID, and json:"-" fields must not.
-type V2Msg struct {
-	ID      string `json:"id" v2:"1"`
-	Name    string `json:"name" v2:"2"`
-	Late    string `json:"base"`            // want `declares v2 field IDs but field Late has none`
-	Bad     string `json:"items" v2:"zero"` // want `v2 tag "zero" on field Bad is not a positive integer`
-	DupID   string `json:"dup" v2:"1"`      // want `duplicate v2 field ID 1`
-	Ghost   string `json:"-" v2:"9"`        // want `excluded from the wire format \(json:"-"\) but carries a v2 field ID`
-	Undoc   string `json:"undoc" v2:"7"`    // want `v2 field ID 7 is not documented`
-	private string
-}
-
 var _ = Msg{}.private
-var _ = V2Msg{}.private

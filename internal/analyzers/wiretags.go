@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 )
 
@@ -22,13 +21,13 @@ type WiretagsConfig struct {
 }
 
 // DefaultWiretagsConfig returns the repository configuration: wire
-// structs live in internal/fleet, internal/cluster and internal/triage;
-// schemas are specified in docs/PROTOCOL.md, and the /v1/status reply
-// fields in the docs/OPERATIONS.md field reference PROTOCOL.md points
-// at.
+// structs live in internal/fleet, internal/fleet/codec,
+// internal/cluster and internal/triage; schemas are specified in
+// docs/PROTOCOL.md, and the /v1/status reply fields in the
+// docs/OPERATIONS.md field reference PROTOCOL.md points at.
 func DefaultWiretagsConfig() WiretagsConfig {
 	return WiretagsConfig{
-		WirePkgSuffixes: []string{"internal/fleet", "internal/cluster", "internal/triage"},
+		WirePkgSuffixes: []string{"internal/fleet", "internal/fleet/codec", "internal/cluster", "internal/triage"},
 		DocFiles: []string{
 			filepath.Join("docs", "PROTOCOL.md"),
 			filepath.Join("docs", "OPERATIONS.md"),
@@ -40,20 +39,13 @@ func DefaultWiretagsConfig() WiretagsConfig {
 // (an exported struct type, in a wire package, with at least one json
 // tag) must carry an explicit json tag; names must be unique within the
 // struct and — `json:"-"` aside — documented in the protocol spec, so
-// the wire format cannot drift from docs/PROTOCOL.md silently.
-//
-// Structs that additionally participate in the binary v2 wire format
-// declare field IDs with `v2:"N"` tags. For those structs the analyzer
-// enforces the binary half of the same contract: IDs must be positive
-// integers, unique within the struct, present on every wire field of
-// the struct (a new field without an ID is exactly the silent drift the
-// format forbids), absent from `json:"-"` fields, and documented in the
-// protocol spec as `name` (v2 id N) so the spec's field-ID table cannot
-// diverge from the code.
+// the wire format cannot drift from docs/PROTOCOL.md silently. (The
+// binary v2 frames are positional; their layouts are pinned by the
+// golden frames under internal/fleet/testdata, not by tags.)
 func Wiretags(cfg WiretagsConfig) *Analyzer {
 	return &Analyzer{
 		Name: "wiretags",
-		Doc:  "check wire-struct json tags and v2 field IDs: explicit, unique, documented in the protocol spec",
+		Doc:  "check wire-struct json tags: explicit, unique, documented in the protocol spec",
 		Run: func(pass *Pass) []Diagnostic {
 			var doc string
 			docLoaded := false
@@ -114,19 +106,8 @@ func checkWireStruct(pass *Pass, pkg *Package, typeName string, st *ast.StructTy
 		return nil
 	}
 
-	// A wire struct opts into the binary v2 format by giving any field
-	// a v2 ID; from then on every wire field of the struct needs one.
-	hasV2 := false
-	for _, f := range st.Fields.List {
-		if _, ok := v2Tag(f); ok {
-			hasV2 = true
-			break
-		}
-	}
-
 	var out []Diagnostic
 	seen := make(map[string]*ast.Field)
-	seenV2 := make(map[int]*ast.Field)
 	for _, f := range st.Fields.List {
 		name, hasTag := jsonTag(f)
 
@@ -171,13 +152,6 @@ func checkWireStruct(pass *Pass, pkg *Package, typeName string, st *ast.StructTy
 			continue
 		}
 		if name == "-" {
-			if _, ok := v2Tag(f); ok {
-				out = append(out, Diagnostic{
-					Pos: f.Pos(),
-					Message: fmt.Sprintf("wire struct %s.%s: field %s is excluded from the wire format (json:\"-\") but carries a v2 field ID",
-						pkg.Types.Name(), typeName, strings.Join(exported, ", ")),
-				})
-			}
 			continue // explicitly excluded from the wire format
 		}
 		if prev, dup := seen[name]; dup {
@@ -196,48 +170,8 @@ func checkWireStruct(pass *Pass, pkg *Package, typeName string, st *ast.StructTy
 					pkg.Types.Name(), typeName, name, strings.Join(cfg.DocFiles, " or ")),
 			})
 		}
-		if hasV2 {
-			out = append(out, checkV2Tag(pass, pkg, typeName, f, name, exported, seenV2, doc, docLoaded, cfg)...)
-		}
 	}
 	return out
-}
-
-// checkV2Tag enforces the binary-format half of the wire contract on
-// one field of a struct that declares v2 field IDs.
-func checkV2Tag(pass *Pass, pkg *Package, typeName string, f *ast.Field, name string, exported []string, seenV2 map[int]*ast.Field, doc string, docLoaded bool, cfg WiretagsConfig) []Diagnostic {
-	val, ok := v2Tag(f)
-	if !ok {
-		return []Diagnostic{{
-			Pos: f.Pos(),
-			Message: fmt.Sprintf("wire struct %s.%s: declares v2 field IDs but field %s has none (add a v2:\"N\" tag; IDs are append-only)",
-				pkg.Types.Name(), typeName, strings.Join(exported, ", ")),
-		}}
-	}
-	id, err := strconv.Atoi(val)
-	if err != nil || id <= 0 {
-		return []Diagnostic{{
-			Pos: f.Pos(),
-			Message: fmt.Sprintf("wire struct %s.%s: v2 tag %q on field %s is not a positive integer field ID",
-				pkg.Types.Name(), typeName, val, strings.Join(exported, ", ")),
-		}}
-	}
-	if prev, dup := seenV2[id]; dup {
-		return []Diagnostic{{
-			Pos: f.Pos(),
-			Message: fmt.Sprintf("wire struct %s.%s: duplicate v2 field ID %d (also on field at %s)",
-				pkg.Types.Name(), typeName, id, pass.Fset.Position(prev.Pos())),
-		}}
-	}
-	seenV2[id] = f
-	if docLoaded && !strings.Contains(doc, fmt.Sprintf("`%s` (v2 id %d)", name, id)) {
-		return []Diagnostic{{
-			Pos: f.Pos(),
-			Message: fmt.Sprintf("wire struct %s.%s: v2 field ID %d is not documented as `%s` (v2 id %d) in %s",
-				pkg.Types.Name(), typeName, id, name, id, strings.Join(cfg.DocFiles, " or ")),
-		}}
-	}
-	return nil
 }
 
 // jsonTag extracts the json tag name from a field, reporting whether a
@@ -253,16 +187,6 @@ func jsonTag(f *ast.Field) (name string, ok bool) {
 	}
 	name, _, _ = strings.Cut(tag, ",")
 	return name, true
-}
-
-// v2Tag extracts the binary-format field ID tag, reporting whether a
-// v2 tag is present at all.
-func v2Tag(f *ast.Field) (val string, ok bool) {
-	if f.Tag == nil {
-		return "", false
-	}
-	raw := strings.Trim(f.Tag.Value, "`")
-	return reflect.StructTag(raw).Lookup("v2")
 }
 
 func embeddedName(t ast.Expr) *ast.Ident {

@@ -80,7 +80,7 @@ var uploads atomic.Uint64
 // pushStamped uploads s through a plain fleet client as one stamped
 // batch with its own lineage.
 func pushStamped(ctx context.Context, c *fleet.Client, s *cumulative.Snapshot) (*fleet.IngestReply, error) {
-	return c.PushBatchContext(ctx, &fleet.ObservationBatch{
+	return c.PushBatchContext(ctx, &codec.Batch{
 		Snapshot: s,
 		BatchID:  codec.BatchID(c.ID(), uploads.Add(1), 0, 0, s),
 	})

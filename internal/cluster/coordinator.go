@@ -12,6 +12,7 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/telemetry"
 	"exterminator/internal/triage"
 	"exterminator/internal/version"
@@ -117,12 +118,15 @@ type Coordinator struct {
 
 	// Failover state: the patch log's epoch stamps every patch response
 	// (it rises across failovers — clients reject anything lower than
-	// they have seen); primary gates the client-facing surface; a standby
+	// they have seen); primary gates the client-facing surface and opens
+	// only once a promotion has warmed the log (promoting keeps a second
+	// or concurrent Promote from bumping the epoch again); a standby
 	// probes the primary's lease through primaryClient and promotes
 	// itself after takeoverAfter consecutive probe failures (probeFails
 	// is touched only by the Run loop). seenPrimaryEpoch floors the epoch
 	// a promotion mints.
 	primary          atomic.Bool
+	promoting        atomic.Bool
 	holder           string
 	primaryClient    *fleet.Client
 	takeoverAfter    int
@@ -446,7 +450,7 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 	parts := c.partitionsSnapshot()
 	type result struct {
 		p     *partition
-		delta *fleet.SnapshotDelta
+		delta *codec.Delta
 		err   error
 	}
 	results := make([]result, len(parts))

@@ -9,6 +9,7 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/testutil"
 	"exterminator/internal/testutil/chaos"
@@ -151,7 +152,7 @@ func TestCoordinatorKillFailoverE2E(t *testing.T) {
 	inflight := testBatch(rng)
 	for i, target := range []string{haURL1, ctrlURL1} {
 		pc := fleet.NewClient(target, "inflight-client")
-		b := &fleet.ObservationBatch{BatchID: "e2e-inflight-0001", Snapshot: inflight}
+		b := &codec.Batch{BatchID: "e2e-inflight-0001", Snapshot: inflight}
 		first, err := pc.PushBatchContext(ctx, b)
 		if err != nil {
 			t.Fatalf("in-flight push %d: %v", i, err)

@@ -9,7 +9,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 
 	"exterminator/internal/cumulative"
@@ -147,7 +150,7 @@ func TestStandbyGatesClientSurfaceUntilPromoted(t *testing.T) {
 	if standby.Epoch() <= preEpoch {
 		t.Fatalf("promotion epoch %d did not rise above pre-promotion epoch %d", standby.Epoch(), preEpoch)
 	}
-	var w fleet.WirePatchSet
+	var w codec.PatchSet
 	getJSON(t, ts.URL+"/v1/patches?since=0", &w)
 	if w.Epoch != standby.Epoch() {
 		t.Fatalf("patch response epoch %d != coordinator epoch %d", w.Epoch, standby.Epoch())
@@ -162,6 +165,134 @@ func TestStandbyGatesClientSurfaceUntilPromoted(t *testing.T) {
 	}
 	if standby.Epoch() != epoch {
 		t.Fatalf("second Promote moved the epoch %d -> %d", epoch, standby.Epoch())
+	}
+}
+
+// TestStandbyStaysGatedWhilePromoting: Promote opens the lease gate only
+// after the epoch bump, the rebalance re-drive and the warm-up pass. A
+// promotion held inside the re-drive of an unfinished plan (at its
+// "announced" point) still answers 503 on the client surface, so a
+// replica that fails over to the standby meanwhile keeps the version and
+// entries it had instead of resyncing to the standby's empty log.
+func TestStandbyStaysGatedWhilePromoting(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	_, partURL := haPartition(t, cfg)
+	_, spareURL := haPartition(t, cfg)
+	feedCluster(t, ctx, 31, 8, partURL)
+
+	primary, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primaryTS := httptest.NewServer(primary.Handler())
+	defer primaryTS.Close()
+	if _, err := primary.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := chaos.NewProxy(primaryTS.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	// The old primary died mid-rebalance: the shared journal holds a plan
+	// that never finished, which the promotion must re-drive.
+	journal := filepath.Join(t.TempDir(), "rebalance.journal")
+	begin, err := json.Marshal(rebalRecord{Op: "begin", Version: 2, Old: []string{partURL}, New: []string{partURL, spareURL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, append(begin, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	standby, err := NewCoordinator(CoordinatorOptions{
+		Partitions: []string{partURL}, Config: cfg, Standby: true, RebalanceJournal: journal,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	standbyTS := httptest.NewServer(standby.Handler())
+	defer standbyTS.Close()
+	if _, err := standby.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{proxy.URL(), standbyTS.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before, entries := rep.Status(), rep.log.Len()
+	if before.ReplicaVersion == 0 || entries == 0 {
+		t.Fatalf("replica mirrors version %d with %d entries; the primary derived nothing", before.ReplicaVersion, entries)
+	}
+
+	// Kill the primary and hold the promotion inside its re-drive.
+	held, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	standby.testRebalanceCrash = func(stage string) error {
+		if stage == "announced" {
+			close(held)
+			<-release
+		}
+		return nil
+	}
+	proxy.Drop()
+	promoted := make(chan error, 1)
+	go func() { promoted <- standby.Promote(ctx) }()
+	select {
+	case <-held:
+	case err := <-promoted:
+		t.Fatalf("Promote returned (%v) without re-driving the journaled plan", err)
+	}
+
+	for _, path := range []string{"/v1/patches?since=0", "/v1/triage"} {
+		resp, err := http.Get(standbyTS.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("GET %s mid-promotion = %d, want 503", path, resp.StatusCode)
+		}
+	}
+	if standby.Primary() {
+		t.Error("standby reports Primary() before its promotion finished")
+	}
+	if err := rep.PollOnce(ctx); err == nil {
+		t.Error("replica poll succeeded with the primary dead and the standby still promoting")
+	}
+	if st := rep.Status(); st.ReplicaEpoch != before.ReplicaEpoch || st.ReplicaVersion != before.ReplicaVersion || rep.log.Len() != entries {
+		t.Errorf("replica failing over mid-promotion moved from epoch %d version %d with %d entries to epoch %d version %d with %d",
+			before.ReplicaEpoch, before.ReplicaVersion, entries, st.ReplicaEpoch, st.ReplicaVersion, rep.log.Len())
+	}
+	// A second Promote while the first is under way is a no-op.
+	epoch := standby.Epoch()
+	if err := standby.Promote(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if standby.Epoch() != epoch || standby.Primary() {
+		t.Error("a concurrent Promote moved the epoch or opened the gate")
+	}
+
+	releaseOnce()
+	if err := <-promoted; err != nil {
+		t.Fatal(err)
+	}
+	if !standby.Primary() || standby.Epoch() != epoch {
+		t.Fatalf("after promotion: primary=%v epoch %d, want true and %d", standby.Primary(), standby.Epoch(), epoch)
+	}
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatalf("poll after the promotion: %v", err)
+	}
+	if st := rep.Status(); st.ReplicaEpoch != epoch || st.ReplicaVersion == 0 || rep.log.Len() < entries {
+		t.Fatalf("replica follows the promoted standby at epoch %d version %d with %d entries, want epoch %d and at least %d entries",
+			st.ReplicaEpoch, st.ReplicaVersion, rep.log.Len(), epoch, entries)
 	}
 }
 
@@ -517,7 +648,7 @@ func TestPatchesIdenticalAcrossTiers(t *testing.T) {
 			if accept != "" {
 				continue
 			}
-			var w fleet.WirePatchSet
+			var w codec.PatchSet
 			if err := json.Unmarshal([]byte(want.body), &w); err != nil || want.status != http.StatusOK {
 				t.Fatalf("%s: answered %d %q (%v)", tc.name, want.status, want.body, err)
 			}

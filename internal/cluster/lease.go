@@ -47,11 +47,13 @@ func (c *Coordinator) Lease() *fleet.LeaseReply {
 // Promote makes a standby the primary. The epoch is bumped strictly
 // above both wall-clock now and the highest epoch observed from the old
 // primary's lease, any rebalance journal the old primary left mid-drain
-// is re-driven, and a correction pass warms the patch log — then the
-// gate opens and the first client poll is served current state. Calling
-// Promote on a coordinator that is already primary is a no-op.
+// is re-driven, and a correction pass warms the patch log — and only
+// then does the gate open, so no client poll is ever served the
+// standby's unwarmed log under the new epoch. Calling Promote on a
+// coordinator that is already primary, or while another Promote is
+// under way, is a no-op that leaves the epoch alone.
 func (c *Coordinator) Promote(ctx context.Context) error {
-	if c.primary.Swap(true) {
+	if c.primary.Load() || !c.promoting.CompareAndSwap(false, true) {
 		return nil
 	}
 	epoch := uint64(time.Now().UnixNano())
@@ -59,9 +61,6 @@ func (c *Coordinator) Promote(ctx context.Context) error {
 		epoch = seen + 1
 	}
 	c.log.SetEpoch(epoch)
-	c.metrics.failovers.Inc()
-	c.metrics.primaryG.Set(1)
-	c.logger.Info("promoted to primary", "epoch", epoch, "holder", c.holder)
 	if c.rebalPath != "" {
 		// The old primary may have died between drain and backfill; the
 		// journal is shared state (operators point both coordinators at
@@ -76,6 +75,10 @@ func (c *Coordinator) Promote(ctx context.Context) error {
 		}
 	}
 	c.Correct()
+	c.metrics.failovers.Inc()
+	c.metrics.primaryG.Set(1)
+	c.primary.Store(true)
+	c.logger.Info("promoted to primary", "epoch", epoch, "holder", c.holder)
 	return nil
 }
 

@@ -324,7 +324,7 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 		// re-drives, so a piece that already landed dedups.
 		if reply.Evicted != nil && !cumulative.DeltaEmpty(reply.Evicted) {
 			for dest, piece := range SplitSnapshot(newRing, reply.Evicted) {
-				batch := &fleet.ObservationBatch{
+				batch := &codec.Batch{
 					Client:      "rebalance",
 					Snapshot:    piece,
 					BatchID:     codec.BatchID(rebalToken(plan.Version, node)+">"+dest, 0, 0, 0, piece),

@@ -54,7 +54,7 @@ const DefaultVirtualNodes = 64
 //
 // Every membership change bumps a monotonically increasing membership
 // version. Writers stamp the version on the pieces they route
-// (Router.SplitBatch / ObservationBatch.RingVersion) and partitions
+// (Router.SplitBatch / codec.Batch.RingVersion) and partitions
 // reject pieces from a stale ring, so a writer that missed a rebalance
 // converges on the new topology instead of racing it — see
 // docs/PROTOCOL.md "Membership versioning".

@@ -137,7 +137,7 @@ type Piece struct {
 	// Node is the partition base URL that owns the piece's keys.
 	Node string
 	// Batch is the stamped upload body.
-	Batch *fleet.ObservationBatch
+	Batch *codec.Batch
 }
 
 // SplitBatch splits delta along the ring (SplitSnapshot) and stamps each
@@ -159,7 +159,7 @@ func (rt *Router) SplitBatch(wmRuns, wmObs int, delta *cumulative.Snapshot) ([]P
 	for node, part := range parts {
 		pieces = append(pieces, Piece{
 			Node: node,
-			Batch: &fleet.ObservationBatch{
+			Batch: &codec.Batch{
 				Client:      rt.id,
 				Snapshot:    part,
 				BatchID:     codec.BatchID(rt.id, delta.Lineage, wmRuns, wmObs, part),

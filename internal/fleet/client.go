@@ -184,12 +184,12 @@ func (c *Client) SetToken(token string) { c.token = token }
 // benchmark drops those calls, and then this shim is deleted.
 func (c *Client) SetWireV2(bool) {}
 
-// PushBatchContext uploads a prepared ObservationBatch verbatim as a v2
-// frame. The batch must be stamped with a BatchID (codec.BatchID):
-// servers reject unstamped batches, and the ID is what makes retries of
-// the same batch idempotent against their dedup window. The batch's
-// Client field is filled from the client's id when empty.
-func (c *Client) PushBatchContext(ctx context.Context, b *ObservationBatch) (*IngestReply, error) {
+// PushBatchContext uploads a prepared batch verbatim as a v2 frame. The
+// batch must be stamped with a BatchID (codec.BatchID): servers reject
+// unstamped batches, and the ID is what makes retries of the same batch
+// idempotent against their dedup window. The batch's Client field is
+// filled from the client's id when empty.
+func (c *Client) PushBatchContext(ctx context.Context, b *codec.Batch) (*IngestReply, error) {
 	if b == nil || b.Snapshot == nil {
 		return nil, fmt.Errorf("fleet: nil batch")
 	}
@@ -197,7 +197,7 @@ func (c *Client) PushBatchContext(ctx context.Context, b *ObservationBatch) (*In
 		b.Client = c.id
 	}
 	buf := codec.GetBuffer()
-	pb, err := gzipBody(encodeBatchFrame(buf, b), codec.ContentTypeV2, v2GzipMinBytes)
+	pb, err := gzipBody(codec.EncodeBatch(buf, b), codec.ContentTypeV2, v2GzipMinBytes)
 	codec.PutBuffer(buf)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: compress /v1/observations: %w", err)
@@ -309,9 +309,9 @@ func (c *Client) PatchesContext(ctx context.Context, since uint64) (*patch.Set, 
 	return w.Set(), w.Version, nil
 }
 
-// fetchPatches issues one patch poll. A nil WirePatchSet with nil error
+// fetchPatches issues one patch poll. A nil PatchSet with nil error
 // reports 304 Not Modified (only possible when ifNoneMatch was sent).
-func (c *Client) fetchPatches(ctx context.Context, since uint64, ifNoneMatch string) (*WirePatchSet, string, error) {
+func (c *Client) fetchPatches(ctx context.Context, since uint64, ifNoneMatch string) (*codec.PatchSet, string, error) {
 	hdr := map[string]string{"Accept": codec.ContentTypeV2}
 	if ifNoneMatch != "" {
 		hdr["If-None-Match"] = ifNoneMatch
@@ -392,7 +392,7 @@ func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage
 // journal sequence number since, merged into one snapshot. This is the
 // feed cluster coordinators (internal/cluster) mirror partitions with;
 // ordinary installations never need it.
-func (c *Client) Deltas(ctx context.Context, since uint64) (*SnapshotDelta, error) {
+func (c *Client) Deltas(ctx context.Context, since uint64) (*codec.Delta, error) {
 	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), map[string]string{"Accept": codec.ContentTypeV2})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: get deltas (request %s): %w", reqID, err)
@@ -401,7 +401,7 @@ func (c *Client) Deltas(ctx context.Context, since uint64) (*SnapshotDelta, erro
 	if resp.StatusCode != http.StatusOK {
 		return nil, httpError("get deltas (request "+reqID+")", resp)
 	}
-	d, err := DecodeSnapshotDeltaResponse(resp)
+	d, err := decodeDeltaResponse(resp)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: decode deltas (request %s): %w", reqID, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
 	"exterminator/internal/telemetry"
@@ -46,7 +47,7 @@ func (o *patchOrigin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if MatchETag(w, r, PatchETag(epoch, version)) {
 		return
 	}
-	wire := ToWire(set, version)
+	wire := codec.ToWire(set, version)
 	wire.Epoch = epoch
 	writePatchSet(w, r, wire)
 }

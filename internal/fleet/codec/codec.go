@@ -17,10 +17,10 @@
 // the input, so a forged length or count prefix fails validation
 // before any allocation is sized from it.
 //
-// The package deliberately depends only on the evidence types
-// (internal/cumulative, internal/site, internal/patch): the fleet and
-// cluster tiers convert their wire structs to and from the codec's
-// neutral forms.
+// The package declares each frame's message once (Batch, PatchSet,
+// Delta) and depends only on the evidence types (internal/cumulative,
+// internal/site, internal/patch): the fleet and cluster tiers, the
+// examples and the benchmarks build and read these types directly.
 package codec
 
 import (
@@ -37,19 +37,16 @@ import (
 // answering with a frame stamp it on the response.
 const ContentTypeV2 = "application/x-exterminator-v2"
 
-// Frame types. One frame type per wire struct, so a frame is
+// Frame types. One frame type per message, so a frame is
 // self-describing and a misrouted body fails loudly instead of
 // half-decoding.
 const (
-	// FrameBatch is an ObservationBatch (POST /v1/observations body).
+	// FrameBatch is a Batch (POST /v1/observations body).
 	FrameBatch byte = 1
-	// FramePatches is a WirePatchSet (GET /v1/patches response).
+	// FramePatches is a PatchSet (GET /v1/patches response).
 	FramePatches byte = 2
-	// FrameDelta is a SnapshotDelta (GET /v1/deltas response).
+	// FrameDelta is a Delta (GET /v1/deltas response).
 	FrameDelta byte = 3
-	// FrameSnapshot is a bare cumulative.Snapshot (no HTTP endpoint
-	// sends one today; the frame exists for files and tooling).
-	FrameSnapshot byte = 4
 )
 
 // frameVersion is the encoding version inside the magic. Bumped only

@@ -58,16 +58,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			buf := GetBuffer()
 			defer PutBuffer(buf)
-			frame := EncodeSnapshot(buf, s)
-			got, err := DecodeSnapshot(frame)
+			appendSnapshot(buf, s)
+			got, err := decodeSnapshotPayload(buf.B)
 			if err != nil {
-				t.Fatalf("DecodeSnapshot: %v", err)
+				t.Fatalf("decode snapshot payload: %v", err)
 			}
 			if !snapshotsEqual(got, s) {
 				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
 			}
 		})
 	}
+}
+
+// decodeSnapshotPayload decodes a bare snapshot payload, the section
+// FrameBatch and FrameDelta embed.
+func decodeSnapshotPayload(data []byte) (*cumulative.Snapshot, error) {
+	r := &reader{b: data}
+	s := readSnapshot(r)
+	return s, r.finish()
 }
 
 // snapshotsEqual compares treating nil and empty slices alike.

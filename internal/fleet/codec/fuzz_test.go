@@ -8,7 +8,8 @@ import (
 	"exterminator/internal/site"
 )
 
-// FuzzV2FrameDecode drives every v2 frame decoder with arbitrary
+// FuzzV2FrameDecode drives every v2 frame decoder, and the snapshot
+// payload decoder the batch and delta frames embed, with arbitrary
 // bytes, the same contract as the XFSN/XCSN persistence targets: no
 // panic, and no allocation sized from a forged length or count prefix
 // (every decoder validates counts against the bytes actually present
@@ -16,8 +17,8 @@ import (
 // same value — a cheap round-trip oracle on top of crash safety — and
 // every batch that decodes carries only probabilities as X.
 func FuzzV2FrameDecode(f *testing.F) {
-	// Seed with one valid frame of each type, so mutation starts from
-	// structurally plausible inputs.
+	// Seed with one valid frame of each type and one bare snapshot
+	// payload, so mutation starts from structurally plausible inputs.
 	snap := &cumulative.Snapshot{
 		C: 4, P: 0.5, Runs: 3, FailedRuns: 1,
 		Sites: []site.ID{0x10, 0x20},
@@ -33,7 +34,8 @@ func FuzzV2FrameDecode(f *testing.F) {
 	buf := GetBuffer()
 	f.Add(append([]byte(nil), EncodeBatch(buf, &Batch{Client: "c", BatchID: "b", RingVersion: 1, Snapshot: snap})...))
 	buf.B = buf.B[:0]
-	f.Add(append([]byte(nil), EncodeSnapshot(buf, snap)...))
+	appendSnapshot(buf, snap)
+	f.Add(append([]byte(nil), buf.B...))
 	buf.B = buf.B[:0]
 	f.Add(append([]byte(nil), EncodePatches(buf, &PatchSet{
 		Version: 2, Epoch: 7,
@@ -88,11 +90,11 @@ func FuzzV2FrameDecode(f *testing.F) {
 				}
 			}
 		}
-		if s, err := DecodeSnapshot(data); err == nil {
+		if s, err := decodeSnapshotPayload(data); err == nil {
 			rt := GetBuffer()
-			re := EncodeSnapshot(rt, s)
-			if _, err := DecodeSnapshot(re); err != nil {
-				t.Fatalf("re-decode snapshot: %v", err)
+			appendSnapshot(rt, s)
+			if _, err := decodeSnapshotPayload(rt.B); err != nil {
+				t.Fatalf("re-decode snapshot payload: %v", err)
 			}
 			PutBuffer(rt)
 		}

@@ -7,8 +7,8 @@ import (
 	"exterminator/internal/site"
 )
 
-// Snapshot payload layout (inside FrameSnapshot, and embedded at the
-// tail of FrameBatch / FrameDelta payloads — it is self-delimiting):
+// Snapshot payload layout (embedded in FrameBatch and FrameDelta
+// payloads; it is self-delimiting):
 //
 //	f64 c | f64 p
 //	uvarint runs | failedRuns | corruptRuns
@@ -125,28 +125,6 @@ func appendYBits(buf *Buffer, total int, walk func(yield func(bool))) {
 		}
 		i++
 	})
-}
-
-// EncodeSnapshot encodes one bare snapshot as a complete FrameSnapshot
-// frame appended to buf; the returned bytes alias buf.
-func EncodeSnapshot(buf *Buffer, s *cumulative.Snapshot) []byte {
-	start := buf.beginFrame(FrameSnapshot)
-	appendSnapshot(buf, s)
-	return buf.endFrame(start)
-}
-
-// DecodeSnapshot decodes a FrameSnapshot frame.
-func DecodeSnapshot(data []byte) (*cumulative.Snapshot, error) {
-	payload, err := expectFrame(data, FrameSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{b: payload}
-	s := readSnapshot(r)
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // readSnapshot decodes one snapshot payload from r's current position,

@@ -5,14 +5,18 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"sync"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/patch"
 	"exterminator/internal/site"
 )
 
-// Batch is the codec-neutral form of fleet.ObservationBatch: what a
-// FrameBatch payload carries.
+// Batch is what a POST /v1/observations frame (FrameBatch) carries:
+// one installation's accumulated run summaries, in the canonical
+// snapshot form. Client is an opaque installation identifier used only
+// for statistics.
 //
 // Payload layout:
 //
@@ -20,8 +24,22 @@ import (
 //	str client | str batchID | uvarint ringVersion
 //	[snapshot payload]
 type Batch struct {
-	Client      string
-	BatchID     string
+	Client string
+	// BatchID is the batch's content-addressed identity (BatchID): a
+	// digest of the client id, the uploading history's lineage, the
+	// upload watermark position the delta was cut at, and the snapshot.
+	// Servers keep a bounded window of recently absorbed IDs and
+	// acknowledge a duplicate without re-absorbing it, which makes
+	// ingest exactly-once under retried uploads (lost acks). Required:
+	// a batch without one is rejected with 400.
+	BatchID string
+	// RingVersion is the cluster membership version the uploader split
+	// this batch under (cluster.Ring.Version). A partition whose
+	// required ring version is newer rejects the batch with 409 and
+	// fleet.IngestReply.StaleRing, so a writer that missed a rebalance
+	// re-splits under the new topology instead of stranding evidence on
+	// a former owner. Zero means "unversioned": the batch is accepted
+	// regardless (single-node deployments).
 	RingVersion uint64
 	Snapshot    *cumulative.Snapshot
 }
@@ -77,7 +95,7 @@ type BatchInfo struct {
 	BatchID     string
 	RingVersion uint64
 	// HasSnapshot reports whether the frame carried a snapshot at all
-	// (the v1 equivalent of ObservationBatch.Snapshot != nil).
+	// (Batch.Snapshot != nil).
 	HasSnapshot bool
 	// Observations is the total overflow + dangling observation count,
 	// the unit the ingest metrics are denominated in.
@@ -401,22 +419,25 @@ func (b obsBacking) take(shard, n int) []cumulative.Observation {
 	return b.buf[off : off+n : off+n]
 }
 
-// PadEntry mirrors fleet.PadEntry on the codec seam.
+// PadEntry is one pad-table entry of a PatchSet.
 type PadEntry struct {
-	Site site.ID
-	Pad  uint32
+	Site site.ID `json:"site"`
+	Pad  uint32  `json:"pad"`
 }
 
-// DeferralEntry mirrors fleet.DeferralEntry on the codec seam.
+// DeferralEntry is one deferral-table entry of a PatchSet.
 type DeferralEntry struct {
-	Alloc    site.ID
-	Free     site.ID
-	Deferral uint64
+	Alloc    site.ID `json:"alloc"`
+	Free     site.ID `json:"free"`
+	Deferral uint64  `json:"deferral"`
 }
 
-// PatchSet is the codec-neutral form of fleet.WirePatchSet: what a
-// FramePatches payload carries. Entries are encoded in the order given;
-// fleet.ToWire produces the canonical sorted order.
+// PatchSet is a versioned patch.Set on the wire: what a FramePatches
+// payload carries, and the JSON document GET /v1/patches answers a
+// request that does not ask for a frame. The JSON document is also a
+// standalone file format (cmd/patchmerge reads and writes it alongside
+// the binary .xtp format). Entries are encoded in the order given;
+// ToWire produces the canonical sorted order.
 //
 // Payload layout:
 //
@@ -425,11 +446,56 @@ type DeferralEntry struct {
 //	frontPads: uvarint n | n × (svarint site delta | uvarint pad)
 //	deferrals: uvarint n | n × (svarint alloc delta | uvarint free | uvarint deferral)
 type PatchSet struct {
-	Version   uint64
-	Epoch     uint64
-	Pads      []PadEntry
-	FrontPads []PadEntry
-	Deferrals []DeferralEntry
+	Version uint64 `json:"version"`
+	// Epoch identifies the server incarnation that issued Version.
+	// Versions are only ordered within one epoch: after a restart the
+	// server rederives its patch log from the (possibly stale) snapshot
+	// and restarts version numbering, so a client holding a version from
+	// another epoch must resync from 0 instead of delta-polling (the
+	// fleet client does this transparently). Zero in standalone files.
+	Epoch     uint64          `json:"epoch,omitempty"`
+	Pads      []PadEntry      `json:"pads,omitempty"`
+	FrontPads []PadEntry      `json:"frontPads,omitempty"`
+	Deferrals []DeferralEntry `json:"deferrals,omitempty"`
+}
+
+// ToWire converts a patch set to its wire form, sorted for deterministic
+// encoding.
+func ToWire(ps *patch.Set, version uint64) *PatchSet {
+	w := &PatchSet{Version: version}
+	for s, pad := range ps.Pads {
+		w.Pads = append(w.Pads, PadEntry{Site: s, Pad: pad})
+	}
+	for s, pad := range ps.FrontPads {
+		w.FrontPads = append(w.FrontPads, PadEntry{Site: s, Pad: pad})
+	}
+	for p, d := range ps.Deferrals {
+		w.Deferrals = append(w.Deferrals, DeferralEntry{Alloc: p.Alloc, Free: p.Free, Deferral: d})
+	}
+	sort.Slice(w.Pads, func(i, j int) bool { return w.Pads[i].Site < w.Pads[j].Site })
+	sort.Slice(w.FrontPads, func(i, j int) bool { return w.FrontPads[i].Site < w.FrontPads[j].Site })
+	sort.Slice(w.Deferrals, func(i, j int) bool {
+		if w.Deferrals[i].Alloc != w.Deferrals[j].Alloc {
+			return w.Deferrals[i].Alloc < w.Deferrals[j].Alloc
+		}
+		return w.Deferrals[i].Free < w.Deferrals[j].Free
+	})
+	return w
+}
+
+// Set converts the wire form back into a patch set.
+func (w *PatchSet) Set() *patch.Set {
+	ps := patch.New()
+	for _, e := range w.Pads {
+		ps.AddPad(e.Site, e.Pad)
+	}
+	for _, e := range w.FrontPads {
+		ps.AddFrontPad(e.Site, e.Pad)
+	}
+	for _, e := range w.Deferrals {
+		ps.AddDeferral(site.Pair{Alloc: e.Alloc, Free: e.Free}, e.Deferral)
+	}
+	return ps
 }
 
 // EncodePatches appends ps as a complete FramePatches frame; the
@@ -502,14 +568,21 @@ func readPadColumn(r *reader) []PadEntry {
 	return entries
 }
 
-// DeltaOp mirrors fleet.DeltaOp on the codec seam.
+// DeltaOp is one step of an ordered evidence delta: either an absorbed
+// snapshot or a key-set eviction (a rebalance drain: the keys' evidence
+// moved to another partition and must leave the poller's mirror of this
+// one).
 type DeltaOp struct {
 	Evict    []site.ID
 	Snapshot *cumulative.Snapshot
 }
 
-// Delta is the codec-neutral form of fleet.SnapshotDelta: what a
-// FrameDelta payload carries.
+// Delta is what a GET /v1/deltas frame (FrameDelta) carries: the
+// evidence a partition absorbed after journal sequence number `since`,
+// merged into one canonical snapshot. It is the partition→coordinator
+// half of the cluster protocol (internal/cluster): coordinators poll
+// each partition with the last Seq they applied and absorb only what is
+// new.
 //
 // Payload layout:
 //
@@ -521,12 +594,32 @@ type DeltaOp struct {
 //	      uvarint n | n × svarint site delta)
 //	[snapshot payload]
 type Delta struct {
-	Epoch    uint64
-	Seq      uint64
-	Full     bool
+	// Epoch identifies the server incarnation that issued Seq. Sequence
+	// numbers are only ordered within one epoch; a poller holding a Seq
+	// from another epoch receives a Full resync.
+	Epoch uint64
+	// Seq is the journal position the delta runs up to; poll with it
+	// next time.
+	Seq uint64
+	// Full marks a resync: Snapshot is the server's entire evidence
+	// store, not a delta, and must *replace* (not augment) whatever the
+	// poller previously mirrored from this server.
+	Full bool
+	// Snapshot is the merged evidence (nil when nothing changed). It is
+	// only used when the window holds no evictions; otherwise Ops carries
+	// the ordered sequence instead.
 	Snapshot *cumulative.Snapshot
-	Ops      []DeltaOp
-	ReqIDs   []string
+	// Ops is the ordered delta when the window contains rebalance
+	// evictions: additions and evictions must be applied in sequence
+	// (an eviction removes a key's entire evidence from the mirror at
+	// that point in the stream). Consecutive additions are pre-merged.
+	// Mutually exclusive with Snapshot.
+	Ops []DeltaOp
+	// ReqIDs are the X-Request-ID correlation fields of the uploads this
+	// delta covers (bounded; oldest first). The coordinator logs them
+	// when it applies the delta, so one upload is grep-able from the
+	// client through the partition to the coordinator.
+	ReqIDs []string
 }
 
 const (

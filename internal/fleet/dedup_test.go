@@ -18,15 +18,15 @@ import (
 // stampedBatch builds an upload with a content-addressed batch ID, the
 // way cluster.Sink cuts one from a history at watermark position (0, 0).
 // The fixed lineage stands in for one history's.
-func stampedBatch(client string, s *cumulative.Snapshot) *ObservationBatch {
+func stampedBatch(client string, s *cumulative.Snapshot) *codec.Batch {
 	return lineageBatch(client, 1, s)
 }
 
 // lineageBatch is stampedBatch cut from the history with the given
 // lineage: equal contents from different lineages get different IDs,
 // so each upload is absorbed.
-func lineageBatch(client string, lineage uint64, s *cumulative.Snapshot) *ObservationBatch {
-	return &ObservationBatch{
+func lineageBatch(client string, lineage uint64, s *cumulative.Snapshot) *codec.Batch {
+	return &codec.Batch{
 		Client:   client,
 		Snapshot: s,
 		BatchID:  codec.BatchID(client, lineage, 0, 0, s),
@@ -34,8 +34,8 @@ func lineageBatch(client string, lineage uint64, s *cumulative.Snapshot) *Observ
 }
 
 // frame encodes b as the v2 request body of a hand-built upload.
-func frame(b *ObservationBatch) []byte {
-	return encodeBatchFrame(&codec.Buffer{}, b)
+func frame(b *codec.Batch) []byte {
+	return codec.EncodeBatch(&codec.Buffer{}, b)
 }
 
 func smallSnapshot(runs int, sites ...site.ID) *cumulative.Snapshot {
@@ -82,7 +82,7 @@ func TestExactlyOnceIngest(t *testing.T) {
 	}
 
 	// An unstamped batch has no exactly-once identity: it is rejected.
-	_, err = c.PushBatchContext(context.Background(), &ObservationBatch{Client: "dup", Snapshot: smallSnapshot(1, 0x102)})
+	_, err = c.PushBatchContext(context.Background(), &codec.Batch{Client: "dup", Snapshot: smallSnapshot(1, 0x102)})
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unstamped batch: err = %v, want a 400 rejection", err)
 	}

@@ -24,7 +24,7 @@ func ExampleServer_exactlyOnceIngest() {
 		C: 4, P: 0.5, Runs: 3,
 		Sites: []site.ID{0x100, 0x101},
 	}
-	batch := &fleet.ObservationBatch{
+	batch := &codec.Batch{
 		Snapshot: snap,
 		BatchID:  codec.BatchID("install-1", 1, 0, 0, snap),
 	}
@@ -61,7 +61,7 @@ func ExampleClient_patches() {
 		PadHints: []cumulative.PadHint{{Site: 0xBAD, Pad: 16}},
 	}
 	client := fleet.NewClient(ts.URL, "install-2")
-	client.PushBatchContext(context.Background(), &fleet.ObservationBatch{
+	client.PushBatchContext(context.Background(), &codec.Batch{
 		Snapshot: snap,
 		BatchID:  codec.BatchID("install-2", 1, 0, 0, snap),
 	})

@@ -380,7 +380,7 @@ func TestServerRejectsBadInput(t *testing.T) {
 	}
 	// Batch without a snapshot.
 	resp, err = http.Post(ts.URL+"/v1/observations", codec.ContentTypeV2,
-		bytes.NewReader(frame(&ObservationBatch{Client: "x", BatchID: "id"})))
+		bytes.NewReader(frame(&codec.Batch{Client: "x", BatchID: "id"})))
 	if err != nil {
 		t.Fatal(err)
 	}

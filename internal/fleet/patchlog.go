@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/telemetry"
 )
@@ -214,7 +215,7 @@ func (l *PatchLog) Handler(logger *slog.Logger, requests, notModified *telemetry
 				"since", since, "version", version, "requestId", reqID)
 			return
 		}
-		wire := ToWire(ps, version)
+		wire := codec.ToWire(ps, version)
 		wire.Epoch = epoch
 		logger.Debug("patches served",
 			"since", since, "version", version, "entries", ps.Len(), "requestId", reqID)

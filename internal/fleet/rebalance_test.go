@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 	"exterminator/internal/triage"
 )
@@ -54,7 +55,7 @@ func TestStaleRingRejectionOrdering(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL, "c1")
 
-	first := &ObservationBatch{Snapshot: rebalanceTestSnapshot(1), BatchID: "batch-1", RingVersion: 1}
+	first := &codec.Batch{Snapshot: rebalanceTestSnapshot(1), BatchID: "batch-1", RingVersion: 1}
 	if _, err := c.PushBatchContext(ctx, first); err != nil {
 		t.Fatalf("versioned push with no requirement set: %v", err)
 	}
@@ -80,7 +81,7 @@ func TestStaleRingRejectionOrdering(t *testing.T) {
 	}
 
 	// A fresh batch still split under the old ring bounces.
-	staleBatch := &ObservationBatch{Snapshot: rebalanceTestSnapshot(2), BatchID: "batch-2", RingVersion: 1}
+	staleBatch := &codec.Batch{Snapshot: rebalanceTestSnapshot(2), BatchID: "batch-2", RingVersion: 1}
 	_, err = c.PushBatchContext(ctx, staleBatch)
 	var sre *StaleRingError
 	if !errors.As(err, &sre) {
@@ -262,7 +263,7 @@ func TestClientHonors429RetryAfter(t *testing.T) {
 
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := c.PushBatchContext(ctx, &ObservationBatch{
+		if _, err := c.PushBatchContext(ctx, &codec.Batch{
 			Snapshot: rebalanceTestSnapshot(i),
 			BatchID:  fmt.Sprintf("rl-%d", i),
 		}); err != nil {
@@ -343,9 +344,9 @@ func TestSnapshotCapturesDedupAtomically(t *testing.T) {
 	c := NewClient(ts.URL, "racer")
 
 	const n = 60
-	batches := make([]*ObservationBatch, n)
+	batches := make([]*codec.Batch, n)
 	for i := range batches {
-		batches[i] = &ObservationBatch{
+		batches[i] = &codec.Batch{
 			Client:   "racer",
 			Snapshot: rebalanceTestSnapshot(i),
 			BatchID:  fmt.Sprintf("race-%d", i),
@@ -437,7 +438,7 @@ func TestSnapshotRoundTripsRingVersionAndEvictCache(t *testing.T) {
 	c2 := NewClient(ts2.URL, "c1")
 
 	// Stale writers still bounce after the restart.
-	_, err = c2.PushBatchContext(ctx, &ObservationBatch{Snapshot: rebalanceTestSnapshot(2), BatchID: "batch-2", RingVersion: 2})
+	_, err = c2.PushBatchContext(ctx, &codec.Batch{Snapshot: rebalanceTestSnapshot(2), BatchID: "batch-2", RingVersion: 2})
 	var sre *StaleRingError
 	if !errors.As(err, &sre) || sre.Required != 3 {
 		t.Fatalf("restored server did not enforce ring version: %v", err)

@@ -699,10 +699,10 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		s.deltaMu.Unlock()
 		s.logger.Info("delta poll answered with full resync",
 			"since", since, "seq", seq, "requestId", reqID)
-		WriteSnapshotDelta(w, &SnapshotDelta{Epoch: s.epoch, Seq: seq, Full: true, Snapshot: hist.Snapshot()})
+		writeDelta(w, &codec.Delta{Epoch: s.epoch, Seq: seq, Full: true, Snapshot: hist.Snapshot()})
 		return
 	}
-	reply := SnapshotDelta{Epoch: s.epoch, Seq: seq}
+	reply := codec.Delta{Epoch: s.epoch, Seq: seq}
 	// Carry the window's correlation IDs so the coordinator's delta log
 	// lines up with this partition's ingest log, upload by upload.
 	for _, e := range entries {
@@ -714,11 +714,11 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	// the run (ordering matters: evidence added before the drain was
 	// drained, evidence added after it was not). Windows without
 	// evictions keep the legacy single-snapshot shape.
-	var ops []DeltaOp
+	var ops []codec.DeltaOp
 	var merged *cumulative.History
 	flush := func() {
 		if merged != nil {
-			ops = append(ops, DeltaOp{Snapshot: merged.Snapshot()})
+			ops = append(ops, codec.DeltaOp{Snapshot: merged.Snapshot()})
 			merged = nil
 		}
 	}
@@ -727,7 +727,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		if len(e.evict) > 0 {
 			hasEvict = true
 			flush()
-			ops = append(ops, DeltaOp{Evict: e.evict})
+			ops = append(ops, codec.DeltaOp{Evict: e.evict})
 			continue
 		}
 		if merged == nil {
@@ -749,7 +749,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger.Debug("deltas served",
 		"since", since, "seq", seq, "entries", len(entries), "requestId", reqID)
-	WriteSnapshotDelta(w, &reply)
+	writeDelta(w, &reply)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

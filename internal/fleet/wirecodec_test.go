@@ -23,18 +23,45 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the cross-codec golden files under testdata/")
 
-func sampleWirePatchSet() *WirePatchSet {
-	return &WirePatchSet{
+// sampleBatch is the batch wire_batch.v2.bin pins: deterministic
+// content exercising every snapshot section. Its ID is what
+// codec.BatchID("codec-test", 1, 0, 0, Snapshot) gives.
+func sampleBatch() *codec.Batch {
+	return &codec.Batch{
+		Client:      "codec-test",
+		BatchID:     "c9d3b486e6f3aca84dedec609155e491",
+		RingVersion: 7,
+		Snapshot:    testBatches(1)[0],
+	}
+}
+
+func samplePatchSet() *codec.PatchSet {
+	return &codec.PatchSet{
 		Version: 12,
 		Epoch:   3,
-		Pads: []PadEntry{
+		Pads: []codec.PadEntry{
 			{Site: 0x100, Pad: 8},
 			{Site: guiltySite, Pad: 24},
 		},
-		FrontPads: []PadEntry{{Site: 0x101, Pad: 16}},
-		Deferrals: []DeferralEntry{
+		FrontPads: []codec.PadEntry{{Site: 0x101, Pad: 16}},
+		Deferrals: []codec.DeferralEntry{
 			{Alloc: guiltyAlloc, Free: guiltyFree, Deferral: 33},
 		},
+	}
+}
+
+// sampleDelta is the delta wire_delta.v2.bin pins: a tail snapshot,
+// both op kinds and correlation IDs.
+func sampleDelta() *codec.Delta {
+	return &codec.Delta{
+		Epoch:    2,
+		Seq:      41,
+		Snapshot: testBatches(2)[1],
+		Ops: []codec.DeltaOp{
+			{Snapshot: testBatches(1)[0]},
+			{Evict: []site.ID{0x100, 0x104, guiltySite}},
+		},
+		ReqIDs: []string{"req-1", "req-2"},
 	}
 }
 
@@ -51,32 +78,32 @@ func canonJSON(t *testing.T, v any) string {
 
 // patchSetJSON is the JSON document GET /v1/patches answers (WriteJSON
 // ends it with a newline).
-func patchSetJSON(t *testing.T, w *WirePatchSet) []byte {
+func patchSetJSON(t *testing.T, w *codec.PatchSet) []byte {
 	t.Helper()
 	return append([]byte(canonJSON(t, w)), '\n')
 }
 
 // patchSetFrame is the v2 frame GET /v1/patches answers to a poll that
 // asks for one.
-func patchSetFrame(w *WirePatchSet) []byte {
-	return codec.EncodePatches(&codec.Buffer{}, patchSetToCodec(w))
+func patchSetFrame(w *codec.PatchSet) []byte {
+	return codec.EncodePatches(&codec.Buffer{}, w)
 }
 
-func decodePatchSetFrame(t *testing.T, data []byte) *WirePatchSet {
+func decodePatchSetFrame(t *testing.T, data []byte) *codec.PatchSet {
 	t.Helper()
 	ps, err := codec.DecodePatches(data)
 	if err != nil {
 		t.Fatalf("decode patch-set frame: %v", err)
 	}
-	return patchSetFromCodec(ps)
+	return ps
 }
 
 // TestCrossCodecEquivalence round-trips a patch set through both of its
 // representations — the JSON document and the v2 frame — and requires
 // the decoded values to be structurally identical.
 func TestCrossCodecEquivalence(t *testing.T) {
-	patches := sampleWirePatchSet()
-	var fromJSON WirePatchSet
+	patches := samplePatchSet()
+	var fromJSON codec.PatchSet
 	if err := json.Unmarshal(patchSetJSON(t, patches), &fromJSON); err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +115,23 @@ func TestCrossCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrossCodecGolden pins both patch-set representations byte-for-byte
-// with checked-in golden files, and proves they interconvert in both
-// directions: decoding the JSON golden and re-encoding as a frame must
-// reproduce the v2 golden exactly, and vice versa. Run with -update to
-// regenerate after a deliberate format change (which must also bump the
-// spec in docs/PROTOCOL.md).
+// TestCrossCodecGolden pins every frame layout byte for byte with a
+// checked-in golden file: each golden must equal the encoding of its
+// sample value above and decode back to exactly that value. The patch
+// set's JSON document is pinned the same way, and the two patch-set
+// representations must interconvert in both directions: decoding the
+// JSON golden and re-encoding as a frame must reproduce the v2 golden
+// exactly, and vice versa. Run with -update to regenerate after a
+// deliberate format change (which must also bump the spec in
+// docs/PROTOCOL.md).
 func TestCrossCodecGolden(t *testing.T) {
+	checkFrameGolden(t, "wire_batch.v2.bin", sampleBatch(), codec.EncodeBatch, codec.DecodeBatch)
+	checkFrameGolden(t, "wire_patchset.v2.bin", samplePatchSet(), codec.EncodePatches, codec.DecodePatches)
+	checkFrameGolden(t, "wire_delta.v2.bin", sampleDelta(), codec.EncodeDelta, codec.DecodeDelta)
+
 	jsonPath := filepath.Join("testdata", "wire_patchset.v1.json")
-	v2Path := filepath.Join("testdata", "wire_patchset.v2.bin")
 	if *updateGolden {
-		if err := os.WriteFile(jsonPath, patchSetJSON(t, sampleWirePatchSet()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(v2Path, patchSetFrame(sampleWirePatchSet()), 0o644); err != nil {
+		if err := os.WriteFile(jsonPath, patchSetJSON(t, samplePatchSet()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +139,13 @@ func TestCrossCodecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}
-	v2Golden, err := os.ReadFile(v2Path)
+	v2Golden, err := os.ReadFile(filepath.Join("testdata", "wire_patchset.v2.bin"))
 	if err != nil {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}
 
 	// JSON → decode → v2 must hit the v2 golden byte-for-byte.
-	var fromJSON WirePatchSet
+	var fromJSON codec.PatchSet
 	if err := json.Unmarshal(jsonGolden, &fromJSON); err != nil {
 		t.Fatalf("decode JSON golden: %v", err)
 	}
@@ -126,13 +156,37 @@ func TestCrossCodecGolden(t *testing.T) {
 	if got := patchSetJSON(t, decodePatchSetFrame(t, v2Golden)); !bytes.Equal(got, jsonGolden) {
 		t.Errorf("v2 golden → JSON encode diverged from JSON golden:\n got  %s\n want %s", got, jsonGolden)
 	}
-	// And the in-memory sample still encodes to both goldens (the format
-	// itself has not drifted).
-	if got := patchSetJSON(t, sampleWirePatchSet()); !bytes.Equal(got, jsonGolden) {
+	// And the in-memory sample still encodes to the JSON golden (the
+	// format itself has not drifted).
+	if got := patchSetJSON(t, samplePatchSet()); !bytes.Equal(got, jsonGolden) {
 		t.Error("sample's JSON encoding drifted from golden")
 	}
-	if got := patchSetFrame(sampleWirePatchSet()); !bytes.Equal(got, v2Golden) {
-		t.Error("sample's v2 encoding drifted from golden")
+}
+
+// checkFrameGolden requires testdata/name to hold exactly the frame
+// encode makes of sample, and decode to turn it back into sample.
+func checkFrameGolden[T any](t *testing.T, name string, sample *T, encode func(*codec.Buffer, *T) []byte, decode func([]byte) (*T, error)) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	want := encode(&codec.Buffer{}, sample)
+	if *updateGolden {
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if !bytes.Equal(want, golden) {
+		t.Errorf("%s: the sample encodes to %d bytes that differ from the %d-byte golden", name, len(want), len(golden))
+	}
+	got, err := decode(golden)
+	if err != nil {
+		t.Fatalf("%s: decode golden: %v", name, err)
+	}
+	if !reflect.DeepEqual(got, sample) {
+		t.Errorf("%s: golden decodes to %s, want the sample %s", name, canonJSON(t, got), canonJSON(t, sample))
 	}
 }
 
@@ -336,7 +390,7 @@ func TestPatchesNegotiation(t *testing.T) {
 		return resp.Header.Get("Content-Type"), body
 	}
 	ct, plain := get("")
-	var doc WirePatchSet
+	var doc codec.PatchSet
 	if err := json.Unmarshal(plain, &doc); ct != "application/json" || err != nil {
 		t.Fatalf("plain poll: Content-Type %q, decode %v; want the JSON document", ct, err)
 	}
@@ -424,7 +478,7 @@ func TestDeltasNegotiation(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != codec.ContentTypeV2 {
 		t.Fatalf("plain delta poll: %s, Content-Type %q; want a v2 frame", resp.Status, ct)
 	}
-	d, err := DecodeSnapshotDeltaResponse(resp)
+	d, err := decodeDeltaResponse(resp)
 	if err != nil {
 		t.Fatalf("plain delta poll is not an XWF2 delta frame: %v", err)
 	}
