@@ -6,9 +6,10 @@
 //
 //	fleetd -addr :7077 -snapshot /var/lib/exterminator/fleet.snap
 //
-// State survives restarts through periodic snapshots of the evidence
-// store plus the exactly-once ingest dedup window; on startup the daemon
-// restores the snapshot and rederives patches before accepting traffic.
+// State survives restarts through a state file written every
+// -snapshot-interval: the evidence store, the exactly-once ingest dedup
+// window and the triage alerter's state; on startup the daemon restores
+// it and rederives patches before accepting traffic.
 // Ingest is exactly-once: every upload is a binary frame stamped with a
 // batch ID, and a retried batch whose ack was lost is acknowledged as a
 // duplicate, never re-absorbed (-dedup sizes the window). In
@@ -64,7 +65,7 @@ func main() {
 		correctWork  = flag.Int("correct-workers", 0, "store stripes identified in parallel per correction pass (0: min(GOMAXPROCS, -shards), 1: serial)")
 		correctInt   = flag.Duration("correct-interval", 2*time.Second, "background correction loop interval")
 		snapshot     = flag.String("snapshot", "", "snapshot file: restored on start, written periodically and on shutdown")
-		snapshotInt  = flag.Duration("snapshot-interval", 30*time.Second, "how often to persist the evidence store (with -snapshot)")
+		snapshotInt  = flag.Duration("snapshot-interval", 30*time.Second, "how often to write the -snapshot state file")
 		priorC       = flag.Float64("c", 4, "Bayesian prior constant c (P(H1) = 1/(cN))")
 		fillP        = flag.Float64("p", 0.5, "canary fill probability p the fleet's heaps use")
 		token        = flag.String("token", "", "shared ingest token: require Authorization: Bearer <token> on write endpoints")
@@ -203,19 +204,10 @@ func main() {
 	if !*partition {
 		go srv.RunCorrectionLoop(ctx, *correctInt)
 	}
-	if *snapshot != "" {
-		go snapshotLoop(ctx, srv, *snapshot, *snapshotInt)
-	}
+	finalSnapshot := snapshotLoop(ctx, srv.SaveSnapshot, *snapshot, *snapshotInt)
 
 	serve(ctx, *addr, srv.Handler(), "fleetd")
-
-	if *snapshot != "" {
-		if err := srv.SaveSnapshot(*snapshot); err != nil {
-			log.Printf("fleetd: final snapshot: %v", err)
-		} else {
-			log.Printf("fleetd: final snapshot written to %s", *snapshot)
-		}
-	}
+	finalSnapshot()
 	st := srv.Store()
 	fmt.Printf("fleetd: served %d batches from %d client(s): %d runs, %d sites, %d patch entries at version %d\n",
 		st.Batches(), st.Clients(), st.Runs(), st.Sites(), srv.PatchLog().Len(), srv.PatchLog().Version())
@@ -289,19 +281,10 @@ func runCoordinator(ctx context.Context, addr, partitions, token string, cfg cum
 	log.Printf("fleetd: coordinator (%s, holder %s) over %d partition(s) at membership v%d: %s",
 		role, ha.holder, len(boot.Nodes), boot.MembershipVersion, strings.Join(boot.Nodes, ", "))
 	go coord.Run(ctx, pollInt)
-	if snapshot != "" {
-		go coordinatorSnapshotLoop(ctx, coord, snapshot, snapshotInt)
-	}
+	finalSnapshot := snapshotLoop(ctx, coord.SaveSnapshot, snapshot, snapshotInt)
 
 	serve(ctx, addr, coord.Handler(), "fleetd (coordinator)")
-
-	if snapshot != "" {
-		if err := coord.SaveSnapshot(snapshot); err != nil {
-			log.Printf("fleetd: final coordinator snapshot: %v", err)
-		} else {
-			log.Printf("fleetd: final coordinator snapshot written to %s", snapshot)
-		}
-	}
+	finalSnapshot()
 	st := coord.Status()
 	fmt.Printf("fleetd (coordinator): %d poll round(s), %d resync(s): %d runs, %d sites, %d patch entries at version %d\n",
 		st.Polls, st.Resyncs, st.Runs, st.Sites, st.PatchLen, st.Version)
@@ -338,31 +321,6 @@ func runReplica(ctx context.Context, addr, upstreams, token string, pollInt time
 	st := rep.Status()
 	fmt.Printf("fleetd (replica): %d poll(s), %d error(s): serving upstream version %d (epoch %d), %d patch req(s), %d revalidated\n",
 		st.Polls, st.PollErrors, st.ReplicaVersion, st.ReplicaEpoch, st.PatchRequests, st.PatchNotModified)
-}
-
-// coordinatorSnapshotLoop persists the coordinator's mirrors every
-// interval while new poll rounds have landed.
-func coordinatorSnapshotLoop(ctx context.Context, coord *cluster.Coordinator, path string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var lastPolls int64
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if n := coord.Status().Polls; n != lastPolls {
-				if err := coord.SaveSnapshot(path); err != nil {
-					log.Printf("fleetd: coordinator snapshot: %v", err)
-					continue
-				}
-				lastPolls = n
-			}
-		}
-	}
 }
 
 // serveDebug runs the private profiling listener (-debug-addr):
@@ -409,27 +367,43 @@ func serve(ctx context.Context, addr string, handler http.Handler, name string) 
 	}
 }
 
-// snapshotLoop persists the evidence store every interval. The final
-// snapshot on shutdown is written by main after the HTTP server drains.
-func snapshotLoop(ctx context.Context, srv *fleet.Server, path string, interval time.Duration) {
+// snapshotLoop keeps the daemon's state file at path ("" = none): it
+// writes it every interval, whatever changed — a rebalance drain, a
+// ring-version raise or an alert delivery moves no batch counter but
+// must reach the file too, so the file is at worst one interval stale.
+// It returns the final write, for the caller to run once its HTTP server
+// has drained and ctx is done: that waits for the loop to return first,
+// since an interval write still in flight captured its state before the
+// drain and would otherwise land on top of the final one.
+func snapshotLoop(ctx context.Context, save func(path string) error, path string, interval time.Duration) (final func()) {
+	if path == "" {
+		return func() {}
+	}
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	var lastBatches int64
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if n := srv.Store().Batches(); n != lastBatches {
-				if err := srv.SaveSnapshot(path); err != nil {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				if err := save(path); err != nil {
 					log.Printf("fleetd: snapshot: %v", err)
-					continue
 				}
-				lastBatches = n
 			}
+		}
+	}()
+	return func() {
+		<-done
+		if err := save(path); err != nil {
+			log.Printf("fleetd: final snapshot: %v", err)
+		} else {
+			log.Printf("fleetd: final snapshot written to %s", path)
 		}
 	}
 }

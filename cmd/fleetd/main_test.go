@@ -1,0 +1,68 @@
+package main
+
+import (
+	"context"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet"
+	"exterminator/internal/site"
+)
+
+// TestSnapshotLoopWritesDrainWithoutNewBatches: a rebalance drain on an
+// idle partition moves no batch counter, yet the state file must follow
+// it within a few intervals. A file that kept the drained keys would
+// restore them next to their copy on the new owner, and the
+// coordinator's full resync would count them twice.
+func TestSnapshotLoopWritesDrainWithoutNewBatches(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	keys := []site.ID{0x100, 0x101}
+	srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, DisableCorrection: true})
+	batch := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 1, Sites: keys}
+	for _, k := range keys {
+		batch.Overflow = append(batch.Overflow, cumulative.SiteObservations{
+			Site: k, Obs: []cumulative.Observation{{X: 0.5, Y: true}},
+		})
+	}
+	srv.Store().AbsorbSnapshot(batch)
+
+	path := filepath.Join(t.TempDir(), "fleet.snap")
+	ctx, cancel := context.WithCancel(context.Background())
+	finalSnapshot := snapshotLoop(ctx, srv.SaveSnapshot, path, interval)
+	defer func() {
+		cancel()
+		finalSnapshot()
+	}()
+
+	// restoredKeys restores the file into a fresh server and returns the
+	// evidence keys it holds (none before the first write).
+	restoredKeys := func() []site.ID {
+		fresh := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, DisableCorrection: true})
+		if err := fresh.LoadSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		return fresh.Store().Combined().EvidenceKeys()
+	}
+	// waitFor polls the file until cond holds, for at most 50 intervals.
+	waitFor := func(what string, cond func([]site.ID) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(50 * interval); ; time.Sleep(interval / 2) {
+			got := restoredKeys()
+			if cond(got) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the state file never %s: it restores keys %v", what, got)
+			}
+		}
+	}
+
+	waitFor("held the absorbed batch", func(got []site.ID) bool { return slices.Equal(got, keys) })
+	if _, cached := srv.Evict("drain-1", keys, false); cached {
+		t.Fatal("first drain answered from the evict cache")
+	}
+	waitFor("dropped the drained keys", func(got []site.ID) bool { return len(got) == 0 })
+}

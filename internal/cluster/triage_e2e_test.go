@@ -162,36 +162,22 @@ func TestTriageRankingsConvergeWithSingleFleetd(t *testing.T) {
 	}
 }
 
-// TestAlertExactlyOnceAcrossSnapshotRestart pins the webhook guarantee:
-// a fired alert survives a coordinator kill/restart in the fired map
-// (no duplicate), and an armed-but-undelivered alert survives in the
-// pending queue (no loss) — delivered exactly once overall.
+// alertTier is one incarnation of a daemon that persists triage alert
+// state: a coordinator or a single fleetd.
+type alertTier interface {
+	SaveSnapshot(path string) error
+	LoadSnapshot(path string) error
+	Triage() *triage.Engine
+}
+
+// TestAlertExactlyOnceAcrossSnapshotRestart pins the webhook guarantee on
+// both tiers that alert: a fired alert survives a kill/restart in the
+// fired map (no duplicate), and an armed-but-undelivered alert survives
+// in the pending queue (no loss) — delivered exactly once overall. A
+// coordinator syncs its evidence from a partition; a single fleetd
+// holds it in its own store and restores it from its snapshot.
 func TestAlertExactlyOnceAcrossSnapshotRestart(t *testing.T) {
 	ctx := context.Background()
-	var posts atomic.Int64
-	webhook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		posts.Add(1)
-	}))
-	defer webhook.Close()
-
-	part := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, DisableCorrection: true})
-	partTS := httptest.NewServer(part.Handler())
-	defer partTS.Close()
-
-	opts := CoordinatorOptions{
-		Partitions: []string{partTS.URL},
-		Triage:     triage.Config{Alert: triage.AlertConfig{URL: webhook.URL, MinOccurrences: 1}},
-	}
-	snapPath := filepath.Join(t.TempDir(), "coord.xcsn")
-
-	newCoord := func() *Coordinator {
-		c, err := NewCoordinator(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-
 	// Evidence that produces at least one candidate (obs >= 1 arms the
 	// MinOccurrences=1 trigger).
 	snap := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 2, Sites: []site.ID{0x900}}
@@ -199,13 +185,58 @@ func TestAlertExactlyOnceAcrossSnapshotRestart(t *testing.T) {
 		Site: 0x900,
 		Obs:  []cumulative.Observation{{X: 0.25, Y: true}, {X: 0.5, Y: true}},
 	})
-	if _, err := pushStamped(ctx, fleet.NewClient(partTS.URL, "inst"), snap); err != nil {
-		t.Fatal(err)
-	}
+
+	t.Run("coordinator", func(t *testing.T) {
+		part := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, DisableCorrection: true})
+		partTS := httptest.NewServer(part.Handler())
+		defer partTS.Close()
+		if _, err := pushStamped(ctx, fleet.NewClient(partTS.URL, "inst"), snap); err != nil {
+			t.Fatal(err)
+		}
+		alertIncarnations(t, func(alerting triage.Config, _ bool) alertTier {
+			c, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partTS.URL}, Triage: alerting})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, func(d alertTier) error {
+			_, err := d.(*Coordinator).Sync(ctx)
+			return err
+		})
+	})
+
+	t.Run("fleetd", func(t *testing.T) {
+		alertIncarnations(t, func(alerting triage.Config, fresh bool) alertTier {
+			srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, Triage: alerting})
+			if fresh {
+				srv.Store().AbsorbSnapshot(snap)
+			}
+			return srv
+		}, func(d alertTier) error {
+			d.(*fleet.Server).Correct()
+			return nil
+		})
+	})
+}
+
+// alertIncarnations runs four incarnations of one tier against a
+// webhook. newTier builds an incarnation alerting through the given
+// config; a fresh one starts without a snapshot and so must hold the
+// evidence on its own. sync brings an incarnation's evidence up to
+// date and runs a correction pass.
+func alertIncarnations(t *testing.T, newTier func(alerting triage.Config, fresh bool) alertTier, sync func(alertTier) error) {
+	ctx := context.Background()
+	var posts atomic.Int64
+	webhook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+	}))
+	defer webhook.Close()
+	alerting := triage.Config{Alert: triage.AlertConfig{URL: webhook.URL, MinOccurrences: 1}}
+	snapPath := filepath.Join(t.TempDir(), "state.snap")
 
 	// Incarnation 1: arm and deliver.
-	c1 := newCoord()
-	if _, err := c1.Sync(ctx); err != nil {
+	c1 := newTier(alerting, true)
+	if err := sync(c1); err != nil {
 		t.Fatal(err)
 	}
 	if n := c1.Triage().DeliverAlerts(ctx); n != 1 {
@@ -220,7 +251,7 @@ func TestAlertExactlyOnceAcrossSnapshotRestart(t *testing.T) {
 
 	// Incarnation 2: the restored fired map suppresses re-arming even
 	// though LoadSnapshot's warm-up pass sees the same crossing again.
-	c2 := newCoord()
+	c2 := newTier(alerting, false)
 	if err := c2.LoadSnapshot(snapPath); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +259,7 @@ func TestAlertExactlyOnceAcrossSnapshotRestart(t *testing.T) {
 		t.Fatalf("restart resurrected %d pending alerts", p)
 	}
 	c2.Triage().DeliverAlerts(ctx)
-	if _, err := c2.Sync(ctx); err != nil {
+	if err := sync(c2); err != nil {
 		t.Fatal(err)
 	}
 	c2.Triage().DeliverAlerts(ctx)
@@ -238,19 +269,19 @@ func TestAlertExactlyOnceAcrossSnapshotRestart(t *testing.T) {
 
 	// Incarnation 3: arm but crash before delivery. The pending queue
 	// rides the snapshot and delivers exactly once after restart.
-	c3 := newCoord()
-	if _, err := c3.Sync(ctx); err != nil {
+	c3 := newTier(alerting, true)
+	if err := sync(c3); err != nil {
 		t.Fatal(err)
 	}
 	if p := c3.Triage().PendingAlerts(); p != 1 {
 		t.Fatalf("incarnation 3 pending = %d, want 1", p)
 	}
-	snapPath2 := filepath.Join(t.TempDir(), "coord2.xcsn")
+	snapPath2 := filepath.Join(t.TempDir(), "state2.snap")
 	if err := c3.SaveSnapshot(snapPath2); err != nil {
 		t.Fatal(err)
 	}
 
-	c4 := newCoord()
+	c4 := newTier(alerting, false)
 	if err := c4.LoadSnapshot(snapPath2); err != nil {
 		t.Fatal(err)
 	}

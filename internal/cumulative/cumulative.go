@@ -483,6 +483,3 @@ func (hist *History) String() string {
 // ObservationsFor exposes a site's overflow observations (for tests and
 // the experiment harness).
 func (hist *History) ObservationsFor(s site.ID) []Observation { return hist.overflow[s] }
-
-// DanglingObservationsFor exposes a pair's observations.
-func (hist *History) DanglingObservationsFor(p site.Pair) []Observation { return hist.dangling[p] }

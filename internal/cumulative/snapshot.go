@@ -9,8 +9,9 @@ import (
 // Snapshot is an exported, exchange-friendly view of a History: the per-site
 // (X, Y) observations, hints, site set and run counters, with every list in
 // a canonical sorted order. It exists so observations can leave the process
-// — the fleet aggregation service (internal/fleet) JSON-encodes Snapshots on
-// the wire — without exposing History's internals or its invariants.
+// — the fleet's v2 frames (internal/fleet/codec) carry Snapshots on the
+// wire and in the daemons' state files — without exposing History's
+// internals or its invariants.
 //
 // Observation lists are sorted by (X, Y), so a snapshot's contents depend
 // only on the multiset of observations, not on the order in which
@@ -155,9 +156,11 @@ func (hist *History) Merge(other *History) {
 }
 
 // Canonicalize re-sorts every observation list into the canonical (X, Y)
-// order in place. Identify already scores a canonically ordered copy of
-// each list, so this is no longer needed for order-independent results;
-// it remains for tools that want the stored lists themselves canonical.
+// order in place. Identify's factors do not depend on the order (each
+// key is scored from its miss count and its hits' X values, sorted in
+// the history's scratch), so this is not needed for order-independent
+// results; it remains for tools that want the stored lists themselves
+// canonical.
 // Reordering destroys the upload watermark's append-only prefix, so the
 // watermark resets (a subsequent fleet upload re-sends everything).
 func (hist *History) Canonicalize() {

@@ -338,54 +338,18 @@ func (c *Client) fetchPatches(ctx context.Context, since uint64, ifNoneMatch str
 // epoch and whether it is currently primary. Standby coordinators probe
 // their primary with this; operators use it to verify a topology.
 func (c *Client) Lease(ctx context.Context) (*LeaseReply, error) {
-	resp, reqID, err := c.get(ctx, "/v1/lease", nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: get lease (request %s): %w", reqID, err)
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get lease (request "+reqID+")", resp)
-	}
-	var lr LeaseReply
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		return nil, fmt.Errorf("fleet: get lease (request %s): %w", reqID, err)
-	}
-	return &lr, nil
+	return getJSON[LeaseReply](ctx, c, "/v1/lease", "get lease")
 }
 
 // Status fetches aggregate server statistics.
 func (c *Client) Status() (*StatusReply, error) {
-	resp, reqID, err := c.get(context.Background(), "/v1/status", nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: get status (request %s): %w", reqID, err)
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get status (request "+reqID+")", resp)
-	}
-	var st StatusReply
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("fleet: get status (request %s): %w", reqID, err)
-	}
-	return &st, nil
+	return getJSON[StatusReply](context.Background(), c, "/v1/status", "get status")
 }
 
 // TriageRankings fetches the server's paginated triage ranking (GET
 // /v1/triage): the fleet's top defect clusters, pooled-Bayes first.
 func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage.RankingReply, error) {
-	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: get triage (request %s): %w", reqID, err)
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get triage (request "+reqID+")", resp)
-	}
-	var rr triage.RankingReply
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("fleet: get triage (request %s): %w", reqID, err)
-	}
-	return &rr, nil
+	return getJSON[triage.RankingReply](ctx, c, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), "get triage")
 }
 
 // Deltas polls the server's evidence journal: everything absorbed after
@@ -439,19 +403,25 @@ func (c *Client) AnnounceRing(ctx context.Context, version uint64) (*RingReply, 
 // /v1/membership): the membership version and partition base URLs a
 // router should split uploads across.
 func (c *Client) Membership(ctx context.Context) (*MembershipReply, error) {
-	resp, reqID, err := c.get(ctx, "/v1/membership", nil)
+	return getJSON[MembershipReply](ctx, c, "/v1/membership", "get membership")
+}
+
+// getJSON fetches path and decodes its 200 answer as a JSON T. what
+// names the request in errors ("get lease"), next to its X-Request-ID.
+func getJSON[T any](ctx context.Context, c *Client, path, what string) (*T, error) {
+	resp, reqID, err := c.get(ctx, path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: get membership (request %s): %w", reqID, err)
+		return nil, fmt.Errorf("fleet: %s (request %s): %w", what, reqID, err)
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get membership (request "+reqID+")", resp)
+		return nil, httpError(what+" (request "+reqID+")", resp)
 	}
-	var m MembershipReply
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("fleet: get membership (request %s): %w", reqID, err)
+	var v T
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		return nil, fmt.Errorf("fleet: %s (request %s): %w", what, reqID, err)
 	}
-	return &m, nil
+	return &v, nil
 }
 
 // get issues a read request for path (e.g. "/v1/patches?since=3"),

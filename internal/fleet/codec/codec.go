@@ -1,10 +1,10 @@
 // Package codec implements the fleet's v2 binary wire encoding
 // (docs/PROTOCOL.md, "Binary v2 frames"): the one representation on every
-// upload and tier-internal poll. JSON burned the aggregation tier's CPU
-// marshalling at fleet scale; v2 exists so the ingest path costs near
-// zero per observation.
+// upload and tier-internal poll, and of the daemons' state files. JSON
+// burned the aggregation tier's CPU marshalling at fleet scale; v2
+// exists so the ingest path costs near zero per observation.
 //
-// Every v2 HTTP body is one self-contained frame:
+// Every v2 HTTP body and state file is one self-contained frame:
 //
 //	magic "XWF2" | version byte | frame type byte | u32 LE payload length | payload
 //
@@ -18,9 +18,10 @@
 // before any allocation is sized from it.
 //
 // The package declares each frame's message once (Batch, PatchSet,
-// Delta) and depends only on the evidence types (internal/cumulative,
-// internal/site, internal/patch): the fleet and cluster tiers, the
-// examples and the benchmarks build and read these types directly.
+// Delta, and State, a daemon's durable state) and depends only on the
+// evidence types (internal/cumulative, internal/site, internal/patch):
+// the fleet and cluster tiers, the examples and the benchmarks build
+// and read these types directly.
 package codec
 
 import (
@@ -47,6 +48,8 @@ const (
 	FramePatches byte = 2
 	// FrameDelta is a Delta (GET /v1/deltas response).
 	FrameDelta byte = 3
+	// FrameState is a State (a fleetd or coordinator -snapshot file).
+	FrameState byte = 4
 )
 
 // frameVersion is the encoding version inside the magic. Bumped only

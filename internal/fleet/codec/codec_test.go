@@ -185,6 +185,67 @@ func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
 	}
 }
 
+// TestStateDecodeRejectsNonProbabilityX: a state file holds evidence a
+// daemon absorbed from checked batches, so DecodeState applies the same
+// X check to each of its evidence sections — the store, a mirror and an
+// evict entry — and accepts the bounds.
+func TestStateDecodeRejectsNonProbabilityX(t *testing.T) {
+	states := func(s *cumulative.Snapshot) map[string]*State {
+		return map[string]*State{
+			"evidence": {Evidence: s},
+			"mirror":   {Mirrors: []Mirror{{Base: "p", Snapshot: s}}},
+			"evict":    {Evicts: []Evicted{{Token: "t", Snapshot: s}}},
+		}
+	}
+	for _, dangling := range []bool{false, true} {
+		for _, x := range []float64{math.NaN(), math.Inf(1), 7, -3} {
+			for section, st := range states(xSnapshot(x, dangling)) {
+				if _, err := DecodeState(EncodeState(&Buffer{}, st)); err == nil {
+					t.Errorf("%s dangling=%v X=%v: decoded", section, dangling, x)
+				}
+			}
+		}
+		for _, x := range []float64{0, 1} {
+			for section, st := range states(xSnapshot(x, dangling)) {
+				if _, err := DecodeState(EncodeState(&Buffer{}, st)); err != nil {
+					t.Errorf("%s dangling=%v X=%v rejected: %v", section, dangling, x, err)
+				}
+			}
+		}
+	}
+}
+
+// TestStateSnapshotCountsAreTight: mirror and evict counts are checked
+// against minSnapshotBytes, which must be exactly what an empty snapshot
+// payload costs; a forged count fails before anything is sized from it.
+func TestStateSnapshotCountsAreTight(t *testing.T) {
+	buf := &Buffer{}
+	appendSnapshot(buf, &cumulative.Snapshot{})
+	if len(buf.B) != minSnapshotBytes {
+		t.Fatalf("empty snapshot payload is %d bytes, minSnapshotBytes says %d", len(buf.B), minSnapshotBytes)
+	}
+	empty := EncodeState(&Buffer{}, &State{Mirrors: []Mirror{{}}, Evicts: []Evicted{{}}})
+	got, err := DecodeState(empty)
+	if err != nil || len(got.Mirrors) != 1 || len(got.Evicts) != 1 {
+		t.Fatalf("state with empty mirror and evict entry: %+v, %v", got, err)
+	}
+	for _, section := range []string{"mirror", "evict"} {
+		fb := &Buffer{}
+		start := fb.beginFrame(FrameState)
+		fb.u8(0)      // flags
+		fb.uvarint(0) // ring version
+		fb.uvarint(0) // nodes
+		if section == "evict" {
+			fb.uvarint(0) // mirrors
+			fb.uvarint(0) // dedup
+		}
+		fb.uvarint(1 << 40) // forged count
+		if _, err := DecodeState(fb.endFrame(start)); err == nil {
+			t.Errorf("forged %s count decoded", section)
+		}
+	}
+}
+
 func TestDecodeBatchSharded(t *testing.T) {
 	const shards = 8
 	shardOf := func(id site.ID) int {

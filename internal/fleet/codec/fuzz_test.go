@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -9,13 +10,13 @@ import (
 )
 
 // FuzzV2FrameDecode drives every v2 frame decoder, and the snapshot
-// payload decoder the batch and delta frames embed, with arbitrary
-// bytes, the same contract as the XFSN/XCSN persistence targets: no
-// panic, and no allocation sized from a forged length or count prefix
-// (every decoder validates counts against the bytes actually present
-// first). Valid frames that decode must re-encode and decode to the
-// same value — a cheap round-trip oracle on top of crash safety — and
-// every batch that decodes carries only probabilities as X.
+// payload decoder the batch, delta and state frames embed, with
+// arbitrary bytes: no panic, and no allocation sized from a forged
+// length or count prefix (every decoder validates counts against the
+// bytes actually present first). Valid frames that decode must
+// re-encode and decode to the same value — a cheap round-trip oracle on
+// top of crash safety — and every batch or state that decodes carries
+// only probabilities as X.
 func FuzzV2FrameDecode(f *testing.F) {
 	// Seed with one valid frame of each type and one bare snapshot
 	// payload, so mutation starts from structurally plausible inputs.
@@ -63,6 +64,13 @@ func FuzzV2FrameDecode(f *testing.F) {
 			PutBuffer(buf)
 		}
 	}
+	f.Add(EncodeState(&Buffer{}, &State{
+		RingVersion: 3, Nodes: []string{"n"},
+		Mirrors:  []Mirror{{Base: "n", Seq: 5, Epoch: 1, Snapshot: snap}},
+		Evidence: snap, Dedup: []string{"b"},
+		Evicts: []Evicted{{Token: "t", Snapshot: snap}},
+		Alerts: []byte("{}"),
+	}))
 
 	shardOf := func(id site.ID) int { return int(uint32(id) % 7) }
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -106,6 +114,20 @@ func FuzzV2FrameDecode(f *testing.F) {
 			}
 			PutBuffer(rt)
 		}
+		if st, err := DecodeState(data); err == nil {
+			for _, s := range stateSnapshots(st) {
+				assertProbabilities(t, s)
+			}
+			// Compare encodings, not values: c and p may be NaN.
+			re := EncodeState(&Buffer{}, st)
+			back, err := DecodeState(re)
+			if err != nil {
+				t.Fatalf("re-decode state: %v", err)
+			}
+			if !bytes.Equal(EncodeState(&Buffer{}, back), re) {
+				t.Fatalf("state round trip diverged")
+			}
+		}
 		if d, err := DecodeDelta(data); err == nil {
 			rt := GetBuffer()
 			re := EncodeDelta(rt, d)
@@ -115,6 +137,21 @@ func FuzzV2FrameDecode(f *testing.F) {
 			PutBuffer(rt)
 		}
 	})
+}
+
+// stateSnapshots lists every evidence section of st.
+func stateSnapshots(st *State) []*cumulative.Snapshot {
+	var out []*cumulative.Snapshot
+	if st.Evidence != nil {
+		out = append(out, st.Evidence)
+	}
+	for _, m := range st.Mirrors {
+		out = append(out, m.Snapshot)
+	}
+	for _, e := range st.Evicts {
+		out = append(out, e.Snapshot)
+	}
+	return out
 }
 
 // assertProbabilities fails unless every observation X in s lies in

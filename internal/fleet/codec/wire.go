@@ -663,11 +663,7 @@ func EncodeDelta(buf *Buffer, d *Delta) []byte {
 			continue
 		}
 		buf.u8(deltaOpSnapshot)
-		var snap cumulative.Snapshot
-		if op.Snapshot != nil {
-			snap = *op.Snapshot
-		}
-		appendSnapshot(buf, &snap)
+		appendSnapshotOrEmpty(buf, op.Snapshot)
 	}
 	if d.Snapshot != nil {
 		appendSnapshot(buf, d.Snapshot)
@@ -687,12 +683,7 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	d.Seq = r.uvarint()
 	flags := r.u8()
 	d.Full = flags&deltaFlagFull != 0
-	if n := r.count(1, "request id"); n > 0 {
-		d.ReqIDs = make([]string, n)
-		for i := range d.ReqIDs {
-			d.ReqIDs[i] = r.str("request id")
-		}
-	}
+	d.ReqIDs = readStrings(r, "request id")
 	if n := r.count(1, "delta op"); n > 0 {
 		d.Ops = make([]DeltaOp, n)
 		for i := range d.Ops {

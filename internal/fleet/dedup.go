@@ -85,10 +85,3 @@ func (d *dedupWindow) restore(ids []string) {
 		d.admit(id)
 	}
 }
-
-// size returns the number of retained IDs.
-func (d *dedupWindow) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.order)
-}

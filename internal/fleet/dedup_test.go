@@ -163,11 +163,11 @@ func TestDedupSurvivesSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRejectsRetiredFormats: the fleet snapshot has one
-// container version. A bare cumulative history file (what SaveSnapshot
-// wrote before the container existed), a version-1 container (no ring
-// version, no evict cache) and a container from a future version must
-// all fail to load rather than restore a guessed layout.
+// TestLoadSnapshotRejectsRetiredFormats: fleetd's state file is one
+// current state frame. The retired XFSN containers (versions 1 and 2), a
+// bare cumulative history (what SaveSnapshot wrote before any
+// container), a frame of another type and a state frame of a future
+// frame version must all fail to load, and restore nothing.
 func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 	hist := cumulative.NewHistory(cumulative.DefaultConfig())
 	hist.Absorb(smallSnapshot(2, 0x400))
@@ -175,18 +175,25 @@ func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 	if err := hist.Encode(&bare); err != nil {
 		t.Fatal(err)
 	}
-	container := func(version uint32) []byte {
+	xfsn := func(version uint32) []byte {
 		var b bytes.Buffer
-		binary.Write(&b, binary.LittleEndian, uint32(fleetSnapMagic))
+		binary.Write(&b, binary.LittleEndian, uint32(0x4E534658)) // "XFSN"
 		binary.Write(&b, binary.LittleEndian, version)
 		if version >= 2 {
-			binary.Write(&b, binary.LittleEndian, uint64(0)) // ring version
+			binary.Write(&b, binary.LittleEndian, uint64(3)) // ring version
 			binary.Write(&b, binary.LittleEndian, uint32(0)) // evict cache
 		}
 		binary.Write(&b, binary.LittleEndian, uint32(0)) // dedup ids
 		b.Write(bare.Bytes())
 		return b.Bytes()
 	}
+	state := codec.EncodeState(&codec.Buffer{}, &codec.State{
+		RingVersion: 3,
+		Evidence:    smallSnapshot(2, 0x400),
+		Dedup:       []string{"batch-a"},
+	})
+	future := append([]byte(nil), state...)
+	future[4]++ // the frame version byte
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
 		path := filepath.Join(dir, name)
@@ -195,15 +202,22 @@ func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 		}
 		return path
 	}
-	// The current version built the same way loads: the rejections below
-	// are about the version, not the hand encoding.
-	if err := NewServer(ServerOptions{CorrectEvery: -1}).LoadSnapshot(write("current.snap", container(fleetSnapVersion))); err != nil {
-		t.Fatalf("current container rejected: %v", err)
+	// The current state frame loads: the rejections below are about the
+	// format, not the evidence.
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	if err := srv.LoadSnapshot(write("current.snap", state)); err != nil {
+		t.Fatalf("current state frame rejected: %v", err)
+	}
+	if got := srv.Store().Runs(); got != 2 {
+		t.Fatalf("current state frame restored %d runs, want 2", got)
 	}
 	for name, data := range map[string][]byte{
-		"bare-history.snap": bare.Bytes(),
-		"xfsn-v1.snap":      container(1),
-		"xfsn-future.snap":  container(fleetSnapVersion + 1),
+		"xfsn-v1.snap":       xfsn(1),
+		"xfsn-v2.snap":       xfsn(2),
+		"bare-history.snap":  bare.Bytes(),
+		"batch-frame.snap":   frame(stampedBatch("c", smallSnapshot(2, 0x400))),
+		"future-frame.snap":  future,
+		"trailing-byte.snap": append(append([]byte(nil), state...), 0),
 	} {
 		srv := NewServer(ServerOptions{CorrectEvery: -1})
 		if err := srv.LoadSnapshot(write(name, data)); err == nil {
@@ -211,6 +225,9 @@ func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 		}
 		if got := srv.Store().Runs(); got != 0 {
 			t.Errorf("%s: rejected file left %d runs behind", name, got)
+		}
+		if srv.dedup.has("batch-a") || srv.ringVersion.Load() != 0 {
+			t.Errorf("%s: rejected file restored the dedup window or ring version", name)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 )
 
 // evictCache makes rebalance drains idempotent: POST /v1/evict removes a
@@ -60,26 +61,20 @@ func (e *evictCache) put(token string, s *cumulative.Snapshot) {
 	}
 }
 
-// evictEntry is one cached drain, in persistence order.
-type evictEntry struct {
-	Token string
-	Snap  *cumulative.Snapshot
-}
-
 // entries returns the cached drains oldest-first (snapshot persistence).
-func (e *evictCache) entries() []evictEntry {
+func (e *evictCache) entries() []codec.Evicted {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]evictEntry, 0, len(e.order))
+	out := make([]codec.Evicted, 0, len(e.order))
 	for _, tok := range e.order {
-		out = append(out, evictEntry{Token: tok, Snap: e.snaps[tok]})
+		out = append(out, codec.Evicted{Token: tok, Snapshot: e.snaps[tok]})
 	}
 	return out
 }
 
 // restore refills the cache from persisted entries, oldest first.
-func (e *evictCache) restore(entries []evictEntry) {
+func (e *evictCache) restore(entries []codec.Evicted) {
 	for _, en := range entries {
-		e.put(en.Token, en.Snap)
+		e.put(en.Token, en.Snapshot)
 	}
 }

@@ -3,21 +3,22 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
 )
 
-// fuzzSnapshotSeed builds a small valid XFSN container, in the one
-// version the decoder accepts, to seed the corpus: ring version, one
-// evict entry, two dedup IDs, and a history carrying every section
-// (sites, overflow, dangling, hints, and a watermark with a lineage).
-func fuzzSnapshotSeed(t testing.TB) []byte {
-	hist := cumulative.NewHistory(cumulative.DefaultConfig())
+// fuzzStateSeed builds a small valid fleetd state frame to seed the
+// corpus: ring version, one evict entry, two dedup IDs, an alert blob,
+// and evidence carrying every snapshot section.
+func fuzzStateSeed() []byte {
 	snap := &cumulative.Snapshot{
-		Runs:  3,
+		C: 4, P: 0.5, Runs: 3,
 		Sites: []site.ID{1, 2},
 		Overflow: []cumulative.SiteObservations{
 			{Site: 1, Obs: []cumulative.Observation{{X: 0.5, Y: true}}},
@@ -25,55 +26,58 @@ func fuzzSnapshotSeed(t testing.TB) []byte {
 		Dangling: []cumulative.PairObservations{
 			{Alloc: 1, Free: 2, Obs: []cumulative.Observation{{X: 0.25, Y: false}}},
 		},
-		PadHints: []cumulative.PadHint{{Site: 1, Pad: 16}},
+		PadHints:      []cumulative.PadHint{{Site: 1, Pad: 16}},
+		DeferralHints: []cumulative.DeferralHint{{Alloc: 1, Free: 2, Deferral: 64}},
 	}
-	hist.Absorb(snap)
-	// Acknowledge a first upload so the watermark (lineage included)
-	// carries data.
-	hist.MarkUploaded(hist.UploadDelta())
-	hist.Absorb(&cumulative.Snapshot{Runs: 1, Sites: []site.ID{3}})
-	st := fleetSnapState{
-		hist:   hist,
-		ring:   7,
-		ids:    []string{"batch-a", "batch-b"},
-		evicts: []evictEntry{{Token: "tok-1", Snap: snap}},
-	}
-	var buf bytes.Buffer
-	if err := writeFleetSnapshot(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return codec.EncodeState(&codec.Buffer{}, &codec.State{
+		RingVersion: 7,
+		Evidence:    snap,
+		Dedup:       []string{"batch-a", "batch-b"},
+		Evicts:      []codec.Evicted{{Token: "tok-1", Snapshot: snap}},
+		Alerts:      []byte(`{"fired":{},"pending":[]}`),
+	})
 }
 
-// FuzzXFSNDecode fuzzes the fleet snapshot container decoder: corrupt,
-// truncated, or adversarial input (forged length prefixes, implausible
-// counts) must come back as an error — never a panic, and never an
-// allocation sized by an untrusted prefix rather than the bytes present.
+// stateFrame frames payload as a FrameState frame by hand, for
+// payloads EncodeState would never write.
+func stateFrame(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32([]byte("XWF2\x01\x04"), uint32(len(payload)))
+	return append(frame, payload...)
+}
+
+// FuzzXFSNDecode fuzzes fleetd's restore path, which reads only state
+// frames: arbitrary bytes (truncations, forged length and count
+// prefixes, the retired XFSN container) are decoded and, when they
+// decode, restored into a fresh server. Neither step may panic or
+// allocate from an untrusted prefix, and a state that restores must
+// save again.
 func FuzzXFSNDecode(f *testing.F) {
-	seed := fuzzSnapshotSeed(f)
+	seed := fuzzStateSeed()
 	f.Add(seed)
-	f.Add(seed[:len(seed)/2]) // truncated mid-container
+	f.Add(seed[:len(seed)/2]) // truncated mid-frame
 	f.Add(seed[:9])           // truncated inside the header
 	f.Add([]byte{})
-	f.Add([]byte("XTCH bare-history-looking junk"))
-	// Forged dedup-id length prefix: header claims far more bytes than
-	// the input holds.
-	forged := append([]byte{}, seed[:12]...)
-	binary.LittleEndian.PutUint32(forged[8:], 0xFFFFFF)
-	f.Add(forged)
+	f.Add([]byte("XFSN\x02\x00\x00\x00 retired-container-looking junk"))
+	// Forged dedup count: a well-framed state claiming 2^40 IDs.
+	payload := []byte{0, 0, 0, 0} // flags, ring version, no nodes, no mirrors
+	payload = binary.AppendUvarint(payload, 1<<40)
+	payload = append(payload, 1, 'x', 0, 0)
+	f.Add(stateFrame(payload))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := readFleetSnapshot(bytes.NewReader(data))
-		if err != nil {
+		if _, err := codec.DecodeState(data); err != nil {
 			return
 		}
-		// A successful decode must yield a usable history: re-encoding it
-		// must not panic either.
-		if st.hist == nil {
-			t.Fatal("nil history with nil error")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fleet.snap")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := st.hist.Encode(&buf); err != nil {
-			t.Fatalf("re-encode of accepted snapshot: %v", err)
+		srv := NewServer(ServerOptions{CorrectEvery: -1})
+		if err := srv.LoadSnapshot(path); err != nil {
+			return // an alert blob that is not the alerter's JSON
+		}
+		if err := srv.SaveSnapshot(filepath.Join(dir, "again.snap")); err != nil {
+			t.Fatalf("restored state does not save: %v", err)
 		}
 	})
 }

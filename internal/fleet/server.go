@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"compress/gzip"
 	"context"
 	"crypto/subtle"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -899,84 +896,67 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Fleet snapshot container: the dedup window, the required ring version,
-// the rebalance evict cache, and the evidence store in the cumulative
-// persist format. Persisting the window alongside the evidence is what
-// carries exactly-once ingest across restarts: a batch absorbed before
-// the snapshot and retried after the restore is still recognized as a
-// duplicate. The container has one version, fleetSnapVersion; any other
-// file — an older container, or a bare cumulative history — is rejected.
-const (
-	fleetSnapMagic   = 0x4E534658 // "XFSN" little-endian
-	fleetSnapVersion = 2
-	// maxSnapIDs bounds decoded dedup IDs against corrupt files.
-	maxSnapIDs = 1 << 20
-	// maxSnapEvicts/maxEvictBytes bound the decoded evict cache.
-	maxSnapEvicts = 1 << 10
-	maxEvictBytes = 1 << 28
-)
-
-// fleetSnapState is everything SaveSnapshot persists, captured at one
-// consistent point.
-type fleetSnapState struct {
-	ids    []string
-	ring   uint64
-	evicts []evictEntry
-	hist   *cumulative.History
-}
-
-// SaveSnapshot writes the combined evidence store, the dedup window, the
-// required ring version and the evict cache to path (atomicfile.Write,
-// so a crash mid-write never corrupts the previous snapshot).
-// The whole state is captured under deltaMu held exclusively, so the
-// dedup IDs correspond exactly to the evidence: no batch can slip
-// between the two captures, which is what makes restore-and-retry
-// lossless (an ID in the window without its evidence would make the
-// server drop the retry as a duplicate).
+// SaveSnapshot writes the server's durable state to path as one
+// codec.State frame (WriteState): the evidence store, the dedup window,
+// the required ring version, the evict cache and the triage alerter's
+// exactly-once state. Persisting the window alongside the evidence is
+// what carries exactly-once ingest across restarts: a batch absorbed
+// before the snapshot and retried after the restore is still recognized
+// as a duplicate. Everything but the alert state is captured under
+// deltaMu held exclusively, so the dedup IDs correspond exactly to the
+// evidence: no batch can slip between the two captures, which is what
+// makes restore-and-retry lossless (an ID in the window without its
+// evidence would make the server drop the retry as a duplicate).
 func (s *Server) SaveSnapshot(path string) error {
 	s.deltaMu.Lock()
-	st := fleetSnapState{
-		ids:    s.dedup.ids(),
-		ring:   s.ringVersion.Load(),
-		evicts: s.evicts.entries(),
-		hist:   s.store.Combined(),
+	st := codec.State{
+		RingVersion: s.ringVersion.Load(),
+		Dedup:       s.dedup.ids(),
+		Evicts:      s.evicts.entries(),
 	}
+	hist := s.store.Combined()
 	s.deltaMu.Unlock()
+	st.Evidence = hist.Snapshot()
 
-	if err := atomicfile.Write(path, 0o600, func(w io.Writer) error { return writeFleetSnapshot(w, st) }); err != nil {
+	alerts, err := s.triage.AlertState()
+	if err != nil {
+		return fmt.Errorf("fleet: snapshot: %w", err)
+	}
+	st.Alerts = alerts
+	if err := WriteState(path, &st); err != nil {
 		return fmt.Errorf("fleet: snapshot: %w", err)
 	}
 	return nil
 }
 
-// LoadSnapshot restores evidence (and the dedup window) from a snapshot
-// file written by SaveSnapshot and runs a correction pass so the patch
-// log is warm before the first poll. A missing file is not an error
-// (fresh start); a file in any other format or version is.
+// LoadSnapshot restores the state SaveSnapshot wrote to path and runs a
+// correction pass so the patch log is warm before the first poll. The
+// alert state lands before that pass, so it does not re-arm (and later
+// re-fire) an alert the previous incarnation delivered. A missing file
+// is not an error (fresh start); a file that is not a state frame is,
+// and nothing is restored from it.
 func (s *Server) LoadSnapshot(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("fleet: restore: %w", err)
-	}
-	defer f.Close()
-	st, err := readFleetSnapshot(f)
+	st, err := ReadState(path)
 	if err != nil {
 		return fmt.Errorf("fleet: restore %s: %w", path, err)
 	}
-	s.dedup.restore(st.ids)
-	s.evicts.restore(st.evicts)
-	if st.ring > 0 {
-		s.RequireRingVersion(st.ring)
+	if st == nil {
+		return nil
+	}
+	if err := s.triage.RestoreAlertState(st.Alerts); err != nil {
+		return fmt.Errorf("fleet: restore %s: %w", path, err)
+	}
+	s.dedup.restore(st.Dedup)
+	s.evicts.restore(st.Evicts)
+	if st.RingVersion > 0 {
+		s.RequireRingVersion(st.RingVersion)
 	}
 	// Restored evidence enters the store without a journal entry, so any
 	// journal cursor issued before this point (including 0) can no longer
 	// reconstruct the store from deltas — invalidate them all, forcing
 	// pollers onto the full-resync path.
 	s.deltaMu.Lock()
-	s.store.AbsorbHistory(st.hist)
+	s.store.AbsorbSnapshot(st.Evidence)
 	s.journal.invalidate()
 	s.deltaMu.Unlock()
 	// The warm-up pass hands triage the complete candidate set.
@@ -985,118 +965,33 @@ func (s *Server) LoadSnapshot(path string) error {
 	return nil
 }
 
-// writeFleetSnapshot emits the container: magic, version, ring version,
-// evict cache, dedup IDs, then the history in the cumulative persist
-// format.
-func writeFleetSnapshot(w io.Writer, st fleetSnapState) error {
-	bw := bufio.NewWriter(w)
-	u32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	u32(fleetSnapMagic)
-	u32(fleetSnapVersion)
-	binary.Write(bw, binary.LittleEndian, st.ring)
-	u32(uint32(len(st.evicts)))
-	for _, e := range st.evicts {
-		blob, err := json.Marshal(e.Snap)
-		if err != nil {
-			return err
-		}
-		u32(uint32(len(e.Token)))
-		bw.WriteString(e.Token)
-		u32(uint32(len(blob)))
-		bw.Write(blob)
+// WriteState writes st to path as one codec.State frame, through
+// atomicfile.Write: a crash mid-write never corrupts the previous file.
+// A state too large for one frame (codec.MaxFrameBytes) is an error and
+// leaves the previous file in place, since a restart could not read it.
+// fleetd and the cluster coordinator both persist through it.
+func WriteState(path string, st *codec.State) error {
+	buf := codec.GetBuffer()
+	defer codec.PutBuffer(buf)
+	frame := codec.EncodeState(buf, st)
+	if _, _, err := codec.ParseFrame(frame); err != nil {
+		return fmt.Errorf("state of %d bytes does not fit one frame: %w", len(frame), err)
 	}
-	u32(uint32(len(st.ids)))
-	for _, id := range st.ids {
-		u32(uint32(len(id)))
-		bw.WriteString(id)
-	}
-	if err := bw.Flush(); err != nil {
+	return atomicfile.Write(path, 0o600, func(w io.Writer) error {
+		_, err := w.Write(frame)
 		return err
-	}
-	return st.hist.Encode(w)
+	})
 }
 
-// readFleetSnapshot decodes a container written by writeFleetSnapshot.
-func readFleetSnapshot(r io.Reader) (fleetSnapState, error) {
-	var (
-		st             fleetSnapState
-		err            error
-		magic, version uint32
-	)
-	br := bufio.NewReader(r)
-	read := func(v *uint32) {
-		if err == nil {
-			err = binary.Read(br, binary.LittleEndian, v)
-		}
-	}
-	readStr := func(limit uint32, what string) string {
-		var l uint32
-		read(&l)
-		if err == nil && l > limit {
-			err = fmt.Errorf("implausible %s length %d", what, l)
-		}
-		if err != nil {
-			return ""
-		}
-		// Copy instead of a trusting make([]byte, l): a forged length
-		// prefix must fail with a short read, not a huge allocation.
-		var buf bytes.Buffer
-		if _, rerr := io.CopyN(&buf, br, int64(l)); rerr != nil {
-			err = rerr
-			return ""
-		}
-		return buf.String()
-	}
-	read(&magic)
-	read(&version)
+// ReadState reads a file WriteState wrote. A missing file returns nil
+// and no error; a file that is not a current state frame is an error.
+func ReadState(path string) (*codec.State, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return st, err
-	}
-	if magic != fleetSnapMagic {
-		return st, fmt.Errorf("not a fleet snapshot (magic %#x)", magic)
-	}
-	if version != fleetSnapVersion {
-		return st, fmt.Errorf("unsupported fleet snapshot version %d", version)
-	}
-	if err = binary.Read(br, binary.LittleEndian, &st.ring); err != nil {
-		return st, err
-	}
-	var ne uint32
-	read(&ne)
-	if err == nil && ne > maxSnapEvicts {
-		err = fmt.Errorf("implausible evict cache size %d", ne)
-	}
-	for i := uint32(0); err == nil && i < ne; i++ {
-		tok := readStr(1024, "evict token")
-		blob := readStr(maxEvictBytes, "evict snapshot")
-		if err != nil {
-			break
+		if os.IsNotExist(err) {
+			return nil, nil
 		}
-		var snap cumulative.Snapshot
-		if jerr := json.Unmarshal([]byte(blob), &snap); jerr != nil {
-			err = jerr
-			break
-		}
-		st.evicts = append(st.evicts, evictEntry{Token: tok, Snap: &snap})
+		return nil, err
 	}
-	if err != nil {
-		return st, fmt.Errorf("fleet snapshot evict cache: %w", err)
-	}
-	var n uint32
-	read(&n)
-	if err != nil {
-		return st, err
-	}
-	if n > maxSnapIDs {
-		return st, fmt.Errorf("implausible dedup id count %d", n)
-	}
-	for i := uint32(0); i < n; i++ {
-		id := readStr(1024, "dedup id")
-		if err != nil {
-			return st, fmt.Errorf("fleet snapshot dedup id: %w", err)
-		}
-		st.ids = append(st.ids, id)
-	}
-	st.hist, err = cumulative.DecodeHistory(br)
-	return st, err
+	return codec.DecodeState(data)
 }

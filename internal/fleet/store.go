@@ -183,15 +183,6 @@ func (st *Store) Extract(keys []site.ID) *cumulative.Snapshot {
 	return tmp.Snapshot()
 }
 
-// AbsorbHistory folds a whole history into the store (snapshot restore and
-// in-process aggregation paths).
-func (st *Store) AbsorbHistory(h *cumulative.History) {
-	if h == nil {
-		return
-	}
-	st.AbsorbSnapshot(h.Snapshot())
-}
-
 // maxClients bounds the distinct-installation statistic: IDs are
 // client-chosen, so an unbounded set would let one misbehaving client
 // grow server memory without limit.

@@ -65,6 +65,25 @@ func sampleDelta() *codec.Delta {
 	}
 }
 
+// sampleState is the state wire_state.v2.bin pins: every section of
+// both tiers' state files at once (no daemon writes all of them).
+func sampleState() *codec.State {
+	return &codec.State{
+		RingVersion: 4,
+		Nodes:       []string{"http://p1:7077", "http://p2:7077"},
+		Mirrors: []codec.Mirror{
+			{Base: "http://p1:7077", Seq: 41, Epoch: 2, Snapshot: testBatches(1)[0]},
+			{Base: "http://p2:7077", Seq: 7, Epoch: 3, Snapshot: &cumulative.Snapshot{C: 4, P: 0.5}},
+		},
+		Evidence: testBatches(2)[1],
+		Dedup:    []string{"c9d3b486e6f3aca84dedec609155e491", "batch-2"},
+		Evicts: []codec.Evicted{
+			{Token: "rebalance-v3", Snapshot: &cumulative.Snapshot{C: 4, P: 0.5, Runs: 3, Sites: []site.ID{0x100}}},
+		},
+		Alerts: []byte(`{"fired":{"overflow-site-bad":{"pass":3,"regressions":0,"at":1}},"pending":[]}`),
+	}
+}
+
 // canonJSON renders v through encoding/json for structural comparison:
 // two wire values that marshal identically carry identical evidence.
 func canonJSON(t *testing.T, v any) string {
@@ -128,6 +147,7 @@ func TestCrossCodecGolden(t *testing.T) {
 	checkFrameGolden(t, "wire_batch.v2.bin", sampleBatch(), codec.EncodeBatch, codec.DecodeBatch)
 	checkFrameGolden(t, "wire_patchset.v2.bin", samplePatchSet(), codec.EncodePatches, codec.DecodePatches)
 	checkFrameGolden(t, "wire_delta.v2.bin", sampleDelta(), codec.EncodeDelta, codec.DecodeDelta)
+	checkFrameGolden(t, "wire_state.v2.bin", sampleState(), codec.EncodeState, codec.DecodeState)
 
 	jsonPath := filepath.Join("testdata", "wire_patchset.v1.json")
 	if *updateGolden {

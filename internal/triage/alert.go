@@ -21,7 +21,8 @@ import (
 //
 // Exactly-once: arming a cluster records it in the fired map *and*
 // enqueues the payload in the pending queue atomically (one mutex), and
-// both halves marshal into the coordinator's XCSN snapshot. A restart
+// both halves marshal into the owning tier's state file (the alerts
+// section of a codec.State, on fleetd and the coordinator). A restart
 // therefore neither re-arms an already-fired crossing (fired map
 // restored) nor loses an armed-but-undelivered alert (pending queue
 // restored and re-driven).
@@ -93,7 +94,7 @@ type pendingAlert struct {
 	NotBefore int64        `json:"notBefore"` // unix nanoseconds
 }
 
-// alertState is the persisted form (XCSN alert blob).
+// alertState is the persisted form (AlertState's blob).
 type alertState struct {
 	Fired   map[string]firedRecord `json:"fired"`
 	Pending []pendingAlert         `json:"pending"`
@@ -286,10 +287,11 @@ func (a *Alerter) post(ctx context.Context, payload AlertPayload) error {
 }
 
 // AlertState marshals the alerter's dedup map and pending queue for
-// snapshot persistence.
+// snapshot persistence. A nil engine (a partition, which runs no
+// triage) has no state and returns nil.
 func (e *Engine) AlertState() ([]byte, error) {
 	if e == nil {
-		return json.Marshal(alertState{})
+		return nil, nil
 	}
 	a := e.alerter
 	a.mu.Lock()
@@ -298,8 +300,8 @@ func (e *Engine) AlertState() ([]byte, error) {
 }
 
 // RestoreAlertState replaces the alerter's state from a snapshot blob.
-// Empty input is a no-op (snapshots predating the alert blob). The next
-// pass reconsiders every cluster against the restored records.
+// Empty input (a state written without an alerter) is a no-op. The
+// next pass reconsiders every cluster against the restored records.
 func (e *Engine) RestoreAlertState(data []byte) error {
 	if e == nil || len(data) == 0 {
 		return nil
