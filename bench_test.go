@@ -378,8 +378,8 @@ func benchIngestFrame(b *testing.B) (frame []byte, restamp func(frame []byte, n 
 // Fleet aggregation: batched observation ingest through the HTTP handler
 // (POST /v1/observations), the hot path of the networked cumulative mode.
 // Inline correction is disabled so the measurement isolates decode,
-// dedup admission and sharded absorb; the Bayesian pass runs on the
-// background loop in deployment.
+// dedup admission, the store's per-key absorb and the journal append;
+// the Bayesian pass runs on the background loop in deployment.
 func BenchmarkFleetIngest(b *testing.B) {
 	body, restamp := benchIngestFrame(b)
 	b.Run("v2", func(b *testing.B) {

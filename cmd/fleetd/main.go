@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -57,48 +58,99 @@ import (
 	"exterminator/internal/version"
 )
 
+// The flags. modeFlags says which of them each mode reads.
+var (
+	addr         = flag.String("addr", ":7077", "listen address")
+	shards       = flag.Int("shards", fleet.DefaultShards, "evidence store stripe count")
+	correctEvery = flag.Int("correct-every", 8, "inline correction pass once more than this many batches are pending (-1: background loop only)")
+	correctWork  = flag.Int("correct-workers", 0, "store stripes identified in parallel per correction pass (0: min(GOMAXPROCS, -shards), 1: serial)")
+	correctInt   = flag.Duration("correct-interval", 2*time.Second, "background correction loop interval")
+	snapshot     = flag.String("snapshot", "", "snapshot file: restored on start, written periodically and on shutdown")
+	snapshotInt  = flag.Duration("snapshot-interval", 30*time.Second, "how often to write the -snapshot state file")
+	priorC       = flag.Float64("c", 4, "Bayesian prior constant c (P(H1) = 1/(cN))")
+	fillP        = flag.Float64("p", 0.5, "canary fill probability p the fleet's heaps use")
+	token        = flag.String("token", "", "shared ingest token: require Authorization: Bearer <token> on write endpoints")
+	rate         = flag.Float64("rate", 0, "per-client observation uploads per second (0: unlimited)")
+	burst        = flag.Int("burst", 0, "rate-limit burst (0: 2x rate)")
+	journalLen   = flag.Int("journal", 0, "evidence journal window in batches for GET /v1/deltas (0: 1024)")
+	dedupLen     = flag.Int("dedup", 0, "exactly-once ingest window: recently absorbed batch IDs retained (0: 4096)")
+	partition    = flag.Bool("partition", false, "run as a cluster partition: store and journal evidence but derive no patches (the coordinator runs the fleet-wide hypothesis test)")
+	coordinator  = flag.String("coordinator", "", "run as cluster coordinator over these comma-separated partition base URLs instead of an evidence store")
+	standby      = flag.Bool("standby", false, "coordinator: start as a warm standby — mirror the partitions but gate the client surface behind 503 until promoted (see docs/OPERATIONS.md, Failover)")
+	primary      = flag.String("primary", "", "standby: primary coordinator base URL to lease-probe; consecutive probe failures trigger self-promotion")
+	takeoverN    = flag.Int("takeover-after", 0, "standby: consecutive failed lease probes before self-promotion (0: 3)")
+	leaseHolder  = flag.String("lease-holder", "", "coordinator: lease-holder name reported in /v1/lease and /v1/status (empty: the listen address)")
+	replica      = flag.String("replica", "", "run as a read replica over these comma-separated coordinator base URLs (primary first, standby after); serves GET /v1/patches and /v1/triage from a cache refreshed every -poll-interval")
+	pollInt      = flag.Duration("poll-interval", 1*time.Second, "coordinator: partition journal poll interval (replica: cache refresh interval)")
+	rebalJournal = flag.String("rebalance-journal", "", "coordinator: crash-safe rebalance journal file; an interrupted drain/backfill is re-driven on start (required for safe live resizes)")
+	alertURL     = flag.String("alert-url", "", "webhook URL for triage alerts: POST a compound alert when a cluster crosses the Bayes or occurrence trigger (empty: alerting off)")
+	alertBayes   = flag.Float64("alert-bayes", 0, "triage alert trigger: pooled log10 Bayes factor a cluster must reach (0: disabled)")
+	alertOccurs  = flag.Int("alert-occurrences", 0, "triage alert trigger: total occurrences a cluster must accumulate (0: disabled)")
+	alertCool    = flag.Duration("alert-cooldown", 0, "minimum gap between webhook alerts for the same cluster (0: 1h)")
+	debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof and /metrics (empty: no debug listener; /metrics is always on the main listener too)")
+	logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: human-readable text)")
+	logDebug     = flag.Bool("log-debug", false, "log at debug level: per-request read-path lines (patches/deltas/status served) with their X-Request-ID")
+	showVersion  = flag.Bool("version", false, "print build version and exit")
+)
+
+// everyMode lists the flags every mode reads, the three mode selectors
+// among them (their combinations are checked in main).
+var everyMode = []string{"addr", "token", "partition", "coordinator", "replica",
+	"debug-addr", "log-json", "log-debug", "version"}
+
+// modeFlags lists the further flags each mode reads. A flag set on the
+// command line that its mode does not read draws a warning (ignoredFlags)
+// instead of being dropped in silence.
+var modeFlags = map[string][]string{
+	"single": {"shards", "correct-every", "correct-workers", "correct-interval", "snapshot", "snapshot-interval",
+		"c", "p", "rate", "burst", "journal", "dedup",
+		"alert-url", "alert-bayes", "alert-occurrences", "alert-cooldown"},
+	"partition": {"shards", "snapshot", "snapshot-interval", "c", "p", "rate", "burst", "journal", "dedup"},
+	"coordinator": {"snapshot", "snapshot-interval", "c", "p", "poll-interval", "rebalance-journal",
+		"standby", "primary", "takeover-after", "lease-holder",
+		"alert-url", "alert-bayes", "alert-occurrences", "alert-cooldown"},
+	"replica": {"poll-interval"},
+}
+
+// ignoredFlags returns the flags set in fs that mode does not read.
+func ignoredFlags(fs *flag.FlagSet, mode string) []string {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(everyMode, f.Name) && !slices.Contains(modeFlags[mode], f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":7077", "listen address")
-		shards       = flag.Int("shards", fleet.DefaultShards, "evidence store stripe count")
-		correctEvery = flag.Int("correct-every", 8, "inline correction pass once more than this many batches are pending (-1: background loop only)")
-		correctWork  = flag.Int("correct-workers", 0, "store stripes identified in parallel per correction pass (0: min(GOMAXPROCS, -shards), 1: serial)")
-		correctInt   = flag.Duration("correct-interval", 2*time.Second, "background correction loop interval")
-		snapshot     = flag.String("snapshot", "", "snapshot file: restored on start, written periodically and on shutdown")
-		snapshotInt  = flag.Duration("snapshot-interval", 30*time.Second, "how often to write the -snapshot state file")
-		priorC       = flag.Float64("c", 4, "Bayesian prior constant c (P(H1) = 1/(cN))")
-		fillP        = flag.Float64("p", 0.5, "canary fill probability p the fleet's heaps use")
-		token        = flag.String("token", "", "shared ingest token: require Authorization: Bearer <token> on write endpoints")
-		rate         = flag.Float64("rate", 0, "per-client observation uploads per second (0: unlimited)")
-		burst        = flag.Int("burst", 0, "rate-limit burst (0: 2x rate)")
-		journalLen   = flag.Int("journal", 0, "evidence journal window in batches for GET /v1/deltas (0: 1024)")
-		dedupLen     = flag.Int("dedup", 0, "exactly-once ingest window: recently absorbed batch IDs retained (0: 4096)")
-		partition    = flag.Bool("partition", false, "run as a cluster partition: store and journal evidence but derive no patches (the coordinator runs the fleet-wide hypothesis test)")
-		coordinator  = flag.String("coordinator", "", "run as cluster coordinator over these comma-separated partition base URLs instead of an evidence store")
-		standby      = flag.Bool("standby", false, "coordinator: start as a warm standby — mirror the partitions but gate the client surface behind 503 until promoted (see docs/OPERATIONS.md, Failover)")
-		primary      = flag.String("primary", "", "standby: primary coordinator base URL to lease-probe; consecutive probe failures trigger self-promotion")
-		takeoverN    = flag.Int("takeover-after", 0, "standby: consecutive failed lease probes before self-promotion (0: 3)")
-		leaseHolder  = flag.String("lease-holder", "", "coordinator: lease-holder name reported in /v1/lease and /v1/status (empty: the listen address)")
-		replica      = flag.String("replica", "", "run as a read replica over these comma-separated coordinator base URLs (primary first, standby after); serves GET /v1/patches and /v1/triage from a cache refreshed every -poll-interval")
-		pollInt      = flag.Duration("poll-interval", 1*time.Second, "coordinator: partition journal poll interval (replica: cache refresh interval)")
-		rebalJournal = flag.String("rebalance-journal", "", "coordinator: crash-safe rebalance journal file; an interrupted drain/backfill is re-driven on start (required for safe live resizes)")
-		alertURL     = flag.String("alert-url", "", "webhook URL for triage alerts: POST a compound alert when a cluster crosses the Bayes or occurrence trigger (empty: alerting off)")
-		alertBayes   = flag.Float64("alert-bayes", 0, "triage alert trigger: pooled log10 Bayes factor a cluster must reach (0: disabled)")
-		alertOccurs  = flag.Int("alert-occurrences", 0, "triage alert trigger: total occurrences a cluster must accumulate (0: disabled)")
-		alertCool    = flag.Duration("alert-cooldown", 0, "minimum gap between webhook alerts for the same cluster (0: 1h)")
-		debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof and /metrics (empty: no debug listener; /metrics is always on the main listener too)")
-		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: human-readable text)")
-		logDebug     = flag.Bool("log-debug", false, "log at debug level: per-request read-path lines (patches/deltas/status served) with their X-Request-ID")
-		showVersion  = flag.Bool("version", false, "print build version and exit")
-	)
 	flag.Parse()
 
 	if *showVersion {
 		fmt.Println("fleetd", version.String())
 		return
 	}
+	log.Printf("fleetd %s", version.String())
 	if *dedupLen < 0 {
 		log.Fatal("fleetd: -dedup must not be negative: every upload is deduplicated (0: the 4096 default)")
+	}
+	mode := "single"
+	switch {
+	case *replica != "":
+		if *partition || *coordinator != "" {
+			log.Fatal("fleetd: -replica is exclusive with -partition/-coordinator: a replica is a stateless read cache in front of the merge tier")
+		}
+		mode = "replica"
+	case *coordinator != "":
+		if *partition {
+			log.Fatal("fleetd: -partition and -coordinator are mutually exclusive: a node is either an evidence store or the merge tier")
+		}
+		mode = "coordinator"
+	case *partition:
+		mode = "partition"
+	}
+	if ignored := ignoredFlags(flag.CommandLine, mode); len(ignored) > 0 {
+		log.Printf("fleetd: warning: %s ignored in %s mode", strings.Join(ignored, ", "), mode)
 	}
 
 	hopts := &slog.HandlerOptions{}
@@ -113,7 +165,6 @@ func main() {
 	}
 	logger := slog.New(handler)
 	reg := telemetry.NewRegistry()
-	log.Printf("fleetd %s", version.String())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -129,28 +180,13 @@ func main() {
 		go serveDebug(ctx, *debugAddr, reg)
 	}
 
-	if *replica != "" {
-		if *partition || *coordinator != "" {
-			log.Fatal("fleetd: -replica is exclusive with -partition/-coordinator: a replica is a stateless read cache in front of the merge tier")
-		}
+	switch mode {
+	case "replica":
 		runReplica(ctx, *addr, *replica, *token, *pollInt, reg, logger)
 		return
-	}
-
-	if *coordinator != "" {
-		if *partition {
-			log.Fatal("fleetd: -partition and -coordinator are mutually exclusive: a node is either an evidence store or the merge tier")
-		}
+	case "coordinator":
 		if *standby && *primary == "" {
 			log.Print("fleetd: warning: -standby without -primary never promotes automatically (only POST /v1/lease)")
-		}
-		// The coordinator has no evidence store of its own; surface any
-		// store-only flags instead of silently ignoring them.
-		if *rate != 0 || *burst != 0 {
-			log.Print("fleetd: warning: -rate/-burst are ignored in coordinator mode (rate-limit the partitions)")
-		}
-		if *shards != fleet.DefaultShards || *journalLen != 0 || *correctEvery != 8 || *dedupLen != 0 || *correctWork != 0 {
-			log.Print("fleetd: warning: -shards/-journal/-correct-every/-correct-workers/-dedup are ignored in coordinator mode")
 		}
 		holder := *leaseHolder
 		if holder == "" {
@@ -160,19 +196,8 @@ func main() {
 		runCoordinator(ctx, *addr, *coordinator, *token, cumulative.Config{C: *priorC, P: *fillP},
 			*pollInt, *snapshot, *snapshotInt, *rebalJournal, ha, triageCfg, reg, logger)
 		return
-	}
-	if *rebalJournal != "" {
-		log.Print("fleetd: warning: -rebalance-journal is ignored outside coordinator mode")
-	}
-	if *standby || *primary != "" || *takeoverN != 0 || *leaseHolder != "" {
-		log.Print("fleetd: warning: -standby/-primary/-takeover-after/-lease-holder are ignored outside coordinator mode")
-	}
-
-	if *partition {
+	case "partition":
 		log.Print("fleetd: partition mode: evidence store + journal only; patch derivation is the coordinator's job")
-		if *alertURL != "" {
-			log.Print("fleetd: warning: -alert-url is ignored in partition mode (the coordinator ranks and alerts over the merged pool)")
-		}
 	}
 	srv := fleet.NewServer(fleet.ServerOptions{
 		Shards:         *shards,

@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"flag"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,4 +67,51 @@ func TestSnapshotLoopWritesDrainWithoutNewBatches(t *testing.T) {
 		t.Fatal("first drain answered from the evict cache")
 	}
 	waitFor("dropped the drained keys", func(got []site.ID) bool { return len(got) == 0 })
+}
+
+// TestIgnoredFlags: a flag set on the command line that its mode does
+// not read is reported, whatever its value (-shards 16 is the default),
+// and a flag the mode reads is not. The table names only real flags, and
+// every flag is read by some mode.
+func TestIgnoredFlags(t *testing.T) {
+	// parse records which flags args set, on string-typed copies of
+	// fleetd's flags, so fleetd's own flag values stay untouched.
+	parse := func(args ...string) *flag.FlagSet {
+		fs := flag.NewFlagSet("fleetd", flag.ContinueOnError)
+		flag.VisitAll(func(f *flag.Flag) { fs.String(f.Name, "", f.Usage) })
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	for _, tc := range []struct {
+		mode string
+		args []string
+		want []string
+	}{
+		{"replica", []string{"-replica", "http://c", "-snapshot", "r.snap"}, []string{"-snapshot"}},
+		{"coordinator", []string{"-coordinator", "http://p", "-shards", "16"}, []string{"-shards"}},
+		{"coordinator", []string{"-coordinator", "http://p", "-correct-interval", "1s"}, []string{"-correct-interval"}},
+		{"single", []string{"-alert-url", "http://hook"}, nil},
+	} {
+		if got := ignoredFlags(parse(tc.args...), tc.mode); !slices.Equal(got, tc.want) {
+			t.Errorf("%s mode, %v: reported %v, want %v", tc.mode, tc.args, got, tc.want)
+		}
+	}
+
+	read := map[string]bool{}
+	for mode, names := range modeFlags {
+		for _, name := range slices.Concat(everyMode, names) {
+			if flag.Lookup(name) == nil {
+				t.Errorf("%s mode lists -%s, which is no flag", mode, name)
+			}
+			read[name] = true
+		}
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		// The test binary's own flags share the command line.
+		if !read[f.Name] && !strings.HasPrefix(f.Name, "test.") {
+			t.Errorf("no mode reads -%s", f.Name)
+		}
+	})
 }

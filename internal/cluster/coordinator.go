@@ -535,11 +535,11 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 			changed = true
 		case d.Snapshot != nil:
 			res.p.mirror.Absorb(d.Snapshot)
-			// Fast path: fold the delta straight into the merged evidence
-			// as the one stripe's part; only these keys become dirty for
-			// the next incremental identify pass. A pending refill
-			// rebuilds from the mirrors, which hold this delta too.
-			c.store.AbsorbParts([]*cumulative.Snapshot{d.Snapshot})
+			// Fast path: fold the delta straight into the merged evidence,
+			// under one hold of its one stripe; only these keys become
+			// dirty for the next incremental identify pass. A pending
+			// refill rebuilds from the mirrors, which hold this delta too.
+			c.store.AbsorbSnapshot(d.Snapshot)
 			obs := fleet.SnapshotObservations(d.Snapshot)
 			c.metrics.deltas.Inc()
 			c.metrics.deltaObs.Add(float64(obs))
@@ -571,7 +571,7 @@ func (c *Coordinator) Correct() (uint64, bool) {
 		if full {
 			st := fleet.NewStore(1, c.cfg)
 			for _, p := range c.parts {
-				st.AbsorbParts([]*cumulative.Snapshot{p.mirror.Snapshot()})
+				st.AbsorbSnapshot(p.mirror.Snapshot())
 			}
 			c.store = st
 			c.metrics.rebuilds.Inc()

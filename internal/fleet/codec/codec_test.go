@@ -150,36 +150,33 @@ func xSnapshot(x float64, dangling bool) *cumulative.Snapshot {
 }
 
 // TestBatchDecodeRejectsNonProbabilityX: an uploaded observation's X is
-// a probability. Both batch decoders reject NaN, infinities and values
-// outside [0, 1] in either section and accept the bounds; delta frames
+// a probability. The batch decoder rejects NaN, infinities and values
+// outside [0, 1] in either section and accepts the bounds; delta frames
 // between tiers still carry whatever a partition absorbed.
 func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
-	shardOf := func(id site.ID) int { return int(uint32(id) % 4) }
-	decode := func(x float64, dangling bool) (batchErr, shardedErr, deltaErr error) {
+	decode := func(x float64, dangling bool) (batchErr, deltaErr error) {
 		buf := GetBuffer()
 		defer PutBuffer(buf)
 		s := xSnapshot(x, dangling)
 		batch := append([]byte(nil), EncodeBatch(buf, &Batch{Client: "c", BatchID: "b", Snapshot: s})...)
 		_, batchErr = DecodeBatch(batch)
-		_, _, shardedErr = DecodeBatchSharded(batch, 4, shardOf)
 		buf.B = buf.B[:0]
 		_, deltaErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Snapshot: s}))
-		return batchErr, shardedErr, deltaErr
+		return batchErr, deltaErr
 	}
 	for _, dangling := range []bool{false, true} {
 		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 7, -3, math.Nextafter(1, 2), -math.SmallestNonzeroFloat64} {
-			batchErr, shardedErr, deltaErr := decode(x, dangling)
-			if batchErr == nil || shardedErr == nil {
-				t.Errorf("dangling=%v X=%v: DecodeBatch err %v, DecodeBatchSharded err %v; want both rejected",
-					dangling, x, batchErr, shardedErr)
+			batchErr, deltaErr := decode(x, dangling)
+			if batchErr == nil {
+				t.Errorf("dangling=%v X=%v: DecodeBatch accepted it; want it rejected", dangling, x)
 			}
 			if deltaErr != nil {
 				t.Errorf("dangling=%v X=%v: delta frame rejected: %v", dangling, x, deltaErr)
 			}
 		}
 		for _, x := range []float64{0, 1, 0.5, math.SmallestNonzeroFloat64} {
-			if batchErr, shardedErr, _ := decode(x, dangling); batchErr != nil || shardedErr != nil {
-				t.Errorf("dangling=%v X=%v rejected: %v / %v", dangling, x, batchErr, shardedErr)
+			if batchErr, _ := decode(x, dangling); batchErr != nil {
+				t.Errorf("dangling=%v X=%v rejected: %v", dangling, x, batchErr)
 			}
 		}
 	}
@@ -243,106 +240,6 @@ func TestStateSnapshotCountsAreTight(t *testing.T) {
 		if _, err := DecodeState(fb.endFrame(start)); err == nil {
 			t.Errorf("forged %s count decoded", section)
 		}
-	}
-}
-
-func TestDecodeBatchSharded(t *testing.T) {
-	const shards = 8
-	shardOf := func(id site.ID) int {
-		return int((uint32(id) * 2654435761) % uint32(shards))
-	}
-	orig := testSnapshot(t)
-	b := &Batch{Client: "c", BatchID: "id", RingVersion: 3, Snapshot: orig}
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	frame := EncodeBatch(buf, b)
-
-	info, parts, err := DecodeBatchSharded(frame, shards, shardOf)
-	if err != nil {
-		t.Fatalf("DecodeBatchSharded: %v", err)
-	}
-	if info.Client != "c" || info.BatchID != "id" || info.RingVersion != 3 || !info.HasSnapshot {
-		t.Fatalf("info mismatch: %+v", info)
-	}
-	wantObs := 0
-	for _, g := range orig.Overflow {
-		wantObs += len(g.Obs)
-	}
-	for _, g := range orig.Dangling {
-		wantObs += len(g.Obs)
-	}
-	if info.Observations != wantObs {
-		t.Fatalf("info.Observations = %d, want %d", info.Observations, wantObs)
-	}
-	if info.Runs != orig.Runs {
-		t.Fatalf("info.Runs = %d, want %d", info.Runs, orig.Runs)
-	}
-	if len(parts) != shards {
-		t.Fatalf("len(parts) = %d, want %d", len(parts), shards)
-	}
-
-	// Every key must land in its own shard, counters in exactly one part.
-	runs, failed, corrupt := 0, 0, 0
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		runs += p.Runs
-		failed += p.FailedRuns
-		corrupt += p.CorruptRuns
-		if p.C != orig.C || p.P != orig.P {
-			t.Fatalf("part %d lost config: %+v", i, p)
-		}
-		for _, id := range p.Sites {
-			if shardOf(id) != i {
-				t.Fatalf("site %v in shard %d, want %d", id, i, shardOf(id))
-			}
-		}
-		for _, g := range p.Overflow {
-			if shardOf(g.Site) != i {
-				t.Fatalf("overflow %v misplaced", g.Site)
-			}
-		}
-		for _, g := range p.Dangling {
-			if shardOf(g.Alloc) != i {
-				t.Fatalf("dangling %v misplaced", g.Alloc)
-			}
-		}
-	}
-	if runs != orig.Runs || failed != orig.FailedRuns || corrupt != orig.CorruptRuns {
-		t.Fatalf("counters (%d,%d,%d), want (%d,%d,%d)",
-			runs, failed, corrupt, orig.Runs, orig.FailedRuns, orig.CorruptRuns)
-	}
-
-	// Absorbing all parts reproduces exactly the original evidence.
-	merged := cumulative.NewHistory(cumulative.DefaultConfig())
-	for _, p := range parts {
-		merged.Absorb(p)
-	}
-	control := cumulative.NewHistory(cumulative.DefaultConfig())
-	control.Absorb(orig)
-	if !snapshotsEqual(merged.Snapshot(), control.Snapshot()) {
-		t.Fatalf("sharded absorb diverges from whole-batch absorb")
-	}
-}
-
-func TestDecodeBatchShardedCountersWithoutEvidence(t *testing.T) {
-	b := &Batch{Snapshot: &cumulative.Snapshot{C: 4, P: 0.5, Runs: 9}}
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	frame := EncodeBatch(buf, b)
-	_, parts, err := DecodeBatchSharded(frame, 4, func(site.ID) int { return 0 })
-	if err != nil {
-		t.Fatalf("DecodeBatchSharded: %v", err)
-	}
-	total := 0
-	for _, p := range parts {
-		if p != nil {
-			total += p.Runs
-		}
-	}
-	if total != 9 {
-		t.Fatalf("counters-only batch lost its runs: %d", total)
 	}
 }
 
@@ -476,8 +373,37 @@ func TestForgedCountsFailBeforeAllocating(t *testing.T) {
 	if _, err := DecodeBatch(frame); err == nil {
 		t.Fatal("forged site count decoded")
 	}
-	if _, _, err := DecodeBatchSharded(frame, 4, func(site.ID) int { return 0 }); err == nil {
-		t.Fatal("forged site count decoded (sharded)")
+}
+
+// TestDecodeBatchAllocsFlat pins the decoder's allocation shape: one
+// exact-size slice per column and one backing observation array per
+// section, whatever the batch's size. A decode that allocated per group
+// or per observation would take more allocations at 10,000 groups than
+// at 10.
+func TestDecodeBatchAllocsFlat(t *testing.T) {
+	allocs := func(groups int) float64 {
+		s := &cumulative.Snapshot{C: 4, P: 0.5, Runs: groups, FailedRuns: 1}
+		for i := 0; i < groups; i++ {
+			id := site.ID(0x1000 + i)
+			s.Sites = append(s.Sites, id)
+			s.Overflow = append(s.Overflow, cumulative.SiteObservations{
+				Site: id, Obs: []cumulative.Observation{{X: 0.25, Y: i%3 == 0}, {X: 0.5}},
+			})
+			s.Dangling = append(s.Dangling, cumulative.PairObservations{
+				Alloc: id, Free: id + 1, Obs: []cumulative.Observation{{X: 0.75, Y: true}},
+			})
+			s.PadHints = append(s.PadHints, cumulative.PadHint{Site: id, Pad: 8})
+			s.DeferralHints = append(s.DeferralHints, cumulative.DeferralHint{Alloc: id, Free: id + 1, Deferral: 100})
+		}
+		frame := EncodeBatch(&Buffer{}, &Batch{Client: "c", BatchID: "b", RingVersion: 1, Snapshot: s})
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeBatch(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(10000); small != large {
+		t.Errorf("decoding a batch allocates %v times at 10 groups but %v at 10,000", small, large)
 	}
 }
 

@@ -72,7 +72,6 @@ func FuzzV2FrameDecode(f *testing.F) {
 		Alerts: []byte("{}"),
 	}))
 
-	shardOf := func(id site.ID) int { return int(uint32(id) % 7) }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := DecodeBatch(data); err == nil {
 			if b.Snapshot != nil {
@@ -84,19 +83,6 @@ func FuzzV2FrameDecode(f *testing.F) {
 				t.Fatalf("re-decode batch: %v", err)
 			}
 			PutBuffer(rt)
-		}
-		if _, parts, err := DecodeBatchSharded(data, 7, shardOf); err == nil {
-			for i, p := range parts {
-				if p == nil {
-					continue
-				}
-				assertProbabilities(t, p)
-				for _, id := range p.Sites {
-					if shardOf(id) != i {
-						t.Fatalf("sharded decode misplaced site %v", id)
-					}
-				}
-			}
 		}
 		if s, err := decodeSnapshotPayload(data); err == nil {
 			rt := GetBuffer()

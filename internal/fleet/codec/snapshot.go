@@ -128,7 +128,10 @@ func appendYBits(buf *Buffer, total int, walk func(yield func(bool))) {
 }
 
 // readSnapshot decodes one snapshot payload from r's current position,
-// allocating each output slice at its exact final size.
+// allocating each output slice at its exact final size. An observation
+// section allocates its group slice and one backing observation array,
+// both sized from its header, and each group's observations are a
+// full-capacity sub-slice of that array.
 func readSnapshot(r *reader) *cumulative.Snapshot {
 	s := &cumulative.Snapshot{}
 	s.C = r.f64()
@@ -145,23 +148,24 @@ func readSnapshot(r *reader) *cumulative.Snapshot {
 		}
 	}
 
-	if groups, counts, ids, _, obs := readObsGroups(r, false, nil); groups > 0 {
+	if groups, obs := readObsHeader(r, 2); groups > 0 {
 		s.Overflow = make([]cumulative.SiteObservations, groups)
-		off := 0
+		prev, off := int64(0), 0
 		for i := range s.Overflow {
-			n := counts[i]
-			s.Overflow[i] = cumulative.SiteObservations{Site: ids[i], Obs: obs[off : off+n : off+n]}
-			off += n
+			s.Overflow[i].Site = r.siteID(&prev)
+			s.Overflow[i].Obs, off = r.groupObs(obs, off)
 		}
+		readObsColumns(r, obs, off)
 	}
-	if groups, counts, ids, frees, obs := readObsGroups(r, true, nil); groups > 0 {
+	if groups, obs := readObsHeader(r, 3); groups > 0 {
 		s.Dangling = make([]cumulative.PairObservations, groups)
-		off := 0
+		prev, off := int64(0), 0
 		for i := range s.Dangling {
-			n := counts[i]
-			s.Dangling[i] = cumulative.PairObservations{Alloc: ids[i], Free: frees[i], Obs: obs[off : off+n : off+n]}
-			off += n
+			s.Dangling[i].Alloc = r.siteID(&prev)
+			s.Dangling[i].Free = r.freeSite()
+			s.Dangling[i].Obs, off = r.groupObs(obs, off)
 		}
+		readObsColumns(r, obs, off)
 	}
 
 	if n := r.count(2, "pad hint"); n > 0 {
@@ -204,86 +208,70 @@ func (r *reader) freeSite() site.ID {
 	return site.ID(v)
 }
 
-// readObsGroups decodes one observation section (overflow or, with
-// pairs set, dangling): group headers, then the columnar X run and Y
-// bits, materialized into a single backing observation slice. All
-// returned slices are nil when the section is empty or r has failed.
-// With a non-nil scratch the returned slices are pooled buffers valid
-// only until the next scratch use — the sharded decode copies out of
-// them; without one they are fresh allocations the caller may keep
-// (readSnapshot aliases them into the decoded snapshot).
-func readObsGroups(r *reader, pairs bool, sc *shardScratch) (groups int, counts []int, ids, frees []site.ID, obs []cumulative.Observation) {
-	perGroup := 2
-	if pairs {
-		perGroup = 3
-	}
+// readObsHeader reads an observation section's group count (each group
+// header costs at least perGroup bytes) and observation total, and
+// returns the group count with the section's backing observation array.
+// The total precedes the group headers, so the array is sized once, from
+// a total the remaining bytes can hold; the groups are carved from it as
+// their headers arrive (groupObs). groups is 0 when the section is empty
+// or r has failed.
+func readObsHeader(r *reader, perGroup int) (groups int, obs []cumulative.Observation) {
 	groups = r.count(perGroup, "observation group")
 	total := r.uvarint()
 	if r.err != nil {
-		return 0, nil, nil, nil, nil
+		return 0, nil
 	}
 	// Each observation costs 8 bytes of X column alone; a total the
 	// remaining bytes cannot hold is a forgery.
 	if total > uint64(r.rem()/8) {
 		r.fail("forged observation total %d exceeds remaining %d bytes", total, r.rem())
-		return 0, nil, nil, nil, nil
+		return 0, nil
 	}
 	if groups == 0 {
 		if total != 0 {
 			r.fail("observation total %d with zero groups", total)
 		}
-		return 0, nil, nil, nil, nil
+		return 0, nil
 	}
-	if sc != nil {
-		counts = sc.counts(groups)
-		ids = sc.ids(groups)
-		if pairs {
-			frees = sc.frees(groups)
-		}
-	} else {
-		counts = make([]int, groups)
-		ids = make([]site.ID, groups)
-		if pairs {
-			frees = make([]site.ID, groups)
-		}
-	}
-	prev := int64(0)
-	sum := uint64(0)
-	for i := 0; i < groups; i++ {
-		ids[i] = r.siteID(&prev)
-		if pairs {
-			frees[i] = r.freeSite()
-		}
-		n := r.uvarint()
-		if n > total {
-			r.fail("observation group count %d exceeds section total %d", n, total)
-			return 0, nil, nil, nil, nil
-		}
-		counts[i] = int(n)
-		sum += n
-	}
+	return groups, make([]cumulative.Observation, total)
+}
+
+// groupObs reads one group header's observation count and carves that
+// many observations from obs at off, as a full-capacity sub-slice. A
+// count that overruns the section total fails r.
+func (r *reader) groupObs(obs []cumulative.Observation, off int) ([]cumulative.Observation, int) {
+	n := r.uvarint()
 	if r.err != nil {
-		return 0, nil, nil, nil, nil
+		return nil, off
 	}
-	if sum != total {
-		r.fail("observation group counts sum %d, header says %d", sum, total)
-		return 0, nil, nil, nil, nil
+	if n > uint64(len(obs)-off) {
+		r.fail("observation group counts exceed section total %d", len(obs))
+		return nil, off
 	}
-	if sc != nil {
-		obs = sc.obs(int(total))
-	} else {
-		obs = make([]cumulative.Observation, total)
+	end := off + int(n)
+	return obs[off:end:end], end
+}
+
+// readObsColumns checks that the group counts, summing to carved, add up
+// to the section total, then reads the section's columnar X run and Y
+// bits into obs.
+func readObsColumns(r *reader, obs []cumulative.Observation, carved int) {
+	if r.err != nil {
+		return
+	}
+	if carved != len(obs) {
+		r.fail("observation group counts sum %d, header says %d", carved, len(obs))
+		return
 	}
 	for i := range obs {
 		obs[i].X = r.f64()
 		// The negated test also rejects NaN.
 		if r.probs && !(obs[i].X >= 0 && obs[i].X <= 1) {
 			r.fail("observation X %v is not a probability in [0, 1]", obs[i].X)
-			return 0, nil, nil, nil, nil
+			return
 		}
 	}
 	readYBits(r, obs)
-	return groups, counts, ids, frees, obs
 }
 
 // readYBits unpacks len(obs) Y bits into obs.

@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"sort"
-	"sync"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/patch"
@@ -64,8 +62,13 @@ func EncodeBatch(buf *Buffer, b *Batch) []byte {
 	return buf.endFrame(start)
 }
 
-// DecodeBatch decodes a FrameBatch frame into one whole snapshot. An
-// observation X that is not a finite number in [0, 1] fails the decode.
+// DecodeBatch decodes a FrameBatch frame, the body of POST
+// /v1/observations, into one whole snapshot: one exact-size slice per
+// column and one backing observation array per section. The codec knows
+// only byte layouts: the store's striping rule lives in
+// fleet.Store.AbsorbSnapshot, and the ring rule in cluster.SplitSnapshot.
+// An observation X that is not a finite number in [0, 1] fails the
+// decode.
 func DecodeBatch(data []byte) (*Batch, error) {
 	payload, err := expectFrame(data, FrameBatch)
 	if err != nil {
@@ -84,339 +87,6 @@ func DecodeBatch(data []byte) (*Batch, error) {
 		return nil, err
 	}
 	return b, nil
-}
-
-// BatchInfo is the header of a sharded batch decode: everything the
-// ingest path needs before touching the store, plus the counters that
-// rode the frame (they are assigned to exactly one of the returned
-// parts, so absorbing all parts counts each run once).
-type BatchInfo struct {
-	Client      string
-	BatchID     string
-	RingVersion uint64
-	// HasSnapshot reports whether the frame carried a snapshot at all
-	// (Batch.Snapshot != nil).
-	HasSnapshot bool
-	// Observations is the total overflow + dangling observation count,
-	// the unit the ingest metrics are denominated in.
-	Observations int
-	// Runs is the batch's run-counter increment (metrics; the counters
-	// themselves ride the parts).
-	Runs int
-}
-
-// DecodeBatchSharded decodes a FrameBatch payload directly into
-// per-shard sub-snapshots: parts[i] holds exactly the evidence whose
-// key shardOf maps to i, sized exactly, with no whole-batch
-// intermediate. Shards the batch touches get a snapshot; the rest stay
-// nil. The split mirrors fleet.Store: overflow, pad hints and the site
-// set shard by site, dangling evidence and deferral hints by their
-// allocation side. Run counters ride the first non-nil part (one is
-// created if the batch has counters but no evidence), so a store or
-// mirror absorbing every part sees each run exactly once. Like
-// DecodeBatch it rejects any observation X outside [0, 1].
-func DecodeBatchSharded(data []byte, shards int, shardOf func(site.ID) int) (BatchInfo, []*cumulative.Snapshot, error) {
-	var info BatchInfo
-	if shards <= 0 {
-		return info, nil, fmt.Errorf("codec: sharded decode needs a positive shard count")
-	}
-	payload, err := expectFrame(data, FrameBatch)
-	if err != nil {
-		return info, nil, err
-	}
-	r := &reader{b: payload, probs: true}
-	flags := r.u8()
-	info.Client = r.str("client id")
-	info.BatchID = r.str("batch id")
-	info.RingVersion = r.uvarint()
-	if flags&batchFlagSnapshot == 0 {
-		return info, nil, r.finish()
-	}
-	info.HasSnapshot = true
-
-	parts := make([]*cumulative.Snapshot, shards)
-	// Every per-shard snapshot comes out of one backing array: a batch
-	// of any size touches most shards of a default store, and a single
-	// allocation (pinned for as long as the longest-lived part, i.e. the
-	// journal window) beats one per shard.
-	snaps := make([]cumulative.Snapshot, shards)
-	c := r.f64()
-	p := r.f64()
-	part := func(i int) *cumulative.Snapshot {
-		if parts[i] == nil {
-			snaps[i].C, snaps[i].P = c, p
-			parts[i] = &snaps[i]
-		}
-		return parts[i]
-	}
-	runs := r.nonNeg("run counter")
-	failed := r.nonNeg("run counter")
-	corrupt := r.nonNeg("run counter")
-	info.Runs = runs
-
-	sc := getScratch(shards)
-	defer putScratch(sc)
-
-	// Sites: count per shard, then carve exact-size per-part slices out
-	// of one backing array (disjoint capacity windows, so the appends
-	// below never cross shards).
-	if n := r.count(1, "site"); n > 0 {
-		ids := sc.ids(n)
-		clear(sc.perShard)
-		prev := int64(0)
-		for i := range ids {
-			ids[i] = r.siteID(&prev)
-		}
-		if r.err == nil {
-			for _, id := range ids {
-				sc.perShard[shardOf(id)]++
-			}
-			backing := make([]site.ID, n)
-			off := 0
-			for i, cnt := range sc.perShard {
-				if cnt > 0 {
-					part(i).Sites = backing[off : off : off+cnt]
-					off += cnt
-				}
-			}
-			for _, id := range ids {
-				sh := parts[shardOf(id)]
-				sh.Sites = append(sh.Sites, id)
-			}
-		}
-	}
-
-	// Overflow groups → per-shard group slices and observation arrays,
-	// each carved from one backing allocation. The group headers and
-	// observation columns land in pooled scratch and are copied out.
-	if groups, counts, ids, _, obs := readObsGroups(r, false, sc); groups > 0 {
-		info.Observations += len(obs)
-		clear(sc.perShard)
-		clear(sc.perShardObs)
-		for i, id := range ids {
-			sh := shardOf(id)
-			sc.perShard[sh]++
-			sc.perShardObs[sh] += counts[i]
-		}
-		groupBacking := make([]cumulative.SiteObservations, groups)
-		gOff := 0
-		for i, cnt := range sc.perShard {
-			if cnt > 0 {
-				part(i).Overflow = groupBacking[gOff : gOff : gOff+cnt]
-				gOff += cnt
-			}
-		}
-		backing := sc.obsBacking(shards, sc.perShardObs)
-		off := 0
-		for i, id := range ids {
-			sh := shardOf(id)
-			dst := backing.take(sh, counts[i])
-			copy(dst, obs[off:off+counts[i]])
-			off += counts[i]
-			p := parts[sh]
-			p.Overflow = append(p.Overflow, cumulative.SiteObservations{Site: id, Obs: dst})
-		}
-	}
-
-	// Dangling groups shard by allocation side.
-	if groups, counts, ids, frees, obs := readObsGroups(r, true, sc); groups > 0 {
-		info.Observations += len(obs)
-		clear(sc.perShard)
-		clear(sc.perShardObs)
-		for i, id := range ids {
-			sh := shardOf(id)
-			sc.perShard[sh]++
-			sc.perShardObs[sh] += counts[i]
-		}
-		groupBacking := make([]cumulative.PairObservations, groups)
-		gOff := 0
-		for i, cnt := range sc.perShard {
-			if cnt > 0 {
-				part(i).Dangling = groupBacking[gOff : gOff : gOff+cnt]
-				gOff += cnt
-			}
-		}
-		backing := sc.obsBacking(shards, sc.perShardObs)
-		off := 0
-		for i, id := range ids {
-			sh := shardOf(id)
-			dst := backing.take(sh, counts[i])
-			copy(dst, obs[off:off+counts[i]])
-			off += counts[i]
-			p := parts[sh]
-			p.Dangling = append(p.Dangling, cumulative.PairObservations{Alloc: id, Free: frees[i], Obs: dst})
-		}
-	}
-
-	if n := r.count(2, "pad hint"); n > 0 && r.err == nil {
-		hints := sc.pads(n)
-		clear(sc.perShard)
-		prev := int64(0)
-		for i := range hints {
-			hints[i].Site = r.siteID(&prev)
-			hints[i].Pad = r.pad()
-		}
-		if r.err == nil {
-			for _, h := range hints {
-				sc.perShard[shardOf(h.Site)]++
-			}
-			backing := make([]cumulative.PadHint, n)
-			off := 0
-			for i, cnt := range sc.perShard {
-				if cnt > 0 {
-					part(i).PadHints = backing[off : off : off+cnt]
-					off += cnt
-				}
-			}
-			for _, h := range hints {
-				sh := parts[shardOf(h.Site)]
-				sh.PadHints = append(sh.PadHints, h)
-			}
-		}
-	}
-	if n := r.count(3, "deferral hint"); n > 0 && r.err == nil {
-		hints := sc.deferrals(n)
-		clear(sc.perShard)
-		prev := int64(0)
-		for i := range hints {
-			hints[i].Alloc = r.siteID(&prev)
-			hints[i].Free = r.freeSite()
-			hints[i].Deferral = r.uvarint()
-		}
-		if r.err == nil {
-			for _, h := range hints {
-				sc.perShard[shardOf(h.Alloc)]++
-			}
-			backing := make([]cumulative.DeferralHint, n)
-			off := 0
-			for i, cnt := range sc.perShard {
-				if cnt > 0 {
-					part(i).DeferralHints = backing[off : off : off+cnt]
-					off += cnt
-				}
-			}
-			for _, h := range hints {
-				sh := parts[shardOf(h.Alloc)]
-				sh.DeferralHints = append(sh.DeferralHints, h)
-			}
-		}
-	}
-	if err := r.finish(); err != nil {
-		return info, nil, err
-	}
-
-	// Counters ride exactly one part.
-	if runs != 0 || failed != 0 || corrupt != 0 {
-		carrier := (*cumulative.Snapshot)(nil)
-		for _, p := range parts {
-			if p != nil {
-				carrier = p
-				break
-			}
-		}
-		if carrier == nil {
-			carrier = part(0)
-		}
-		carrier.Runs, carrier.FailedRuns, carrier.CorruptRuns = runs, failed, corrupt
-	}
-	return info, parts, nil
-}
-
-// shardScratch recycles the transient index arrays a sharded decode
-// needs, so the steady-state ingest path allocates only its outputs.
-type shardScratch struct {
-	perShard    []int
-	perShardObs []int
-	idBuf       []site.ID
-	freeBuf     []site.ID
-	countBuf    []int
-	obsBuf      []cumulative.Observation
-	padBuf      []cumulative.PadHint
-	defBuf      []cumulative.DeferralHint
-	obsOff      []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return &shardScratch{} }}
-
-func getScratch(shards int) *shardScratch {
-	sc := scratchPool.Get().(*shardScratch)
-	if cap(sc.perShard) < shards {
-		sc.perShard = make([]int, shards)
-		sc.perShardObs = make([]int, shards)
-		sc.obsOff = make([]int, shards)
-	}
-	sc.perShard = sc.perShard[:shards]
-	sc.perShardObs = sc.perShardObs[:shards]
-	sc.obsOff = sc.obsOff[:shards]
-	return sc
-}
-
-func putScratch(sc *shardScratch) { scratchPool.Put(sc) }
-
-func (sc *shardScratch) ids(n int) []site.ID {
-	if cap(sc.idBuf) < n {
-		sc.idBuf = make([]site.ID, n)
-	}
-	return sc.idBuf[:n]
-}
-
-func (sc *shardScratch) frees(n int) []site.ID {
-	if cap(sc.freeBuf) < n {
-		sc.freeBuf = make([]site.ID, n)
-	}
-	return sc.freeBuf[:n]
-}
-
-func (sc *shardScratch) counts(n int) []int {
-	if cap(sc.countBuf) < n {
-		sc.countBuf = make([]int, n)
-	}
-	return sc.countBuf[:n]
-}
-
-func (sc *shardScratch) obs(n int) []cumulative.Observation {
-	if cap(sc.obsBuf) < n {
-		sc.obsBuf = make([]cumulative.Observation, n)
-	}
-	return sc.obsBuf[:n]
-}
-
-func (sc *shardScratch) pads(n int) []cumulative.PadHint {
-	if cap(sc.padBuf) < n {
-		sc.padBuf = make([]cumulative.PadHint, n)
-	}
-	return sc.padBuf[:n]
-}
-
-func (sc *shardScratch) deferrals(n int) []cumulative.DeferralHint {
-	if cap(sc.defBuf) < n {
-		sc.defBuf = make([]cumulative.DeferralHint, n)
-	}
-	return sc.defBuf[:n]
-}
-
-// obsBacking carves one observation array per shard out of contiguous
-// per-shard regions: take(shard, n) returns the shard's next n slots as
-// a full-capacity sub-slice, so group slices within a shard stay
-// adjacent but can never grow into a neighbour.
-type obsBacking struct {
-	buf []cumulative.Observation
-	off []int
-}
-
-func (sc *shardScratch) obsBacking(shards int, perShardObs []int) obsBacking {
-	total := 0
-	for i, n := range perShardObs {
-		sc.obsOff[i] = total
-		total += n
-	}
-	return obsBacking{buf: make([]cumulative.Observation, total), off: sc.obsOff}
-}
-
-func (b obsBacking) take(shard, n int) []cumulative.Observation {
-	off := b.off[shard]
-	b.off[shard] = off + n
-	return b.buf[off : off+n : off+n]
 }
 
 // PadEntry is one pad-table entry of a PatchSet.

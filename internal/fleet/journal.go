@@ -23,14 +23,14 @@ type journal struct {
 	entries []journalEntry
 }
 
-// journalEntry is one journal step: an absorbed batch (parts — it
-// arrives pre-split along the store's shards) or an eviction (evict —
-// the key set a rebalance drained from this partition). reqID is the
-// batch's X-Request-ID correlation field; it rides the delta reply so
-// the coordinator's log can be joined with this partition's, upload by
+// journalEntry is one journal step: an absorbed batch (snap — the
+// snapshot its frame decoded to) or an eviction (evict — the key set a
+// rebalance drained from this partition). reqID is the batch's
+// X-Request-ID correlation field; it rides the delta reply so the
+// coordinator's log can be joined with this partition's, upload by
 // upload.
 type journalEntry struct {
-	parts []*cumulative.Snapshot
+	snap  *cumulative.Snapshot
 	evict []site.ID
 	reqID string
 }
@@ -53,14 +53,12 @@ func newJournal(max int) *journal {
 	return &journal{max: max}
 }
 
-// appendParts records one absorbed batch, tagged with its request's
-// correlation ID, and returns its sequence number. The batch arrived
-// pre-split into per-shard parts; they are journaled as-is, never
-// merged — delta pollers absorb each part in turn, which is equivalent
-// because Absorb is commutative over disjoint key sets. The parts must
-// not be mutated afterwards (the journal keeps the references).
-func (j *journal) appendParts(parts []*cumulative.Snapshot, reqID string) uint64 {
-	return j.push(journalEntry{parts: parts, reqID: reqID})
+// appendBatch records one absorbed batch's snapshot, tagged with its
+// request's correlation ID, and returns its sequence number. The
+// snapshot must not be mutated afterwards (the journal keeps the
+// reference).
+func (j *journal) appendBatch(snap *cumulative.Snapshot, reqID string) uint64 {
+	return j.push(journalEntry{snap: snap, reqID: reqID})
 }
 
 // appendEvict records a rebalance drain of the given keys.

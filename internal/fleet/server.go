@@ -422,12 +422,12 @@ func EchoRequestID(w http.ResponseWriter, r *http.Request) string {
 }
 
 // handleObservations is the ingest path. The body must be a v2 batch
-// frame carrying a batch ID. The frame is decoded straight into
-// per-shard sub-snapshots along the store's own stripes
-// (codec.DecodeBatchSharded keyed by Store.ShardIndex) — no intermediate
-// merged snapshot, no re-split under the ingest lock — and the whole
-// decode runs before deltaMu is even touched, so decoding cost never
-// extends lock hold time. Replies are JSON on success and failure.
+// frame carrying a batch ID. It is decoded whole (codec.DecodeBatch)
+// before deltaMu is even touched, so decoding cost never extends lock
+// hold time; the store then absorbs the snapshot key by key, each under
+// its own stripe's lock (Store.AbsorbSnapshot), and the journal keeps
+// the same snapshot for delta polls. Replies are JSON on success and
+// failure.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -455,18 +455,18 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	info, parts, err := codec.DecodeBatchSharded(buf.B, s.store.NumShards(), s.store.ShardIndex)
+	batch, err := codec.DecodeBatch(buf.B)
 	codec.PutBuffer(buf) // decoded values never alias the frame bytes
 	if err != nil {
 		s.logger.Warn("ingest frame rejected", "requestId", reqID, "error", err.Error())
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !info.HasSnapshot {
+	if batch.Snapshot == nil {
 		http.Error(w, "fleet: batch has no snapshot", http.StatusBadRequest)
 		return
 	}
-	if info.BatchID == "" {
+	if batch.BatchID == "" {
 		http.Error(w, "fleet: batch has no batchId", http.StatusBadRequest)
 		return
 	}
@@ -477,13 +477,13 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	// batch absorbed before a rebalance must ack as a duplicate (its
 	// evidence was drained to the new owner), not make the client
 	// re-split and double-deliver it.
-	if s.dedup.has(info.BatchID) {
-		s.ackDuplicate(w, &info, reqID)
+	if s.dedup.has(batch.BatchID) {
+		s.ackDuplicate(w, batch, reqID)
 		return
 	}
 	// Cheap pre-check; the authoritative stale-ring check runs under the
 	// shared deltaMu below, ordered against the rebalance announcement.
-	if s.writeIfStale(w, &info, reqID) {
+	if s.writeIfStale(w, batch, reqID) {
 		return
 	}
 	// Shared deltaMu: absorbs from many clients stay concurrent, but a
@@ -492,25 +492,26 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	// (raised exclusively) is re-checked here, so no stale batch can slip
 	// in behind a rebalance's drain.
 	s.deltaMu.RLock()
-	if s.writeIfStale(w, &info, reqID) {
+	if s.writeIfStale(w, batch, reqID) {
 		s.deltaMu.RUnlock()
 		return
 	}
-	if !s.dedup.admit(info.BatchID) {
+	if !s.dedup.admit(batch.BatchID) {
 		s.deltaMu.RUnlock()
-		s.ackDuplicate(w, &info, reqID)
+		s.ackDuplicate(w, batch, reqID)
 		return
 	}
-	s.store.AbsorbParts(parts)
-	seq := s.journal.appendParts(parts, reqID)
+	s.store.AbsorbSnapshot(batch.Snapshot)
+	seq := s.journal.appendBatch(batch.Snapshot, reqID)
 	s.deltaMu.RUnlock()
-	s.store.NoteClient(info.Client)
+	s.store.NoteClient(batch.Client)
+	runs, obs := batch.Snapshot.Runs, SnapshotObservations(batch.Snapshot)
 	s.metrics.batches.Inc()
-	s.metrics.observations.Add(float64(info.Observations))
-	s.metrics.runs.Add(float64(info.Runs))
+	s.metrics.observations.Add(float64(obs))
+	s.metrics.runs.Add(float64(runs))
 	s.logger.Info("ingest absorbed",
-		"requestId", reqID, "batchId", info.BatchID, "client", info.Client,
-		"runs", info.Runs, "observations", info.Observations, "seq", seq,
+		"requestId", reqID, "batchId", batch.BatchID, "client", batch.Client,
+		"runs", runs, "observations", obs, "seq", seq,
 		"wireBytes", wireBytes, "bodyBytes", bodyBytes)
 	version := s.log.Version()
 	if n := s.pending.Add(1); s.correctEvery >= 0 && n > int64(s.correctEvery) {
@@ -528,7 +529,7 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 
 // ackDuplicate acknowledges a batch the dedup window already holds,
 // without re-absorbing it.
-func (s *Server) ackDuplicate(w http.ResponseWriter, batch *codec.BatchInfo, reqID string) {
+func (s *Server) ackDuplicate(w http.ResponseWriter, batch *codec.Batch, reqID string) {
 	s.deduped.Add(1)
 	s.metrics.dedupHits.Inc()
 	s.logger.Info("ingest duplicate acknowledged",
@@ -547,7 +548,7 @@ func (s *Server) ackDuplicate(w http.ResponseWriter, batch *codec.BatchInfo, req
 // writeIfStale rejects a versioned batch split under an older membership
 // than this partition requires (409 + StaleRing), reporting whether it
 // wrote the response. Unversioned batches always pass.
-func (s *Server) writeIfStale(w http.ResponseWriter, batch *codec.BatchInfo, reqID string) bool {
+func (s *Server) writeIfStale(w http.ResponseWriter, batch *codec.Batch, reqID string) bool {
 	cur := s.ringVersion.Load()
 	if batch.RingVersion == 0 || cur == 0 || batch.RingVersion >= cur {
 		return false
@@ -730,12 +731,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		if merged == nil {
 			merged = cumulative.NewHistory(s.store.cfg)
 		}
-		// Uploads are journaled pre-split; Absorb is commutative over the
-		// parts' disjoint key sets, so folding them one by one equals
-		// folding the original batch.
-		for _, p := range e.parts {
-			merged.Absorb(p)
-		}
+		merged.Absorb(e.snap)
 	}
 	flush()
 	switch {

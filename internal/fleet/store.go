@@ -11,10 +11,11 @@ import (
 
 // Store is the evidence pool a correction pass (Corrector) runs over:
 // cumulative-mode histories sharded by call site across mutex-striped
-// partitions. Concurrent ingests touching different shards never
-// contend; ingests touching the same shard serialize on that shard's
-// lock only. The cluster coordinator keeps its merged evidence in a
-// one-stripe Store.
+// partitions. An ingest absorbs its snapshot key by key, each under its
+// own shard's lock (AbsorbSnapshot), so concurrent ingests contend only
+// on the shards they share. The striping rule lives here alone: the
+// codec decodes a batch whole. The cluster coordinator keeps its merged
+// evidence in a one-stripe Store.
 //
 // Overflow evidence stripes by allocation site; dangling evidence, pad
 // hints and deferral hints stripe by the (allocation-side) site of their
@@ -30,7 +31,9 @@ type Store struct {
 	batches     atomic.Int64
 
 	// identifyWorkers is the correction pool width: shards scored
-	// concurrently per Identify pass. 1 = serial (the default).
+	// concurrently per Identify pass. 0 and 1 are serial (0 is the zero
+	// value; NewServer sizes the pool from ServerOptions.CorrectWorkers,
+	// elastically by default).
 	identifyWorkers atomic.Int64
 
 	clientMu sync.Mutex
@@ -74,15 +77,14 @@ func (st *Store) shardIndex(id site.ID) int {
 // NumShards returns the stripe count.
 func (st *Store) NumShards() int { return len(st.shards) }
 
-// ShardIndex exposes the shard mapping for callers that pre-split work
-// along the store's own stripes (the v2 ingest path decodes uploads
-// directly into per-shard parts using this function, so the decoded
-// split and the store's split are the same split by construction).
-func (st *Store) ShardIndex(id site.ID) int { return st.shardIndex(id) }
-
-// AbsorbSnapshot folds one uploaded snapshot into the store. The snapshot
-// is split into per-shard sub-snapshots; each shard is locked once. Run
-// counters are tracked globally, not per shard.
+// AbsorbSnapshot folds one snapshot into the store: run counters into
+// the global totals, and every key into its own stripe under that
+// stripe's lock, one key at a time, so absorbs touching different
+// stripes never wait on each other and no per-stripe copy of the
+// snapshot is built. A one-stripe store (the coordinator's merged
+// evidence) absorbs the whole snapshot under one hold instead, so an
+// Identify pass sees all of it or none of it (see Identify). Stripe
+// histories carry no run counters.
 func (st *Store) AbsorbSnapshot(s *cumulative.Snapshot) {
 	if s == nil {
 		return
@@ -91,74 +93,35 @@ func (st *Store) AbsorbSnapshot(s *cumulative.Snapshot) {
 	st.failedRuns.Add(int64(s.FailedRuns))
 	st.corruptRuns.Add(int64(s.CorruptRuns))
 	st.batches.Add(1)
-
-	parts := make([]*cumulative.Snapshot, len(st.shards))
-	part := func(i int) *cumulative.Snapshot {
-		if parts[i] == nil {
-			parts[i] = &cumulative.Snapshot{C: s.C, P: s.P}
-		}
-		return parts[i]
+	if len(st.shards) == 1 {
+		keyed := *s
+		keyed.Runs, keyed.FailedRuns, keyed.CorruptRuns = 0, 0, 0
+		st.absorbInto(0, &keyed)
+		return
 	}
-	for _, id := range s.Sites {
-		p := part(st.shardIndex(id))
-		p.Sites = append(p.Sites, id)
+	for i, id := range s.Sites {
+		st.absorbInto(st.shardIndex(id), &cumulative.Snapshot{Sites: s.Sites[i : i+1]})
 	}
-	for _, so := range s.Overflow {
-		p := part(st.shardIndex(so.Site))
-		p.Overflow = append(p.Overflow, so)
+	for i, so := range s.Overflow {
+		st.absorbInto(st.shardIndex(so.Site), &cumulative.Snapshot{Overflow: s.Overflow[i : i+1]})
 	}
-	for _, po := range s.Dangling {
-		p := part(st.shardIndex(po.Alloc))
-		p.Dangling = append(p.Dangling, po)
+	for i, po := range s.Dangling {
+		st.absorbInto(st.shardIndex(po.Alloc), &cumulative.Snapshot{Dangling: s.Dangling[i : i+1]})
 	}
-	for _, h := range s.PadHints {
-		p := part(st.shardIndex(h.Site))
-		p.PadHints = append(p.PadHints, h)
+	for i, h := range s.PadHints {
+		st.absorbInto(st.shardIndex(h.Site), &cumulative.Snapshot{PadHints: s.PadHints[i : i+1]})
 	}
-	for _, h := range s.DeferralHints {
-		p := part(st.shardIndex(h.Alloc))
-		p.DeferralHints = append(p.DeferralHints, h)
-	}
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.hist.Absorb(p)
-		sh.mu.Unlock()
+	for i, h := range s.DeferralHints {
+		st.absorbInto(st.shardIndex(h.Alloc), &cumulative.Snapshot{DeferralHints: s.DeferralHints[i : i+1]})
 	}
 }
 
-// AbsorbParts folds an upload that was already decoded into per-shard
-// sub-snapshots (codec.DecodeBatchSharded keyed by ShardIndex) — the
-// zero-copy half of the v2 ingest path: no merged snapshot is ever
-// materialized and no re-split happens under load. Run counters may
-// appear on any part (the codec puts them on the first non-nil one);
-// they are summed into the global atomics and stripped before the shard
-// absorb, so shard histories end up byte-identical to the
-// AbsorbSnapshot path.
-func (st *Store) AbsorbParts(parts []*cumulative.Snapshot) {
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		st.runs.Add(int64(p.Runs))
-		st.failedRuns.Add(int64(p.FailedRuns))
-		st.corruptRuns.Add(int64(p.CorruptRuns))
-	}
-	st.batches.Add(1)
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		q := *p
-		q.Runs, q.FailedRuns, q.CorruptRuns = 0, 0, 0
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.hist.Absorb(&q)
-		sh.mu.Unlock()
-	}
+// absorbInto folds s into stripe i under the stripe's lock.
+func (st *Store) absorbInto(i int, s *cumulative.Snapshot) {
+	sh := &st.shards[i]
+	sh.mu.Lock()
+	sh.hist.Absorb(s)
+	sh.mu.Unlock()
 }
 
 // Extract atomically removes and returns the canonical evidence for a

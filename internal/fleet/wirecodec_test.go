@@ -213,8 +213,8 @@ func checkFrameGolden[T any](t *testing.T, name string, sample *T, encode func(*
 // TestServerIngestV2Equivalence feeds batches to a server over v2
 // frames and the same snapshots straight into a reference
 // cumulative.History: the store, run counters and derived patches must
-// match exactly — the zero-copy sharded decode is an encoding step,
-// never an evidence change.
+// match exactly — decoding a batch and absorbing it key by key into the
+// store's stripes is an encoding step, never an evidence change.
 func TestServerIngestV2Equivalence(t *testing.T) {
 	batches := testBatches(24)
 	srv := NewServer(ServerOptions{Shards: 4, CorrectEvery: 0})
