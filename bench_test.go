@@ -440,6 +440,36 @@ func BenchmarkFleetSaturation(b *testing.B) {
 	})
 }
 
+// BenchmarkDeltasServe: one delta poll (GET /v1/deltas?since=0) answered
+// by a partition whose journal holds 64 batches of the same keys — the
+// partition's half of a coordinator tick. The window is fixed, so every
+// op serves the same reply and the store does not grow.
+func BenchmarkDeltasServe(b *testing.B) {
+	const window = 64
+	srv := fleet.NewServer(fleet.ServerOptions{CorrectEvery: -1, DisableCorrection: true})
+	handler := srv.Handler()
+	body, restamp := benchIngestFrame(b)
+	for i := 0; i < window; i++ {
+		restamp(body, uint64(i))
+		req := httptest.NewRequest(http.MethodPost, "/v1/observations", bytes.NewReader(body))
+		req.Header.Set("Content-Type", codec.ContentTypeV2)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("ingest failed: %s: %s", rec.Result().Status, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/deltas?since=0", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("delta poll failed: %s: %s", rec.Result().Status, rec.Body)
+		}
+	}
+}
+
 // Codec microbenches: the cost of producing and parsing one v2 batch
 // frame in isolation (no HTTP, no store) — the per-upload CPU a client
 // pays to encode and a partition pays to decode.
@@ -473,7 +503,9 @@ func BenchmarkWireDecodeV2(b *testing.B) {
 // rescores. The incremental path recomputes only that site's Bayes
 // factor (cached factors cover the other ~2000), while the full-rescore
 // reference rescores every key — the O(sites) per correction pass the
-// cluster tier's hot path eliminates:
+// cluster tier's hot path eliminates. The history is rebuilt, off the
+// clock, every nSites iterations, so no key grows by more than one
+// observation and a pass costs the same at any b.N:
 //
 //	go test -bench BenchmarkIncrementalIdentify -benchtime 20x
 func BenchmarkIncrementalIdentify(b *testing.B) {
@@ -501,24 +533,22 @@ func BenchmarkIncrementalIdentify(b *testing.B) {
 			Obs:  []cumulative.Observation{{X: 0.5, Y: i%2 == 0}},
 		}}})
 	}
-	b.Run("incremental", func(b *testing.B) {
+	run := func(b *testing.B, identify func(*cumulative.History) *cumulative.Findings) {
 		hist := build()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if i > 0 && i%nSites == 0 {
+				b.StopTimer()
+				hist = build()
+				b.StartTimer()
+			}
 			touch(hist, i)
-			hist.Identify()
+			identify(hist)
 		}
-	})
-	b.Run("full", func(b *testing.B) {
-		hist := build()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			touch(hist, i)
-			hist.IdentifyFull()
-		}
-	})
+	}
+	b.Run("incremental", func(b *testing.B) { run(b, (*cumulative.History).Identify) })
+	b.Run("full", func(b *testing.B) { run(b, (*cumulative.History).IdentifyFull) })
 }
 
 // The §5.1 Bayes factor of one key, in the four regimes the fleet

@@ -46,6 +46,7 @@ import (
 	"os"
 	"os/signal"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -123,6 +124,18 @@ func ignoredFlags(fs *flag.FlagSet, mode string) []string {
 	return ignored
 }
 
+// checkDedup rejects a negative -dedup in the modes that read it; in
+// any other mode the flag is only reported as ignored.
+func checkDedup(fs *flag.FlagSet, mode string) error {
+	if !slices.Contains(modeFlags[mode], "dedup") {
+		return nil
+	}
+	if n, err := strconv.Atoi(fs.Lookup("dedup").Value.String()); err == nil && n < 0 {
+		return errors.New("fleetd: -dedup must not be negative: every upload is deduplicated (0: the 4096 default)")
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
 
@@ -131,9 +144,6 @@ func main() {
 		return
 	}
 	log.Printf("fleetd %s", version.String())
-	if *dedupLen < 0 {
-		log.Fatal("fleetd: -dedup must not be negative: every upload is deduplicated (0: the 4096 default)")
-	}
 	mode := "single"
 	switch {
 	case *replica != "":
@@ -148,6 +158,9 @@ func main() {
 		mode = "coordinator"
 	case *partition:
 		mode = "partition"
+	}
+	if err := checkDedup(flag.CommandLine, mode); err != nil {
+		log.Fatal(err)
 	}
 	if ignored := ignoredFlags(flag.CommandLine, mode); len(ignored) > 0 {
 		log.Printf("fleetd: warning: %s ignored in %s mode", strings.Join(ignored, ", "), mode)

@@ -71,8 +71,9 @@ func TestSnapshotLoopWritesDrainWithoutNewBatches(t *testing.T) {
 
 // TestIgnoredFlags: a flag set on the command line that its mode does
 // not read is reported, whatever its value (-shards 16 is the default),
-// and a flag the mode reads is not. The table names only real flags, and
-// every flag is read by some mode.
+// and a flag the mode reads is not. A negative -dedup fails only in the
+// modes that read it. The table names only real flags, and every flag is
+// read by some mode.
 func TestIgnoredFlags(t *testing.T) {
 	// parse records which flags args set, on string-typed copies of
 	// fleetd's flags, so fleetd's own flag values stay untouched.
@@ -85,17 +86,27 @@ func TestIgnoredFlags(t *testing.T) {
 		return fs
 	}
 	for _, tc := range []struct {
-		mode string
-		args []string
-		want []string
+		mode     string
+		args     []string
+		want     []string
+		dedupErr bool
 	}{
-		{"replica", []string{"-replica", "http://c", "-snapshot", "r.snap"}, []string{"-snapshot"}},
-		{"coordinator", []string{"-coordinator", "http://p", "-shards", "16"}, []string{"-shards"}},
-		{"coordinator", []string{"-coordinator", "http://p", "-correct-interval", "1s"}, []string{"-correct-interval"}},
-		{"single", []string{"-alert-url", "http://hook"}, nil},
+		{"replica", []string{"-replica", "http://c", "-snapshot", "r.snap"}, []string{"-snapshot"}, false},
+		{"coordinator", []string{"-coordinator", "http://p", "-shards", "16"}, []string{"-shards"}, false},
+		{"coordinator", []string{"-coordinator", "http://p", "-correct-interval", "1s"}, []string{"-correct-interval"}, false},
+		{"single", []string{"-alert-url", "http://hook"}, nil, false},
+		{"replica", []string{"-replica", "http://127.0.0.1:9", "-dedup", "-1"}, []string{"-dedup"}, false},
+		{"coordinator", []string{"-coordinator", "http://p", "-dedup", "-1"}, []string{"-dedup"}, false},
+		{"single", []string{"-dedup", "-1"}, nil, true},
+		{"partition", []string{"-partition=true", "-dedup", "-1"}, nil, true},
+		{"partition", []string{"-partition=true", "-dedup", "8"}, nil, false},
 	} {
-		if got := ignoredFlags(parse(tc.args...), tc.mode); !slices.Equal(got, tc.want) {
+		fs := parse(tc.args...)
+		if got := ignoredFlags(fs, tc.mode); !slices.Equal(got, tc.want) {
 			t.Errorf("%s mode, %v: reported %v, want %v", tc.mode, tc.args, got, tc.want)
+		}
+		if err := checkDedup(fs, tc.mode); (err != nil) != tc.dedupErr {
+			t.Errorf("%s mode, %v: checkDedup = %v, want an error: %v", tc.mode, tc.args, err, tc.dedupErr)
 		}
 	}
 

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"exterminator/internal/cumulative"
@@ -532,6 +533,82 @@ func TestReplicaServesCachedPatchesAndTriage(t *testing.T) {
 	repDelta := getBytes(t, repTS.URL+"/v1/patches?since="+utoa(firstVersion))
 	if !bytes.Equal(coordDelta, repDelta) {
 		t.Fatalf("replica delta answer diverges:\ncoord:   %s\nreplica: %s", coordDelta, repDelta)
+	}
+}
+
+// TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON: a replica keeps the
+// coordinator's triage page as it was written, so it checks that the
+// page parses first. After an upstream answers a page that does not, the
+// replica still serves its previous body and ETag, and its patches
+// still follow the upstream.
+func TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	_, partURL := haPartition(t, cfg)
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var broken atomic.Bool
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if broken.Load() && req.URL.Path == "/v1/triage" {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"total": 3, "clusters": [`)
+			return
+		}
+		coord.Handler().ServeHTTP(w, req)
+	}))
+	defer upstream.Close()
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{upstream.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repTS := httptest.NewServer(rep.Handler())
+	defer repTS.Close()
+
+	triagePage := func() (body []byte, etag string) {
+		t.Helper()
+		resp, err := http.Get(repTS.URL + "/v1/triage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("replica GET /v1/triage = %s: %s", resp.Status, body)
+		}
+		return body, resp.Header.Get("ETag")
+	}
+
+	feedCluster(t, ctx, 23, 10, partURL)
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wantBody, wantETag := triagePage()
+	if !json.Valid(wantBody) || wantETag == "" {
+		t.Fatalf("first page: ETag %q, body %s", wantETag, wantBody)
+	}
+
+	broken.Store(true)
+	firstVersion := rep.Status().ReplicaVersion
+	feedSecondWave(t, ctx, partURL)
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Status().ReplicaVersion; got <= firstVersion {
+		t.Fatalf("replica patches stopped at version %d (was %d)", got, firstVersion)
+	}
+	if body, etag := triagePage(); !bytes.Equal(body, wantBody) || etag != wantETag {
+		t.Fatalf("after a non-JSON upstream page the replica serves ETag %s and\n%s\nwant ETag %s and\n%s", etag, body, wantETag, wantBody)
 	}
 }
 

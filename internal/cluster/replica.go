@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -211,18 +212,15 @@ func (r *Replica) PollOnce(ctx context.Context) error {
 	r.synced.Store(true)
 	r.metrics.versionG.Set(float64(r.log.Version()))
 
-	rr, err := r.client.TriageRankings(ctx, 0, replicaTriageLimit)
-	var body []byte
-	if err == nil {
-		body, err = json.Marshal(rr)
+	// The page is kept as the coordinator wrote it, once it parses.
+	body, err := r.client.TriagePage(ctx, 0, replicaTriageLimit)
+	if err == nil && !json.Valid(body) {
+		err = errors.New("cluster: upstream triage page is not JSON")
 	}
 	if err != nil {
 		r.logger.Warn("triage refresh failed", "error", err.Error())
 		return nil
 	}
-	// json.Encoder's bytes, as the coordinator wrote them: json.Marshal
-	// plus a newline.
-	body = append(body, '\n')
 	h := fnv.New64a()
 	h.Write(body)
 	etag := fmt.Sprintf("%q", fmt.Sprintf("t%x", h.Sum64()))

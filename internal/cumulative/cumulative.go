@@ -89,6 +89,14 @@ type History struct {
 	dirtyOvf   map[site.ID]bool
 	dirtyDan   map[site.Pair]bool
 
+	// aboveOvf and aboveDan are the keys whose factor exceeded cN−1 at
+	// the last identify pass, run at N = lastN. Every other key was
+	// below that threshold then, and is skipped while it stays clean and
+	// N does not fall below lastN (see IdentifyWithSites).
+	aboveOvf map[site.ID]bool
+	aboveDan map[site.Pair]bool
+	lastN    int
+
 	// scratch is what a rescore computes its factor in, so an identify
 	// pass allocates nothing per key. Identify's callers hold the lock
 	// that guards the history, and with it the scratch.
@@ -127,6 +135,8 @@ func NewHistory(cfg Config) *History {
 		bfDangling: make(map[site.Pair]float64),
 		dirtyOvf:   make(map[site.ID]bool),
 		dirtyDan:   make(map[site.Pair]bool),
+		aboveOvf:   make(map[site.ID]bool),
+		aboveDan:   make(map[site.Pair]bool),
 	}
 }
 
@@ -329,8 +339,11 @@ func (f *Findings) Empty() bool {
 // is incremental: Bayes factors are recomputed only for keys whose
 // evidence changed since the last pass; every other key reuses its cached
 // factor (identical to a recompute — a factor is a function of the key's
-// miss count and the sorted X values of its hits). The threshold comparison
-// itself reruns for every key because N, and hence the prior, moves.
+// miss count and the sorted X values of its hits). Nor does a pass visit
+// every key: it tests the keys that were above the threshold cN−1 at the
+// last pass and the changed ones. A clean key below the last pass's
+// threshold stays below while N does not fall, since the threshold only
+// rises with N; a pass whose N is below the last one's tests every key.
 //
 // The keys the pass recomputed are what the triage engine consumes:
 // Rescored hands them out as candidates, one per changed overflow site
@@ -352,29 +365,65 @@ func (hist *History) IdentifyWithSites(n int) *Findings {
 	threshold := hist.cfg.C*float64(n) - 1
 	hist.rescoredOvf = make([]Candidate, 0, len(hist.dirtyOvf))
 	hist.rescoredDan = make([]Candidate, 0, len(hist.dirtyDan))
-
-	for s, obs := range hist.overflow {
-		ratio := hist.overflowFactor(s, obs)
-		if n > 0 && ratio > threshold {
-			pad := hist.padHint[s]
-			if pad == 0 {
-				continue // identified but no pad estimate yet
-			}
-			f.Overflows = append(f.Overflows, OverflowSite{Site: s, Pad: pad, Bayes: ratio, Runs: len(obs)})
+	if n < hist.lastN {
+		// N fell (an extraction removed sites), and with it the
+		// threshold: a clean key below the old one may be above the new.
+		for s := range hist.overflow {
+			hist.aboveOvf[s] = true
+		}
+		for p := range hist.dangling {
+			hist.aboveDan[p] = true
 		}
 	}
-	for p, obs := range hist.dangling {
-		ratio := hist.danglingFactor(p, obs)
-		if n > 0 && ratio > threshold {
-			d := hist.dferHint[p]
-			if d == 0 {
-				continue
-			}
-			f.Danglings = append(f.Danglings, DanglingPair{Pair: p, Deferral: d, Bayes: ratio, Runs: len(obs)})
+	hist.lastN = n
+
+	// The keys above the last threshold go first. Scoring a key clears
+	// its dirty mark, so the dirty walk after them skips those keys.
+	for s := range hist.aboveOvf {
+		if !hist.testOverflow(f, s, n, threshold) {
+			delete(hist.aboveOvf, s)
+		}
+	}
+	for s := range hist.dirtyOvf {
+		if hist.testOverflow(f, s, n, threshold) {
+			hist.aboveOvf[s] = true
+		}
+	}
+	for p := range hist.aboveDan {
+		if !hist.testDangling(f, p, n, threshold) {
+			delete(hist.aboveDan, p)
+		}
+	}
+	for p := range hist.dirtyDan {
+		if hist.testDangling(f, p, n, threshold) {
+			hist.aboveDan[p] = true
 		}
 	}
 	sortFindings(f)
 	return f
+}
+
+// testOverflow scores site s and reports whether its factor exceeds
+// threshold. Such a site is a finding when n > 0 and its pad is known.
+func (hist *History) testOverflow(f *Findings, s site.ID, n int, threshold float64) bool {
+	obs := hist.overflow[s]
+	ratio := hist.overflowFactor(s, obs)
+	above := ratio > threshold
+	if pad := hist.padHint[s]; above && n > 0 && pad != 0 {
+		f.Overflows = append(f.Overflows, OverflowSite{Site: s, Pad: pad, Bayes: ratio, Runs: len(obs)})
+	}
+	return above
+}
+
+// testDangling is testOverflow for pair keys and their deferral hints.
+func (hist *History) testDangling(f *Findings, p site.Pair, n int, threshold float64) bool {
+	obs := hist.dangling[p]
+	ratio := hist.danglingFactor(p, obs)
+	above := ratio > threshold
+	if d := hist.dferHint[p]; above && n > 0 && d != 0 {
+		f.Danglings = append(f.Danglings, DanglingPair{Pair: p, Deferral: d, Bayes: ratio, Runs: len(obs)})
+	}
+	return above
 }
 
 // IdentifyFull drops every cached factor and rescores all keys from

@@ -46,10 +46,10 @@ func (hist *History) EvidenceKeys() []site.ID {
 //
 // Absorbing the returned snapshot into an empty history and re-absorbing
 // it here reproduces the original evidence exactly (observations are
-// returned in canonical order, hints at their maxima). Factor caches and
-// dirty marks for the removed keys are dropped; the upload watermark's
-// entries for them are cleared so a later UploadDelta cannot reference
-// evidence that no longer exists.
+// returned in canonical order, hints at their maxima). Factor caches,
+// dirty marks and above-threshold marks for the removed keys are
+// dropped; the upload watermark's entries for them are cleared so a
+// later UploadDelta cannot reference evidence that no longer exists.
 func (hist *History) Extract(keys []site.ID) *Snapshot {
 	if len(keys) == 0 {
 		return &Snapshot{C: hist.cfg.C, P: hist.cfg.P}
@@ -76,6 +76,7 @@ func (hist *History) Extract(keys []site.ID) *Snapshot {
 		delete(hist.overflow, s)
 		delete(hist.bfOverflow, s)
 		delete(hist.dirtyOvf, s)
+		delete(hist.aboveOvf, s)
 	}
 	for _, p := range sortedPairKeys(hist.dangling) {
 		if !ks[p.Alloc] {
@@ -87,6 +88,7 @@ func (hist *History) Extract(keys []site.ID) *Snapshot {
 		delete(hist.dangling, p)
 		delete(hist.bfDangling, p)
 		delete(hist.dirtyDan, p)
+		delete(hist.aboveDan, p)
 	}
 	for _, s := range sortedIDKeys(hist.padHint) {
 		if !ks[s] {

@@ -201,3 +201,84 @@ func TestRescoredKeepsConsumersCurrent(t *testing.T) {
 		}
 	}
 }
+
+// guiltyKey's four hits at X = 0.25 give it a Bayes factor of 68.2:
+// above the threshold cN−1 = 4N−1 for N ≤ 17, below it from N = 18.
+const guiltyKey = site.ID(0xBAD)
+
+// thresholdHistory holds guiltyKey's evidence, with a pad hint when pad
+// is set, among n sites in all.
+func thresholdHistory(n int, pad bool) *History {
+	s := &Snapshot{C: 4, P: 0.5, Sites: []site.ID{guiltyKey}}
+	s.Overflow = []SiteObservations{{Site: guiltyKey, Obs: []Observation{
+		{X: 0.25, Y: true}, {X: 0.25, Y: true}, {X: 0.25, Y: true}, {X: 0.25, Y: true},
+	}}}
+	for i := 1; i < n; i++ {
+		s.Sites = append(s.Sites, site.ID(0x100+i))
+	}
+	if pad {
+		s.PadHints = []PadHint{{Site: guiltyKey, Pad: 16}}
+	}
+	hist := NewHistory(DefaultConfig())
+	hist.Absorb(s)
+	return hist
+}
+
+// identifyClean runs a pass over a history whose evidence did not change
+// since its last pass, checks the findings against a full rescore of a
+// copy, and reports whether guiltyKey was found.
+func identifyClean(t *testing.T, hist *History) bool {
+	t.Helper()
+	if d := hist.DirtyKeys(); d != 0 {
+		t.Fatalf("%d keys changed since the last pass; want none", d)
+	}
+	got := hist.Identify()
+	ref := NewHistory(DefaultConfig())
+	ref.Absorb(hist.Snapshot())
+	if want := ref.IdentifyFull(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("incremental %+v != full rescore %+v", got, want)
+	}
+	return len(got.Overflows) == 1 && got.Overflows[0].Site == guiltyKey
+}
+
+// TestIdentifyDropsCleanKeyOnceNPassesIt: a key above the threshold
+// stays under test while it is clean, so it leaves the findings when new
+// sites raise the threshold past its factor.
+func TestIdentifyDropsCleanKeyOnceNPassesIt(t *testing.T) {
+	hist := thresholdHistory(17, true)
+	if f := hist.Identify(); len(f.Overflows) != 1 {
+		t.Fatalf("N = 17: findings %+v, want guiltyKey", f)
+	}
+	hist.Absorb(&Snapshot{Sites: []site.ID{0x200}})
+	if identifyClean(t, hist) {
+		t.Fatal("N = 18: guiltyKey still reported above 4N−1 = 71")
+	}
+}
+
+// TestIdentifyReportsLatePadHintOnCleanKey: a key above the threshold
+// without a pad estimate is no finding, and becomes one on the pass
+// after its hint arrives, though no observation of it did.
+func TestIdentifyReportsLatePadHintOnCleanKey(t *testing.T) {
+	hist := thresholdHistory(1, false)
+	if f := hist.Identify(); !f.Empty() {
+		t.Fatalf("no pad hint yet: findings %+v", f)
+	}
+	hist.Absorb(&Snapshot{PadHints: []PadHint{{Site: guiltyKey, Pad: 16}}})
+	if !identifyClean(t, hist) {
+		t.Fatal("the pass after the pad hint arrived did not report guiltyKey")
+	}
+}
+
+// TestIdentifyRetestsCleanKeysWhenNFalls: an extraction lowers N and the
+// threshold with it, so a clean key below the old threshold but above the
+// new one is found.
+func TestIdentifyRetestsCleanKeysWhenNFalls(t *testing.T) {
+	hist := thresholdHistory(18, true)
+	if f := hist.Identify(); !f.Empty() {
+		t.Fatalf("N = 18: findings %+v, want none", f)
+	}
+	hist.Extract([]site.ID{0x101})
+	if !identifyClean(t, hist) {
+		t.Fatal("N = 17: guiltyKey not reported above 4N−1 = 67")
+	}
+}

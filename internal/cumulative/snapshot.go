@@ -7,18 +7,20 @@ import (
 )
 
 // Snapshot is an exported, exchange-friendly view of a History: the per-site
-// (X, Y) observations, hints, site set and run counters, with every list in
-// a canonical sorted order. It exists so observations can leave the process
-// — the fleet's v2 frames (internal/fleet/codec) carry Snapshots on the
-// wire and in the daemons' state files — without exposing History's
-// internals or its invariants.
+// (X, Y) observations, hints, site set and run counters. It exists so
+// observations can leave the process — the fleet's v2 frames
+// (internal/fleet/codec) carry Snapshots on the wire and in the daemons'
+// state files — without exposing History's internals or its invariants.
 //
-// Observation lists are sorted by (X, Y), so a snapshot's contents depend
-// only on the multiset of observations, not on the order in which
-// contributions arrived. Observations are exchangeable under the §5.1
-// model, so sorting does not change their meaning. (BayesFactor is order
-// independent on its own: it reads a key's miss count and the sorted X
-// values of its hits.)
+// History.Snapshot lists everything in a canonical sorted order, with
+// observation lists sorted by (X, Y), so its contents depend only on the
+// multiset of observations, not on the order in which contributions
+// arrived. Observations are exchangeable under the §5.1 model, so sorting
+// does not change their meaning. A snapshot assembled elsewhere need not
+// be canonical, and may list a key more than once (a fleet delta window
+// concatenates the batches it covers): Absorb folds every entry in, and
+// BayesFactor is order independent on its own (it reads a key's miss
+// count and the sorted X values of its hits).
 type Snapshot struct {
 	// Lineage is the uploading history's lineage (set by UploadDelta,
 	// zero otherwise). It is not on the wire: uploaders fold it into the

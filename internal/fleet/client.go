@@ -349,13 +349,37 @@ func (c *Client) Status() (*StatusReply, error) {
 // TriageRankings fetches the server's paginated triage ranking (GET
 // /v1/triage): the fleet's top defect clusters, pooled-Bayes first.
 func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage.RankingReply, error) {
-	return getJSON[triage.RankingReply](ctx, c, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), "get triage")
+	body, err := c.TriagePage(ctx, offset, limit)
+	if err != nil {
+		return nil, err
+	}
+	var rr triage.RankingReply
+	if err := json.Unmarshal(body, &rr); err != nil {
+		return nil, fmt.Errorf("fleet: decode triage: %w", err)
+	}
+	return &rr, nil
+}
+
+// TriagePage fetches one page of the server's triage ranking (GET
+// /v1/triage) as the server wrote it: a RankingReply's JSON, not yet
+// checked. TriageRankings decodes it; a cache re-serves the bytes as
+// they are.
+func (c *Client) TriagePage(ctx context.Context, offset, limit int) ([]byte, error) {
+	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), nil)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: get triage (request %s): %w", reqID, err)
+	}
+	defer drain(resp)
+	if resp.StatusCode != http.StatusOK {
+		return nil, httpError("get triage (request "+reqID+")", resp)
+	}
+	return readBody(resp, "triage page")
 }
 
 // Deltas polls the server's evidence journal: everything absorbed after
-// journal sequence number since, merged into one snapshot. This is the
-// feed cluster coordinators (internal/cluster) mirror partitions with;
-// ordinary installations never need it.
+// journal sequence number since, batch after batch in journal order (see
+// codec.Delta). This is the feed cluster coordinators (internal/cluster)
+// mirror partitions with; ordinary installations never need it.
 func (c *Client) Deltas(ctx context.Context, since uint64) (*codec.Delta, error) {
 	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), map[string]string{"Accept": codec.ContentTypeV2})
 	if err != nil {

@@ -249,10 +249,11 @@ type DeltaOp struct {
 
 // Delta is what a GET /v1/deltas frame (FrameDelta) carries: the
 // evidence a partition absorbed after journal sequence number `since`,
-// merged into one canonical snapshot. It is the partition→coordinator
-// half of the cluster protocol (internal/cluster): coordinators poll
-// each partition with the last Seq they applied and absorb only what is
-// new.
+// each batch's lists as the batch carried them, one batch after another
+// in journal order (keys the batches share are not merged). It is the
+// partition→coordinator half of the cluster protocol (internal/cluster):
+// coordinators poll each partition with the last Seq they applied and
+// absorb only what is new.
 //
 // Payload layout:
 //
@@ -275,15 +276,16 @@ type Delta struct {
 	// store, not a delta, and must *replace* (not augment) whatever the
 	// poller previously mirrored from this server.
 	Full bool
-	// Snapshot is the merged evidence (nil when nothing changed). It is
+	// Snapshot is the window's evidence (nil when nothing changed). It is
 	// only used when the window holds no evictions; otherwise Ops carries
 	// the ordered sequence instead.
 	Snapshot *cumulative.Snapshot
 	// Ops is the ordered delta when the window contains rebalance
 	// evictions: additions and evictions must be applied in sequence
 	// (an eviction removes a key's entire evidence from the mirror at
-	// that point in the stream). Consecutive additions are pre-merged.
-	// Mutually exclusive with Snapshot.
+	// that point in the stream). Each run of consecutive additions is one
+	// snapshot, concatenated like Snapshot. Mutually exclusive with
+	// Snapshot.
 	Ops []DeltaOp
 	// ReqIDs are the X-Request-ID correlation fields of the uploads this
 	// delta covers (bounded; oldest first). The coordinator logs them

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -192,6 +193,136 @@ func TestDeltasEndpoint(t *testing.T) {
 	}
 	if !d.Full || d.Seq != 2 || d.Snapshot == nil || d.Snapshot.Runs != 4 {
 		t.Fatalf("stale-cursor delta: %+v", d)
+	}
+}
+
+// sharedKeyBatch is batch i of a series that all carry sites 0x10 and
+// 0x11 and the pair (0x10, 0x90), each batch with its own observations
+// and hints.
+func sharedKeyBatch(i int) *cumulative.Snapshot {
+	x := 0.1 * float64(i+1)
+	return &cumulative.Snapshot{C: 4, P: 0.5, Runs: 2, FailedRuns: 1, CorruptRuns: 1,
+		Sites: []site.ID{0x10, 0x11},
+		Overflow: []cumulative.SiteObservations{
+			{Site: 0x10, Obs: []cumulative.Observation{{X: x, Y: true}, {X: x / 2, Y: false}}},
+			{Site: 0x11, Obs: []cumulative.Observation{{X: x, Y: false}}},
+		},
+		Dangling:      []cumulative.PairObservations{{Alloc: 0x10, Free: 0x90, Obs: []cumulative.Observation{{X: x, Y: i%2 == 0}}}},
+		PadHints:      []cumulative.PadHint{{Site: 0x10, Pad: uint32(8 * (i + 1))}},
+		DeferralHints: []cumulative.DeferralHint{{Alloc: 0x10, Free: 0x90, Deferral: uint64(16 * (4 - i))}},
+	}
+}
+
+// concatenated is the snapshot a delta window over batches carries: the
+// batches' lists one after another and their counters summed.
+func concatenated(batches ...*cumulative.Snapshot) *cumulative.Snapshot {
+	out := &cumulative.Snapshot{C: 4, P: 0.5}
+	for _, b := range batches {
+		out.Runs += b.Runs
+		out.FailedRuns += b.FailedRuns
+		out.CorruptRuns += b.CorruptRuns
+		out.Sites = append(out.Sites, b.Sites...)
+		out.Overflow = append(out.Overflow, b.Overflow...)
+		out.Dangling = append(out.Dangling, b.Dangling...)
+		out.PadHints = append(out.PadHints, b.PadHints...)
+		out.DeferralHints = append(out.DeferralHints, b.DeferralHints...)
+	}
+	return out
+}
+
+// TestDeltasConcatenateBatchesInJournalOrder: a delta window answers the
+// batches' groups and hints as each batch carried them, batch after
+// batch in journal order, with the run counters summed; keys the batches
+// share are not merged. A history fed the delta holds what one fed the
+// batches holds.
+func TestDeltasConcatenateBatchesInJournalOrder(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, "j")
+	ctx := context.Background()
+
+	fed := cumulative.NewHistory(cumulative.DefaultConfig())
+	var batches []*cumulative.Snapshot
+	for i := 0; i < 3; i++ {
+		b := sharedKeyBatch(i)
+		if _, err := c.PushBatchContext(ctx, stampedBatch("j", b)); err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+		fed.Absorb(b)
+	}
+	d, err := c.Deltas(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Full || d.Seq != 3 || len(d.Ops) != 0 {
+		t.Fatalf("delta since 0: %+v", d)
+	}
+	if want := concatenated(batches...); !reflect.DeepEqual(d.Snapshot, want) {
+		t.Fatalf("delta snapshot\n got  %+v\n want %+v", d.Snapshot, want)
+	}
+
+	mirror := cumulative.NewHistory(cumulative.DefaultConfig())
+	mirror.Absorb(d.Snapshot)
+	mirror.Canonicalize()
+	fed.Canonicalize()
+	if !mirror.Equal(fed) {
+		t.Fatalf("history fed the delta diverged from one fed the batches:\n%s\n%s", mirror, fed)
+	}
+}
+
+// TestDeltasEvictionSplitsConcatenatedWindow: an eviction inside a
+// window still ends the run of additions before it, so the delta is the
+// ordered ops [batches before, eviction, batches after], and replaying
+// them from an empty mirror reproduces the store.
+func TestDeltasEvictionSplitsConcatenatedWindow(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1, DisableCorrection: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, "e")
+	ctx := context.Background()
+
+	push := func(b *cumulative.Snapshot) {
+		t.Helper()
+		if _, err := c.PushBatchContext(ctx, stampedBatch("e", b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b0, b1, b2, b3 := sharedKeyBatch(0), sharedKeyBatch(1), sharedKeyBatch(2), sharedKeyBatch(3)
+	push(b0)
+	push(b1)
+	if _, cached := srv.Evict("drain-0x10", []site.ID{0x10}, false); cached {
+		t.Fatal("first drain answered from the evict cache")
+	}
+	push(b2)
+	push(b3)
+
+	d, err := c.Deltas(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []codec.DeltaOp{
+		{Snapshot: concatenated(b0, b1)},
+		{Evict: []site.ID{0x10}},
+		{Snapshot: concatenated(b2, b3)},
+	}
+	if d.Snapshot != nil || !reflect.DeepEqual(d.Ops, want) {
+		t.Fatalf("delta ops\n got  %+v\n want %+v", d.Ops, want)
+	}
+
+	replay := cumulative.NewHistory(cumulative.DefaultConfig())
+	for _, op := range d.Ops {
+		if len(op.Evict) > 0 {
+			replay.Extract(op.Evict)
+		}
+		replay.Absorb(op.Snapshot)
+	}
+	replay.Canonicalize()
+	store := srv.Store().Combined()
+	store.Canonicalize()
+	if !replay.Equal(store) {
+		t.Fatalf("mirror replay diverged from the store:\n%s\n%s", replay, store)
 	}
 }
 

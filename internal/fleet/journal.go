@@ -124,3 +124,45 @@ func (j *journal) invalidate() {
 	j.base = j.seq
 	j.entries = j.entries[:0]
 }
+
+// concatBatches is the delta for a run of journaled batches: their run
+// counters add up, and their site, group and hint lists follow one
+// another in journal order, so a key appears once per batch that carried
+// it. Groups keep their observation slices, shared read-only with the
+// journal. Nothing is merged or sorted: a History absorbing the result
+// holds what absorbing each batch would, and the Bayes factor does not
+// depend on observation order.
+func concatBatches(cfg cumulative.Config, entries []journalEntry) *cumulative.Snapshot {
+	out := &cumulative.Snapshot{
+		C:             cfg.C,
+		P:             cfg.P,
+		Sites:         concatLists(entries, func(s *cumulative.Snapshot) []site.ID { return s.Sites }),
+		Overflow:      concatLists(entries, func(s *cumulative.Snapshot) []cumulative.SiteObservations { return s.Overflow }),
+		Dangling:      concatLists(entries, func(s *cumulative.Snapshot) []cumulative.PairObservations { return s.Dangling }),
+		PadHints:      concatLists(entries, func(s *cumulative.Snapshot) []cumulative.PadHint { return s.PadHints }),
+		DeferralHints: concatLists(entries, func(s *cumulative.Snapshot) []cumulative.DeferralHint { return s.DeferralHints }),
+	}
+	for _, e := range entries {
+		out.Runs += e.snap.Runs
+		out.FailedRuns += e.snap.FailedRuns
+		out.CorruptRuns += e.snap.CorruptRuns
+	}
+	return out
+}
+
+// concatLists concatenates one list of every entry's snapshot into a
+// slice of exactly the combined length (nil when it is zero).
+func concatLists[T any](entries []journalEntry, list func(*cumulative.Snapshot) []T) []T {
+	n := 0
+	for _, e := range entries {
+		n += len(list(e.snap))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, e := range entries {
+		out = append(out, list(e.snap)...)
+	}
+	return out
+}

@@ -668,10 +668,10 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDeltas serves the partition→coordinator evidence feed: the
-// batches absorbed after journal position ?since=S, merged into one
-// canonical snapshot. Cursors outside the retained window (or from a
-// previous incarnation) are answered with a Full resync taken at a
-// consistent journal position.
+// batches absorbed after journal position ?since=S, one after another in
+// journal order. Cursors outside the retained window (or from a previous
+// incarnation) are answered with a Full resync taken at a consistent
+// journal position.
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -708,37 +708,28 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 			reply.ReqIDs = append(reply.ReqIDs, e.reqID)
 		}
 	}
-	// Merge runs of consecutive additions; a rebalance eviction breaks
-	// the run (ordering matters: evidence added before the drain was
-	// drained, evidence added after it was not). Windows without
-	// evictions keep the legacy single-snapshot shape.
+	// Each run of consecutive additions becomes one snapshot; a
+	// rebalance eviction ends the run (ordering matters: evidence added
+	// before the drain was drained, evidence added after it was not).
+	// Windows without evictions carry a single snapshot.
 	var ops []codec.DeltaOp
-	var merged *cumulative.History
-	flush := func() {
-		if merged != nil {
-			ops = append(ops, codec.DeltaOp{Snapshot: merged.Snapshot()})
-			merged = nil
-		}
-	}
-	hasEvict := false
-	for _, e := range entries {
-		if len(e.evict) > 0 {
-			hasEvict = true
-			flush()
-			ops = append(ops, codec.DeltaOp{Evict: e.evict})
+	for i := 0; i < len(entries); {
+		if len(entries[i].evict) > 0 {
+			ops = append(ops, codec.DeltaOp{Evict: entries[i].evict})
+			i++
 			continue
 		}
-		if merged == nil {
-			merged = cumulative.NewHistory(s.store.cfg)
+		j := i + 1
+		for j < len(entries) && len(entries[j].evict) == 0 {
+			j++
 		}
-		merged.Absorb(e.snap)
+		ops = append(ops, codec.DeltaOp{Snapshot: concatBatches(s.store.cfg, entries[i:j])})
+		i = j
 	}
-	flush()
-	switch {
-	case hasEvict:
-		reply.Ops = ops
-	case len(ops) == 1:
+	if len(ops) == 1 && ops[0].Snapshot != nil {
 		reply.Snapshot = ops[0].Snapshot
+	} else {
+		reply.Ops = ops
 	}
 	s.logger.Debug("deltas served",
 		"since", since, "seq", seq, "entries", len(entries), "requestId", reqID)

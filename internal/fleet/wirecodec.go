@@ -40,14 +40,26 @@ func writeDelta(w http.ResponseWriter, d *codec.Delta) {
 	w.Write(codec.EncodeDelta(buf, d))
 }
 
-// maxResponseBytes bounds client-side reads of v2 response bodies:
-// frames are decoded from one in-memory buffer, so the read must be
+// maxResponseBytes bounds client-side reads of response bodies that are
+// decoded or kept whole (v2 frames, triage pages): the read must be
 // capped first.
 const maxResponseBytes = 64 << 20
 
-// readFrame reads a v2 response body under maxResponseBytes.
-func readFrame(resp *http.Response, what string) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+// readBody reads a whole response body under maxResponseBytes. A body
+// that declares its Content-Length is read into one slice of exactly
+// that size.
+func readBody(resp *http.Response, what string) ([]byte, error) {
+	var data []byte
+	var err error
+	switch n := resp.ContentLength; {
+	case n > maxResponseBytes:
+		err = fmt.Errorf("%d bytes exceed the %d-byte limit", n, maxResponseBytes)
+	case n >= 0:
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	default:
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: read %s: %w", what, err)
 	}
@@ -57,7 +69,7 @@ func readFrame(resp *http.Response, what string) ([]byte, error) {
 // decodePatchSetResponse decodes the v2 frame of a GET /v1/patches
 // response.
 func decodePatchSetResponse(resp *http.Response) (*codec.PatchSet, error) {
-	data, err := readFrame(resp, "patch set")
+	data, err := readBody(resp, "patch set")
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +78,7 @@ func decodePatchSetResponse(resp *http.Response) (*codec.PatchSet, error) {
 
 // decodeDeltaResponse decodes the v2 frame of a GET /v1/deltas response.
 func decodeDeltaResponse(resp *http.Response) (*codec.Delta, error) {
-	data, err := readFrame(resp, "delta")
+	data, err := readBody(resp, "delta")
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -12,6 +13,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -569,4 +572,34 @@ func sortedCandidates(in triage.PassInput) triage.PassInput {
 		})
 	}
 	return in
+}
+
+// TestTriagePageReadsDeclaredLength: a response that declares its
+// Content-Length is read into a slice of exactly that length, and one
+// declaring more than maxResponseBytes is refused before its body is
+// read.
+func TestTriagePageReadsDeclaredLength(t *testing.T) {
+	const page = `{"total":0,"offset":0,"limit":1,"pass":0,"clusters":[]}` + "\n"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("offset") == "1" {
+			w.Header().Set("Content-Length", strconv.Itoa(maxResponseBytes+1))
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(page)))
+		io.WriteString(w, page)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, "t")
+
+	body, err := c.TriagePage(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != page || cap(body) != len(page) {
+		t.Fatalf("page read as %d bytes in a %d-byte slice: %q", len(body), cap(body), body)
+	}
+	if _, err := c.TriagePage(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "exceed") {
+		t.Fatalf("oversized page: err = %v, want the size limit", err)
+	}
 }

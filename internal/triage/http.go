@@ -1,10 +1,12 @@
 package triage
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"exterminator/internal/telemetry"
 )
@@ -62,12 +64,28 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, reply)
 }
 
-// writeJSON answers with v as JSON. The encoder writes nothing when v
-// cannot be encoded, so that case is still free to answer 500 rather
-// than an empty 200.
+// replyBufs recycles the buffers replies are rendered into; a buffer
+// grown past maxPooledReply is left to the collector.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledReply = 4 << 20
+
+// writeJSON answers with v as JSON, rendered whole before anything is
+// sent, so the reply carries its Content-Length and a value that cannot
+// be encoded still answers 500 rather than an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledReply {
+			replyBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		http.Error(w, "triage: encode reply: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes())
 }

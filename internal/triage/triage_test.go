@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -553,5 +554,31 @@ func TestWriteJSONUnencodableIs500(t *testing.T) {
 	writeJSON(rec, ClusterSummary{TopBayes: math.Inf(1)})
 	if rec.Code != http.StatusInternalServerError || !bytes.Contains(rec.Body.Bytes(), []byte("unsupported value")) {
 		t.Fatalf("unencodable reply answered %d %q, want 500 with the reason", rec.Code, rec.Body)
+	}
+}
+
+// TestRankingsDeclareContentLength: a ranking page too large for the
+// server to measure on its own still carries its Content-Length, so a
+// reader can take the body in one exact-size read.
+func TestRankingsDeclareContentLength(t *testing.T) {
+	e := New(Config{})
+	var in PassInput
+	for i := 0; i < 100; i++ {
+		in.Overflows = append(in.Overflows, over(site.ID(0x1000+i), float64(10+i), 3))
+	}
+	e.Pass(in)
+	srv := httptest.NewServer(e)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/triage?limit=200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) < 8<<10 || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("a %d-byte ranking declared Content-Length %d", len(body), resp.ContentLength)
 	}
 }
