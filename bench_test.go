@@ -551,6 +551,84 @@ func BenchmarkIncrementalIdentify(b *testing.B) {
 	b.Run("full", func(b *testing.B) { run(b, (*cumulative.History).IdentifyFull) })
 }
 
+// Coordinator delta apply: one poll's delta folded into a partition's
+// mirror and into the one-stripe merged store, as Coordinator.PollOnce
+// folds a delta window. The delta is 20 uploads' worth: 800 overflow and
+// 160 dangling observations, one per key. It lands on evidence in the
+// state a resync leaves, a mirror and a store each built from one full
+// snapshot of 20,000 sites and 4,000 pairs, so each list has the
+// capacity its first build gave it, and every key a delta touches
+// appends to its list for the first time. The 25 deltas cover every key
+// once, and the state is rebuilt off the clock before the next 25:
+//
+//	go test -run NONE -bench BenchmarkCoordinatorDeltaApply -benchtime 200x -benchmem
+func BenchmarkCoordinatorDeltaApply(b *testing.B) {
+	const (
+		nSites, nPairs = 20000, 4000
+		rounds         = 25 // deltas before every key has been touched
+		ovf, dan       = nSites / rounds, nPairs / rounds
+	)
+	rng := xrand.New(26)
+	chance := func() cumulative.Observation {
+		x := 0.02 + 0.6*rng.Float64()
+		return cumulative.Observation{X: x, Y: rng.Bool(x)}
+	}
+	siteID := func(i int) site.ID { return site.ID(0x10000 + i) }
+	pair := func(i int) (alloc, free site.ID) { return siteID(5 * i % nSites), site.ID(0x90000 + i) }
+
+	full := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 8000}
+	for i := 0; i < nSites; i++ {
+		so := cumulative.SiteObservations{Site: siteID(i)}
+		for j := 1 + rng.Intn(23); j > 0; j-- {
+			so.Obs = append(so.Obs, chance())
+		}
+		full.Sites = append(full.Sites, so.Site)
+		full.Overflow = append(full.Overflow, so)
+	}
+	for i := 0; i < nPairs; i++ {
+		po := cumulative.PairObservations{}
+		po.Alloc, po.Free = pair(i)
+		for j := 1 + rng.Intn(23); j > 0; j-- {
+			po.Obs = append(po.Obs, chance())
+		}
+		full.Dangling = append(full.Dangling, po)
+	}
+	deltas := make([]*cumulative.Snapshot, rounds)
+	for r := range deltas {
+		d := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 80}
+		for i := r * ovf; i < (r+1)*ovf; i++ {
+			d.Sites = append(d.Sites, siteID(i))
+			d.Overflow = append(d.Overflow, cumulative.SiteObservations{Site: siteID(i), Obs: []cumulative.Observation{chance()}})
+		}
+		for i := r * dan; i < (r+1)*dan; i++ {
+			po := cumulative.PairObservations{Obs: []cumulative.Observation{chance()}}
+			po.Alloc, po.Free = pair(i)
+			d.Dangling = append(d.Dangling, po)
+		}
+		deltas[r] = d
+	}
+	build := func() (*cumulative.History, *fleet.Store) {
+		mirror := cumulative.NewHistory(cumulative.DefaultConfig())
+		mirror.Absorb(full)
+		merged := fleet.NewStore(1, cumulative.DefaultConfig())
+		merged.AbsorbSnapshot(mirror.Snapshot())
+		return mirror, merged
+	}
+
+	mirror, merged := build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%rounds == 0 {
+			b.StopTimer()
+			mirror, merged = build()
+			b.StartTimer()
+		}
+		mirror.Absorb(deltas[i%rounds])
+		merged.AbsorbSnapshot(deltas[i%rounds])
+	}
+}
+
 // The §5.1 Bayes factor of one key, in the four regimes the fleet
 // scores: small fleet-ingest keys (n = 8, 64) and a large one (n = 5,000)
 // with X drawn from [0.02, 0.62] as the benchmark's generator does, and a

@@ -536,6 +536,56 @@ func TestReplicaServesCachedPatchesAndTriage(t *testing.T) {
 	}
 }
 
+// TestReplicaTriageDeclaresContentLength: the replica serves its cached
+// triage page with Content-Length, as the coordinator does, so a page
+// over net/http's 2 KB response buffer does not go out chunked, and a
+// downstream Client.TriagePage reads it into one slice of exact size.
+func TestReplicaTriageDeclaresContentLength(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	_, partURL := haPartition(t, cfg)
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upstream := httptest.NewServer(coord.Handler())
+	defer upstream.Close()
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{upstream.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repTS := httptest.NewServer(rep.Handler())
+	defer repTS.Close()
+
+	feedCluster(t, ctx, 23, 10, partURL)
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(repTS.URL + "/v1/triage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("replica GET /v1/triage: %s, %v", resp.Status, err)
+	}
+	if len(body) <= 2048 || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("%d-byte page served with Content-Length %d", len(body), resp.ContentLength)
+	}
+	page, err := fleet.NewClient(repTS.URL, "downstream").TriagePage(ctx, 0, replicaTriageLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page, body) || cap(page) != len(page) {
+		t.Fatalf("downstream read the %d-byte page into a %d-byte slice", len(page), cap(page))
+	}
+}
+
 // TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON: a replica keeps the
 // coordinator's triage page as it was written, so it checks that the
 // page parses first. After an upstream answers a page that does not, the

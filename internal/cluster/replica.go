@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,7 +251,10 @@ func (r *Replica) handleTriage(w http.ResponseWriter, req *http.Request) {
 		r.logger.Debug("triage revalidated (304)", "requestId", reqID)
 		return
 	}
+	// The page declares its length, as the coordinator's does: one over
+	// net/http's 2 KB buffer would otherwise go out chunked.
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	r.logger.Debug("triage served", "requestId", reqID)
 	w.Write(body)
 }

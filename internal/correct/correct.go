@@ -18,8 +18,6 @@
 package correct
 
 import (
-	stdheap "container/heap"
-
 	"exterminator/internal/alloc"
 	"exterminator/internal/diefast"
 	"exterminator/internal/heap"
@@ -39,24 +37,58 @@ type deferred struct {
 	seq  int     // FIFO tie-break for equal due times
 }
 
-// deferralQueue is a min-heap on due time.
+// before orders deferrals by due time, then by seq. Every seq is
+// distinct, so the order is strict and total, and the queue pops
+// deferrals in one sequence whatever its internal layout.
+func (d *deferred) before(e *deferred) bool {
+	if d.due != e.due {
+		return d.due < e.due
+	}
+	return d.seq < e.seq
+}
+
+// deferralQueue is a binary min-heap of deferrals in before order. It
+// holds its entries by value, so pushing and popping allocate nothing
+// once the slice has grown.
 type deferralQueue []deferred
 
-func (q deferralQueue) Len() int { return len(q) }
-func (q deferralQueue) Less(i, j int) bool {
-	if q[i].due != q[j].due {
-		return q[i].due < q[j].due
+// push adds d, sifting it up from the bottom.
+func (q *deferralQueue) push(d deferred) {
+	*q = append(*q, d)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(&h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
 	}
-	return q[i].seq < q[j].seq
 }
-func (q deferralQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *deferralQueue) Push(x any)   { *q = append(*q, x.(deferred)) }
-func (q *deferralQueue) Pop() any {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+
+// pop removes and returns the first deferral, sifting the last one down
+// from the top. The queue must not be empty.
+func (q *deferralQueue) pop() deferred {
+	h := *q
+	first, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].before(&h[j]) {
+			j = r
+		}
+		if !h[j].before(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h
+	return first
 }
 
 // Allocator is the correcting allocator.
@@ -182,7 +214,7 @@ func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 	m.FreeSite = freeSite
 	a.seq++
 	now := a.heap.Clock()
-	stdheap.Push(&a.queue, deferred{ptr: base, id: m.ID, site: freeSite, time: now, due: now + d, seq: a.seq})
+	a.queue.push(deferred{ptr: base, id: m.ID, site: freeSite, time: now, due: now + d, seq: a.seq})
 	a.deferredCount++
 	a.deferredBytes += uint64(m.ReqSize) * d
 	return alloc.FreeDeferred
@@ -193,7 +225,7 @@ func (a *Allocator) Free(ptr mem.Addr, freeSite site.ID) alloc.FreeStatus {
 func (a *Allocator) drain() {
 	now := a.heap.Clock()
 	for len(a.queue) > 0 && a.queue[0].due <= now {
-		a.release(stdheap.Pop(&a.queue).(deferred))
+		a.release(a.queue.pop())
 	}
 }
 
@@ -201,7 +233,7 @@ func (a *Allocator) drain() {
 // program end so heap accounting balances).
 func (a *Allocator) Flush() {
 	for len(a.queue) > 0 {
-		a.release(stdheap.Pop(&a.queue).(deferred))
+		a.release(a.queue.pop())
 	}
 }
 

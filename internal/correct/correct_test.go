@@ -414,3 +414,32 @@ func TestDeferredFreeLogsLogicalPair(t *testing.T) {
 	}
 	t.Fatal("the deferred free never reached the free log")
 }
+
+// TestDeferralQueuePopsInOrder: pushes and pops interleaved at random
+// always pop the pending deferral that is first by (due, seq), duplicate
+// due times included.
+func TestDeferralQueuePopsInOrder(t *testing.T) {
+	rng := xrand.New(7)
+	var q deferralQueue
+	var pending []deferred
+	for seq := 1; seq <= 5000; seq++ {
+		d := deferred{due: uint64(rng.Intn(64)), seq: seq}
+		q.push(d)
+		pending = append(pending, d)
+		for len(q) > 0 && rng.Intn(3) == 0 {
+			first := 0
+			for i := range pending {
+				if pending[i].before(&pending[first]) {
+					first = i
+				}
+			}
+			if got := q.pop(); got != pending[first] {
+				t.Fatalf("popped (due %d, seq %d), want (due %d, seq %d)", got.due, got.seq, pending[first].due, pending[first].seq)
+			}
+			pending = append(pending[:first], pending[first+1:]...)
+		}
+	}
+	if len(q) != len(pending) {
+		t.Fatalf("queue holds %d deferrals, want %d", len(q), len(pending))
+	}
+}

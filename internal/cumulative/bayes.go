@@ -37,25 +37,11 @@ import (
 // multiset of hit X values alone: any order of the same observations gives
 // the same bits. A hit at X = 1 contributes exactly 1 and is skipped.
 func BayesFactor(obs []Observation) float64 {
-	s := scorer{a: make([]float64, 0, len(obs))}
-	return s.factor(obs)
-}
-
-// scorer is the scratch BayesFactor works in. A History keeps one, so
-// rescoring a key allocates nothing once the buffers have grown to the
-// largest key seen.
-type scorer struct {
-	a  []float64 // the hits' a = (1−X)/X, in ascending X
-	gw []float64 // gₘ, then the weights m/(m+k+1), for m = 0..degree
-}
-
-// factor is BayesFactor computed in s's buffers.
-func (s *scorer) factor(obs []Observation) float64 {
 	if len(obs) == 0 {
 		return 0
 	}
+	s := scorer{a: make([]float64, 0, len(obs))}
 	k := 0
-	s.a = s.a[:0]
 	for _, o := range obs {
 		switch {
 		case !o.Y:
@@ -66,6 +52,42 @@ func (s *scorer) factor(obs []Observation) float64 {
 			s.a = append(s.a, o.X)
 		}
 	}
+	return s.factor(k)
+}
+
+// scorer is the scratch the factor is computed in. A History keeps one,
+// so rescoring a key allocates nothing once the buffers have grown to the
+// largest key seen.
+type scorer struct {
+	a  []float64 // the hits' X below 1, then their a = (1−X)/X, in ascending X
+	gw []float64 // gₘ, then the weights m/(m+k+1), for m = 0..degree
+}
+
+// packed is BayesFactor over a history's stored words, computed in s's
+// buffers. It loads the scoring core as BayesFactor does, from words.
+func (s *scorer) packed(ws []word) float64 {
+	if len(ws) == 0 {
+		return 0
+	}
+	k := 0
+	s.a = s.a[:0]
+	for _, w := range ws {
+		switch x := w.x(); {
+		case !w.hit():
+			k++
+		case x <= 0:
+			return math.Inf(1) // impossible under H0
+		case x < 1:
+			s.a = append(s.a, x)
+		}
+	}
+	return s.factor(k)
+}
+
+// factor is the scoring core: the factor of k misses and the hits whose
+// X values, all in (0, 1), s.a holds in any order. Hits at X = 1 are
+// left out by the caller, since each contributes exactly 1.
+func (s *scorer) factor(k int) float64 {
 	slices.Sort(s.a)
 	sum := 0.0
 	for i, x := range s.a {

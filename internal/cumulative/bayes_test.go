@@ -230,8 +230,8 @@ func TestRescoreAllocatesNothing(t *testing.T) {
 		{Site: 1, Obs: innocentObs(rng, 5000, 0.02, 0.62)},
 	}})
 	hist.Identify()
-	obs := hist.ObservationsFor(1)
-	if n := testing.AllocsPerRun(10, func() { hist.scratch.factor(obs) }); n != 0 {
+	ws := hist.overflow[1]
+	if n := testing.AllocsPerRun(10, func() { hist.scratch.packed(ws) }); n != 0 {
 		t.Fatalf("rescoring a 5000-observation key allocated %v times", n)
 	}
 }

@@ -36,6 +36,14 @@
 // double-counting across flushes, retries and process restarts, and
 // whose lineage codec.BatchID hashes so servers can dedup a retried
 // upload whose ack was lost).
+//
+// A History stores each observation in one 8-byte word, X's bits with Y
+// in bit 63, half the size of an Observation value (see word). Evidence
+// is packed where it enters (Absorb, RecordRun, DecodeHistory) and
+// unpacked where it leaves (Snapshot, UploadDelta, Extract, Encode,
+// ObservationsFor); the scorer reads the words. Packing drops X's sign
+// bit, so every X handed to Absorb must lie in [0, 1], as the codec's
+// decoders and DecodeHistory ensure, and ObservationsFor returns a copy.
 package cumulative
 
 import (
@@ -73,8 +81,9 @@ func DefaultConfig() Config { return Config{C: 4, P: 0.5} }
 type History struct {
 	cfg Config
 
-	overflow map[site.ID][]Observation
-	dangling map[site.Pair][]Observation
+	// Observation lists, one 8-byte word per observation (see word).
+	overflow map[site.ID][]word
+	dangling map[site.Pair][]word
 	padHint  map[site.ID]uint32
 	dferHint map[site.Pair]uint64
 	sites    map[site.ID]bool // all allocation sites ever seen (N)
@@ -118,16 +127,17 @@ type History struct {
 
 // NewHistory returns an empty history.
 func NewHistory(cfg Config) *History {
-	if cfg.C <= 0 {
+	// The negated tests also replace NaN.
+	if !(cfg.C > 0) {
 		cfg.C = 4
 	}
-	if cfg.P <= 0 || cfg.P >= 1 {
+	if !(cfg.P > 0 && cfg.P < 1) {
 		cfg.P = 0.5
 	}
 	return &History{
 		cfg:        cfg,
-		overflow:   make(map[site.ID][]Observation),
-		dangling:   make(map[site.Pair][]Observation),
+		overflow:   make(map[site.ID][]word),
+		dangling:   make(map[site.Pair][]word),
 		padHint:    make(map[site.ID]uint32),
 		dferHint:   make(map[site.Pair]uint64),
 		sites:      make(map[site.ID]bool),
@@ -226,7 +236,7 @@ func (hist *History) recordOverflow(h *diefast.Heap, corr diefast.Corruption) {
 		}
 	}
 	for s, ns := range noSat {
-		hist.overflow[s] = append(hist.overflow[s], Observation{X: 1 - ns, Y: satisf[s]})
+		hist.overflow[s] = append(hist.overflow[s], pack(Observation{X: 1 - ns, Y: satisf[s]}))
 		hist.touchOverflow(s)
 	}
 
@@ -282,7 +292,7 @@ func (hist *History) recordDangling(h *diefast.Heap) {
 	T := h.Clock()
 	for p, a := range pairs {
 		x := 1 - math.Pow(1-hist.cfg.P, float64(a.m))
-		hist.dangling[p] = append(hist.dangling[p], Observation{X: x, Y: a.canaried})
+		hist.dangling[p] = append(hist.dangling[p], pack(Observation{X: x, Y: a.canaried}))
 		hist.touchDangling(p)
 		if a.canaried {
 			ext := 2 * (T - a.oldest)
@@ -465,11 +475,11 @@ func (hist *History) Rescored() (over, dang []Candidate) {
 // A recompute reads only the miss count and the sorted hit X values, so
 // the factor — and therefore every identify decision — is independent of
 // the order evidence arrived in.
-func (hist *History) overflowFactor(s site.ID, obs []Observation) float64 {
+func (hist *History) overflowFactor(s site.ID, obs []word) float64 {
 	if v, ok := hist.bfOverflow[s]; ok && !hist.dirtyOvf[s] {
 		return v
 	}
-	v := hist.scratch.factor(obs)
+	v := hist.scratch.packed(obs)
 	hist.bfOverflow[s] = v
 	delete(hist.dirtyOvf, s)
 	hist.rescoredOvf = append(hist.rescoredOvf, Candidate{Site: s, Bayes: v, Obs: len(obs)})
@@ -477,11 +487,11 @@ func (hist *History) overflowFactor(s site.ID, obs []Observation) float64 {
 }
 
 // danglingFactor is overflowFactor for pair keys.
-func (hist *History) danglingFactor(p site.Pair, obs []Observation) float64 {
+func (hist *History) danglingFactor(p site.Pair, obs []word) float64 {
 	if v, ok := hist.bfDangling[p]; ok && !hist.dirtyDan[p] {
 		return v
 	}
-	v := hist.scratch.factor(obs)
+	v := hist.scratch.packed(obs)
 	hist.bfDangling[p] = v
 	delete(hist.dirtyDan, p)
 	hist.rescoredDan = append(hist.rescoredDan, Candidate{Pair: p, Bayes: v, Obs: len(obs)})
@@ -529,6 +539,6 @@ func (hist *History) String() string {
 		hist.Runs, hist.FailedRuns, hist.CorruptRuns, len(hist.sites), len(hist.overflow), len(hist.dangling))
 }
 
-// ObservationsFor exposes a site's overflow observations (for tests and
-// the experiment harness).
-func (hist *History) ObservationsFor(s site.ID) []Observation { return hist.overflow[s] }
+// ObservationsFor returns a copy of a site's overflow observations, in
+// the order they were recorded (for tests and the experiment harness).
+func (hist *History) ObservationsFor(s site.ID) []Observation { return unpack(hist.overflow[s]) }

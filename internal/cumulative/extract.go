@@ -71,8 +71,8 @@ func (hist *History) Extract(keys []site.ID) *Snapshot {
 			continue
 		}
 		obs := hist.overflow[s]
-		sortObs(obs)
-		out.Overflow = append(out.Overflow, SiteObservations{Site: s, Obs: obs})
+		sortWords(obs)
+		out.Overflow = append(out.Overflow, SiteObservations{Site: s, Obs: unpack(obs)})
 		delete(hist.overflow, s)
 		delete(hist.bfOverflow, s)
 		delete(hist.dirtyOvf, s)
@@ -83,8 +83,8 @@ func (hist *History) Extract(keys []site.ID) *Snapshot {
 			continue
 		}
 		obs := hist.dangling[p]
-		sortObs(obs)
-		out.Dangling = append(out.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: obs})
+		sortWords(obs)
+		out.Dangling = append(out.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: unpack(obs)})
 		delete(hist.dangling, p)
 		delete(hist.bfDangling, p)
 		delete(hist.dirtyDan, p)

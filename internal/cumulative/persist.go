@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"exterminator/internal/site"
@@ -54,9 +55,9 @@ func (hist *History) Encode(w io.Writer) error {
 		obs := hist.overflow[s]
 		u32(uint32(s))
 		u32(uint32(len(obs)))
-		for _, o := range obs {
-			f64(o.X)
-			if o.Y {
+		for _, w := range obs {
+			f64(w.x())
+			if w.hit() {
 				u32(1)
 			} else {
 				u32(0)
@@ -71,9 +72,9 @@ func (hist *History) Encode(w io.Writer) error {
 		u32(uint32(p.Alloc))
 		u32(uint32(p.Free))
 		u32(uint32(len(obs)))
-		for _, o := range obs {
-			f64(o.X)
-			if o.Y {
+		for _, w := range obs {
+			f64(w.x())
+			if w.hit() {
 				u32(1)
 			} else {
 				u32(0)
@@ -129,7 +130,9 @@ func (hist *History) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeHistory reads a history written by Encode.
+// DecodeHistory reads a history written by Encode. It refuses a file
+// holding an observation whose X is not a probability in [0, 1], NaN
+// included, as the codec's decoders do.
 func DecodeHistory(r io.Reader) (*History, error) {
 	br := bufio.NewReader(r)
 	var err error
@@ -148,6 +151,20 @@ func DecodeHistory(r io.Reader) (*History, error) {
 		return v
 	}
 	f64 := func() float64 { return math.Float64frombits(u64()) }
+	// obs reads n observations, packed; a count beyond what the bytes
+	// present can fill cannot pre-allocate more than 1,024 words.
+	obs := func(n uint32) []word {
+		ws := make([]word, 0, min(n, 1024))
+		for j := uint32(0); j < n && err == nil; j++ {
+			o := Observation{X: f64(), Y: u32() == 1}
+			// The negated test also refuses NaN.
+			if err == nil && !(o.X >= 0 && o.X <= 1) {
+				err = fmt.Errorf("observation X %v is not a probability in [0, 1]", o.X)
+			}
+			ws = append(ws, pack(o))
+		}
+		return ws
+	}
 
 	if m := u32(); err != nil || m != persistMagic {
 		if err == nil {
@@ -168,12 +185,14 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	hist.FailedRuns = int(u32())
 	hist.CorruptRuns = int(u32())
 
+	// Every count is capped, and every loop stops at the first error, so
+	// a forged count on a short file costs neither memory nor time.
 	const maxEntries = 1 << 22
 	nSites := u32()
 	if err != nil || nSites > maxEntries {
 		return nil, fmt.Errorf("cumulative: sites: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nSites; i++ {
+	for i := uint32(0); i < nSites && err == nil; i++ {
 		hist.sites[site.ID(u32())] = true
 	}
 
@@ -181,49 +200,41 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nOvf > maxEntries {
 		return nil, fmt.Errorf("cumulative: overflow keys: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nOvf; i++ {
+	for i := uint32(0); i < nOvf && err == nil; i++ {
 		s := site.ID(u32())
 		n := u32()
 		if err != nil || n > maxEntries {
 			return nil, fmt.Errorf("cumulative: overflow obs: %w", orImplausible(err))
 		}
-		// Capacity capped: a forged count must not pre-allocate beyond
-		// what the bytes present can actually fill.
-		obs := make([]Observation, 0, min(n, 1024))
-		for j := uint32(0); j < n && err == nil; j++ {
-			x := f64()
-			y := u32() == 1
-			obs = append(obs, Observation{X: x, Y: y})
-		}
-		hist.overflow[s] = obs
+		hist.overflow[s] = obs(n)
 		hist.touchOverflow(s)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cumulative: overflow obs: %w", err)
 	}
 
 	nDan := u32()
 	if err != nil || nDan > maxEntries {
 		return nil, fmt.Errorf("cumulative: dangling keys: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nDan; i++ {
+	for i := uint32(0); i < nDan && err == nil; i++ {
 		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
 		n := u32()
 		if err != nil || n > maxEntries {
 			return nil, fmt.Errorf("cumulative: dangling obs: %w", orImplausible(err))
 		}
-		obs := make([]Observation, 0, min(n, 1024))
-		for j := uint32(0); j < n && err == nil; j++ {
-			x := f64()
-			y := u32() == 1
-			obs = append(obs, Observation{X: x, Y: y})
-		}
-		hist.dangling[p] = obs
+		hist.dangling[p] = obs(n)
 		hist.touchDangling(p)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cumulative: dangling obs: %w", err)
 	}
 
 	nPadH := u32()
 	if err != nil || nPadH > maxEntries {
 		return nil, fmt.Errorf("cumulative: pad hints: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nPadH; i++ {
+	for i := uint32(0); i < nPadH && err == nil; i++ {
 		s := site.ID(u32())
 		hist.padHint[s] = u32()
 	}
@@ -231,7 +242,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nDefH > maxEntries {
 		return nil, fmt.Errorf("cumulative: deferral hints: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nDefH; i++ {
+	for i := uint32(0); i < nDefH && err == nil; i++ {
 		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
 		hist.dferHint[p] = u64()
 	}
@@ -246,14 +257,14 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nUpSites > maxEntries {
 		return nil, fmt.Errorf("cumulative: watermark sites: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nUpSites; i++ {
+	for i := uint32(0); i < nUpSites && err == nil; i++ {
 		m.sites[site.ID(u32())] = true
 	}
 	nUpOvf := u32()
 	if err != nil || nUpOvf > maxEntries {
 		return nil, fmt.Errorf("cumulative: watermark overflow: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nUpOvf; i++ {
+	for i := uint32(0); i < nUpOvf && err == nil; i++ {
 		s := site.ID(u32())
 		m.overflow[s] = int(u32())
 	}
@@ -261,7 +272,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nUpDan > maxEntries {
 		return nil, fmt.Errorf("cumulative: watermark dangling: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nUpDan; i++ {
+	for i := uint32(0); i < nUpDan && err == nil; i++ {
 		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
 		m.dangling[p] = int(u32())
 	}
@@ -269,7 +280,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nUpPad > maxEntries {
 		return nil, fmt.Errorf("cumulative: watermark pads: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nUpPad; i++ {
+	for i := uint32(0); i < nUpPad && err == nil; i++ {
 		s := site.ID(u32())
 		m.pad[s] = u32()
 	}
@@ -277,7 +288,7 @@ func DecodeHistory(r io.Reader) (*History, error) {
 	if err != nil || nUpDfer > maxEntries {
 		return nil, fmt.Errorf("cumulative: watermark deferrals: %w", orImplausible(err))
 	}
-	for i := uint32(0); i < nUpDfer; i++ {
+	for i := uint32(0); i < nUpDfer && err == nil; i++ {
 		p := site.Pair{Alloc: site.ID(u32()), Free: site.ID(u32())}
 		m.dfer[p] = u64()
 	}
@@ -315,13 +326,14 @@ func (hist *History) Equal(other *History) bool {
 			return false
 		}
 	}
+	// Words compare bitwise: a hit at X = 0 differs from a miss there.
 	for s, obs := range hist.overflow {
-		if !sameObs(obs, other.overflow[s]) {
+		if !slices.Equal(obs, other.overflow[s]) {
 			return false
 		}
 	}
 	for p, obs := range hist.dangling {
-		if !sameObs(obs, other.dangling[p]) {
+		if !slices.Equal(obs, other.dangling[p]) {
 			return false
 		}
 	}
@@ -332,18 +344,6 @@ func (hist *History) Equal(other *History) bool {
 	}
 	for p, v := range hist.dferHint {
 		if other.dferHint[p] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func sameObs(a, b []Observation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -1,10 +1,6 @@
 package cumulative
 
-import (
-	"sort"
-
-	"exterminator/internal/site"
-)
+import "exterminator/internal/site"
 
 // Snapshot is an exported, exchange-friendly view of a History: the per-site
 // (X, Y) observations, hints, site set and run counters. It exists so
@@ -67,16 +63,6 @@ type DeferralHint struct {
 	Deferral uint64  `json:"deferral"`
 }
 
-// sortObs orders observations canonically by (X, then Y=false first).
-func sortObs(obs []Observation) {
-	sort.Slice(obs, func(i, j int) bool {
-		if obs[i].X != obs[j].X {
-			return obs[i].X < obs[j].X
-		}
-		return !obs[i].Y && obs[j].Y
-	})
-}
-
 // Snapshot exports the history's current contents in canonical order. The
 // returned value shares no storage with the history.
 func (hist *History) Snapshot() *Snapshot {
@@ -88,15 +74,12 @@ func (hist *History) Snapshot() *Snapshot {
 		CorruptRuns: hist.CorruptRuns,
 	}
 	s.Sites = sortedIDKeys(hist.sites)
+	var buf []word
 	for _, id := range sortedIDKeys(hist.overflow) {
-		obs := append([]Observation(nil), hist.overflow[id]...)
-		sortObs(obs)
-		s.Overflow = append(s.Overflow, SiteObservations{Site: id, Obs: obs})
+		s.Overflow = append(s.Overflow, SiteObservations{Site: id, Obs: canonical(hist.overflow[id], &buf)})
 	}
 	for _, p := range sortedPairKeys(hist.dangling) {
-		obs := append([]Observation(nil), hist.dangling[p]...)
-		sortObs(obs)
-		s.Dangling = append(s.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: obs})
+		s.Dangling = append(s.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: canonical(hist.dangling[p], &buf)})
 	}
 	for _, id := range sortedIDKeys(hist.padHint) {
 		s.PadHints = append(s.PadHints, PadHint{Site: id, Pad: hist.padHint[id]})
@@ -111,6 +94,10 @@ func (hist *History) Snapshot() *Snapshot {
 // maxima, the site set unions, and run counters add. Absorbing the same
 // snapshot twice double-counts observations — idempotence is the patch
 // set's property (§6.4), not the evidence store's.
+//
+// Every observation's X must lie in [0, 1], as the codec's decoders and
+// DecodeHistory ensure: the history stores X without its sign bit (see
+// word), so an X outside that range is not kept as given.
 func (hist *History) Absorb(s *Snapshot) {
 	if s == nil {
 		return
@@ -123,7 +110,7 @@ func (hist *History) Absorb(s *Snapshot) {
 	}
 	for _, so := range s.Overflow {
 		if len(so.Obs) > 0 {
-			hist.overflow[so.Site] = append(hist.overflow[so.Site], so.Obs...)
+			hist.overflow[so.Site] = appendPacked(hist.overflow[so.Site], so.Obs)
 			hist.touchOverflow(so.Site)
 		}
 		hist.sites[so.Site] = true
@@ -133,7 +120,7 @@ func (hist *History) Absorb(s *Snapshot) {
 			continue
 		}
 		p := site.Pair{Alloc: po.Alloc, Free: po.Free}
-		hist.dangling[p] = append(hist.dangling[p], po.Obs...)
+		hist.dangling[p] = appendPacked(hist.dangling[p], po.Obs)
 		hist.touchDangling(p)
 	}
 	for _, h := range s.PadHints {
@@ -167,11 +154,11 @@ func (hist *History) Merge(other *History) {
 // watermark resets (a subsequent fleet upload re-sends everything).
 func (hist *History) Canonicalize() {
 	for s, obs := range hist.overflow {
-		sortObs(obs)
+		sortWords(obs)
 		hist.touchOverflow(s)
 	}
 	for p, obs := range hist.dangling {
-		sortObs(obs)
+		sortWords(obs)
 		hist.touchDangling(p)
 	}
 	hist.uploaded = uploadMark{}

@@ -107,20 +107,17 @@ func (hist *History) UploadDelta() *Snapshot {
 			s.Sites = append(s.Sites, id)
 		}
 	}
+	var buf []word
 	for _, id := range sortedIDKeys(hist.overflow) {
 		obs := hist.overflow[id]
 		if n := m.overflow[id]; n < len(obs) {
-			delta := append([]Observation(nil), obs[n:]...)
-			sortObs(delta)
-			s.Overflow = append(s.Overflow, SiteObservations{Site: id, Obs: delta})
+			s.Overflow = append(s.Overflow, SiteObservations{Site: id, Obs: canonical(obs[n:], &buf)})
 		}
 	}
 	for _, p := range sortedPairKeys(hist.dangling) {
 		obs := hist.dangling[p]
 		if n := m.dangling[p]; n < len(obs) {
-			delta := append([]Observation(nil), obs[n:]...)
-			sortObs(delta)
-			s.Dangling = append(s.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: delta})
+			s.Dangling = append(s.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: canonical(obs[n:], &buf)})
 		}
 	}
 	for _, id := range sortedIDKeys(hist.padHint) {

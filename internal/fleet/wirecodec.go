@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"exterminator/internal/fleet/codec"
@@ -27,8 +28,7 @@ func writePatchSet(w http.ResponseWriter, r *http.Request, ps *codec.PatchSet) {
 	}
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)
-	w.Header().Set("Content-Type", codec.ContentTypeV2)
-	w.Write(codec.EncodePatches(buf, ps))
+	writeFrame(w, codec.EncodePatches(buf, ps))
 }
 
 // writeDelta answers a delta poll with a v2 frame, whatever the
@@ -36,8 +36,16 @@ func writePatchSet(w http.ResponseWriter, r *http.Request, ps *codec.PatchSet) {
 func writeDelta(w http.ResponseWriter, d *codec.Delta) {
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)
+	writeFrame(w, codec.EncodeDelta(buf, d))
+}
+
+// writeFrame writes an encoded frame as the response body, declaring its
+// length: a body over net/http's 2 KB buffer would otherwise go out
+// chunked, and readBody would have to grow its slice to fit.
+func writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", codec.ContentTypeV2)
-	w.Write(codec.EncodeDelta(buf, d))
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
 }
 
 // maxResponseBytes bounds client-side reads of response bodies that are

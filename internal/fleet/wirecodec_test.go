@@ -20,6 +20,7 @@ import (
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
+	"exterminator/internal/patch"
 	"exterminator/internal/site"
 	"exterminator/internal/triage"
 )
@@ -601,5 +602,48 @@ func TestTriagePageReadsDeclaredLength(t *testing.T) {
 	}
 	if _, err := c.TriagePage(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("oversized page: err = %v, want the size limit", err)
+	}
+}
+
+// TestFramesDeclareContentLength: a delta frame and a patch frame longer
+// than net/http's 2 KB response buffer, served through Handler(), declare
+// their length, so a poller reads each into one slice of exact size
+// instead of growing one through io.ReadAll.
+func TestFramesDeclareContentLength(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	ps := patch.New()
+	for i := 0; i < 600; i++ {
+		ps.AddPad(site.ID(uint32(i+1)*2654435761), uint32(8+i%64))
+	}
+	srv.PatchLog().Fold(ps)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	snap := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 1}
+	for i := 0; i < 300; i++ {
+		id := site.ID(0x5000 + i)
+		snap.Sites = append(snap.Sites, id)
+		snap.Overflow = append(snap.Overflow, cumulative.SiteObservations{
+			Site: id, Obs: []cumulative.Observation{{X: 0.3, Y: i%3 == 0}},
+		})
+	}
+	if _, err := NewClient(ts.URL, "uploader").PushBatchContext(t.Context(), lineageBatch("uploader", 1, snap)); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/v1/deltas?since=0", "/v1/patches?since=0"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		req.Header.Set("Accept", codec.ContentTypeV2)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.HasPrefix(body, []byte("XWF2")) {
+			t.Fatalf("GET %s: %s, %v; want a v2 frame", path, resp.Status, err)
+		}
+		if len(body) <= 2048 || resp.ContentLength != int64(len(body)) {
+			t.Errorf("GET %s: %d-byte frame with Content-Length %d", path, len(body), resp.ContentLength)
+		}
 	}
 }
