@@ -49,16 +49,19 @@ func loadCoordState(t *testing.T, data []byte) (*Coordinator, error) {
 	return c, c.LoadSnapshot(path)
 }
 
+// bareHistory is a client's history file (a history frame) of two runs
+// over site 9.
+func bareHistory() []byte {
+	hist := cumulative.NewHistory(cumulative.DefaultConfig())
+	hist.Absorb(&cumulative.Snapshot{Runs: 2, Sites: []site.ID{9}})
+	return codec.EncodeHistory(&codec.Buffer{}, hist)
+}
+
 // xcsn hand-encodes the head of a retired XCSN container of the given
 // version: membership from version 2, then one partition entry whose
 // mirror is a bare history.
-func xcsn(t *testing.T, version uint32) []byte {
-	hist := cumulative.NewHistory(cumulative.DefaultConfig())
-	hist.Absorb(&cumulative.Snapshot{Runs: 2, Sites: []site.ID{9}})
-	var mirror bytes.Buffer
-	if err := hist.Encode(&mirror); err != nil {
-		t.Fatal(err)
-	}
+func xcsn(version uint32) []byte {
+	mirror := bareHistory()
 	var buf bytes.Buffer
 	u32 := func(v uint32) { binary.Write(&buf, binary.LittleEndian, v) }
 	u64 := func(v uint64) { binary.Write(&buf, binary.LittleEndian, v) }
@@ -75,8 +78,8 @@ func xcsn(t *testing.T, version uint32) []byte {
 	buf.WriteString(snapBase)
 	u64(17) // seq
 	u64(5)  // epoch
-	u64(uint64(mirror.Len()))
-	buf.Write(mirror.Bytes())
+	u64(uint64(len(mirror)))
+	buf.Write(mirror)
 	if version >= 3 {
 		u64(0) // no alert state
 	}
@@ -99,20 +102,14 @@ func TestReadCoordSnapshotRejectsRetiredVersions(t *testing.T) {
 		t.Fatalf("current state frame restored wrong: %+v", st)
 	}
 
-	hist := cumulative.NewHistory(cumulative.DefaultConfig())
-	hist.Absorb(&cumulative.Snapshot{Runs: 2, Sites: []site.ID{9}})
-	var bare bytes.Buffer
-	if err := hist.Encode(&bare); err != nil {
-		t.Fatal(err)
-	}
 	future := append([]byte(nil), state...)
 	future[4]++ // the frame version byte
 	batch := codec.EncodeBatch(&codec.Buffer{}, &codec.Batch{Client: "c", BatchID: "b", Snapshot: &cumulative.Snapshot{Runs: 2}})
 	for name, data := range map[string][]byte{
-		"xcsn-v1":      xcsn(t, 1),
-		"xcsn-v2":      xcsn(t, 2),
-		"xcsn-v3":      xcsn(t, 3),
-		"bare-history": bare.Bytes(),
+		"xcsn-v1":      xcsn(1),
+		"xcsn-v2":      xcsn(2),
+		"xcsn-v3":      xcsn(3),
+		"bare-history": bareHistory(),
 		"batch-frame":  batch,
 		"future-frame": future,
 	} {

@@ -30,20 +30,22 @@
 // BayesFactor).
 //
 // Beyond the classifier, the package provides the machinery that lets
-// evidence travel: binary persistence (Encode/DecodeHistory), canonical
-// Snapshot exchange (Snapshot/Absorb/Merge), and the upload watermark
-// (UploadDelta/MarkUploaded — what keeps fleet uploads from
-// double-counting across flushes, retries and process restarts, and
-// whose lineage codec.BatchID hashes so servers can dedup a retried
-// upload whose ack was lost).
+// evidence travel: canonical Snapshot exchange (Snapshot/Absorb/Merge),
+// and the upload watermark (UploadDelta/MarkUploaded — what keeps fleet
+// uploads from double-counting across flushes, retries and process
+// restarts, and whose lineage codec.BatchID hashes so servers can dedup
+// a retried upload whose ack was lost). Split divides a history at its
+// watermark and Restore rebuilds it from the two halves; a history file
+// is those halves in one codec frame (internal/fleet/codec,
+// FrameHistory), which this package does not import.
 //
 // A History stores each observation in one 8-byte word, X's bits with Y
 // in bit 63, half the size of an Observation value (see word). Evidence
-// is packed where it enters (Absorb, RecordRun, DecodeHistory) and
-// unpacked where it leaves (Snapshot, UploadDelta, Extract, Encode,
-// ObservationsFor); the scorer reads the words. Packing drops X's sign
-// bit, so every X handed to Absorb must lie in [0, 1], as the codec's
-// decoders and DecodeHistory ensure, and ObservationsFor returns a copy.
+// is packed where it enters (Absorb, RecordRun) and unpacked where it
+// leaves (Snapshot, UploadDelta, Split, Extract, ObservationsFor); the
+// scorer reads the words. Packing drops X's sign bit, so every X handed
+// to Absorb must lie in [0, 1], as the codec's decoders ensure, and
+// ObservationsFor returns a copy.
 package cumulative
 
 import (

@@ -113,22 +113,6 @@ func TestIdentifyOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestIncrementalIdentifySurvivesPersistence: a decoded history rescoring
-// incrementally matches the original.
-func TestIncrementalIdentifySurvivesPersistence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	hist := NewHistory(DefaultConfig())
-	for i := 0; i < 10; i++ {
-		hist.Absorb(randSnapshot(rng))
-	}
-	want := hist.Identify()
-
-	roundTripped := encodeDecode(t, hist)
-	if got := roundTripped.Identify(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded history identifies differently: %+v vs %+v", got, want)
-	}
-}
-
 // TestDirtyKeysTracksChanges: dirt accumulates with new evidence for a
 // key and clears exactly when that key is rescored.
 func TestDirtyKeysTracksChanges(t *testing.T) {

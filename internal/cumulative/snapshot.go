@@ -1,6 +1,11 @@
 package cumulative
 
-import "exterminator/internal/site"
+import (
+	"slices"
+	"sort"
+
+	"exterminator/internal/site"
+)
 
 // Snapshot is an exported, exchange-friendly view of a History: the per-site
 // (X, Y) observations, hints, site set and run counters. It exists so
@@ -95,9 +100,9 @@ func (hist *History) Snapshot() *Snapshot {
 // snapshot twice double-counts observations — idempotence is the patch
 // set's property (§6.4), not the evidence store's.
 //
-// Every observation's X must lie in [0, 1], as the codec's decoders and
-// DecodeHistory ensure: the history stores X without its sign bit (see
-// word), so an X outside that range is not kept as given.
+// Every observation's X must lie in [0, 1], as the codec's decoders
+// ensure: the history stores X without its sign bit (see word), so an X
+// outside that range is not kept as given.
 func (hist *History) Absorb(s *Snapshot) {
 	if s == nil {
 		return
@@ -166,3 +171,71 @@ func (hist *History) Canonicalize() {
 
 // Config returns the history's classifier configuration.
 func (hist *History) Config() Config { return hist.cfg }
+
+// Equal compares two histories field by field (for tests).
+func (hist *History) Equal(other *History) bool {
+	if hist.Runs != other.Runs || hist.FailedRuns != other.FailedRuns ||
+		hist.CorruptRuns != other.CorruptRuns ||
+		hist.cfg != other.cfg ||
+		len(hist.sites) != len(other.sites) ||
+		len(hist.overflow) != len(other.overflow) ||
+		len(hist.dangling) != len(other.dangling) ||
+		len(hist.padHint) != len(other.padHint) ||
+		len(hist.dferHint) != len(other.dferHint) {
+		return false
+	}
+	for s := range hist.sites {
+		if !other.sites[s] {
+			return false
+		}
+	}
+	// Words compare bitwise: a hit at X = 0 differs from a miss there.
+	for s, obs := range hist.overflow {
+		if !slices.Equal(obs, other.overflow[s]) {
+			return false
+		}
+	}
+	for p, obs := range hist.dangling {
+		if !slices.Equal(obs, other.dangling[p]) {
+			return false
+		}
+	}
+	for s, v := range hist.padHint {
+		if other.padHint[s] != v {
+			return false
+		}
+	}
+	for p, v := range hist.dferHint {
+		if other.dferHint[p] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedIDKeys returns a map's site.ID keys in ascending order — the
+// single canonical key order every encoder and snapshot in this package
+// shares.
+func sortedIDKeys[V any](m map[site.ID]V) []site.ID {
+	out := make([]site.ID, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// sortedPairKeys returns a map's site.Pair keys ordered by (Alloc, Free).
+func sortedPairKeys[V any](m map[site.Pair]V) []site.Pair {
+	out := make([]site.Pair, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Alloc != out[j].Alloc {
+			return out[i].Alloc < out[j].Alloc
+		}
+		return out[i].Free < out[j].Free
+	})
+	return out
+}

@@ -13,8 +13,9 @@ import (
 // (observations are a multiset — absorbing the same snapshot twice is
 // not idempotent). The watermark is a monotonic high-water mark over the
 // history's append-only structure: per-key observation counts, hint
-// values, run counters and the uploaded site set. It rides along in the
-// persist format, so the guarantee survives process restarts.
+// values, run counters and the uploaded site set. Split and Restore
+// carry it across process restarts: a history file holds the two halves
+// Split divides a history into (internal/fleet/codec, FrameHistory).
 //
 // The watermark also carries the history's lineage: a random 64-bit
 // identity minted when the first upload delta is cut. Two fresh
@@ -41,43 +42,6 @@ func (m *uploadMark) init() {
 		m.dangling = make(map[site.Pair]int)
 		m.pad = make(map[site.ID]uint32)
 		m.dfer = make(map[site.Pair]uint64)
-	}
-}
-
-// clampWatermark bounds every watermark component by the evidence that
-// actually exists, repairing inconsistent state from a corrupt or
-// hand-edited persisted history (the mark can then at worst cause a
-// harmless re-upload, never a negative delta or suppressed evidence).
-func (hist *History) clampWatermark() {
-	m := &hist.uploaded
-	if m.runs > hist.Runs {
-		m.runs = hist.Runs
-	}
-	if m.failed > hist.FailedRuns {
-		m.failed = hist.FailedRuns
-	}
-	if m.corrupt > hist.CorruptRuns {
-		m.corrupt = hist.CorruptRuns
-	}
-	for s, n := range m.overflow {
-		if have := len(hist.overflow[s]); n > have {
-			m.overflow[s] = have
-		}
-	}
-	for p, n := range m.dangling {
-		if have := len(hist.dangling[p]); n > have {
-			m.dangling[p] = have
-		}
-	}
-	for s, v := range m.pad {
-		if have := hist.padHint[s]; v > have {
-			m.pad[s] = have
-		}
-	}
-	for p, v := range m.dfer {
-		if have := hist.dferHint[p]; v > have {
-			m.dfer[p] = have
-		}
 	}
 }
 
@@ -184,6 +148,99 @@ func (hist *History) UploadedCounts() (wmRuns, wmObs int) {
 		wmObs += n
 	}
 	return wmRuns, wmObs
+}
+
+// Split divides the history at its upload watermark: uploaded holds the
+// evidence the watermark covers, under the history's lineage, and
+// pending holds the rest, so that Restore(hist.Split()) is Equal to hist,
+// with the same watermark and lineage. Each observation list is cut at
+// its key's watermark count, and both halves keep the stored order, not
+// the canonical one: the count covers the front of the list, and sorting
+// would move that boundary. Every watermark component is bounded by the
+// evidence it covers (a count by the list's length, a hint by the
+// history's hint, a run counter by the history's), so a watermark that a
+// MarkUploaded outside its contract pushed past the evidence splits as
+// if it stopped there: the next delta is never negative, and evidence
+// recorded later is never held back.
+func (hist *History) Split() (uploaded, pending *Snapshot) {
+	m := &hist.uploaded
+	uploaded = &Snapshot{
+		Lineage:     m.lineage,
+		C:           hist.cfg.C,
+		P:           hist.cfg.P,
+		Runs:        min(m.runs, hist.Runs),
+		FailedRuns:  min(m.failed, hist.FailedRuns),
+		CorruptRuns: min(m.corrupt, hist.CorruptRuns),
+	}
+	pending = &Snapshot{
+		C:           hist.cfg.C,
+		P:           hist.cfg.P,
+		Runs:        hist.Runs - uploaded.Runs,
+		FailedRuns:  hist.FailedRuns - uploaded.FailedRuns,
+		CorruptRuns: hist.CorruptRuns - uploaded.CorruptRuns,
+	}
+	for _, id := range sortedIDKeys(hist.sites) {
+		if m.sites[id] {
+			uploaded.Sites = append(uploaded.Sites, id)
+		} else {
+			pending.Sites = append(pending.Sites, id)
+		}
+	}
+	for _, id := range sortedIDKeys(hist.overflow) {
+		obs := hist.overflow[id]
+		n := min(m.overflow[id], len(obs))
+		if n > 0 {
+			uploaded.Overflow = append(uploaded.Overflow, SiteObservations{Site: id, Obs: unpack(obs[:n])})
+		}
+		if n < len(obs) {
+			pending.Overflow = append(pending.Overflow, SiteObservations{Site: id, Obs: unpack(obs[n:])})
+		}
+	}
+	for _, p := range sortedPairKeys(hist.dangling) {
+		obs := hist.dangling[p]
+		n := min(m.dangling[p], len(obs))
+		if n > 0 {
+			uploaded.Dangling = append(uploaded.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: unpack(obs[:n])})
+		}
+		if n < len(obs) {
+			pending.Dangling = append(pending.Dangling, PairObservations{Alloc: p.Alloc, Free: p.Free, Obs: unpack(obs[n:])})
+		}
+	}
+	for _, id := range sortedIDKeys(hist.padHint) {
+		v := hist.padHint[id]
+		up := min(m.pad[id], v)
+		if up > 0 {
+			uploaded.PadHints = append(uploaded.PadHints, PadHint{Site: id, Pad: up})
+		}
+		if v > up {
+			pending.PadHints = append(pending.PadHints, PadHint{Site: id, Pad: v})
+		}
+	}
+	for _, p := range sortedPairKeys(hist.dferHint) {
+		v := hist.dferHint[p]
+		up := min(m.dfer[p], v)
+		if up > 0 {
+			uploaded.DeferralHints = append(uploaded.DeferralHints, DeferralHint{Alloc: p.Alloc, Free: p.Free, Deferral: up})
+		}
+		if v > up {
+			pending.DeferralHints = append(pending.DeferralHints, DeferralHint{Alloc: p.Alloc, Free: p.Free, Deferral: v})
+		}
+	}
+	return uploaded, pending
+}
+
+// Restore rebuilds the history Split divided into uploaded and pending:
+// a new history under uploaded's configuration absorbs uploaded, marks
+// it uploaded under uploaded.Lineage, and then absorbs pending, so each
+// observation list holds its uploaded observations first, as the
+// watermark counts them. pending's C and P are not read.
+func Restore(uploaded, pending *Snapshot) *History {
+	hist := NewHistory(Config{C: uploaded.C, P: uploaded.P})
+	hist.Absorb(uploaded)
+	hist.MarkUploaded(uploaded)
+	hist.uploaded.lineage = uploaded.Lineage
+	hist.Absorb(pending)
+	return hist
 }
 
 // newLineage draws a random nonzero lineage.

@@ -18,9 +18,9 @@ import (
 // X = 0 (bit 63 alone) never equals a miss at X = 0 (no bit set), as it
 // would if the word were read as a float64 (−0 == +0).
 //
-// Evidence is packed where it enters a history (Absorb, RecordRun,
-// DecodeHistory) and unpacked where it leaves (Snapshot, UploadDelta,
-// Extract, Encode, ObservationsFor); the scorer reads words directly.
+// Evidence is packed where it enters a history (Absorb, RecordRun) and
+// unpacked where it leaves (Snapshot, UploadDelta, Split, Extract,
+// ObservationsFor); the scorer reads words directly.
 type word uint64
 
 const hitBit word = 1 << 63

@@ -7,6 +7,7 @@ import (
 
 	"exterminator/internal/atomicfile"
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 )
 
@@ -119,8 +120,13 @@ func (h historyFile) FlushEvidence(_ context.Context, ev *Evidence) error {
 	return h.write(ev)
 }
 
+// write saves the history as one codec.FrameHistory frame. A history too
+// large for one frame (codec.MaxFrameBytes) is an error and leaves the
+// previous file in place, since a resume could not read it.
 func (h historyFile) write(ev *Evidence) error {
-	if err := atomicfile.Write(string(h), 0o600, ev.History.Encode); err != nil {
+	buf := codec.GetBuffer()
+	defer codec.PutBuffer(buf)
+	if err := codec.WriteFile(string(h), codec.EncodeHistory(buf, ev.History)); err != nil {
 		return fmt.Errorf("engine: save history: %w", err)
 	}
 	return nil
@@ -129,12 +135,11 @@ func (h historyFile) write(ev *Evidence) error {
 // LoadHistoryFile reads a history written by HistoryFile — the
 // -resume-history input.
 func LoadHistoryFile(path string) (*cumulative.History, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: load history: %w", err)
 	}
-	defer f.Close()
-	hist, err := cumulative.DecodeHistory(f)
+	hist, err := codec.DecodeHistory(data)
 	if err != nil {
 		return nil, fmt.Errorf("engine: load history %s: %w", path, err)
 	}

@@ -17,19 +17,23 @@
 // the input, so a forged length or count prefix fails validation
 // before any allocation is sized from it.
 //
-// The package declares each frame's message once (Batch, PatchSet,
-// Delta, and State, a daemon's durable state) and depends only on the
-// evidence types (internal/cumulative, internal/site, internal/patch):
-// the fleet and cluster tiers, the examples and the benchmarks build
-// and read these types directly.
+// The package declares each frame's message once, five in all: Batch,
+// PatchSet, Delta, State (a daemon's durable state) and a client's
+// cumulative.History (its history file). It depends only on the
+// evidence types (internal/cumulative, internal/site, internal/patch)
+// and on internal/atomicfile, through which WriteFile saves state and
+// history files: the fleet and cluster tiers, the engine, the examples
+// and the benchmarks build and read these types directly.
 package codec
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
+	"exterminator/internal/atomicfile"
 	"exterminator/internal/site"
 )
 
@@ -50,6 +54,9 @@ const (
 	FrameDelta byte = 3
 	// FrameState is a State (a fleetd or coordinator -snapshot file).
 	FrameState byte = 4
+	// FrameHistory is a cumulative.History (an exterminate
+	// -save-history file).
+	FrameHistory byte = 5
 )
 
 // frameVersion is the encoding version inside the magic. Bumped only
@@ -116,9 +123,9 @@ func (b *Buffer) endFrame(start int) []byte {
 
 func (b *Buffer) u8(v byte) { b.B = append(b.B, v) }
 
-func (b *Buffer) f64(v float64) {
-	b.B = binary.LittleEndian.AppendUint64(b.B, math.Float64bits(v))
-}
+func (b *Buffer) u64(v uint64) { b.B = binary.LittleEndian.AppendUint64(b.B, v) }
+
+func (b *Buffer) f64(v float64) { b.u64(math.Float64bits(v)) }
 
 func (b *Buffer) uvarint(v uint64) {
 	b.B = binary.AppendUvarint(b.B, v)
@@ -159,6 +166,21 @@ func ParseFrame(data []byte) (typ byte, payload []byte, err error) {
 	return typ, data[frameHeaderLen:], nil
 }
 
+// WriteFile replaces path with frame through atomicfile.Write, so a
+// crash mid-write leaves the previous file whole. A frame ParseFrame
+// refuses, such as one beyond MaxFrameBytes, is an error and also leaves
+// the previous file in place, since no reader could load it. State and
+// history files are written through it.
+func WriteFile(path string, frame []byte) error {
+	if _, _, err := ParseFrame(frame); err != nil {
+		return fmt.Errorf("%d bytes do not fit one frame: %w", len(frame), err)
+	}
+	return atomicfile.Write(path, 0o600, func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	})
+}
+
 // expectFrame parses data and checks the frame type.
 func expectFrame(data []byte, want byte) ([]byte, error) {
 	typ, payload, err := ParseFrame(data)
@@ -179,8 +201,8 @@ type reader struct {
 	off int
 	err error
 	// probs makes every observation X a checked probability: a finite
-	// number in [0, 1]. Batch decodes (client uploads) set it; frames
-	// between tiers carry evidence a partition already absorbed.
+	// number in [0, 1]. Batch, state and history decodes set it; delta
+	// frames between tiers carry evidence a partition already absorbed.
 	probs bool
 }
 
@@ -205,18 +227,20 @@ func (r *reader) u8() byte {
 	return v
 }
 
-func (r *reader) f64() float64 {
+func (r *reader) u64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	if r.rem() < 8 {
-		r.fail("truncated float")
+		r.fail("truncated 8-byte field")
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	v := binary.LittleEndian.Uint64(r.b[r.off:])
 	r.off += 8
 	return v
 }
+
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {

@@ -1,8 +1,11 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -463,5 +466,24 @@ func TestBatchIDStableAndDiscriminating(t *testing.T) {
 	tagged.Lineage = 99
 	if got := BatchID("client-a", 1, 5, 17, tagged); got != base {
 		t.Fatal("snapshot's Lineage field leaked into the content hash")
+	}
+}
+
+// TestWriteFileKeepsPreviousOnUnreadableFrame: a frame ParseFrame would
+// refuse, as one beyond MaxFrameBytes is once its u32 length wraps, is a
+// save error, and the file keeps its previous contents.
+func TestWriteFileKeepsPreviousOnUnreadableFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	good := EncodeState(&Buffer{}, &State{RingVersion: 3})
+	if err := WriteFile(path, good); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), EncodeState(&Buffer{}, &State{RingVersion: 4})...)
+	binary.LittleEndian.PutUint32(bad[6:10], uint32(len(bad)))
+	if err := WriteFile(path, bad); err == nil {
+		t.Fatal("a frame whose length disagrees with its body was written")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("previous file not kept: %v", err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // length or count prefix (every decoder validates counts against the
 // bytes actually present first). Valid frames that decode must
 // re-encode and decode to the same value — a cheap round-trip oracle on
-// top of crash safety — and every batch or state that decodes carries
-// only probabilities as X.
+// top of crash safety — and every batch, state or history that decodes
+// carries only probabilities as X.
 func FuzzV2FrameDecode(f *testing.F) {
 	// Seed with one valid frame of each type and one bare snapshot
 	// payload, so mutation starts from structurally plausible inputs.
@@ -71,6 +71,20 @@ func FuzzV2FrameDecode(f *testing.F) {
 		Evicts: []Evicted{{Token: "t", Snapshot: snap}},
 		Alerts: []byte("{}"),
 	}))
+	// A history file with part of it uploaded, then history frames whose
+	// X is no probability, a truncation and a forged count.
+	uploaded := *snap
+	uploaded.Lineage = 0x29
+	history := EncodeHistory(&Buffer{}, cumulative.Restore(&uploaded, &cumulative.Snapshot{
+		Runs:     1,
+		Overflow: []cumulative.SiteObservations{{Site: 0x10, Obs: []cumulative.Observation{{X: 0.75}}}},
+	}))
+	f.Add(history)
+	for _, x := range []float64{math.NaN(), -0.5, 2} {
+		f.Add(historyFrame(&cumulative.Snapshot{}, xSnapshot(x, false)))
+	}
+	f.Add(history[:len(history)/2])
+	f.Add(forgedHistoryFrame())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := DecodeBatch(data); err == nil {
@@ -112,6 +126,19 @@ func FuzzV2FrameDecode(f *testing.F) {
 			}
 			if !bytes.Equal(EncodeState(&Buffer{}, back), re) {
 				t.Fatalf("state round trip diverged")
+			}
+		}
+		if h, err := DecodeHistory(data); err == nil {
+			uploaded, pending := h.Split()
+			assertProbabilities(t, uploaded)
+			assertProbabilities(t, pending)
+			re := EncodeHistory(&Buffer{}, h)
+			back, err := DecodeHistory(re)
+			if err != nil {
+				t.Fatalf("re-decode history: %v", err)
+			}
+			if !back.Equal(h) || !bytes.Equal(EncodeHistory(&Buffer{}, back), re) {
+				t.Fatalf("history round trip diverged")
 			}
 		}
 		if d, err := DecodeDelta(data); err == nil {

@@ -1,0 +1,7 @@
+//go:build !race
+
+package codec
+
+// raceEnabled reports whether the race detector is on: its
+// instrumentation changes allocation counts.
+const raceEnabled = false

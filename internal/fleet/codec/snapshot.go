@@ -7,8 +7,8 @@ import (
 	"exterminator/internal/site"
 )
 
-// Snapshot payload layout (embedded in FrameBatch, FrameDelta and
-// FrameState payloads; it is self-delimiting):
+// Snapshot payload layout (embedded in FrameBatch, FrameDelta,
+// FrameState and FrameHistory payloads; it is self-delimiting):
 //
 //	f64 c | f64 p
 //	uvarint runs | failedRuns | corruptRuns

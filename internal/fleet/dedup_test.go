@@ -165,16 +165,13 @@ func TestDedupSurvivesSnapshotRestore(t *testing.T) {
 
 // TestLoadSnapshotRejectsRetiredFormats: fleetd's state file is one
 // current state frame. The retired XFSN containers (versions 1 and 2), a
-// bare cumulative history (what SaveSnapshot wrote before any
-// container), a frame of another type and a state frame of a future
-// frame version must all fail to load, and restore nothing.
+// bare cumulative history (a client's history frame, what exterminate
+// -save-history writes), a frame of another type and a state frame of a
+// future frame version must all fail to load, and restore nothing.
 func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 	hist := cumulative.NewHistory(cumulative.DefaultConfig())
 	hist.Absorb(smallSnapshot(2, 0x400))
-	var bare bytes.Buffer
-	if err := hist.Encode(&bare); err != nil {
-		t.Fatal(err)
-	}
+	bare := codec.EncodeHistory(&codec.Buffer{}, hist)
 	xfsn := func(version uint32) []byte {
 		var b bytes.Buffer
 		binary.Write(&b, binary.LittleEndian, uint32(0x4E534658)) // "XFSN"
@@ -184,7 +181,7 @@ func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 			binary.Write(&b, binary.LittleEndian, uint32(0)) // evict cache
 		}
 		binary.Write(&b, binary.LittleEndian, uint32(0)) // dedup ids
-		b.Write(bare.Bytes())
+		b.Write(bare)
 		return b.Bytes()
 	}
 	state := codec.EncodeState(&codec.Buffer{}, &codec.State{
@@ -214,7 +211,7 @@ func TestLoadSnapshotRejectsRetiredFormats(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"xfsn-v1.snap":       xfsn(1),
 		"xfsn-v2.snap":       xfsn(2),
-		"bare-history.snap":  bare.Bytes(),
+		"bare-history.snap":  bare,
 		"batch-frame.snap":   frame(stampedBatch("c", smallSnapshot(2, 0x400))),
 		"future-frame.snap":  future,
 		"trailing-byte.snap": append(append([]byte(nil), state...), 0),

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
 	"exterminator/internal/testutil"
@@ -170,11 +171,7 @@ func TestHistoryMergeCommutesButIsNotIdempotent(t *testing.T) {
 	rng := xrand.New(seed)
 	canonical := func(h *cumulative.History) []byte {
 		h.Canonicalize()
-		var buf bytes.Buffer
-		if err := h.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return codec.EncodeHistory(&codec.Buffer{}, h)
 	}
 	randHistory := func() *cumulative.History {
 		h := cumulative.NewHistory(cumulative.DefaultConfig())

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exterminator/internal/atomicfile"
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
@@ -953,21 +952,17 @@ func (s *Server) LoadSnapshot(path string) error {
 }
 
 // WriteState writes st to path as one codec.State frame, through
-// atomicfile.Write: a crash mid-write never corrupts the previous file.
-// A state too large for one frame (codec.MaxFrameBytes) is an error and
-// leaves the previous file in place, since a restart could not read it.
-// fleetd and the cluster coordinator both persist through it.
+// codec.WriteFile: a crash mid-write never corrupts the previous file,
+// and a state too large for one frame (codec.MaxFrameBytes) is an error
+// that leaves the previous file in place, since a restart could not read
+// it. fleetd and the cluster coordinator both persist through it.
 func WriteState(path string, st *codec.State) error {
 	buf := codec.GetBuffer()
 	defer codec.PutBuffer(buf)
-	frame := codec.EncodeState(buf, st)
-	if _, _, err := codec.ParseFrame(frame); err != nil {
-		return fmt.Errorf("state of %d bytes does not fit one frame: %w", len(frame), err)
+	if err := codec.WriteFile(path, codec.EncodeState(buf, st)); err != nil {
+		return fmt.Errorf("state: %w", err)
 	}
-	return atomicfile.Write(path, 0o600, func(w io.Writer) error {
-		_, err := w.Write(frame)
-		return err
-	})
+	return nil
 }
 
 // ReadState reads a file WriteState wrote. A missing file returns nil

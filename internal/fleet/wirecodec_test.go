@@ -88,6 +88,18 @@ func sampleState() *codec.State {
 	}
 }
 
+// sampleHistory is the history wire_history.v2.bin pins: a client's
+// history under a lineage, one batch uploaded and one pending, so that
+// both halves carry every snapshot section.
+func sampleHistory() *cumulative.History {
+	uploaded := *testBatches(1)[0]
+	uploaded.Lineage = 0x5eed0000cafe0029
+	pending := testBatches(2)[1]
+	pending.Sites = append(pending.Sites, 0x200)
+	pending.PadHints[0].Pad = 12
+	return cumulative.Restore(&uploaded, pending)
+}
+
 // canonJSON renders v through encoding/json for structural comparison:
 // two wire values that marshal identically carry identical evidence.
 func canonJSON(t *testing.T, v any) string {
@@ -152,6 +164,7 @@ func TestCrossCodecGolden(t *testing.T) {
 	checkFrameGolden(t, "wire_patchset.v2.bin", samplePatchSet(), codec.EncodePatches, codec.DecodePatches)
 	checkFrameGolden(t, "wire_delta.v2.bin", sampleDelta(), codec.EncodeDelta, codec.DecodeDelta)
 	checkFrameGolden(t, "wire_state.v2.bin", sampleState(), codec.EncodeState, codec.DecodeState)
+	checkFrameGolden(t, "wire_history.v2.bin", sampleHistory(), codec.EncodeHistory, codec.DecodeHistory)
 
 	jsonPath := filepath.Join("testdata", "wire_patchset.v1.json")
 	if *updateGolden {

@@ -245,7 +245,10 @@ func (s *Set) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a binary patch set.
+// Decode reads a binary patch set. Records enter through AddPad,
+// AddFrontPad and AddDeferral, as DecodeText's lines do: a zero entry
+// adds nothing and a repeated key keeps its maximum (§6.1). The last
+// record must end the input.
 func Decode(r io.Reader) (*Set, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -270,14 +273,14 @@ func Decode(r io.Reader) (*Set, error) {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, fmt.Errorf("patch: truncated pad record: %w", err)
 		}
-		s.Pads[site.ID(binary.LittleEndian.Uint32(rec[0:]))] = binary.LittleEndian.Uint32(rec[4:])
+		s.AddPad(site.ID(binary.LittleEndian.Uint32(rec[0:])), binary.LittleEndian.Uint32(rec[4:]))
 	}
 	for i := uint32(0); i < nFront; i++ {
 		var rec [8]byte
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, fmt.Errorf("patch: truncated front-pad record: %w", err)
 		}
-		s.FrontPads[site.ID(binary.LittleEndian.Uint32(rec[0:]))] = binary.LittleEndian.Uint32(rec[4:])
+		s.AddFrontPad(site.ID(binary.LittleEndian.Uint32(rec[0:])), binary.LittleEndian.Uint32(rec[4:]))
 	}
 	for i := uint32(0); i < nDefs; i++ {
 		var rec [16]byte
@@ -288,9 +291,17 @@ func Decode(r io.Reader) (*Set, error) {
 			Alloc: site.ID(binary.LittleEndian.Uint32(rec[0:])),
 			Free:  site.ID(binary.LittleEndian.Uint32(rec[4:])),
 		}
-		s.Deferrals[p] = binary.LittleEndian.Uint64(rec[8:])
+		s.AddDeferral(p, binary.LittleEndian.Uint64(rec[8:]))
 	}
-	return s, nil
+	var extra [1]byte
+	switch _, err := io.ReadFull(r, extra[:]); err {
+	case io.EOF:
+		return s, nil
+	case nil:
+		return nil, errors.New("patch: trailing bytes after the last record")
+	default:
+		return nil, fmt.Errorf("patch: %w", err)
+	}
 }
 
 // EncodeText writes a human-readable line-oriented format:

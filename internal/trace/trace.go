@@ -182,7 +182,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	if n > 1<<28 {
 		return nil, errors.New("trace: implausible op count")
 	}
-	t := &Trace{Ops: make([]Op, 0, n)}
+	// The count is unchecked until the records arrive: a forged one on a
+	// short file cannot pre-allocate more than 1,024 ops.
+	t := &Trace{Ops: make([]Op, 0, min(n, 1024))}
 	for i := uint32(0); i < n; i++ {
 		var rec [13]byte
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
