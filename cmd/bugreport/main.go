@@ -2,7 +2,8 @@
 // reports with suggested fixes — the tool the paper's future-work section
 // (§9) proposes: runtime patches "contain information that describe the
 // error location and its extent", and this turns them into something a
-// developer can act on.
+// developer can act on. It reads patch files as exterminate -patches and
+// patchmerge -o write them.
 //
 //	bugreport app.xtp
 //	exterminate -workload squid -hostile -patches squid.xtp && bugreport squid.xtp

@@ -6,8 +6,9 @@
 //	exterminate -workload squid -hostile -mode iterative -patches squid.xtp -dump-image img.xtm
 //	exterminate -workload mozilla -mode cumulative
 //
-// Patches written by one run can be fed back with -load, merged with
-// patchmerge, and inspected with -text.
+// -patches writes a patch file: one codec PatchSet frame, the message
+// GET /v1/patches sends. Patches written by one run can be fed back with
+// -load, merged with patchmerge, and inspected with -text.
 //
 // The command is a thin shell over the engine API: it assembles an
 // engine.Session from flags, subscribes a printing observer to the event
@@ -52,8 +53,8 @@ func main() {
 		maxRuns     = flag.Int("maxruns", 60, "run budget (cumulative mode)")
 		parallelism = flag.Int("parallelism", 1, "concurrent executions (cumulative mode)")
 		hostile     = flag.Bool("hostile", false, "use the workload's hostile input (squid/mozilla)")
-		patchOut    = flag.String("patches", "", "write derived patches to this file")
-		patchIn     = flag.String("load", "", "pre-load patches from this file")
+		patchOut    = flag.String("patches", "", "write derived patches to this patch file (one PatchSet frame)")
+		patchIn     = flag.String("load", "", "pre-load patches from a patch file written by -patches or patchmerge")
 		text        = flag.Bool("text", false, "also print patches in text form")
 		dumpImage   = flag.String("dump-image", "", "dump one buggy-run heap image to this file")
 		recordTo    = flag.String("record", "", "record the workload's allocation trace to this file")

@@ -3,37 +3,37 @@
 // pad per allocation site and the maximum deferral per site pair — into
 // one file that covers every error any user observed.
 //
-// Inputs may mix the compact binary format (.xtp), the fleet JSON wire
-// encoding (what GET /v1/patches serves and fleetd distributes), and the
-// text format; each file's format is detected from its leading bytes.
-// Every input is fully decoded and validated before anything is merged or
-// written: a corrupt file aborts the whole merge with a non-zero exit
-// instead of producing a partial result.
+// Inputs may mix patch files (one codec PatchSet frame, as exterminate
+// -patches and patchmerge -o write them, or a frame saved from GET
+// /v1/patches), the JSON document GET /v1/patches answers to curl, and
+// the text format; each file's format is detected from its bytes.
+// Every input is fully decoded and validated before anything is
+// merged or written: a corrupt file aborts the whole merge with a
+// non-zero exit instead of producing a partial result. The output is
+// always a patch file.
 //
-//	patchmerge -o merged.xtp user1.xtp user2.json user3.xtp
-//	patchmerge -o merged.json user1.xtp fleet-download.json
+//	patchmerge -o merged.xtp user1.xtp user2.xtp
+//	patchmerge -o merged.xtp user1.xtp fleet-download.json notes.txt
 //	patchmerge -text merged.xtp            # print, don't write
 package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 )
 
 func main() {
-	out := flag.String("o", "", "output patch file (.json writes the fleet wire encoding, anything else the binary format; omit to just print a summary)")
+	out := flag.String("o", "", "write the merged patch file here (omit to just print a summary)")
 	text := flag.Bool("text", false, "print the merged patches in text form")
-	jsonOut := flag.Bool("json", false, "write -o output in the fleet JSON wire encoding regardless of extension")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: patchmerge [-o merged.xtp|merged.json] [-json] [-text] <patch-file>...")
+		fmt.Fprintln(os.Stderr, "usage: patchmerge [-o merged.xtp] [-text] <patch-file>...")
 		os.Exit(2)
 	}
 
@@ -68,7 +68,10 @@ func main() {
 		merged.EncodeText(os.Stdout)
 	}
 	if *out != "" {
-		if err := save(merged, *out, *jsonOut); err != nil {
+		// A merged file starts a fresh version lineage (version 0, epoch
+		// 0), as every patch file does: versions order one server's patch
+		// log, they are not comparable across origins.
+		if err := codec.WriteFile(*out, codec.EncodePatches(&codec.Buffer{}, codec.ToWire(merged, 0))); err != nil {
 			fmt.Fprintln(os.Stderr, "patchmerge:", err)
 			os.Exit(1)
 		}
@@ -76,34 +79,35 @@ func main() {
 	}
 }
 
-// loadAny reads a patch file in any supported format, detected from its
-// leading bytes: the binary magic, a JSON document (fleet wire encoding),
-// or the line-oriented text format.
+// loadAny reads a patch set in any supported format, detected from its
+// bytes: a frame (the XWF2 magic; any frame other than a patch set is
+// refused), a JSON document, or the line-oriented text format. Other
+// binary input holds a NUL byte that neither text form has, so the
+// frame decoder reports why it is no patch file.
 func loadAny(path string) (*patch.Set, string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", err
 	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 {
+	switch {
+	case len(trimmed) == 0:
 		// A zero-byte (or whitespace-only) file is a truncated download,
 		// not an empty patch set: refuse rather than silently merge
 		// nothing.
 		return nil, "", fmt.Errorf("empty patch file")
-	}
-	switch {
-	case len(data) >= 4 && binary.LittleEndian.Uint32(data) == 0x5854504d: // "XTPM"
-		p, err := patch.Decode(bytes.NewReader(data))
+	case bytes.HasPrefix(data, []byte("XWF2")) || bytes.IndexByte(data, 0) >= 0:
+		ps, err := codec.DecodePatches(data)
 		if err != nil {
 			return nil, "", err
 		}
-		return p, "binary", nil
-	case len(trimmed) > 0 && trimmed[0] == '{':
+		return ps.Set(), fmt.Sprintf("frame, version %d", ps.Version), nil
+	case trimmed[0] == '{':
 		p, version, err := fleet.DecodePatchSet(bytes.NewReader(trimmed))
 		if err != nil {
 			return nil, "", err
 		}
-		return p, fmt.Sprintf("fleet wire, version %d", version), nil
+		return p, fmt.Sprintf("JSON, version %d", version), nil
 	default:
 		p, err := patch.DecodeText(bytes.NewReader(data))
 		if err != nil {
@@ -111,20 +115,4 @@ func loadAny(path string) (*patch.Set, string, error) {
 		}
 		return p, "text", nil
 	}
-}
-
-// save writes the merged set: the fleet wire encoding for .json paths (or
-// -json), the binary format otherwise. Merged files start a fresh version
-// lineage (version 0): versions order one server's patch log, they are not
-// comparable across origins.
-func save(p *patch.Set, path string, forceJSON bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if forceJSON || strings.HasSuffix(path, ".json") {
-		return fleet.EncodePatchSet(f, p, 0)
-	}
-	return p.Encode(f)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -109,11 +110,11 @@ func pushRouted(ctx context.Context, rt *Router, s *cumulative.Snapshot) error {
 func canonicalPatchBytes(t *testing.T, log *fleet.PatchLog) []byte {
 	t.Helper()
 	ps, _ := log.Full()
-	var buf bytes.Buffer
-	if err := fleet.EncodePatchSet(&buf, ps, 0); err != nil {
+	data, err := json.Marshal(codec.ToWire(ps, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // TestClusterConvergesWithSingleFleetd is the end-to-end acceptance
@@ -640,6 +641,46 @@ func TestCoordinatorToleratesPartitionOutage(t *testing.T) {
 	}
 	if got := coord.Status().Runs; got != 18 {
 		t.Fatalf("recovered partition's evidence missing: runs %d, want 18", got)
+	}
+}
+
+// TestCoordinatorRefusesDeltaWithNonProbabilityX: a partition's delta
+// frame comes from another process, and the coordinator folds it into a
+// mirror that keeps X without its sign bit. A delta whose X is −0.5 is a
+// poll error, and the mirror stays empty.
+func TestCoordinatorRefusesDeltaWithNonProbabilityX(t *testing.T) {
+	frame := codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{
+		Epoch: 1, Seq: 1,
+		Snapshot: &cumulative.Snapshot{
+			Runs: 1, FailedRuns: 1, Sites: []site.ID{0x10},
+			Overflow: []cumulative.SiteObservations{
+				{Site: 0x10, Obs: []cumulative.Observation{{X: -0.5, Y: true}}},
+			},
+		},
+	})
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/deltas" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", codec.ContentTypeV2)
+		w.Write(frame)
+	}))
+	defer stub.Close()
+
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{stub.URL}, Config: cumulative.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.PollOnce(context.Background()); err == nil {
+		t.Fatal("a delta with X = -0.5 polled without error")
+	}
+	st := coord.Status()
+	if p := st.Partitions[0]; p.Errors != 1 || p.LastError == "" || p.Seq != 0 || p.Sites != 0 || p.Runs != 0 {
+		t.Fatalf("partition after a refused delta: %+v", p)
+	}
+	if st.Runs != 0 || st.Sites != 0 {
+		t.Fatalf("merged evidence after a refused delta: %d runs, %d sites", st.Runs, st.Sites)
 	}
 }
 

@@ -34,7 +34,8 @@
 // This package is the only front door: commands, examples and the
 // paper's experiments all build a Session. HistoryFile/LoadHistoryFile
 // and PatchFile/LoadPatchFile are the matching writers and readers of
-// the two on-disk formats a session produces.
+// the two files a session produces, each one codec frame
+// (internal/fleet/codec): a history frame and a patch-set frame.
 package engine
 
 import (

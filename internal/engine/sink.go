@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"exterminator/internal/atomicfile"
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
@@ -147,9 +146,10 @@ func LoadHistoryFile(path string) (*cumulative.History, error) {
 }
 
 // PatchFile returns a sink that writes the session's full working patch
-// set to path in the binary .xtp format — the -patches flag, as a sink.
-// Writes are atomic (atomicfile.Write): a failed or interrupted write
-// leaves the previous file in place.
+// set to path — the -patches flag, as a sink. The file is one
+// codec.FramePatches frame at version 0 and epoch 0, the message GET
+// /v1/patches sends, written mode 0644 through codec.WriteFile: a failed
+// or interrupted write leaves the previous file in place.
 func PatchFile(path string) EvidenceSink {
 	return patchFile(path)
 }
@@ -159,22 +159,24 @@ type patchFile string
 func (p patchFile) SinkName() string { return "patch file " + string(p) }
 
 func (p patchFile) Commit(_ context.Context, ev *Evidence) error {
-	if err := atomicfile.Write(string(p), 0o644, ev.Result.Patches.Encode); err != nil {
+	buf := codec.GetBuffer()
+	defer codec.PutBuffer(buf)
+	if err := codec.WriteFile(string(p), codec.EncodePatches(buf, codec.ToWire(ev.Result.Patches, 0))); err != nil {
 		return fmt.Errorf("engine: save patches: %w", err)
 	}
 	return nil
 }
 
-// LoadPatchFile reads a patch set written by PatchFile.
+// LoadPatchFile reads a patch set written by PatchFile. Any file that is
+// not one whole FramePatches frame is refused.
 func LoadPatchFile(path string) (*patch.Set, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("engine: load patches: %w", err)
 	}
-	defer f.Close()
-	p, err := patch.Decode(f)
+	ps, err := codec.DecodePatches(data)
 	if err != nil {
 		return nil, fmt.Errorf("engine: load patches %s: %w", path, err)
 	}
-	return p, nil
+	return ps.Set(), nil
 }

@@ -3,11 +3,11 @@ package experiments
 import (
 	"bytes"
 	"compress/gzip"
-	"fmt"
 
 	"exterminator/internal/correct"
 	"exterminator/internal/diefast"
 	"exterminator/internal/engine"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/inject"
 	"exterminator/internal/mutator"
 	"exterminator/internal/patch"
@@ -140,7 +140,9 @@ func (r *PatchSizeResult) Rows() []string {
 
 // PatchSize builds a patch set covering every allocation site of a large
 // synthetic program (the §6.4 worst case: one pad entry per site plus
-// deferral entries) and measures its encoded size.
+// deferral entries) and measures the patch file that holds it: one codec
+// PatchSet frame, as engine.PatchFile writes it. The synthetic site IDs
+// are uniform 32-bit values, so their deltas barely compress.
 func PatchSize(seed uint64) *PatchSizeResult {
 	rng := xrand.New(seed)
 	ps := patch.New()
@@ -151,13 +153,10 @@ func PatchSize(seed uint64) *PatchSizeResult {
 	for i := 0; i < 2000; i++ {
 		ps.AddDeferral(site.Pair{Alloc: site.ID(rng.Uint32()), Free: site.ID(rng.Uint32())}, uint64(1+rng.Intn(1000)))
 	}
-	var raw bytes.Buffer
-	if err := ps.Encode(&raw); err != nil {
-		panic(fmt.Sprintf("patchsize: encode: %v", err))
-	}
+	raw := codec.EncodePatches(&codec.Buffer{}, codec.ToWire(ps, 0))
 	var gz bytes.Buffer
 	zw := gzip.NewWriter(&gz)
-	zw.Write(raw.Bytes())
+	zw.Write(raw)
 	zw.Close()
-	return &PatchSizeResult{Entries: ps.Len(), RawBytes: raw.Len(), GzipBytes: gz.Len()}
+	return &PatchSizeResult{Entries: ps.Len(), RawBytes: len(raw), GzipBytes: gz.Len()}
 }

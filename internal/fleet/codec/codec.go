@@ -1,10 +1,11 @@
 // Package codec implements the fleet's v2 binary wire encoding
 // (docs/PROTOCOL.md, "Binary v2 frames"): the one representation on every
-// upload and tier-internal poll, and of the daemons' state files. JSON
-// burned the aggregation tier's CPU marshalling at fleet scale; v2
-// exists so the ingest path costs near zero per observation.
+// upload and tier-internal poll, and of every file the system writes
+// (daemon state, client history and patch files). JSON burned the
+// aggregation tier's CPU marshalling at fleet scale; v2 exists so the
+// ingest path costs near zero per observation.
 //
-// Every v2 HTTP body and state file is one self-contained frame:
+// Every v2 HTTP body and file is one self-contained frame:
 //
 //	magic "XWF2" | version byte | frame type byte | u32 LE payload length | payload
 //
@@ -18,12 +19,13 @@
 // before any allocation is sized from it.
 //
 // The package declares each frame's message once, five in all: Batch,
-// PatchSet, Delta, State (a daemon's durable state) and a client's
-// cumulative.History (its history file). It depends only on the
-// evidence types (internal/cumulative, internal/site, internal/patch)
-// and on internal/atomicfile, through which WriteFile saves state and
-// history files: the fleet and cluster tiers, the engine, the examples
-// and the benchmarks build and read these types directly.
+// PatchSet (also a patch file), Delta, State (a daemon's durable state)
+// and a client's cumulative.History (its history file). It depends only
+// on the evidence types (internal/cumulative, internal/site,
+// internal/patch) and on internal/atomicfile, through which WriteFile
+// saves state, history and patch files: the fleet and cluster tiers, the
+// engine, the tools, the examples and the benchmarks build and read
+// these types directly.
 package codec
 
 import (
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 
 	"exterminator/internal/atomicfile"
@@ -48,7 +51,8 @@ const ContentTypeV2 = "application/x-exterminator-v2"
 const (
 	// FrameBatch is a Batch (POST /v1/observations body).
 	FrameBatch byte = 1
-	// FramePatches is a PatchSet (GET /v1/patches response).
+	// FramePatches is a PatchSet (GET /v1/patches response, and an
+	// exterminate -patches file).
 	FramePatches byte = 2
 	// FrameDelta is a Delta (GET /v1/deltas response).
 	FrameDelta byte = 3
@@ -169,13 +173,20 @@ func ParseFrame(data []byte) (typ byte, payload []byte, err error) {
 // WriteFile replaces path with frame through atomicfile.Write, so a
 // crash mid-write leaves the previous file whole. A frame ParseFrame
 // refuses, such as one beyond MaxFrameBytes, is an error and also leaves
-// the previous file in place, since no reader could load it. State and
-// history files are written through it.
+// the previous file in place, since no reader could load it. State,
+// history and patch files are written through it. A patch file is mode
+// 0644, since users share patch files (§6.4); every other file holds
+// evidence and is mode 0600.
 func WriteFile(path string, frame []byte) error {
-	if _, _, err := ParseFrame(frame); err != nil {
+	typ, _, err := ParseFrame(frame)
+	if err != nil {
 		return fmt.Errorf("%d bytes do not fit one frame: %w", len(frame), err)
 	}
-	return atomicfile.Write(path, 0o600, func(w io.Writer) error {
+	perm := os.FileMode(0o600)
+	if typ == FramePatches {
+		perm = 0o644
+	}
+	return atomicfile.Write(path, perm, func(w io.Writer) error {
 		_, err := w.Write(frame)
 		return err
 	})
@@ -200,10 +211,6 @@ type reader struct {
 	b   []byte
 	off int
 	err error
-	// probs makes every observation X a checked probability: a finite
-	// number in [0, 1]. Batch, state and history decodes set it; delta
-	// frames between tiers carry evidence a partition already absorbed.
-	probs bool
 }
 
 func (r *reader) fail(format string, args ...any) {

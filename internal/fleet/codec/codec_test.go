@@ -152,12 +152,13 @@ func xSnapshot(x float64, dangling bool) *cumulative.Snapshot {
 	return s
 }
 
-// TestBatchDecodeRejectsNonProbabilityX: an uploaded observation's X is
-// a probability. The batch decoder rejects NaN, infinities and values
-// outside [0, 1] in either section and accepts the bounds; delta frames
-// between tiers still carry whatever a partition absorbed.
+// TestBatchDecodeRejectsNonProbabilityX: an observation's X is a
+// probability. The batch decoder and the delta decoder, for a delta's
+// tail snapshot and for an ordered delta's op alike, reject NaN,
+// infinities and values outside [0, 1] in either section and accept the
+// bounds: a delta comes from another process as much as a batch does.
 func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
-	decode := func(x float64, dangling bool) (batchErr, deltaErr error) {
+	decode := func(x float64, dangling bool) (batchErr, deltaErr, opErr error) {
 		buf := GetBuffer()
 		defer PutBuffer(buf)
 		s := xSnapshot(x, dangling)
@@ -165,21 +166,27 @@ func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
 		_, batchErr = DecodeBatch(batch)
 		buf.B = buf.B[:0]
 		_, deltaErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Snapshot: s}))
-		return batchErr, deltaErr
+		buf.B = buf.B[:0]
+		_, opErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Ops: []DeltaOp{{Evict: []site.ID{3}}, {Snapshot: s}}}))
+		return batchErr, deltaErr, opErr
 	}
 	for _, dangling := range []bool{false, true} {
-		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 7, -3, math.Nextafter(1, 2), -math.SmallestNonzeroFloat64} {
-			batchErr, deltaErr := decode(x, dangling)
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 7, 2, -3, -0.5, math.Nextafter(1, 2), -math.SmallestNonzeroFloat64} {
+			batchErr, deltaErr, opErr := decode(x, dangling)
 			if batchErr == nil {
 				t.Errorf("dangling=%v X=%v: DecodeBatch accepted it; want it rejected", dangling, x)
 			}
-			if deltaErr != nil {
-				t.Errorf("dangling=%v X=%v: delta frame rejected: %v", dangling, x, deltaErr)
+			if deltaErr == nil {
+				t.Errorf("dangling=%v X=%v: DecodeDelta accepted it; want it rejected", dangling, x)
+			}
+			if opErr == nil {
+				t.Errorf("dangling=%v X=%v: DecodeDelta accepted it in an op; want it rejected", dangling, x)
 			}
 		}
 		for _, x := range []float64{0, 1, 0.5, math.SmallestNonzeroFloat64} {
-			if batchErr, _ := decode(x, dangling); batchErr != nil {
-				t.Errorf("dangling=%v X=%v rejected: %v", dangling, x, batchErr)
+			batchErr, deltaErr, opErr := decode(x, dangling)
+			if batchErr != nil || deltaErr != nil || opErr != nil {
+				t.Errorf("dangling=%v X=%v rejected: batch %v, delta %v, op %v", dangling, x, batchErr, deltaErr, opErr)
 			}
 		}
 	}
@@ -466,6 +473,28 @@ func TestBatchIDStableAndDiscriminating(t *testing.T) {
 	tagged.Lineage = 99
 	if got := BatchID("client-a", 1, 5, 17, tagged); got != base {
 		t.Fatal("snapshot's Lineage field leaked into the content hash")
+	}
+}
+
+// TestWriteFileModes: a patch file is mode 0644, since users share patch
+// files (§6.4); state and history files hold evidence and are mode 0600.
+func TestWriteFileModes(t *testing.T) {
+	dir := t.TempDir()
+	for name, c := range map[string]struct {
+		frame []byte
+		perm  os.FileMode
+	}{
+		"patches": {EncodePatches(&Buffer{}, &PatchSet{Pads: []PadEntry{{Site: 1, Pad: 8}}}), 0o644},
+		"state":   {EncodeState(&Buffer{}, &State{RingVersion: 3}), 0o600},
+		"history": {EncodeHistory(&Buffer{}, cumulative.NewHistory(cumulative.DefaultConfig())), 0o600},
+	} {
+		path := filepath.Join(dir, name)
+		if err := WriteFile(path, c.frame); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != c.perm {
+			t.Errorf("%s file mode %v (%v), want %v", name, fi.Mode(), err, c.perm)
+		}
 	}
 }
 

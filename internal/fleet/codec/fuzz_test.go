@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/patch"
 	"exterminator/internal/site"
 )
 
@@ -15,8 +16,10 @@ import (
 // length or count prefix (every decoder validates counts against the
 // bytes actually present first). Valid frames that decode must
 // re-encode and decode to the same value — a cheap round-trip oracle on
-// top of crash safety — and every batch, state or history that decodes
-// carries only probabilities as X.
+// top of crash safety — and every batch, delta, state or history that
+// decodes carries only probabilities as X. A patches frame is also a
+// patch file: the set it decodes to survives the patch file's frame and
+// the text form unchanged.
 func FuzzV2FrameDecode(f *testing.F) {
 	// Seed with one valid frame of each type and one bare snapshot
 	// payload, so mutation starts from structurally plausible inputs.
@@ -85,6 +88,20 @@ func FuzzV2FrameDecode(f *testing.F) {
 	}
 	f.Add(history[:len(history)/2])
 	f.Add(forgedHistoryFrame())
+	// Patch files: zero entries and a repeated site, and a whole file
+	// with a byte after it.
+	patchFile := EncodePatches(&Buffer{}, &PatchSet{
+		Pads:      []PadEntry{{Site: 7}, {Site: 9, Pad: 64}, {Site: 9, Pad: 8}},
+		FrontPads: []PadEntry{{Site: 2}},
+		Deferrals: []DeferralEntry{{Alloc: 1, Free: 2}, {Alloc: 0xffffffff, Free: 0xffffffff, Deferral: 1 << 40}},
+	})
+	f.Add(patchFile)
+	f.Add(append(append([]byte(nil), patchFile...), 0))
+	// Deltas whose X is no probability, in the tail snapshot and in an op.
+	for _, x := range []float64{math.NaN(), -0.5, 2} {
+		f.Add(EncodeDelta(&Buffer{}, &Delta{Epoch: 1, Seq: 2, Snapshot: xSnapshot(x, false)}))
+		f.Add(EncodeDelta(&Buffer{}, &Delta{Epoch: 1, Seq: 2, Ops: []DeltaOp{{Snapshot: xSnapshot(x, true)}}}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := DecodeBatch(data); err == nil {
@@ -113,6 +130,7 @@ func FuzzV2FrameDecode(f *testing.F) {
 				t.Fatalf("re-decode patches: %v", err)
 			}
 			PutBuffer(rt)
+			checkPatchRoundTrips(t, ps.Set())
 		}
 		if st, err := DecodeState(data); err == nil {
 			for _, s := range stateSnapshots(st) {
@@ -142,6 +160,9 @@ func FuzzV2FrameDecode(f *testing.F) {
 			}
 		}
 		if d, err := DecodeDelta(data); err == nil {
+			for _, s := range deltaSnapshots(d) {
+				assertProbabilities(t, s)
+			}
 			rt := GetBuffer()
 			re := EncodeDelta(rt, d)
 			if _, err := DecodeDelta(re); err != nil {
@@ -150,6 +171,44 @@ func FuzzV2FrameDecode(f *testing.F) {
 			PutBuffer(rt)
 		}
 	})
+}
+
+// checkPatchRoundTrips fails unless s survives a patch file's frame and
+// the text form unchanged.
+func checkPatchRoundTrips(t *testing.T, s *patch.Set) {
+	t.Helper()
+	back, err := DecodePatches(EncodePatches(&Buffer{}, ToWire(s, 0)))
+	if err != nil {
+		t.Fatalf("an accepted set's patch file does not decode: %v", err)
+	}
+	if !back.Set().Equal(s) {
+		t.Fatalf("patch file round trip: %q, want %q", back.Set(), s)
+	}
+	var text bytes.Buffer
+	if err := s.EncodeText(&text); err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := patch.DecodeText(&text)
+	if err != nil {
+		t.Fatalf("an accepted set's text does not decode: %v", err)
+	}
+	if !fromText.Equal(s) {
+		t.Fatalf("text round trip: %q, want %q", fromText, s)
+	}
+}
+
+// deltaSnapshots lists every snapshot d carries.
+func deltaSnapshots(d *Delta) []*cumulative.Snapshot {
+	var out []*cumulative.Snapshot
+	if d.Snapshot != nil {
+		out = append(out, d.Snapshot)
+	}
+	for _, op := range d.Ops {
+		if op.Snapshot != nil {
+			out = append(out, op.Snapshot)
+		}
+	}
+	return out
 }
 
 // stateSnapshots lists every evidence section of st.
@@ -174,14 +233,14 @@ func assertProbabilities(t *testing.T, s *cumulative.Snapshot) {
 	for _, g := range s.Overflow {
 		for _, o := range g.Obs {
 			if !(o.X >= 0 && o.X <= 1) {
-				t.Fatalf("batch decoded overflow X %v outside [0, 1]", o.X)
+				t.Fatalf("decoded overflow X %v outside [0, 1]", o.X)
 			}
 		}
 	}
 	for _, g := range s.Dangling {
 		for _, o := range g.Obs {
 			if !(o.X >= 0 && o.X <= 1) {
-				t.Fatalf("batch decoded dangling X %v outside [0, 1]", o.X)
+				t.Fatalf("decoded dangling X %v outside [0, 1]", o.X)
 			}
 		}
 	}

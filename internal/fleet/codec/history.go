@@ -37,7 +37,7 @@ func DecodeHistory(data []byte) (*cumulative.History, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload, probs: true}
+	r := &reader{b: payload}
 	lineage := r.u64()
 	uploaded := readSnapshot(r)
 	pending := readSnapshot(r)

@@ -254,7 +254,10 @@ func (r *reader) groupObs(obs []cumulative.Observation, off int) ([]cumulative.O
 
 // readObsColumns checks that the group counts, summing to carved, add up
 // to the section total, then reads the section's columnar X run and Y
-// bits into obs.
+// bits into obs. Every frame that embeds a snapshot carries observations
+// a history will hold, and a history stores X without its sign bit
+// (cumulative.History.Absorb), so an X that is not a finite number in
+// [0, 1] fails the decode, whichever frame it arrives in.
 func readObsColumns(r *reader, obs []cumulative.Observation, carved int) {
 	if r.err != nil {
 		return
@@ -266,7 +269,7 @@ func readObsColumns(r *reader, obs []cumulative.Observation, carved int) {
 	for i := range obs {
 		obs[i].X = r.f64()
 		// The negated test also rejects NaN.
-		if r.probs && !(obs[i].X >= 0 && obs[i].X <= 1) {
+		if !(obs[i].X >= 0 && obs[i].X <= 1) {
 			r.fail("observation X %v is not a probability in [0, 1]", obs[i].X)
 			return
 		}

@@ -118,7 +118,7 @@ func DecodeState(data []byte) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload, probs: true}
+	r := &reader{b: payload}
 	s := &State{}
 	flags := r.u8()
 	s.RingVersion = r.uvarint()

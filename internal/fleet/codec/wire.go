@@ -74,7 +74,7 @@ func DecodeBatch(data []byte) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload, probs: true}
+	r := &reader{b: payload}
 	b := &Batch{}
 	flags := r.u8()
 	b.Client = r.str("client id")
@@ -104,10 +104,12 @@ type DeferralEntry struct {
 
 // PatchSet is a versioned patch.Set on the wire: what a FramePatches
 // payload carries, and the JSON document GET /v1/patches answers a
-// request that does not ask for a frame. The JSON document is also a
-// standalone file format (cmd/patchmerge reads and writes it alongside
-// the binary .xtp format). Entries are encoded in the order given;
-// ToWire produces the canonical sorted order.
+// request that does not ask for a frame. A patch file (exterminate
+// -patches, patchmerge -o) is one FramePatches frame at version 0 and
+// epoch 0 in ToWire order; the JSON document is only the answer a
+// person gets with curl, which patchmerge reads but never writes.
+// Entries are encoded in the order given; ToWire produces the canonical
+// sorted order.
 //
 // Payload layout:
 //
@@ -122,7 +124,7 @@ type PatchSet struct {
 	// server rederives its patch log from the (possibly stale) snapshot
 	// and restarts version numbering, so a client holding a version from
 	// another epoch must resync from 0 instead of delta-polling (the
-	// fleet client does this transparently). Zero in standalone files.
+	// fleet client does this transparently). Zero in patch files.
 	Epoch     uint64          `json:"epoch,omitempty"`
 	Pads      []PadEntry      `json:"pads,omitempty"`
 	FrontPads []PadEntry      `json:"frontPads,omitempty"`
@@ -343,7 +345,10 @@ func EncodeDelta(buf *Buffer, d *Delta) []byte {
 	return buf.endFrame(start)
 }
 
-// DecodeDelta decodes a FrameDelta frame.
+// DecodeDelta decodes a FrameDelta frame. Like DecodeBatch it rejects
+// any observation X that is not a finite number in [0, 1]: the frame
+// comes from another process, and the coordinator folds it into its
+// mirrors as it stands.
 func DecodeDelta(data []byte) (*Delta, error) {
 	payload, err := expectFrame(data, FrameDelta)
 	if err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -507,11 +508,11 @@ func TestWirePatchSetRoundTrip(t *testing.T) {
 	ps.AddPad(0xA, 12)
 	ps.AddFrontPad(0xB, 3)
 	ps.AddDeferral(site.Pair{Alloc: 0xC, Free: 0xD}, 77)
-	var buf bytes.Buffer
-	if err := EncodePatchSet(&buf, ps, 5); err != nil {
+	data, err := json.Marshal(codec.ToWire(ps, 5))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, v, err := DecodePatchSet(&buf)
+	got, v, err := DecodePatchSet(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

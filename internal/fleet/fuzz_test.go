@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,18 +84,18 @@ func FuzzXFSNDecode(f *testing.F) {
 }
 
 // FuzzWirePatchLog fuzzes the JSON patch-set wire decoder (the GET
-// /v1/patches body and the standalone .json patch file format): any
+// /v1/patches body a person gets with curl, which patchmerge reads): any
 // input either decodes into a re-encodable set or errors — truncation,
 // trailing garbage, and type confusion must never panic.
 func FuzzWirePatchLog(f *testing.F) {
 	ps := testPatchSet()
-	var valid bytes.Buffer
-	if err := EncodePatchSet(&valid, ps, 42); err != nil {
+	valid, err := json.Marshal(codec.ToWire(ps, 42))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()/2])
-	f.Add(append(valid.Bytes(), valid.Bytes()...)) // trailing document
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte(nil), valid...), valid...)) // trailing document
 	f.Add([]byte(`{"version": 1, "pads": [{"site": -1, "pad": 1e99}]}`))
 	f.Add([]byte(`{"version": "not a number"}`))
 	f.Add([]byte{})
@@ -103,8 +104,7 @@ func FuzzWirePatchLog(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := EncodePatchSet(&buf, set, version); err != nil {
+		if _, err := json.Marshal(codec.ToWire(set, version)); err != nil {
 			t.Fatalf("re-encode of accepted patch set: %v", err)
 		}
 	})

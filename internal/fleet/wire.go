@@ -98,16 +98,11 @@ type IngestReply struct {
 	Runs int64 `json:"runs"`
 }
 
-// EncodePatchSet writes a patch set in the JSON wire encoding.
-func EncodePatchSet(w io.Writer, ps *patch.Set, version uint64) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(codec.ToWire(ps, version))
-}
-
-// DecodePatchSet reads a patch set in the JSON wire encoding. It rejects
-// trailing garbage so a truncated or concatenated file cannot silently
-// decode into a partial set.
+// DecodePatchSet reads a patch set in the JSON wire encoding: the
+// document GET /v1/patches answers a request that does not ask for a
+// frame, as curl saves it (patchmerge reads such a download). It rejects
+// trailing garbage so a truncated or concatenated document cannot
+// silently decode into a partial set.
 func DecodePatchSet(r io.Reader) (*patch.Set, uint64, error) {
 	dec := json.NewDecoder(r)
 	var w codec.PatchSet

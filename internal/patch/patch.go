@@ -13,12 +13,15 @@
 // semilattice: commutative, associative and idempotent. That is what
 // enables collaborative correction (§6.4) — users merge patch files
 // freely and the result covers every observed error.
+//
+// This package holds the set and its text form, for people. The one
+// binary encoding is the codec's PatchSet frame (internal/fleet/codec):
+// what GET /v1/patches serves and what a patch file holds
+// (engine.PatchFile, engine.LoadPatchFile).
 package patch
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -194,114 +197,6 @@ func (s *Set) String() string {
 	var b strings.Builder
 	s.encodeText(&b)
 	return b.String()
-}
-
-// Binary format: magic, version, counts, then fixed-width records.
-const (
-	magic   = 0x5854504d // "XTPM"
-	version = 2
-)
-
-// Encode writes the set in the compact binary format (§6.4 measures patch
-// files of ~130KB for espresso; this format is what those numbers are
-// computed over in the reproduction).
-func (s *Set) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(s.Pads)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(s.FrontPads)))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(s.Deferrals)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	// Sorted for deterministic output.
-	for _, k := range sortedPadSites(s.Pads) {
-		var rec [8]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(k))
-		binary.LittleEndian.PutUint32(rec[4:], s.Pads[k])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedPadSites(s.FrontPads) {
-		var rec [8]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(k))
-		binary.LittleEndian.PutUint32(rec[4:], s.FrontPads[k])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedPairs(s.Deferrals) {
-		var rec [16]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(k.Alloc))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(k.Free))
-		binary.LittleEndian.PutUint64(rec[8:], s.Deferrals[k])
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode reads a binary patch set. Records enter through AddPad,
-// AddFrontPad and AddDeferral, as DecodeText's lines do: a zero entry
-// adds nothing and a repeated key keeps its maximum (§6.1). The last
-// record must end the input.
-func Decode(r io.Reader) (*Set, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("patch: short header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return nil, errors.New("patch: bad magic")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
-		return nil, fmt.Errorf("patch: unsupported version %d", v)
-	}
-	nPads := binary.LittleEndian.Uint32(hdr[8:])
-	nFront := binary.LittleEndian.Uint32(hdr[12:])
-	nDefs := binary.LittleEndian.Uint32(hdr[16:])
-	const maxEntries = 1 << 24
-	if nPads > maxEntries || nFront > maxEntries || nDefs > maxEntries {
-		return nil, errors.New("patch: implausible entry count")
-	}
-	s := New()
-	for i := uint32(0); i < nPads; i++ {
-		var rec [8]byte
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, fmt.Errorf("patch: truncated pad record: %w", err)
-		}
-		s.AddPad(site.ID(binary.LittleEndian.Uint32(rec[0:])), binary.LittleEndian.Uint32(rec[4:]))
-	}
-	for i := uint32(0); i < nFront; i++ {
-		var rec [8]byte
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, fmt.Errorf("patch: truncated front-pad record: %w", err)
-		}
-		s.AddFrontPad(site.ID(binary.LittleEndian.Uint32(rec[0:])), binary.LittleEndian.Uint32(rec[4:]))
-	}
-	for i := uint32(0); i < nDefs; i++ {
-		var rec [16]byte
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, fmt.Errorf("patch: truncated deferral record: %w", err)
-		}
-		p := site.Pair{
-			Alloc: site.ID(binary.LittleEndian.Uint32(rec[0:])),
-			Free:  site.ID(binary.LittleEndian.Uint32(rec[4:])),
-		}
-		s.AddDeferral(p, binary.LittleEndian.Uint64(rec[8:]))
-	}
-	var extra [1]byte
-	switch _, err := io.ReadFull(r, extra[:]); err {
-	case io.EOF:
-		return s, nil
-	case nil:
-		return nil, errors.New("patch: trailing bytes after the last record")
-	default:
-		return nil, fmt.Errorf("patch: %w", err)
-	}
 }
 
 // EncodeText writes a human-readable line-oriented format:

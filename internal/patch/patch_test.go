@@ -119,41 +119,6 @@ func TestMergeAssociative(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	s := mkSet(
-		map[uint32]uint32{0xdeadbeef: 6, 1: 36},
-		map[[2]uint32]uint64{{0xa, 0xb}: 21, {0xffffffff, 0}: 1 << 40},
-	)
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(s) {
-		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", got, s)
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("not a patch file....."))); err == nil {
-		t.Fatal("garbage decoded")
-	}
-	if _, err := Decode(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty decoded")
-	}
-	// Truncated records.
-	s := mkSet(map[uint32]uint32{1: 2}, nil)
-	var buf bytes.Buffer
-	s.Encode(&buf)
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated file decoded")
-	}
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	s := mkSet(
 		map[uint32]uint32{0xcafe: 12},
@@ -193,43 +158,6 @@ func TestTextErrors(t *testing.T) {
 		if _, err := DecodeText(strings.NewReader(bad)); err == nil {
 			t.Errorf("parsed bad input %q", bad)
 		}
-	}
-}
-
-func TestDeterministicEncoding(t *testing.T) {
-	s := mkSet(map[uint32]uint32{3: 1, 1: 1, 2: 1}, map[[2]uint32]uint64{{2, 1}: 5, {1, 1}: 5})
-	var b1, b2 bytes.Buffer
-	s.Encode(&b1)
-	s.Clone().Encode(&b2)
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("encoding not deterministic")
-	}
-	if s.String() != s.Clone().String() {
-		t.Fatal("text not deterministic")
-	}
-}
-
-func TestPropertyEncodeDecodeIdentity(t *testing.T) {
-	if err := quick.Check(func(pads map[uint32]uint32, defs map[uint32]uint64) bool {
-		s := New()
-		for k, v := range pads {
-			if v > 0 {
-				s.AddPad(site.ID(k), v)
-			}
-		}
-		for k, v := range defs {
-			if v > 0 {
-				s.AddDeferral(site.Pair{Alloc: site.ID(k), Free: site.ID(k >> 1)}, v)
-			}
-		}
-		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
-			return false
-		}
-		got, err := Decode(&buf)
-		return err == nil && got.Equal(s)
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

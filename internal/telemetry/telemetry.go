@@ -255,15 +255,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return s.hist
 }
 
-// Names returns every registered metric family name, in registration
-// order. The metrics-docs lint test uses it to keep docs/OBSERVABILITY.md
-// complete.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // WriteText renders the registry in the Prometheus text exposition
 // format (version 0.0.4).
 func (r *Registry) WriteText(w io.Writer) error {

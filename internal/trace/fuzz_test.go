@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzTraceDecode: arbitrary bytes either fail to decode or decode to a
-// trace whose encoding is the input's leading bytes. No decode may panic
-// or allocate more than a fixed amount plus a small multiple of its
-// input, whatever op count the header claims.
+// trace whose encoding is the input itself, byte for byte. No decode may
+// panic or allocate more than a fixed amount plus a small multiple of
+// its input, whatever op count the header claims.
 func FuzzTraceDecode(f *testing.F) {
 	tr := &Trace{Ops: []Op{{Kind: OpMalloc, Arg: 32, Site: 1}, {Kind: OpFree, Arg: 0, Site: 2}}}
 	var valid bytes.Buffer
@@ -23,6 +23,8 @@ func FuzzTraceDecode(f *testing.F) {
 	forged := append([]byte(nil), valid.Bytes()[:12]...)
 	binary.LittleEndian.PutUint32(forged[8:], 1<<28)
 	f.Add(forged)
+	// A whole trace with one byte after its last op.
+	f.Add(append(append([]byte(nil), valid.Bytes()...), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -39,7 +41,7 @@ func FuzzTraceDecode(f *testing.F) {
 		if err := got.Encode(&out); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data, out.Bytes()) {
+		if !bytes.Equal(data, out.Bytes()) {
 			t.Fatal("an accepted trace does not re-encode to the bytes it came from")
 		}
 	})

@@ -166,7 +166,8 @@ func (t *Trace) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a trace written by Encode.
+// Decode reads a trace written by Encode. The last op must end the
+// input: a trace with bytes after it is refused.
 func Decode(r io.Reader) (*Trace, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -200,7 +201,15 @@ func Decode(r io.Reader) (*Trace, error) {
 		}
 		t.Ops = append(t.Ops, op)
 	}
-	return t, nil
+	var extra [1]byte
+	switch _, err := io.ReadFull(r, extra[:]); err {
+	case io.EOF:
+		return t, nil
+	case nil:
+		return nil, errors.New("trace: trailing bytes after the last op")
+	default:
+		return nil, fmt.Errorf("trace: %w", err)
+	}
 }
 
 // Stats summarizes a trace.

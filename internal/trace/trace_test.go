@@ -112,6 +112,14 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("bad op kind accepted")
 	}
+	// Bytes after the last op.
+	raw[12] = byte(OpMalloc)
+	if _, err := Decode(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("restored trace: %v", err)
+	}
+	if _, err := Decode(bytes.NewReader(append(raw, 0))); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
 }
 
 func TestPropertyRoundTrip(t *testing.T) {
