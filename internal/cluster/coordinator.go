@@ -110,11 +110,9 @@ type Coordinator struct {
 	rebalState         RebalanceState
 	testRebalanceCrash func(stage string) error
 
-	log     *fleet.PatchLog
-	triage  *triage.Engine
-	start   time.Time
-	polls   atomic.Int64
-	resyncs atomic.Int64
+	log    *fleet.PatchLog
+	triage *triage.Engine
+	start  time.Time
 
 	// Failover state: the patch log's epoch stamps every patch response
 	// (it rises across failovers — clients reject anything lower than
@@ -445,7 +443,6 @@ func (c *Coordinator) PollOnce(ctx context.Context) (changed bool, err error) {
 // holds it across its whole drain/backfill critical section, so no poll
 // can observe — and run a correction pass over — the half-moved state).
 func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) {
-	c.polls.Add(1)
 	c.metrics.polls.Inc()
 	parts := c.partitionsSnapshot()
 	type result struct {
@@ -502,7 +499,6 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 			mirror.Absorb(d.Snapshot)
 			res.p.mirror = mirror
 			c.corrector.MarkFull()
-			c.resyncs.Add(1)
 			c.metrics.resyncs.Inc()
 			c.metrics.deltaObs.Add(float64(fleet.SnapshotObservations(d.Snapshot)))
 			c.logger.Info("partition resynced; mirror replaced",
@@ -721,8 +717,8 @@ func (c *Coordinator) Status() *ClusterStatus {
 			Corrections: c.corrector.Passes(),
 			DirtyKeys:   c.store.DirtyKeys(),
 		},
-		Polls:             c.polls.Load(),
-		Resyncs:           c.resyncs.Load(),
+		Polls:             int64(c.metrics.polls.Value()),
+		Resyncs:           int64(c.metrics.resyncs.Value()),
 		MembershipVersion: memberVersion,
 		Nodes:             nodes,
 		Rebalance:         c.rebalState,

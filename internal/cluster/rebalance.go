@@ -29,9 +29,7 @@ import (
 // a two-phase journal:
 //
 //	begin v — the plan (old and new membership) is durable
-//	drain  — a partition's moved keys were computed (observability)
-//	backfilled — a partition's drained evidence reached its new owners
-//	done v — membership committed, mirrors caught up
+//	done v  — membership committed, mirrors caught up
 //
 // A coordinator killed anywhere in between re-drives the plan on
 // restart: evictions replay from the partitions' evict caches (same
@@ -91,14 +89,14 @@ type rebalPlan struct {
 	New     []string
 }
 
-// rebalRecord is one line of the two-phase journal.
+// rebalRecord is one line of the two-phase journal. Recovery reads
+// only begin and done; journals written by older builds also hold
+// per-partition drain and backfilled records, which it skips.
 type rebalRecord struct {
-	Op      string   `json:"op"` // begin | drain | backfilled | done
+	Op      string   `json:"op"` // begin | done
 	Version uint64   `json:"version,omitempty"`
 	Old     []string `json:"old,omitempty"`
 	New     []string `json:"new,omitempty"`
-	Part    string   `json:"part,omitempty"`
-	Keys    int      `json:"keys,omitempty"`
 }
 
 // AddNode grows the cluster by one partition, draining the keys the ring
@@ -299,22 +297,19 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 			}
 		}
 		c.mu.Unlock()
-		if len(keys) > 0 || leaving {
-			if err := c.journalRebal(rebalRecord{Op: "drain", Version: plan.Version, Part: node, Keys: len(keys)}); err != nil {
-				return fail(err)
-			}
-		}
 		// Drain. The token makes this idempotent: a re-drive (possibly
 		// computing an empty key set, because the mirror already reflects
-		// the eviction) gets the originally drained snapshot back.
-		reply, err := p.client.EvictKeys(ctx, rebalToken(plan.Version, node), keys, leaving)
+		// the eviction) gets the originally drained snapshot back. The
+		// answer is decoded with every codec check before any piece of it
+		// is pushed, so a bad drain moves nothing.
+		evicted, err := p.client.EvictKeys(ctx, rebalToken(plan.Version, node), keys, leaving)
 		if err != nil {
 			return fail(fmt.Errorf("cluster: drain %s: %w", node, err))
 		}
 		if err := c.rebalCrashpoint("drained"); err != nil {
 			return fail(err)
 		}
-		if kc := evidenceKeyCount(reply.Evicted); kc > 0 {
+		if kc := evidenceKeyCount(evicted); kc > 0 {
 			moved += kc
 			drained[node] = kc
 		}
@@ -322,8 +317,8 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 		// each piece through the exactly-once path. Batch IDs derive from
 		// (version, source, piece content) — deterministic across
 		// re-drives, so a piece that already landed dedups.
-		if reply.Evicted != nil && !cumulative.DeltaEmpty(reply.Evicted) {
-			for dest, piece := range SplitSnapshot(newRing, reply.Evicted) {
+		if !cumulative.DeltaEmpty(evicted) {
+			for dest, piece := range SplitSnapshot(newRing, evicted) {
 				batch := &codec.Batch{
 					Client:      "rebalance",
 					Snapshot:    piece,
@@ -334,9 +329,6 @@ func (c *Coordinator) runRebalance(ctx context.Context, plan *rebalPlan) (*Rebal
 					return fail(fmt.Errorf("cluster: backfill %s to %s: %w", node, dest, err))
 				}
 			}
-		}
-		if err := c.journalRebal(rebalRecord{Op: "backfilled", Version: plan.Version, Part: node}); err != nil {
-			return fail(err)
 		}
 		c.logger.Info("partition drained and backfilled",
 			"version", plan.Version, "partition", node,
@@ -525,9 +517,6 @@ func unionNodes(a, b []string) []string {
 // evidenceKeyCount counts the distinct alloc-side evidence keys a
 // snapshot carries (the "moved keys" statistic).
 func evidenceKeyCount(s *cumulative.Snapshot) int {
-	if s == nil {
-		return 0
-	}
 	set := make(map[site.ID]bool)
 	for _, id := range s.Sites {
 		set[id] = true

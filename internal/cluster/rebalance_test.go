@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/engine"
 	"exterminator/internal/fleet"
+	"exterminator/internal/fleet/codec"
+	"exterminator/internal/site"
 )
 
 // TestRingVersionMonotonic pins the membership-version contract writers
@@ -450,4 +456,124 @@ func TestRebalanceCoordinatorKilledMidDrain(t *testing.T) {
 	if got, want := coordC.Status().Runs, rc.control.Store().Runs(); got != want {
 		t.Fatalf("restarted coordinator merges %d runs, control has %d — a partition dropped out", got, want)
 	}
+}
+
+// TestRebalanceRefusesDrainWithNonProbabilityX: a partition whose drain
+// answers evidence with one X = −0.5 among good keys bound for every new
+// owner fails the rebalance before any backfill push. No partition's
+// batch count moves, and membership stays at the old version.
+func TestRebalanceRefusesDrainWithNonProbabilityX(t *testing.T) {
+	ctx := context.Background()
+	rc := newRebalanceCluster(t, 3)
+	drained := &cumulative.Snapshot{C: 4, P: 0.5, Runs: 5}
+	for i := 0; i < 64; i++ {
+		id := site.ID(0x2000 + uint32(i))
+		x := 0.25
+		if i == 63 {
+			x = -0.5
+		}
+		drained.Sites = append(drained.Sites, id)
+		drained.Overflow = append(drained.Overflow, cumulative.SiteObservations{Site: id, Obs: []cumulative.Observation{{X: x, Y: true}}})
+	}
+	// The stub fronts the first partition and forges only its drain.
+	part0 := rc.parts[0].Handler()
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/evict" {
+			part0.ServeHTTP(w, r)
+			return
+		}
+		var req fleet.EvictRequest
+		if err := fleet.DecodeJSONBody(w, r, 1<<20, &req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", codec.ContentTypeV2)
+		w.Write(codec.EncodeBatch(&codec.Buffer{}, &codec.Batch{BatchID: req.Token, RingVersion: 2, Snapshot: drained}))
+	}))
+	defer stub.Close()
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{stub.URL}, Config: cumulative.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := SplitSnapshot(NewRing(0, stub.URL, rc.partURLs[1], rc.partURLs[2]), drained); len(got) != 3 {
+		t.Fatalf("the forged drain spans %d owners under the new ring, want 3", len(got))
+	}
+
+	_, err = coord.Rebalance(ctx, []string{rc.partURLs[1], rc.partURLs[2]}, nil)
+	if err == nil || !strings.Contains(err.Error(), "drain") {
+		t.Fatalf("rebalance over a drain with X = -0.5: %v, want a drain error", err)
+	}
+	for i, p := range rc.parts {
+		if got := p.Store().Batches(); got != 0 {
+			t.Errorf("partition %d absorbed %d backfill batches", i, got)
+		}
+	}
+	st := coord.Status()
+	if st.MembershipVersion != 1 || len(st.Nodes) != 1 || st.Rebalance.State != RebalanceFailed {
+		t.Fatalf("after the refused drain: membership v%d over %v, rebalance %+v", st.MembershipVersion, st.Nodes, st.Rebalance)
+	}
+}
+
+// TestRebalanceResumesJournalWithRetiredRecords: a journal written by a
+// build that also logged per-partition drain and backfilled records —
+// a completed plan, then an unfinished one — still resumes: recovery
+// reads begin and done and skips the rest.
+func TestRebalanceResumesJournalWithRetiredRecords(t *testing.T) {
+	ctx := context.Background()
+	rc := newRebalanceCluster(t, 4)
+	router, err := NewRouter("routed", rc.partURLs[:3]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := fleet.NewClient(rc.ctrlTS.URL, "routed")
+	rng := rand.New(rand.NewSource(23))
+	push := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			batch := testBatch(rng)
+			if _, err := pushStamped(ctx, ctrl, batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := pushRouted(ctx, router, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push(20)
+	if _, err := rc.coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	p := rc.partURLs
+	lines := []string{
+		fmt.Sprintf(`{"op":"begin","version":2,"old":[%q,%q,%q],"new":[%q,%q,%q,%q]}`, p[0], p[1], p[2], p[0], p[1], p[2], p[3]),
+		fmt.Sprintf(`{"op":"drain","version":2,"part":%q,"keys":7}`, p[0]),
+		fmt.Sprintf(`{"op":"backfilled","version":2,"part":%q}`, p[0]),
+		`{"op":"done","version":2}`,
+		fmt.Sprintf(`{"op":"begin","version":3,"old":[%q,%q,%q,%q],"new":[%q,%q,%q]}`, p[0], p[1], p[2], p[3], p[1], p[2], p[3]),
+		fmt.Sprintf(`{"op":"drain","version":3,"part":%q,"keys":12}`, p[0]),
+		fmt.Sprintf(`{"op":"backfilled","version":3,"part":%q}`, p[0]),
+		fmt.Sprintf(`{"op":"drain","version":3,"part":%q,"keys":3}`, p[1]),
+	}
+	if err := os.WriteFile(rc.journal, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rc.coord.ResumeRebalance(ctx)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res == nil || res.Version != 3 || len(res.Nodes) != 3 || res.Nodes[0] != p[1] {
+		t.Fatalf("resume result: %+v", res)
+	}
+
+	router.Ring().SetMembership(res.Version, res.Nodes)
+	push(10)
+	rc.control.Correct()
+	if _, err := rc.coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := rc.parts[0].Store().Sites(); got != 0 {
+		t.Fatalf("removed partition still holds %d sites", got)
+	}
+	rc.assertEvidenceMatchesControl(t, []int{1, 2, 3})
 }

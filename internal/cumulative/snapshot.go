@@ -11,7 +11,8 @@ import (
 // (X, Y) observations, hints, site set and run counters. It exists so
 // observations can leave the process — the fleet's v2 frames
 // (internal/fleet/codec) carry Snapshots on the wire and in the daemons'
-// state files — without exposing History's internals or its invariants.
+// state files, and are its one encoding — without exposing History's
+// internals or its invariants.
 //
 // History.Snapshot lists everything in a canonical sorted order, with
 // observation lists sorted by (X, Y), so its contents depend only on the
@@ -26,46 +27,46 @@ type Snapshot struct {
 	// Lineage is the uploading history's lineage (set by UploadDelta,
 	// zero otherwise). It is not on the wire: uploaders fold it into the
 	// batch ID and nothing else reads it.
-	Lineage uint64 `json:"-"`
+	Lineage uint64
 
-	C float64 `json:"c"`
-	P float64 `json:"p"`
+	C float64
+	P float64
 
-	Runs        int `json:"runs"`
-	FailedRuns  int `json:"failedRuns"`
-	CorruptRuns int `json:"corruptRuns"`
+	Runs        int
+	FailedRuns  int
+	CorruptRuns int
 
-	Sites         []site.ID          `json:"sites,omitempty"`
-	Overflow      []SiteObservations `json:"overflow,omitempty"`
-	Dangling      []PairObservations `json:"dangling,omitempty"`
-	PadHints      []PadHint          `json:"padHints,omitempty"`
-	DeferralHints []DeferralHint     `json:"deferralHints,omitempty"`
+	Sites         []site.ID
+	Overflow      []SiteObservations
+	Dangling      []PairObservations
+	PadHints      []PadHint
+	DeferralHints []DeferralHint
 }
 
 // SiteObservations carries one allocation site's overflow observations.
 type SiteObservations struct {
-	Site site.ID       `json:"site"`
-	Obs  []Observation `json:"obs"`
+	Site site.ID
+	Obs  []Observation
 }
 
 // PairObservations carries one (alloc, free) pair's dangling observations.
 type PairObservations struct {
-	Alloc site.ID       `json:"alloc"`
-	Free  site.ID       `json:"free"`
-	Obs   []Observation `json:"obs"`
+	Alloc site.ID
+	Free  site.ID
+	Obs   []Observation
 }
 
 // PadHint is the pad estimate for one allocation site.
 type PadHint struct {
-	Site site.ID `json:"site"`
-	Pad  uint32  `json:"pad"`
+	Site site.ID
+	Pad  uint32
 }
 
 // DeferralHint is the lifetime-extension estimate for one site pair.
 type DeferralHint struct {
-	Alloc    site.ID `json:"alloc"`
-	Free     site.ID `json:"free"`
-	Deferral uint64  `json:"deferral"`
+	Alloc    site.ID
+	Free     site.ID
+	Deferral uint64
 }
 
 // Snapshot exports the history's current contents in canonical order. The

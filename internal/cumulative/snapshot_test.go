@@ -1,7 +1,6 @@
 package cumulative
 
 import (
-	"encoding/json"
 	"testing"
 
 	"exterminator/internal/site"
@@ -43,25 +42,6 @@ func TestSnapshotAbsorbRoundTrip(t *testing.T) {
 	}
 	if !hist.Identify().Patches().Equal(got.Identify().Patches()) {
 		t.Fatal("findings differ after snapshot round trip")
-	}
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	hist := recordedHistory(t, 99)
-	snap := hist.Snapshot()
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	got := NewHistory(hist.Config())
-	got.Absorb(&back)
-	hist.Canonicalize()
-	if !hist.Equal(got) {
-		t.Fatal("JSON round trip lost evidence")
 	}
 }
 

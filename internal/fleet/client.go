@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/report"
@@ -202,14 +203,15 @@ func (c *Client) PushBatchContext(ctx context.Context, b *codec.Batch) (*IngestR
 	if err != nil {
 		return nil, fmt.Errorf("fleet: compress /v1/observations: %w", err)
 	}
-	var reply IngestReply
-	if err := c.post(ctx, "/v1/observations", b.BatchID, pb, &reply); err != nil {
+	body, err := c.post(ctx, "/v1/observations", b.BatchID, pb)
+	reply, err := unmarshalJSON[IngestReply](body, err, "/v1/observations reply")
+	if err != nil {
 		if c.m != nil {
 			c.m.errors.Inc()
 		}
 		return nil, err
 	}
-	return &reply, nil
+	return reply, nil
 }
 
 // ID returns the installation identifier uploads are attributed to.
@@ -225,7 +227,8 @@ func (c *Client) PushReport(r *report.Report) error {
 // PII/token-shaped strings, capped lists — nothing leaves the client
 // that the fleet's retention and triage tiers must not see.
 func (c *Client) PushReportContext(ctx context.Context, r *report.Report) error {
-	return c.postJSON(ctx, "/v1/reports", report.Redact(r), nil)
+	_, err := c.postJSON(ctx, "/v1/reports", report.Redact(r))
+	return err
 }
 
 // Patches fetches the patch entries added after version since, returning
@@ -327,7 +330,11 @@ func (c *Client) fetchPatches(ctx context.Context, since uint64, ifNoneMatch str
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", httpError("get patches (request "+reqID+")", resp)
 	}
-	w, err := decodePatchSetResponse(resp)
+	data, err := readBody(resp, "patch set")
+	if err != nil {
+		return nil, "", err
+	}
+	w, err := codec.DecodePatches(data)
 	if err != nil {
 		return nil, "", err
 	}
@@ -350,14 +357,7 @@ func (c *Client) Status() (*StatusReply, error) {
 // /v1/triage): the fleet's top defect clusters, pooled-Bayes first.
 func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage.RankingReply, error) {
 	body, err := c.TriagePage(ctx, offset, limit)
-	if err != nil {
-		return nil, err
-	}
-	var rr triage.RankingReply
-	if err := json.Unmarshal(body, &rr); err != nil {
-		return nil, fmt.Errorf("fleet: decode triage: %w", err)
-	}
-	return &rr, nil
+	return unmarshalJSON[triage.RankingReply](body, err, "triage")
 }
 
 // TriagePage fetches one page of the server's triage ranking (GET
@@ -365,15 +365,8 @@ func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage
 // checked. TriageRankings decodes it; a cache re-serves the bytes as
 // they are.
 func (c *Client) TriagePage(ctx context.Context, offset, limit int) ([]byte, error) {
-	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), nil)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: get triage (request %s): %w", reqID, err)
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get triage (request "+reqID+")", resp)
-	}
-	return readBody(resp, "triage page")
+	body, _, err := c.getBody(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), "get triage", nil)
+	return body, err
 }
 
 // Deltas polls the server's evidence journal: everything absorbed after
@@ -381,17 +374,13 @@ func (c *Client) TriagePage(ctx context.Context, offset, limit int) ([]byte, err
 // codec.Delta). This is the feed cluster coordinators (internal/cluster)
 // mirror partitions with; ordinary installations never need it.
 func (c *Client) Deltas(ctx context.Context, since uint64) (*codec.Delta, error) {
-	resp, reqID, err := c.get(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), map[string]string{"Accept": codec.ContentTypeV2})
+	data, what, err := c.getBody(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), "get deltas", map[string]string{"Accept": codec.ContentTypeV2})
 	if err != nil {
-		return nil, fmt.Errorf("fleet: get deltas (request %s): %w", reqID, err)
+		return nil, err
 	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, httpError("get deltas (request "+reqID+")", resp)
-	}
-	d, err := decodeDeltaResponse(resp)
+	d, err := codec.DecodeDelta(data)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: decode deltas (request %s): %w", reqID, err)
+		return nil, fmt.Errorf("fleet: decode %s: %w", what, err)
 	}
 	return d, nil
 }
@@ -400,15 +389,23 @@ func (c *Client) Deltas(ctx context.Context, since uint64) (*codec.Delta, error)
 // evidence is atomically removed and returned; counters additionally
 // drains the node's run totals (for a node leaving the cluster). token
 // is the caller's idempotency handle — re-evicting with the same token
-// returns the original drain's result (Cached set) even if the store has
-// since changed. This is the partition half of a cluster rebalance;
+// returns the original drain's evidence even if the store has since
+// changed. The answer is a batch frame stamped with token, decoded with
+// every codec check. This is the partition half of a cluster rebalance;
 // ordinary installations never need it.
-func (c *Client) EvictKeys(ctx context.Context, token string, keys []site.ID, counters bool) (*EvictReply, error) {
-	var reply EvictReply
-	if err := c.postJSON(ctx, "/v1/evict", EvictRequest{Token: token, Keys: keys, Counters: counters}, &reply); err != nil {
+func (c *Client) EvictKeys(ctx context.Context, token string, keys []site.ID, counters bool) (*cumulative.Snapshot, error) {
+	body, err := c.postJSON(ctx, "/v1/evict", EvictRequest{Token: token, Keys: keys, Counters: counters})
+	if err != nil {
 		return nil, err
 	}
-	return &reply, nil
+	b, err := codec.DecodeBatch(body)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: decode /v1/evict reply: %w", err)
+	}
+	if b.BatchID != token || b.Snapshot == nil {
+		return nil, fmt.Errorf("fleet: /v1/evict reply is not token %q's drain (batch %q, snapshot %t)", token, b.BatchID, b.Snapshot != nil)
+	}
+	return b.Snapshot, nil
 }
 
 // AnnounceRing raises the server's required cluster membership version
@@ -416,11 +413,8 @@ func (c *Client) EvictKeys(ctx context.Context, token string, keys []site.ID, co
 // rejected from then on. The requirement never regresses — the reply
 // carries the version now in force.
 func (c *Client) AnnounceRing(ctx context.Context, version uint64) (*RingReply, error) {
-	var reply RingReply
-	if err := c.postJSON(ctx, "/v1/ring", RingUpdate{Version: version}, &reply); err != nil {
-		return nil, err
-	}
-	return &reply, nil
+	body, err := c.postJSON(ctx, "/v1/ring", RingUpdate{Version: version})
+	return unmarshalJSON[RingReply](body, err, "/v1/ring reply")
 }
 
 // Membership fetches a coordinator's current cluster topology (GET
@@ -431,21 +425,41 @@ func (c *Client) Membership(ctx context.Context) (*MembershipReply, error) {
 }
 
 // getJSON fetches path and decodes its 200 answer as a JSON T. what
-// names the request in errors ("get lease"), next to its X-Request-ID.
+// names the request in errors ("get lease").
 func getJSON[T any](ctx context.Context, c *Client, path, what string) (*T, error) {
-	resp, reqID, err := c.get(ctx, path, nil)
+	body, what, err := c.getBody(ctx, path, what, nil)
+	return unmarshalJSON[T](body, err, what)
+}
+
+// unmarshalJSON decodes a whole reply body, read with err, as one JSON
+// T; an error from the read passes through. Unlike a streaming decoder,
+// json.Unmarshal refuses anything after the value.
+func unmarshalJSON[T any](body []byte, err error, what string) (*T, error) {
 	if err != nil {
-		return nil, fmt.Errorf("fleet: %s (request %s): %w", what, reqID, err)
+		return nil, err
+	}
+	v := new(T)
+	if err := json.Unmarshal(body, v); err != nil {
+		return nil, fmt.Errorf("fleet: decode %s: %w", what, err)
+	}
+	return v, nil
+}
+
+// getBody fetches path and reads its 200 answer whole (readBody). what
+// names the request in errors ("get lease"); getBody returns it with the
+// request's X-Request-ID appended, for the caller's decode errors.
+func (c *Client) getBody(ctx context.Context, path, what string, header map[string]string) ([]byte, string, error) {
+	resp, reqID, err := c.get(ctx, path, header)
+	what += " (request " + reqID + ")"
+	if err != nil {
+		return nil, what, fmt.Errorf("fleet: %s: %w", what, err)
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
-		return nil, httpError(what+" (request "+reqID+")", resp)
+		return nil, what, httpError(what, resp)
 	}
-	var v T
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return nil, fmt.Errorf("fleet: %s (request %s): %w", what, reqID, err)
-	}
-	return &v, nil
+	body, err := readBody(resp, what)
+	return body, what, err
 }
 
 // get issues a read request for path (e.g. "/v1/patches?since=3"),
@@ -532,16 +546,16 @@ const (
 )
 
 // postJSON encodes body as gzipped JSON and posts it to path (see post).
-func (c *Client) postJSON(ctx context.Context, path string, body, reply any) error {
+func (c *Client) postJSON(ctx context.Context, path string, body any) ([]byte, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return fmt.Errorf("fleet: encode %s: %w", path, err)
+		return nil, fmt.Errorf("fleet: encode %s: %w", path, err)
 	}
 	pb, err := gzipBody(raw, "application/json", 0)
 	if err != nil {
-		return fmt.Errorf("fleet: compress %s: %w", path, err)
+		return nil, fmt.Errorf("fleet: compress %s: %w", path, err)
 	}
-	return c.post(ctx, path, "", pb, reply)
+	return c.post(ctx, path, "", pb)
 }
 
 // gzWriterPool recycles upload gzip.Writers: each carries ~hundreds of
@@ -583,7 +597,8 @@ func gzipBody(raw []byte, contentType string, minBytes int) (postBody, error) {
 	return postBody{payload: zbuf.Bytes(), contentType: contentType, gzipped: true}, nil
 }
 
-// post sends an encoded body to path. Every delivery is stamped with one
+// post sends an encoded body to path and returns the 200 answer's body,
+// read whole by readBody. Every delivery is stamped with one
 // X-Request-ID, held constant across retries of the same payload so all
 // server-side log lines for this upload share a single correlation
 // handle; batchID rides the retry log lines. Rate-limited requests (429,
@@ -591,7 +606,7 @@ func gzipBody(raw []byte, contentType string, minBytes int) (postBody, error) {
 // processed the body) are retried after the advertised delay, bounded by
 // maxPushAttempts; a transport failure or 503 rotates to the next base;
 // a 409 stale-ring rejection surfaces as a *StaleRingError.
-func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, reply any) error {
+func (c *Client) post(ctx context.Context, path, batchID string, pb postBody) ([]byte, error) {
 	reqID := telemetry.NewRequestID()
 	if path == "/v1/observations" && c.m != nil {
 		c.m.pushes.Inc()
@@ -602,7 +617,7 @@ func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, re
 		base := c.Base()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(pb.payload))
 		if err != nil {
-			return fmt.Errorf("fleet: post %s: %w", path, err)
+			return nil, fmt.Errorf("fleet: post %s: %w", path, err)
 		}
 		req.Header.Set("Content-Type", pb.contentType)
 		req.Header.Set(RequestIDHeader, reqID)
@@ -622,7 +637,7 @@ func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, re
 			}
 			failovers++
 			if failovers >= c.numBases() {
-				return fmt.Errorf("fleet: post %s: %w", path, err)
+				return nil, fmt.Errorf("fleet: post %s: %w", path, err)
 			}
 			c.rotateFrom(base)
 			if c.m != nil {
@@ -648,7 +663,7 @@ func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, re
 			}
 			select {
 			case <-ctx.Done():
-				return fmt.Errorf("fleet: post %s: %w", path, ctx.Err())
+				return nil, fmt.Errorf("fleet: post %s: %w", path, ctx.Err())
 			case <-time.After(wait):
 			}
 			continue
@@ -658,19 +673,14 @@ func (c *Client) post(ctx context.Context, path, batchID string, pb postBody, re
 			var ir IngestReply
 			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 			if json.Unmarshal(raw, &ir) == nil && ir.StaleRing {
-				return &StaleRingError{Required: ir.RingVersion}
+				return nil, &StaleRingError{Required: ir.RingVersion}
 			}
-			return fmt.Errorf("fleet: post %s: %s: %s", path, resp.Status, strings.TrimSpace(string(raw)))
+			return nil, fmt.Errorf("fleet: post %s: %s: %s", path, resp.Status, strings.TrimSpace(string(raw)))
 		}
 		if resp.StatusCode != http.StatusOK {
-			return httpError("post "+path, resp)
+			return nil, httpError("post "+path, resp)
 		}
-		if reply != nil {
-			if err := json.NewDecoder(resp.Body).Decode(reply); err != nil {
-				return fmt.Errorf("fleet: decode %s reply: %w", path, err)
-			}
-		}
-		return nil
+		return readBody(resp, path+" reply")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package codec implements the fleet's v2 binary wire encoding
-// (docs/PROTOCOL.md, "Binary v2 frames"): the one representation on every
-// upload and tier-internal poll, and of every file the system writes
-// (daemon state, client history and patch files). JSON burned the
+// (docs/PROTOCOL.md, "Binary v2 frames"): the one encoding of evidence,
+// the one representation on every upload, drain and tier-internal poll,
+// and of every file the system writes (daemon state, client history and
+// patch files). JSON burned the
 // aggregation tier's CPU marshalling at fleet scale; v2 exists so the
 // ingest path costs near zero per observation.
 //
@@ -18,9 +19,10 @@
 // the input, so a forged length or count prefix fails validation
 // before any allocation is sized from it.
 //
-// The package declares each frame's message once, five in all: Batch,
-// PatchSet (also a patch file), Delta, State (a daemon's durable state)
-// and a client's cumulative.History (its history file). It depends only
+// The package declares each frame's message once, five in all: Batch
+// (also the drained evidence POST /v1/evict answers), PatchSet (also a
+// patch file), Delta, State (a daemon's durable state) and a client's
+// cumulative.History (its history file). It depends only
 // on the evidence types (internal/cumulative, internal/site,
 // internal/patch) and on internal/atomicfile, through which WriteFile
 // saves state, history and patch files: the fleet and cluster tiers, the
@@ -49,7 +51,8 @@ const ContentTypeV2 = "application/x-exterminator-v2"
 // self-describing and a misrouted body fails loudly instead of
 // half-decoding.
 const (
-	// FrameBatch is a Batch (POST /v1/observations body).
+	// FrameBatch is a Batch (POST /v1/observations body, and the POST
+	// /v1/evict answer: a drain stamped with its token).
 	FrameBatch byte = 1
 	// FramePatches is a PatchSet (GET /v1/patches response, and an
 	// exterminate -patches file).

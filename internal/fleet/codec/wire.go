@@ -14,7 +14,9 @@ import (
 // Batch is what a POST /v1/observations frame (FrameBatch) carries:
 // one installation's accumulated run summaries, in the canonical
 // snapshot form. Client is an opaque installation identifier used only
-// for statistics.
+// for statistics. The same frame answers POST /v1/evict: BatchID is the
+// drain's idempotency token, RingVersion the partition's required
+// version, and Snapshot the drained evidence.
 //
 // Payload layout:
 //

@@ -35,7 +35,6 @@ type Corrector struct {
 	// (guarded by mu).
 	triaged uint64
 	full    atomic.Bool
-	passes  atomic.Int64
 }
 
 // NewCorrector returns a corrector that folds into log and feeds eng (nil
@@ -51,8 +50,9 @@ func NewCorrector(log *PatchLog, eng *triage.Engine, logger *slog.Logger, count 
 // mirror resync).
 func (c *Corrector) MarkFull() { c.full.Store(true) }
 
-// Passes returns the number of passes run (GET /v1/status corrections).
-func (c *Corrector) Passes() int64 { return c.passes.Load() }
+// Passes returns the number of passes run (GET /v1/status corrections),
+// as the pass counter holds it.
+func (c *Corrector) Passes() int64 { return int64(c.count.Value()) }
 
 // Correct runs one pass. store runs first, under the pass lock, told
 // whether the pass is a full one; it returns the store to pass over (a
@@ -64,7 +64,6 @@ func (c *Corrector) Correct(store func(full bool) *Store) (uint64, bool) {
 	defer c.mu.Unlock()
 	start := time.Now()
 	defer c.seconds.ObserveSince(start)
-	c.passes.Add(1)
 	c.count.Inc()
 	full := c.full.Swap(false)
 	st := store(full)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"exterminator/internal/fleet/codec"
 	"exterminator/internal/patch"
 	"exterminator/internal/site"
+	"exterminator/internal/triage"
 )
 
 // fuzzStateSeed builds a small valid fleetd state frame to seed the
@@ -117,4 +119,87 @@ func testPatchSet() *patch.Set {
 	ps.AddFrontPad(site.ID(0xF00), 8)
 	ps.AddDeferral(site.Pair{Alloc: 0xDA, Free: 0xDF}, 128)
 	return ps
+}
+
+// FuzzClientReplies fuzzes every fleet.Client method that decodes a
+// response body: a transport answers each request with 200 and the
+// input, declaring its length for inputs of even length. Nothing may
+// panic, and drained evidence or a delta that is accepted holds only
+// probabilities: X in [0, 1].
+func FuzzClientReplies(f *testing.F) {
+	evidence := xSnapshot(0.25, false)
+	evidence.Dangling = xSnapshot(1, true).Dangling
+	frames := [][]byte{
+		codec.EncodePatches(&codec.Buffer{}, codec.ToWire(testPatchSet(), 3)),
+		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 2, Snapshot: evidence, ReqIDs: []string{"r1"}}),
+		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 3, Ops: []codec.DeltaOp{{Evict: []site.ID{0x10}}, {Snapshot: evidence}}}),
+		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 2, Snapshot: xSnapshot(-0.5, false)}),
+		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 3, Ops: []codec.DeltaOp{{Snapshot: xSnapshot(-0.5, true)}}}),
+		evictFrame("tok", evidence),
+		evictFrame("tok", xSnapshot(-0.5, false)),
+		evictFrame("tok", xSnapshot(-0.5, true)),
+	}
+	for _, fr := range frames {
+		f.Add(fr)
+	}
+	docs := []any{
+		triage.RankingReply{Total: 1, Clusters: []triage.ClusterSummary{{ID: "c1", Occurrences: 2, PooledBayes: 3.5}}},
+		LeaseReply{Epoch: 3, Holder: "coord-a", Primary: true, PatchVersion: 2},
+		StatusReply{Version: 2, Sites: 4, Runs: 9, Shards: []ShardStatus{{Sites: 4}}},
+		MembershipReply{Version: 2, Nodes: []string{"http://p1", "http://p2"}},
+		IngestReply{OK: true, Version: 1, Sites: 2, Runs: 3},
+		RingReply{OK: true, Version: 4},
+	}
+	for _, d := range docs {
+		doc, err := json.Marshal(d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+		f.Add(append(doc, '\n'))
+	}
+	f.Add([]byte{})
+	f.Add([]byte(`{"ok":true} trailing`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx := context.Background()
+		c := replyClient(data, len(data)%2 == 0)
+		c.PatchesContext(ctx, 0)
+		c.TriageRankings(ctx, 0, 10)
+		c.Lease(ctx)
+		c.Status()
+		c.Membership(ctx)
+		c.PushBatchContext(ctx, stampedBatch("fuzz", smallSnapshot(1, 0x10)))
+		c.AnnounceRing(ctx, 4)
+		if s, err := c.EvictKeys(ctx, "tok", nil, false); err == nil {
+			checkProbabilities(t, "evict", s)
+		}
+		if d, err := c.Deltas(ctx, 0); err == nil {
+			checkProbabilities(t, "delta", d.Snapshot)
+			for _, op := range d.Ops {
+				checkProbabilities(t, "delta op", op.Snapshot)
+			}
+		}
+	})
+}
+
+// checkProbabilities fails t unless every observation s carries has an X
+// in [0, 1].
+func checkProbabilities(t *testing.T, what string, s *cumulative.Snapshot) {
+	t.Helper()
+	if s == nil {
+		return
+	}
+	check := func(obs []cumulative.Observation) {
+		for _, o := range obs {
+			if !(o.X >= 0 && o.X <= 1) {
+				t.Fatalf("accepted %s holds X = %v", what, o.X)
+			}
+		}
+	}
+	for _, g := range s.Overflow {
+		check(g.Obs)
+	}
+	for _, g := range s.Dangling {
+		check(g.Obs)
+	}
 }

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -141,18 +139,15 @@ func TestEvictExtractsJournalsAndCaches(t *testing.T) {
 	}
 
 	moved := []site.ID{batch.Sites[0], batch.Sites[1]}
-	reply, err := c.EvictKeys(ctx, "tok-1", moved, false)
+	evicted, err := c.EvictKeys(ctx, "tok-1", moved, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Cached {
-		t.Fatal("first evict reported cached")
-	}
-	if got := len(reply.Evicted.Overflow); got != 2 {
+	if got := len(evicted.Overflow); got != 2 {
 		t.Fatalf("evicted %d overflow keys, want 2", got)
 	}
-	if len(reply.Evicted.Dangling) != 1 || len(reply.Evicted.PadHints) != 1 || len(reply.Evicted.DeferralHints) != 1 {
-		t.Fatalf("evicted snapshot incomplete: %+v", reply.Evicted)
+	if len(evicted.Dangling) != 1 || len(evicted.PadHints) != 1 || len(evicted.DeferralHints) != 1 {
+		t.Fatalf("evicted snapshot incomplete: %+v", evicted)
 	}
 	if got, want := srv.Store().Sites(), len(batch.Sites)-2; got != want {
 		t.Fatalf("store sites after evict = %d, want %d", got, want)
@@ -166,13 +161,8 @@ func TestEvictExtractsJournalsAndCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Cached {
-		t.Fatal("re-evict with the same token was not served from cache")
-	}
-	b1, _ := json.Marshal(reply.Evicted)
-	b2, _ := json.Marshal(again.Evicted)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("cached evict result differs:\n%s\n%s", b1, b2)
+	if !reflect.DeepEqual(evicted, again) {
+		t.Fatalf("cached evict result differs:\n%+v\n%+v", evicted, again)
 	}
 
 	// Delta pollers see the ordered ops: eviction first, then the later
@@ -225,12 +215,12 @@ func TestEvictCountersInvalidatesJournal(t *testing.T) {
 	if _, err := c.PushBatchContext(ctx, stampedBatch("c1", batch)); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.EvictKeys(ctx, "leave-1", srv.Store().Combined().EvidenceKeys(), true)
+	evicted, err := c.EvictKeys(ctx, "leave-1", srv.Store().Combined().EvidenceKeys(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Evicted.Runs != batch.Runs || reply.Evicted.FailedRuns != batch.FailedRuns {
-		t.Fatalf("counters not drained: %+v", reply.Evicted)
+	if evicted.Runs != batch.Runs || evicted.FailedRuns != batch.FailedRuns {
+		t.Fatalf("counters not drained: %+v", evicted)
 	}
 	if got := srv.Store().Runs(); got != 0 {
 		t.Fatalf("store runs after counter drain = %d", got)
@@ -445,12 +435,10 @@ func TestSnapshotRoundTripsRingVersionAndEvictCache(t *testing.T) {
 	}
 	// The drained evidence is still replayable by token.
 	again, err := c2.EvictKeys(ctx, "tok-9", nil, false)
-	if err != nil || !again.Cached {
-		t.Fatalf("restored server lost the evict cache: %v, %+v", err, again)
+	if err != nil {
+		t.Fatalf("restored server lost the evict cache: %v", err)
 	}
-	b1, _ := json.Marshal(evicted.Evicted)
-	b2, _ := json.Marshal(again.Evicted)
-	if !bytes.Equal(b1, b2) {
+	if !reflect.DeepEqual(evicted, again) {
 		t.Fatal("restored evict cache returned different evidence")
 	}
 }

@@ -112,13 +112,11 @@ type Server struct {
 
 	token   string
 	limiter *rateLimiter
-	limited atomic.Int64 // requests rejected with 429
 
 	// dedup is the exactly-once ingest window. IDs are admitted *before*
 	// the absorb, so a concurrent duplicate is acked while the first
 	// delivery is still folding in.
-	dedup   *dedupWindow
-	deduped atomic.Int64 // batches acked as duplicates without absorbing
+	dedup *dedupWindow
 
 	// ringVersion is the required cluster membership version (0 = none
 	// announced; versioned uploads below it are rejected with 409 +
@@ -126,9 +124,8 @@ type Server struct {
 	// an ingest that passed the check before a rebalance's announcement
 	// either lands before the announce completes (and is then drained by
 	// the eviction that follows it) or re-checks under the shared lock
-	// and is rejected. evictions/evicts back POST /v1/evict.
+	// and is rejected. evicts backs POST /v1/evict.
 	ringVersion atomic.Uint64
-	evictions   atomic.Int64
 	evicts      *evictCache
 
 	// journal records absorbed batches for GET /v1/deltas. deltaMu makes
@@ -191,7 +188,7 @@ func (m *serverMetrics) register(reg *telemetry.Registry, s *Server) {
 	m.unauthorized = reg.Counter("fleet_unauthorized_total",
 		"Write requests rejected with 401 (missing or invalid ingest token).")
 	m.evictions = reg.Counter("fleet_evictions_total",
-		"Rebalance drains served via POST /v1/evict (cache hits included).")
+		"Rebalance drains served via POST /v1/evict (token replays not counted).")
 	m.corrections = reg.Counter("fleet_corrections_total",
 		"Completed correction passes.")
 	m.ingestSec = reg.Histogram("fleet_ingest_seconds",
@@ -387,7 +384,6 @@ func (s *Server) throttle(w http.ResponseWriter, r *http.Request) bool {
 	if ok {
 		return true
 	}
-	s.limited.Add(1)
 	s.metrics.rateLimited.Inc()
 	secs := int64(wait/time.Second) + 1
 	s.logger.Warn("ingest rate limited",
@@ -529,7 +525,6 @@ func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 // ackDuplicate acknowledges a batch the dedup window already holds,
 // without re-absorbing it.
 func (s *Server) ackDuplicate(w http.ResponseWriter, batch *codec.Batch, reqID string) {
-	s.deduped.Add(1)
 	s.metrics.dedupHits.Inc()
 	s.logger.Info("ingest duplicate acknowledged",
 		"requestId", reqID, "batchId", batch.BatchID, "client", batch.Client)
@@ -607,8 +602,9 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
 // extraction is exclusive against ingest (deltaMu), so the returned
 // snapshot plus the remaining store partition the evidence exactly.
 // Results are cached under token: re-evicting with the same token
-// returns the original snapshot without touching the store, which is
-// what makes a crashed coordinator's re-drive lossless.
+// returns the original snapshot without touching the store or the
+// eviction counter, which is what makes a crashed coordinator's re-drive
+// lossless.
 func (s *Server) Evict(token string, keys []site.ID, counters bool) (snap *cumulative.Snapshot, cached bool) {
 	s.deltaMu.Lock()
 	defer s.deltaMu.Unlock()
@@ -636,7 +632,6 @@ func (s *Server) Evict(token string, keys []site.ID, counters bool) (snap *cumul
 		s.journal.appendEvict(keys)
 	}
 	s.evicts.put(token, snap)
-	s.evictions.Add(1)
 	s.metrics.evictions.Inc()
 	s.logger.Info("rebalance drain served",
 		"token", token, "keys", len(keys), "counters", counters)
@@ -644,7 +639,9 @@ func (s *Server) Evict(token string, keys []site.ID, counters bool) (snap *cumul
 }
 
 // handleEvict serves POST /v1/evict (see Evict). It is a write endpoint:
-// token-authenticated when the server has an ingest token.
+// token-authenticated when the server has an ingest token. The request
+// is JSON; the answer is one batch frame stamped with the token as its
+// batch ID and the required ring version, carrying the drained evidence.
 func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -662,8 +659,10 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fleet: evict needs an idempotency token", http.StatusBadRequest)
 		return
 	}
-	snap, cached := s.Evict(req.Token, req.Keys, req.Counters)
-	WriteJSON(w, EvictReply{OK: true, Cached: cached, Evicted: snap, RingVersion: s.ringVersion.Load()})
+	snap, _ := s.Evict(req.Token, req.Keys, req.Counters)
+	buf := codec.GetBuffer()
+	defer codec.PutBuffer(buf)
+	writeFrame(w, codec.EncodeBatch(buf, &codec.Batch{BatchID: req.Token, RingVersion: s.ringVersion.Load(), Snapshot: snap}))
 }
 
 // handleDeltas serves the partition→coordinator evidence feed: the
@@ -755,12 +754,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		PatchLen:    s.log.Len(),
 		UptimeSec:   int64(time.Since(s.start).Seconds()),
 		Corrections: s.corrector.Passes(),
-		RateLimited: s.limited.Load(),
+		RateLimited: int64(s.metrics.rateLimited.Value()),
 		DirtyKeys:   s.store.DirtyKeys(),
-		Deduped:     s.deduped.Load(),
+		Deduped:     int64(s.metrics.dedupHits.Value()),
 		Seq:         s.journal.seqNow(),
 		RingVersion: s.ringVersion.Load(),
-		Evictions:   s.evictions.Load(),
+		Evictions:   int64(s.metrics.evictions.Value()),
 		Shards:      s.store.ShardStats(),
 	})
 }

@@ -5,15 +5,16 @@
 // derived runtime patches back to the fleet with cheap delta polling —
 // the "automatic distribution" deployment the paper's §6.3/§6.4 sketch.
 //
-// Protocol (HTTP; uploads and delta polls are binary v2 frames, the rest
-// JSON; the frame messages are declared in internal/fleet/codec):
+// Protocol (HTTP; evidence — uploads, delta polls and drains — travels
+// only as binary v2 frames, the rest is JSON; the frame messages are
+// declared in internal/fleet/codec):
 //
 //	POST /v1/observations   codec.Batch frame (a cumulative.Snapshot + client id + batch ID)
 //	POST /v1/reports        report.Report (human-readable bug reports)
 //	GET  /v1/reports        recently received reports
 //	GET  /v1/patches?since=V codec.PatchSet with entries added after version V (a frame when asked for)
 //	GET  /v1/deltas?since=S  codec.Delta frame with evidence absorbed after journal seq S
-//	POST /v1/evict          EvictRequest: drain a key set (cluster rebalancing)
+//	POST /v1/evict          EvictRequest: drain a key set (cluster rebalancing); answers a codec.Batch frame
 //	POST /v1/ring           RingUpdate: raise the required membership version
 //	GET  /v1/status         aggregate statistics
 //	GET  /healthz           liveness
@@ -203,11 +204,13 @@ func SnapshotObservations(s *cumulative.Snapshot) int {
 }
 
 // EvictRequest is the POST /v1/evict body: atomically remove and return
-// the canonical evidence for a key set (a rebalance drain). Token is the
-// caller's idempotency handle: the server caches the extraction result
-// under it, and re-posting the same token returns the cached snapshot —
-// which is what lets a coordinator that crashed between drain and
-// backfill re-drain without losing the already-extracted evidence.
+// the canonical evidence for a key set (a rebalance drain). The answer is
+// one codec.Batch frame whose BatchID is Token and whose Snapshot is the
+// drained evidence. Token is the caller's idempotency handle: the server
+// caches the extraction result under it, and re-posting the same token
+// returns the cached snapshot — which is what lets a coordinator that
+// crashed between drain and backfill re-drain without losing the
+// already-extracted evidence.
 type EvictRequest struct {
 	Token string    `json:"token"`
 	Keys  []site.ID `json:"keys"`
@@ -217,18 +220,6 @@ type EvictRequest struct {
 	// its counters must follow its evidence to the survivors, or the
 	// fleet-wide run totals would shrink.
 	Counters bool `json:"counters,omitempty"`
-}
-
-// EvictReply is the POST /v1/evict response.
-type EvictReply struct {
-	OK bool `json:"ok"`
-	// Cached reports that Token was seen before and Evicted is the
-	// original extraction's result (Keys was ignored).
-	Cached bool `json:"cached,omitempty"`
-	// Evicted is the removed evidence in canonical snapshot form.
-	Evicted *cumulative.Snapshot `json:"evicted"`
-	// RingVersion echoes the partition's required membership version.
-	RingVersion uint64 `json:"ringVersion,omitempty"`
 }
 
 // RingUpdate is the POST /v1/ring body: announce the cluster membership

@@ -11,13 +11,13 @@ import (
 )
 
 // The binary v2 frame (internal/fleet/codec, spec in docs/PROTOCOL.md
-// "Binary v2 frames") is the one representation on every upload and every
-// tier-internal poll: observation batches, delta polls and the patch
-// polls fleet clients and replicas send. Only GET /v1/patches still
-// answers JSON, to a request that does not ask for frames, because
-// people read that endpoint with curl. Each frame's message is declared
-// once, in the codec package; this file only moves those messages
-// between HTTP bodies and frames.
+// "Binary v2 frames") is the one representation of evidence and of every
+// tier-internal poll: observation batches, delta polls, the drained
+// evidence POST /v1/evict answers, and the patch polls fleet clients and
+// replicas send. Only GET /v1/patches still answers JSON, to a request
+// that does not ask for frames, because people read that endpoint with
+// curl. Each frame's message is declared once, in the codec package;
+// this file only moves those messages between HTTP bodies and frames.
 
 // writePatchSet answers a patch poll: a v2 frame when the request's
 // Accept header names the v2 media type, the JSON document otherwise.
@@ -48,12 +48,13 @@ func writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Write(frame)
 }
 
-// maxResponseBytes bounds client-side reads of response bodies that are
-// decoded or kept whole (v2 frames, triage pages): the read must be
-// capped first.
+// maxResponseBytes bounds client-side reads of response bodies. Every
+// body fleet.Client decodes or keeps whole (frames, JSON replies, triage
+// pages) is read by readBody under it.
 const maxResponseBytes = 64 << 20
 
-// readBody reads a whole response body under maxResponseBytes. A body
+// readBody reads a whole response body under maxResponseBytes, and
+// refuses a longer one rather than hand a prefix to a decoder. A body
 // that declares its Content-Length is read into one slice of exactly
 // that size.
 func readBody(resp *http.Response, what string) ([]byte, error) {
@@ -66,29 +67,13 @@ func readBody(resp *http.Response, what string) ([]byte, error) {
 		data = make([]byte, n)
 		_, err = io.ReadFull(resp.Body, data)
 	default:
-		data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+		if err == nil && len(data) > maxResponseBytes {
+			err = fmt.Errorf("an undeclared body exceeds the %d-byte limit", maxResponseBytes)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: read %s: %w", what, err)
 	}
 	return data, nil
-}
-
-// decodePatchSetResponse decodes the v2 frame of a GET /v1/patches
-// response.
-func decodePatchSetResponse(resp *http.Response) (*codec.PatchSet, error) {
-	data, err := readBody(resp, "patch set")
-	if err != nil {
-		return nil, err
-	}
-	return codec.DecodePatches(data)
-}
-
-// decodeDeltaResponse decodes the v2 frame of a GET /v1/deltas response.
-func decodeDeltaResponse(resp *http.Response) (*codec.Delta, error) {
-	data, err := readBody(resp, "delta")
-	if err != nil {
-		return nil, err
-	}
-	return codec.DecodeDelta(data)
 }

@@ -515,7 +515,11 @@ func TestDeltasNegotiation(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != codec.ContentTypeV2 {
 		t.Fatalf("plain delta poll: %s, Content-Type %q; want a v2 frame", resp.Status, ct)
 	}
-	d, err := decodeDeltaResponse(resp)
+	data, err := readBody(resp, "delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := codec.DecodeDelta(data)
 	if err != nil {
 		t.Fatalf("plain delta poll is not an XWF2 delta frame: %v", err)
 	}

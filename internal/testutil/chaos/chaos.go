@@ -1,14 +1,13 @@
 // Package chaos is the repository's fault-injection harness: a
-// deterministic manual clock, a partition-drop TCP proxy, and named
-// kill-at-phase failpoints. The coordinator-kill failover e2e and the
-// streaming-timing tests are built on it.
+// partition-drop TCP proxy that makes a live server look crashed. The
+// coordinator-kill failover e2e and the HA tests are built on it.
 //
 // Like its parent package testutil, chaos is imported only from _test.go
 // files; nothing here may appear in a production dependency chain.
 // Production code stays chaos-free — tests inject faults from the
-// outside (a proxy in front of a server, a failpoint wired into an
-// exported test hook), never by threading harness types through
-// production constructors.
+// outside (a proxy in front of a server, a test hook the code under test
+// exposes), never by threading harness types through production
+// constructors.
 package chaos
 
 import (
@@ -16,101 +15,8 @@ import (
 	"io"
 	"net"
 	"net/url"
-	"sort"
 	"sync"
-	"time"
 )
-
-// Clock is a deterministic manual clock. Time only moves when a test
-// calls Advance, so a test that used to sleep real milliseconds and hope
-// instead advances virtual time and *knows*. The zero value is not
-// usable; call NewClock.
-type Clock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*clockWaiter
-}
-
-type clockWaiter struct {
-	deadline time.Time
-	ch       chan time.Time
-}
-
-// NewClock returns a clock frozen at start.
-func NewClock(start time.Time) *Clock {
-	return &Clock{now: start}
-}
-
-// Now returns the current virtual time.
-func (c *Clock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// After returns a channel that receives the virtual time once the clock
-// has been advanced past d from now. A non-positive d fires immediately.
-func (c *Clock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	if d <= 0 {
-		now := c.now
-		c.mu.Unlock()
-		ch <- now
-		return ch
-	}
-	c.waiters = append(c.waiters, &clockWaiter{deadline: c.now.Add(d), ch: ch})
-	c.mu.Unlock()
-	return ch
-}
-
-// Sleep blocks until the clock is advanced past d from now.
-func (c *Clock) Sleep(d time.Duration) { <-c.After(d) }
-
-// Advance moves the clock forward by d and releases every waiter whose
-// deadline has been reached, in deadline order.
-func (c *Clock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	now := c.now
-	var due []*clockWaiter
-	rest := c.waiters[:0]
-	for _, w := range c.waiters {
-		if !w.deadline.After(now) {
-			due = append(due, w)
-		} else {
-			rest = append(rest, w)
-		}
-	}
-	c.waiters = rest
-	c.mu.Unlock()
-	sort.Slice(due, func(i, j int) bool { return due[i].deadline.Before(due[j].deadline) })
-	for _, w := range due {
-		w.ch <- now
-	}
-}
-
-// Waiters reports how many sleepers are currently parked on the clock —
-// the synchronization handle that lets a test advance only once the
-// code under test has actually gone to sleep.
-func (c *Clock) Waiters() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
-// BlockUntilWaiters polls until at least n sleepers are parked or the
-// real-time timeout expires; it reports whether the count was reached.
-func (c *Clock) BlockUntilWaiters(n int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if c.Waiters() >= n {
-			return true
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return c.Waiters() >= n
-}
 
 // Proxy is a TCP pass-through in front of one backend that a test can
 // partition at will. Drop severs every live connection and refuses new
@@ -238,62 +144,4 @@ func (p *Proxy) pipe(dst, src net.Conn) {
 	delete(p.conns, dst)
 	delete(p.conns, src)
 	p.mu.Unlock()
-}
-
-// Failpoints is a named kill-at-phase registry. Code under test exposes
-// a hook (for example cluster.Coordinator's rebalance crash hook) and
-// the test arms phases by name: Hit returns the armed error exactly as
-// often as armed, and counts every crossing either way — so a test can
-// both inject a crash at "drain" and assert the phase was actually
-// reached.
-type Failpoints struct {
-	mu    sync.Mutex
-	armed map[string][]error
-	hits  map[string]int
-}
-
-// NewFailpoints returns an empty registry.
-func NewFailpoints() *Failpoints {
-	return &Failpoints{armed: make(map[string][]error), hits: make(map[string]int)}
-}
-
-// Arm queues err to be returned by the next Hit(name). Arming the same
-// name repeatedly queues further one-shot failures in order.
-func (f *Failpoints) Arm(name string, err error) {
-	f.mu.Lock()
-	f.armed[name] = append(f.armed[name], err)
-	f.mu.Unlock()
-}
-
-// Disarm clears every queued failure for name.
-func (f *Failpoints) Disarm(name string) {
-	f.mu.Lock()
-	delete(f.armed, name)
-	f.mu.Unlock()
-}
-
-// Hit records a crossing of name and pops its next armed failure, if
-// any. Pass it (or a closure over it) as the code-under-test's hook.
-func (f *Failpoints) Hit(name string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.hits[name]++
-	q := f.armed[name]
-	if len(q) == 0 {
-		return nil
-	}
-	err := q[0]
-	if len(q) == 1 {
-		delete(f.armed, name)
-	} else {
-		f.armed[name] = q[1:]
-	}
-	return err
-}
-
-// Hits reports how many times name has been crossed.
-func (f *Failpoints) Hits(name string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.hits[name]
 }

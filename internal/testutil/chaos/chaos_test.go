@@ -1,77 +1,14 @@
 package chaos
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"exterminator/internal/testutil"
 )
-
-func TestClockAdvanceReleasesWaitersInOrder(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	c := NewClock(time.Unix(1000, 0))
-
-	var mu sync.Mutex
-	var order []string
-	var wg sync.WaitGroup
-	sleep := func(name string, d time.Duration) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Sleep(d)
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-		}()
-	}
-	sleep("late", 3*time.Second)
-	sleep("early", 1*time.Second)
-	if !c.BlockUntilWaiters(2, 5*time.Second) {
-		t.Fatal("sleepers never parked")
-	}
-
-	c.Advance(500 * time.Millisecond)
-	mu.Lock()
-	if len(order) != 0 {
-		t.Fatalf("woke %v before any deadline", order)
-	}
-	mu.Unlock()
-
-	// Advance past the first deadline only: exactly the early sleeper
-	// wakes — the determinism real time.Sleep waits never give a test.
-	c.Advance(1 * time.Second)
-	woke := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), order...)
-	}
-	for deadline := time.Now().Add(5 * time.Second); len(woke()) == 0 && time.Now().Before(deadline); {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if got := woke(); len(got) != 1 || got[0] != "early" {
-		t.Fatalf("after first deadline, woke %v, want [early]", got)
-	}
-	if c.Waiters() != 1 {
-		t.Fatal("late sleeper was released early")
-	}
-
-	c.Advance(4 * time.Second)
-	wg.Wait()
-	if order[1] != "late" {
-		t.Fatalf("wake order = %v, want [early late]", order)
-	}
-	if got := c.Now(); !got.Equal(time.Unix(1000, 0).Add(5500 * time.Millisecond)) {
-		t.Fatalf("Now() = %v after advances", got)
-	}
-	if ch := c.After(0); len(ch) != 1 {
-		t.Fatal("After(0) did not fire immediately")
-	}
-}
 
 func TestProxyDropSeversAndRestoreHeals(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
@@ -109,30 +46,5 @@ func TestProxyDropSeversAndRestoreHeals(t *testing.T) {
 	p.Restore()
 	if body, err := get(); err != nil || body != "ok" {
 		t.Fatalf("after restore: body=%q err=%v", body, err)
-	}
-}
-
-func TestFailpointsArmOnceAndCount(t *testing.T) {
-	fp := NewFailpoints()
-	boom := errors.New("boom")
-	fp.Arm("drain", boom)
-
-	if err := fp.Hit("announce"); err != nil {
-		t.Fatalf("unarmed phase errored: %v", err)
-	}
-	if err := fp.Hit("drain"); !errors.Is(err, boom) {
-		t.Fatalf("armed phase returned %v, want boom", err)
-	}
-	if err := fp.Hit("drain"); err != nil {
-		t.Fatalf("one-shot failpoint fired twice: %v", err)
-	}
-	if got := fp.Hits("drain"); got != 2 {
-		t.Fatalf("Hits(drain) = %d, want 2", got)
-	}
-
-	fp.Arm("commit", boom)
-	fp.Disarm("commit")
-	if err := fp.Hit("commit"); err != nil {
-		t.Fatalf("disarmed phase errored: %v", err)
 	}
 }
