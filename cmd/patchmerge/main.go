@@ -103,7 +103,7 @@ func loadAny(path string) (*patch.Set, string, error) {
 		}
 		return ps.Set(), fmt.Sprintf("frame, version %d", ps.Version), nil
 	case trimmed[0] == '{':
-		p, version, err := fleet.DecodePatchSet(bytes.NewReader(trimmed))
+		p, version, err := fleet.DecodePatchSet(trimmed)
 		if err != nil {
 			return nil, "", err
 		}

@@ -312,10 +312,11 @@ func TestCoordinatorIdempotentUnderPartitionRestart(t *testing.T) {
 		t.Fatal("coordinator never detected the restart (no full resync)")
 	}
 
-	// New evidence uploaded to the restarted partition still flows — and
-	// enough of it that the new incarnation's journal seq climbs past the
-	// coordinator's stale cursor, exercising the cross-epoch refetch path
-	// (a naive delta there would drop the snapshot-restored evidence).
+	// New evidence uploaded to the restarted partition still flows. The
+	// syncs above already moved the coordinator onto the new
+	// incarnation's epoch and cursor, so this is an ordinary window; a
+	// restarted journal that climbs past the old cursor before any poll
+	// is TestCoordinatorResyncsWhenRestartedJournalPassesCursor.
 	for i := 0; i < 35; i++ {
 		if _, err := pushStamped(ctx, client, testBatch(rng)); err != nil {
 			t.Fatal(err)
@@ -326,6 +327,75 @@ func TestCoordinatorIdempotentUnderPartitionRestart(t *testing.T) {
 	}
 	if got := coord.Status().Runs; got != wantRuns+35*3 {
 		t.Fatalf("post-restart evidence lost or duplicated: runs %d, want %d", got, wantRuns+35*3)
+	}
+}
+
+// TestCoordinatorResyncsWhenRestartedJournalPassesCursor: a partition
+// restarts from its snapshot and takes 15 uploads before the
+// coordinator's next poll, so the new incarnation's journal climbs past
+// the coordinator's cursor of the old one and that cursor lies inside
+// the new journal's window. A delta read from it would skip the
+// snapshot-restored evidence and the new window's first uploads. The
+// poll carries the old epoch, so the partition answers with a resync,
+// and one sync counts every run once.
+func TestCoordinatorResyncsWhenRestartedJournalPassesCursor(t *testing.T) {
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+
+	sw := &swappable{}
+	srv1 := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
+	sw.set(srv1.Handler())
+	ts := httptest.NewServer(sw)
+	defer ts.Close()
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{ts.URL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := fleet.NewClient(ts.URL, "c1")
+	rng := rand.New(rand.NewSource(12))
+	push := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := pushStamped(ctx, client, testBatch(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push(10)
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := coord.Status()
+	if before.Runs != 10*3 || before.Partitions[0].Seq != 10 {
+		t.Fatalf("bad pre-restart state: %+v", before)
+	}
+
+	snapPath := filepath.Join(t.TempDir(), "part.snap")
+	if err := srv1.SaveSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1})
+	if err := srv2.LoadSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	sw.set(srv2.Handler())
+	push(15)
+	if ps, err := client.Status(); err != nil || ps.Seq <= before.Partitions[0].Seq {
+		t.Fatalf("restarted journal has not passed the cursor %d: %+v, %v", before.Partitions[0].Seq, ps, err)
+	}
+
+	if _, err := coord.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := coord.Status()
+	if want := before.Runs + 15*3; st.Runs != want {
+		t.Fatalf("runs after the restarted partition's first poll = %d, want %d", st.Runs, want)
+	}
+	if st.Resyncs != before.Resyncs+1 {
+		t.Fatalf("resyncs = %d, want %d", st.Resyncs, before.Resyncs+1)
+	}
+	if p := st.Partitions[0]; p.Errors != 0 || p.Epoch == before.Partitions[0].Epoch {
+		t.Fatalf("partition after the resync: %+v", p)
 	}
 }
 
@@ -651,12 +721,12 @@ func TestCoordinatorToleratesPartitionOutage(t *testing.T) {
 func TestCoordinatorRefusesDeltaWithNonProbabilityX(t *testing.T) {
 	frame := codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{
 		Epoch: 1, Seq: 1,
-		Snapshot: &cumulative.Snapshot{
+		Ops: []codec.DeltaOp{{Snapshot: &cumulative.Snapshot{
 			Runs: 1, FailedRuns: 1, Sites: []site.ID{0x10},
 			Overflow: []cumulative.SiteObservations{
 				{Site: 0x10, Obs: []cumulative.Observation{{X: -0.5, Y: true}}},
 			},
-		},
+		}}},
 	})
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/deltas" {
@@ -681,6 +751,72 @@ func TestCoordinatorRefusesDeltaWithNonProbabilityX(t *testing.T) {
 	}
 	if st.Runs != 0 || st.Sites != 0 {
 		t.Fatalf("merged evidence after a refused delta: %d runs, %d sites", st.Runs, st.Sites)
+	}
+}
+
+// TestCoordinatorRefusesWindowOfAnotherEpoch: the poll carries the
+// mirror's epoch, so a partition that restarted answers with a resync. A
+// window stamped with another epoch comes from a partition that ignored
+// it; it means nothing against this mirror, so it is a poll error, and
+// the mirror, the merged evidence and the cursor stay as they were.
+func TestCoordinatorRefusesWindowOfAnotherEpoch(t *testing.T) {
+	window := func(epoch, seq uint64, runs int) []byte {
+		return codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{
+			Epoch: epoch, Seq: seq,
+			Ops: []codec.DeltaOp{{Snapshot: &cumulative.Snapshot{
+				C: 4, P: 0.5, Runs: runs, Sites: []site.ID{0x10},
+				Overflow: []cumulative.SiteObservations{
+					{Site: 0x10, Obs: []cumulative.Observation{{X: 0.25, Y: true}}},
+				},
+			}}},
+		})
+	}
+	var mu sync.Mutex
+	var queries []string
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/deltas" {
+			http.NotFound(w, r)
+			return
+		}
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		first := len(queries) == 1
+		mu.Unlock()
+		w.Header().Set("Content-Type", codec.ContentTypeV2)
+		if first {
+			w.Write(window(7, 1, 2))
+			return
+		}
+		w.Write(window(8, 5, 9))
+	}))
+	defer stub.Close()
+
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{stub.URL}, Config: cumulative.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := coord.PollOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := coord.Status()
+	if p := before.Partitions[0]; p.Seq != 1 || p.Epoch != 7 || p.Runs != 2 || before.Runs != 2 {
+		t.Fatalf("after the first window: %+v", before)
+	}
+	if _, err := coord.PollOnce(ctx); err == nil {
+		t.Fatal("a window of another epoch polled without error")
+	}
+	st := coord.Status()
+	if p := st.Partitions[0]; p.Errors != 1 || p.LastError == "" || p.Seq != 1 || p.Epoch != 7 || p.Runs != 2 || p.Sites != 1 {
+		t.Fatalf("partition after a window of another epoch: %+v", p)
+	}
+	if st.Runs != 2 || st.Sites != 1 || st.Resyncs != 0 {
+		t.Fatalf("merged evidence after a window of another epoch: %+v", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"since=0&epoch=0", "since=1&epoch=7"}; !reflect.DeepEqual(queries, want) {
+		t.Fatalf("delta polls %q, want %q", queries, want)
 	}
 }
 

@@ -456,17 +456,7 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 		wg.Add(1)
 		go func(i int, p *partition, since, epoch uint64) {
 			defer wg.Done()
-			d, derr := p.client.Deltas(ctx, since)
-			if derr == nil && !d.Full && epoch != 0 && d.Epoch != epoch {
-				// The partition restarted under us and has already
-				// re-accumulated past our cursor, so the reply is a delta
-				// of the *new* incarnation's journal — useless against our
-				// mirror of the old one. Refetch with a cursor no journal
-				// can satisfy, forcing a Full store snapshot (a plain
-				// since=0 delta could miss snapshot-restored evidence that
-				// never went through the journal).
-				d, derr = p.client.Deltas(ctx, ^uint64(0))
-			}
+			d, derr := p.client.Deltas(ctx, since, epoch)
 			results[i] = result{p: p, delta: d, err: derr}
 		}(i, p, p.seq, p.epoch)
 	}
@@ -476,84 +466,76 @@ func (c *Coordinator) pollLocked(ctx context.Context) (changed bool, err error) 
 	defer c.mu.Unlock()
 	var errs []error
 	for _, res := range results {
-		if res.err != nil {
+		d, derr := res.delta, res.err
+		if derr == nil && !d.Full && res.p.epoch != 0 && d.Epoch != res.p.epoch {
+			// The poll carried our epoch, so a partition that restarted
+			// answers with a resync; a window of another incarnation's
+			// journal means nothing against this mirror.
+			derr = fmt.Errorf("delta of epoch %d is not a resync of the mirror's epoch %d", d.Epoch, res.p.epoch)
+		}
+		if derr != nil {
 			res.p.errs.Add(1)
 			res.p.errsC.Inc()
-			res.p.lastErr.Store(res.err.Error())
+			res.p.lastErr.Store(derr.Error())
 			c.logger.Warn("delta poll failed",
-				"partition", res.p.base, "error", res.err.Error())
-			errs = append(errs, fmt.Errorf("cluster: poll %s: %w", res.p.base, res.err))
+				"partition", res.p.base, "error", derr.Error())
+			errs = append(errs, fmt.Errorf("cluster: poll %s: %w", res.p.base, derr))
 			continue
-		}
-		d := res.delta
-		switch {
-		case d.Full || (res.p.epoch != 0 && d.Epoch != res.p.epoch):
-			// The partition restarted or we fell off its journal window:
-			// replace the mirror wholesale. Replacing — never absorbing a
-			// full snapshot into an existing mirror — is what makes
-			// re-polls and restarts idempotent: evidence is a multiset,
-			// so only replacement avoids double counting. (A cross-epoch
-			// non-Full reply is the since=0 refetch above: the complete
-			// evidence of the new incarnation.)
-			mirror := cumulative.NewHistory(c.cfg)
-			mirror.Absorb(d.Snapshot)
-			res.p.mirror = mirror
-			c.corrector.MarkFull()
-			c.metrics.resyncs.Inc()
-			c.metrics.deltaObs.Add(float64(fleet.SnapshotObservations(d.Snapshot)))
-			c.logger.Info("partition resynced; mirror replaced",
-				"partition", res.p.base, "seq", d.Seq, "epoch", d.Epoch)
-			changed = true
-		case len(d.Ops) > 0:
-			// Ordered delta: the window holds rebalance evictions. Apply
-			// each op to the mirror in sequence — an eviction removes the
-			// keys' entire evidence at that point. The merged evidence is
-			// rebuilt from the mirrors afterwards: the drained keys'
-			// evidence reappears through the new owner's journal, and
-			// rebuilding (instead of in-place extraction) keeps the merge
-			// independent of the order partitions' deltas land in.
-			obs := 0
-			for _, op := range d.Ops {
-				if len(op.Evict) > 0 {
-					res.p.mirror.Extract(op.Evict)
-				}
-				if op.Snapshot != nil {
-					res.p.mirror.Absorb(op.Snapshot)
-					obs += fleet.SnapshotObservations(op.Snapshot)
-				}
-			}
-			c.corrector.MarkFull()
-			c.metrics.deltas.Inc()
-			c.metrics.deltaObs.Add(float64(obs))
-			c.logger.Info("ordered delta applied",
-				"partition", res.p.base, "seq", d.Seq, "ops", len(d.Ops),
-				"observations", obs, "requestIds", d.ReqIDs)
-			changed = true
-		case d.Snapshot != nil:
-			res.p.mirror.Absorb(d.Snapshot)
-			// Fast path: fold the delta straight into the merged evidence,
-			// under one hold of its one stripe; only these keys become
-			// dirty for the next incremental identify pass. A pending
-			// refill rebuilds from the mirrors, which hold this delta too.
-			c.store.AbsorbSnapshot(d.Snapshot)
-			obs := fleet.SnapshotObservations(d.Snapshot)
-			c.metrics.deltas.Inc()
-			c.metrics.deltaObs.Add(float64(obs))
-			c.logger.Info("delta applied",
-				"partition", res.p.base, "seq", d.Seq,
-				"observations", obs, "requestIds", d.ReqIDs)
-			changed = true
 		}
 		res.p.seq, res.p.epoch = d.Seq, d.Epoch
 		res.p.seqGauge.Store(d.Seq)
 		res.p.lastPoll.Store(time.Now().UnixNano())
+		if !d.Full && len(d.Ops) == 0 {
+			continue
+		}
+		// A resync replaces the mirror, never absorbs into it: evidence is
+		// a multiset, so only replacement keeps re-polls and restarts
+		// idempotent. The ops then apply in order; an eviction removes
+		// the keys' entire evidence at that point in the stream.
+		if d.Full {
+			res.p.mirror = cumulative.NewHistory(c.cfg)
+			c.metrics.resyncs.Inc()
+		} else {
+			c.metrics.deltas.Inc()
+		}
+		// A window of additions alone also folds each batch into the
+		// merged evidence, under one hold of its one stripe, so only
+		// these keys turn dirty for the next incremental identify pass.
+		// Anything else rebuilds the merged evidence from the mirrors at
+		// the next pass, which keeps the merge independent of the order
+		// partitions' deltas land in.
+		fold := !d.Full
+		for _, op := range d.Ops {
+			fold = fold && len(op.Evict) == 0
+		}
+		obs := 0
+		for _, op := range d.Ops {
+			if len(op.Evict) > 0 {
+				res.p.mirror.Extract(op.Evict)
+				continue
+			}
+			res.p.mirror.Absorb(op.Snapshot)
+			if fold {
+				c.store.AbsorbSnapshot(op.Snapshot)
+			}
+			obs += fleet.SnapshotObservations(op.Snapshot)
+		}
+		if !fold {
+			c.corrector.MarkFull()
+		}
+		c.metrics.deltaObs.Add(float64(obs))
+		c.logger.Info("delta applied",
+			"partition", res.p.base, "seq", d.Seq, "epoch", d.Epoch,
+			"full", d.Full, "ops", len(d.Ops),
+			"observations", obs, "requestIds", d.ReqIDs)
+		changed = true
 	}
 	c.updateMergedGauges()
 	return changed, errors.Join(errs...)
 }
 
 // Correct runs one correction pass (see fleet.Corrector) over the merged
-// evidence. A full pass — after a partition resync, an ordered delta, a
+// evidence. A full pass — after a partition resync, a delta eviction, a
 // membership change or a snapshot restore — first refills a fresh store
 // from the mirrors, so every key is rescored and triage drops members
 // that vanished; otherwise only dirty sites are rescored. The pass holds

@@ -177,6 +177,44 @@ func (rc *rebalanceCluster) assertEvidenceMatchesControl(t *testing.T, members [
 	}
 }
 
+// TestRebalanceRequestRefusesTrailingBracket: POST /v1/rebalance reads
+// one JSON document and nothing after it but whitespace. A request
+// followed by a closing bracket is a 400 and leaves the membership and
+// the partitions' ring versions alone; the same request followed by
+// whitespace is served.
+func TestRebalanceRequestRefusesTrailingBracket(t *testing.T) {
+	rc := newRebalanceCluster(t, 4)
+	doc := `{"add":["` + rc.partURLs[3] + `"]}`
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(rc.coordTS.URL+"/v1/rebalance", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tail := range []string{"}", "]"} {
+		if code := post(doc + tail); code != http.StatusBadRequest {
+			t.Errorf("rebalance with %q after the document: status %d, want 400", tail, code)
+		}
+	}
+	if st := rc.coord.Status(); st.MembershipVersion != 1 || len(st.Nodes) != 3 {
+		t.Fatalf("refused rebalance changed the membership: version %d, nodes %v", st.MembershipVersion, st.Nodes)
+	}
+	for i, srv := range rc.parts {
+		if v := srv.RequireRingVersion(0); v != 0 {
+			t.Fatalf("refused rebalance announced ring version %d to partition %d", v, i)
+		}
+	}
+	if code := post(doc + " \n\t"); code != http.StatusOK {
+		t.Fatalf("rebalance with trailing whitespace: status %d, want 200", code)
+	}
+	if st := rc.coord.Status(); len(st.Nodes) != 4 {
+		t.Fatalf("rebalance with trailing whitespace: nodes %v", st.Nodes)
+	}
+}
+
 // TestRebalanceMembershipChangeUnderLiveUploads is the membership-change
 // e2e: grow 3→4, then drain out a founding member, all while concurrent
 // uploaders keep streaming through cluster sinks that started on the old

@@ -19,10 +19,9 @@ import (
 // multiset of observations, not on the order in which contributions
 // arrived. Observations are exchangeable under the §5.1 model, so sorting
 // does not change their meaning. A snapshot assembled elsewhere need not
-// be canonical, and may list a key more than once (a fleet delta window
-// concatenates the batches it covers): Absorb folds every entry in, and
-// BayesFactor is order independent on its own (it reads a key's miss
-// count and the sorted X values of its hits).
+// be canonical, and may list a key more than once: Absorb folds every
+// entry in, and BayesFactor is order independent on its own (it reads a
+// key's miss count and the sorted X values of its hits).
 type Snapshot struct {
 	// Lineage is the uploading history's lineage (set by UploadDelta,
 	// zero otherwise). It is not on the wire: uploaders fold it into the

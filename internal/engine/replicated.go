@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"exterminator/internal/diefast"
@@ -138,7 +139,7 @@ func (s *Session) runReplicated(ctx context.Context, work *patch.Set) (*Replicat
 // replica showed trouble (crash/failure end clock, or first DieFast
 // event), falling back to the minimum completion clock.
 func earliestErrorClock(exs []*execution) uint64 {
-	best := ^uint64(0)
+	best := uint64(math.MaxUint64)
 	for _, ex := range exs {
 		if ex.Outcome.Crashed || ex.Outcome.Failed {
 			if ex.Outcome.Clock < best {
@@ -151,7 +152,7 @@ func earliestErrorClock(exs []*execution) uint64 {
 			}
 		}
 	}
-	if best == ^uint64(0) {
+	if best == math.MaxUint64 {
 		for _, ex := range exs {
 			if ex.Outcome.Clock < best {
 				best = ex.Outcome.Clock

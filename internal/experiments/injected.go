@@ -35,14 +35,37 @@ func (*OverflowResult) Name() string { return "overflow" }
 // Rows implements Result.
 func (r *OverflowResult) Rows() []string {
 	out := []string{fmt.Sprintf("%-6s %-8s %-9s %-9s %-7s %-5s", "size", "seed", "detected", "corrected", "images", "pad")}
-	byImages := map[int][]float64{}
+	type tally struct {
+		trials, detected, corrected int
+		images                      []float64 // of the detected trials
+	}
+	bySize := map[int]*tally{}
 	for _, t := range r.Trials {
 		out = append(out, fmt.Sprintf("%-6d %-8d %-9v %-9v %-7d %-5d", t.Size, t.Seed, t.Detected, t.Corrected, t.Images, t.Pad))
-		byImages[t.Size] = append(byImages[t.Size], float64(t.Images))
+		s := bySize[t.Size]
+		if s == nil {
+			s = &tally{}
+			bySize[t.Size] = s
+		}
+		s.trials++
+		if t.Detected {
+			s.detected++
+			s.images = append(s.images, float64(t.Images))
+		}
+		if t.Corrected {
+			s.corrected++
+		}
 	}
+	// An undetected trial took no images, so it would pull the mean
+	// below the isolator's cost; detection is its own line instead.
 	for _, size := range []int{4, 20, 36} {
-		if xs := byImages[size]; len(xs) > 0 {
-			out = append(out, row("size %d: mean images %.1f (paper: 3 in every case)", size, stats.Mean(xs)))
+		s := bySize[size]
+		if s == nil {
+			continue
+		}
+		out = append(out, row("size %d: detected %d, corrected %d, of %d trials", size, s.detected, s.corrected, s.trials))
+		if len(s.images) > 0 {
+			out = append(out, row("size %d: mean images %.1f over detected trials (paper: 3 in every case)", size, stats.Mean(s.images)))
 		}
 	}
 	return out

@@ -370,11 +370,14 @@ func (c *Client) TriagePage(ctx context.Context, offset, limit int) ([]byte, err
 }
 
 // Deltas polls the server's evidence journal: everything absorbed after
-// journal sequence number since, batch after batch in journal order (see
-// codec.Delta). This is the feed cluster coordinators (internal/cluster)
-// mirror partitions with; ordinary installations never need it.
-func (c *Client) Deltas(ctx context.Context, since uint64) (*codec.Delta, error) {
-	data, what, err := c.getBody(ctx, fmt.Sprintf("/v1/deltas?since=%d", since), "get deltas", map[string]string{"Accept": codec.ContentTypeV2})
+// journal sequence number since, one op per journal entry (see
+// codec.Delta). epoch is the incarnation since came from (0 when the
+// poller has none); the server answers a cursor from another
+// incarnation with a Full resync. This is the feed cluster coordinators
+// (internal/cluster) mirror partitions with; ordinary installations
+// never need it.
+func (c *Client) Deltas(ctx context.Context, since, epoch uint64) (*codec.Delta, error) {
+	data, what, err := c.getBody(ctx, fmt.Sprintf("/v1/deltas?since=%d&epoch=%d", since, epoch), "get deltas", map[string]string{"Accept": codec.ContentTypeV2})
 	if err != nil {
 		return nil, err
 	}

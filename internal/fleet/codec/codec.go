@@ -57,7 +57,8 @@ const (
 	// FramePatches is a PatchSet (GET /v1/patches response, and an
 	// exterminate -patches file).
 	FramePatches byte = 2
-	// FrameDelta is a Delta (GET /v1/deltas response).
+	// FrameDelta is a Delta (GET /v1/deltas response): one op per
+	// journal entry, a resync led by a reset op.
 	FrameDelta byte = 3
 	// FrameState is a State (a fleetd or coordinator -snapshot file).
 	FrameState byte = 4

@@ -153,8 +153,8 @@ func xSnapshot(x float64, dangling bool) *cumulative.Snapshot {
 }
 
 // TestBatchDecodeRejectsNonProbabilityX: an observation's X is a
-// probability. The batch decoder and the delta decoder, for a delta's
-// tail snapshot and for an ordered delta's op alike, reject NaN,
+// probability. The batch decoder and the delta decoder, for a resync's
+// snapshot and for a snapshot op after an eviction alike, reject NaN,
 // infinities and values outside [0, 1] in either section and accept the
 // bounds: a delta comes from another process as much as a batch does.
 func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
@@ -165,7 +165,7 @@ func TestBatchDecodeRejectsNonProbabilityX(t *testing.T) {
 		batch := append([]byte(nil), EncodeBatch(buf, &Batch{Client: "c", BatchID: "b", Snapshot: s})...)
 		_, batchErr = DecodeBatch(batch)
 		buf.B = buf.B[:0]
-		_, deltaErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Snapshot: s}))
+		_, deltaErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Full: true, Ops: []DeltaOp{{Snapshot: s}}}))
 		buf.B = buf.B[:0]
 		_, opErr = DecodeDelta(EncodeDelta(buf, &Delta{Epoch: 1, Seq: 1, Ops: []DeltaOp{{Evict: []site.ID{3}}, {Snapshot: s}}}))
 		return batchErr, deltaErr, opErr
@@ -277,16 +277,19 @@ func TestPatchesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeltaRoundTrip: a resync (full), a window of snapshot ops
+// (snapshot), a window with an eviction (ops) and an empty reply each
+// decode to what was encoded.
 func TestDeltaRoundTrip(t *testing.T) {
 	deltas := map[string]*Delta{
-		"snapshot": {
-			Epoch: 5, Seq: 17,
-			Snapshot: testSnapshot(t),
-			ReqIDs:   []string{"r1", "r2"},
-		},
 		"full": {
 			Epoch: 5, Seq: 17, Full: true,
-			Snapshot: testSnapshot(t),
+			Ops: []DeltaOp{{Snapshot: testSnapshot(t)}},
+		},
+		"snapshot": {
+			Epoch: 5, Seq: 17,
+			Ops:    []DeltaOp{{Snapshot: testSnapshot(t)}, {Snapshot: &cumulative.Snapshot{Runs: 2}}},
+			ReqIDs: []string{"r1", "r2"},
 		},
 		"ops": {
 			Epoch: 2, Seq: 9,
@@ -314,10 +317,6 @@ func TestDeltaRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got.ReqIDs, d.ReqIDs) {
 				t.Fatalf("reqIDs mismatch: %v vs %v", got.ReqIDs, d.ReqIDs)
 			}
-			if (got.Snapshot == nil) != (d.Snapshot == nil) ||
-				(got.Snapshot != nil && !snapshotsEqual(got.Snapshot, d.Snapshot)) {
-				t.Fatalf("snapshot mismatch")
-			}
 			if len(got.Ops) != len(d.Ops) {
 				t.Fatalf("ops mismatch: %d vs %d", len(got.Ops), len(d.Ops))
 			}
@@ -333,6 +332,90 @@ func TestDeltaRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// oldDeltaFrame builds a FrameDelta frame as the previous layout wrote
+// it: the flags byte (bit 0: full resync, bit 1: tail snapshot present),
+// no request IDs, no ops, and the tail snapshot s when bit 1 is set.
+func oldDeltaFrame(flags byte, s *cumulative.Snapshot) []byte {
+	buf := &Buffer{}
+	start := buf.beginFrame(FrameDelta)
+	buf.uvarint(1) // epoch
+	buf.uvarint(4) // seq
+	buf.u8(flags)
+	buf.uvarint(0) // reqIDs
+	buf.uvarint(0) // ops
+	if flags&2 != 0 {
+		appendSnapshot(buf, s)
+	}
+	return buf.endFrame(start)
+}
+
+// deltaOpsFrame builds a FrameDelta frame whose ops are the given kinds,
+// each with what its kind carries (op kind 0 an empty snapshot, 1 one
+// evicted key, anything else nothing).
+func deltaOpsFrame(kinds ...byte) []byte {
+	buf := &Buffer{}
+	start := buf.beginFrame(FrameDelta)
+	buf.uvarint(1)
+	buf.uvarint(4)
+	buf.u8(0)
+	buf.uvarint(0)
+	buf.uvarint(uint64(len(kinds)))
+	for _, k := range kinds {
+		buf.u8(k)
+		switch k {
+		case deltaOpSnapshot:
+			appendSnapshot(buf, &cumulative.Snapshot{})
+		case deltaOpEvict:
+			buf.uvarint(1)
+			buf.svarint(7)
+		}
+	}
+	return buf.endFrame(start)
+}
+
+// TestDeltaDecodeRefusesOtherShapes: the flags byte has no bits, so
+// the previous layout's resync (bits 0 and 1) and its one-snapshot
+// window (bit 1) are refused rather than read as an empty window; so
+// are a reset op anywhere but first and an unknown op kind. The frames
+// the previous layout shares with this one (an empty window, a window
+// holding an eviction) decode.
+func TestDeltaDecodeRefusesOtherShapes(t *testing.T) {
+	s := testSnapshot(t)
+	refused := map[string][]byte{
+		"previous resync (flags 0x03)":         oldDeltaFrame(3, s),
+		"previous one-snapshot window (0x02)":  oldDeltaFrame(2, s),
+		"previous empty resync flag (0x01)":    oldDeltaFrame(1, nil),
+		"reset op after a snapshot op":         deltaOpsFrame(deltaOpSnapshot, deltaOpReset),
+		"reset op after an eviction":           deltaOpsFrame(deltaOpEvict, deltaOpReset),
+		"two reset ops":                        deltaOpsFrame(deltaOpReset, deltaOpReset),
+		"op kind 3":                            deltaOpsFrame(3),
+		"op kind 3 after a reset and snapshot": deltaOpsFrame(deltaOpReset, deltaOpSnapshot, 3),
+	}
+	for name, frame := range refused {
+		if d, err := DecodeDelta(frame); err == nil {
+			t.Errorf("%s: decoded to %+v; want it refused", name, d)
+		}
+	}
+	accepted := map[string]struct {
+		frame []byte
+		want  *Delta
+	}{
+		"empty window": {oldDeltaFrame(0, nil), &Delta{Epoch: 1, Seq: 4}},
+		"eviction":     {deltaOpsFrame(deltaOpEvict), &Delta{Epoch: 1, Seq: 4, Ops: []DeltaOp{{Evict: []site.ID{7}}}}},
+		"resync":       {deltaOpsFrame(deltaOpReset, deltaOpEvict), &Delta{Epoch: 1, Seq: 4, Full: true, Ops: []DeltaOp{{Evict: []site.ID{7}}}}},
+	}
+	for name, c := range accepted {
+		got, err := DecodeDelta(c.frame)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: decoded %+v, want %+v", name, got, c.want)
+		}
 	}
 }
 

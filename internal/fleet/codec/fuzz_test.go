@@ -49,8 +49,8 @@ func FuzzV2FrameDecode(f *testing.F) {
 	})...))
 	buf.B = buf.B[:0]
 	whole := append([]byte(nil), EncodeDelta(buf, &Delta{
-		Epoch: 1, Seq: 5, Snapshot: snap, ReqIDs: []string{"r"},
-		Ops: []DeltaOp{{Evict: []site.ID{1, 2}}},
+		Epoch: 1, Seq: 5, ReqIDs: []string{"r"},
+		Ops: []DeltaOp{{Evict: []site.ID{1, 2}}, {Snapshot: snap}},
 	})...)
 	PutBuffer(buf)
 	f.Add(whole)
@@ -97,11 +97,19 @@ func FuzzV2FrameDecode(f *testing.F) {
 	})
 	f.Add(patchFile)
 	f.Add(append(append([]byte(nil), patchFile...), 0))
-	// Deltas whose X is no probability, in the tail snapshot and in an op.
+	// Deltas whose X is no probability, in a resync and in a window.
 	for _, x := range []float64{math.NaN(), -0.5, 2} {
-		f.Add(EncodeDelta(&Buffer{}, &Delta{Epoch: 1, Seq: 2, Snapshot: xSnapshot(x, false)}))
+		f.Add(EncodeDelta(&Buffer{}, &Delta{Epoch: 1, Seq: 2, Full: true, Ops: []DeltaOp{{Snapshot: xSnapshot(x, false)}}}))
 		f.Add(EncodeDelta(&Buffer{}, &Delta{Epoch: 1, Seq: 2, Ops: []DeltaOp{{Snapshot: xSnapshot(x, true)}}}))
 	}
+	// A resync, and the delta shapes the decoder refuses: the previous
+	// layout's resync and one-snapshot window, a reset op after another
+	// op, and an unknown op kind.
+	f.Add(EncodeDelta(&Buffer{}, &Delta{Epoch: 1, Seq: 5, Full: true, Ops: []DeltaOp{{Snapshot: snap}}}))
+	f.Add(oldDeltaFrame(3, snap))
+	f.Add(oldDeltaFrame(2, snap))
+	f.Add(deltaOpsFrame(deltaOpSnapshot, deltaOpReset))
+	f.Add(deltaOpsFrame(3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if b, err := DecodeBatch(data); err == nil {
@@ -200,9 +208,6 @@ func checkPatchRoundTrips(t *testing.T, s *patch.Set) {
 // deltaSnapshots lists every snapshot d carries.
 func deltaSnapshots(d *Delta) []*cumulative.Snapshot {
 	var out []*cumulative.Snapshot
-	if d.Snapshot != nil {
-		out = append(out, d.Snapshot)
-	}
 	for _, op := range d.Ops {
 		if op.Snapshot != nil {
 			out = append(out, op.Snapshot)

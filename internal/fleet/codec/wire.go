@@ -242,10 +242,10 @@ func readPadColumn(r *reader) []PadEntry {
 	return entries
 }
 
-// DeltaOp is one step of an ordered evidence delta: either an absorbed
-// snapshot or a key-set eviction (a rebalance drain: the keys' evidence
-// moved to another partition and must leave the poller's mirror of this
-// one).
+// DeltaOp is one step of an ordered evidence delta, one journal entry:
+// either a batch's snapshot as it was absorbed, or a key-set eviction (a
+// rebalance drain: the keys' evidence moved to another partition and
+// must leave the poller's mirror of this one).
 type DeltaOp struct {
 	Evict    []site.ID
 	Snapshot *cumulative.Snapshot
@@ -253,21 +253,20 @@ type DeltaOp struct {
 
 // Delta is what a GET /v1/deltas frame (FrameDelta) carries: the
 // evidence a partition absorbed after journal sequence number `since`,
-// each batch's lists as the batch carried them, one batch after another
-// in journal order (keys the batches share are not merged). It is the
+// one op per journal entry in journal order, or a resync. It is the
 // partition→coordinator half of the cluster protocol (internal/cluster):
-// coordinators poll each partition with the last Seq they applied and
-// absorb only what is new.
+// coordinators poll each partition with the last Seq and Epoch they
+// applied and absorb only what is new.
 //
 // Payload layout:
 //
 //	uvarint epoch | uvarint seq
-//	u8 flags (bit0: full resync, bit1: snapshot present)
+//	u8 flags (must be 0)
 //	reqIDs: uvarint n | n × str
 //	ops:    uvarint n | n × op
 //	  op: u8 kind (0: snapshot payload follows; 1: eviction —
-//	      uvarint n | n × svarint site delta)
-//	[snapshot payload]
+//	      uvarint n | n × svarint site delta; 2: reset, first op only —
+//	      nothing follows)
 type Delta struct {
 	// Epoch identifies the server incarnation that issued Seq. Sequence
 	// numbers are only ordered within one epoch; a poller holding a Seq
@@ -276,20 +275,15 @@ type Delta struct {
 	// Seq is the journal position the delta runs up to; poll with it
 	// next time.
 	Seq uint64
-	// Full marks a resync: Snapshot is the server's entire evidence
-	// store, not a delta, and must *replace* (not augment) whatever the
-	// poller previously mirrored from this server.
+	// Full marks a resync, written as the leading reset op: the poller
+	// must *replace* (not augment) whatever it previously mirrored from
+	// this server with what Ops carries, the server's entire evidence
+	// store.
 	Full bool
-	// Snapshot is the window's evidence (nil when nothing changed). It is
-	// only used when the window holds no evictions; otherwise Ops carries
-	// the ordered sequence instead.
-	Snapshot *cumulative.Snapshot
-	// Ops is the ordered delta when the window contains rebalance
-	// evictions: additions and evictions must be applied in sequence
-	// (an eviction removes a key's entire evidence from the mirror at
-	// that point in the stream). Each run of consecutive additions is one
-	// snapshot, concatenated like Snapshot. Mutually exclusive with
-	// Snapshot.
+	// Ops is the ordered delta: additions and evictions must be applied
+	// in sequence (an eviction removes a key's entire evidence from the
+	// mirror at that point in the stream). Each addition is one absorbed
+	// batch, so a key appears once per batch that carried it.
 	Ops []DeltaOp
 	// ReqIDs are the X-Request-ID correlation fields of the uploads this
 	// delta covers (bounded; oldest first). The coordinator logs them
@@ -299,13 +293,9 @@ type Delta struct {
 }
 
 const (
-	deltaFlagFull     = 1 << 0
-	deltaFlagSnapshot = 1 << 1
-)
-
-const (
 	deltaOpSnapshot byte = 0
 	deltaOpEvict    byte = 1
+	deltaOpReset    byte = 2
 )
 
 // EncodeDelta appends d as a complete FrameDelta frame; the returned
@@ -314,19 +304,19 @@ func EncodeDelta(buf *Buffer, d *Delta) []byte {
 	start := buf.beginFrame(FrameDelta)
 	buf.uvarint(d.Epoch)
 	buf.uvarint(d.Seq)
-	flags := byte(0)
-	if d.Full {
-		flags |= deltaFlagFull
-	}
-	if d.Snapshot != nil {
-		flags |= deltaFlagSnapshot
-	}
-	buf.u8(flags)
+	buf.u8(0)
 	buf.uvarint(uint64(len(d.ReqIDs)))
 	for _, id := range d.ReqIDs {
 		buf.str(id)
 	}
-	buf.uvarint(uint64(len(d.Ops)))
+	n := len(d.Ops)
+	if d.Full {
+		n++
+	}
+	buf.uvarint(uint64(n))
+	if d.Full {
+		buf.u8(deltaOpReset)
+	}
 	for _, op := range d.Ops {
 		if len(op.Evict) > 0 {
 			buf.u8(deltaOpEvict)
@@ -340,9 +330,6 @@ func EncodeDelta(buf *Buffer, d *Delta) []byte {
 		}
 		buf.u8(deltaOpSnapshot)
 		appendSnapshotOrEmpty(buf, op.Snapshot)
-	}
-	if d.Snapshot != nil {
-		appendSnapshot(buf, d.Snapshot)
 	}
 	return buf.endFrame(start)
 }
@@ -360,34 +347,36 @@ func DecodeDelta(data []byte) (*Delta, error) {
 	d := &Delta{}
 	d.Epoch = r.uvarint()
 	d.Seq = r.uvarint()
-	flags := r.u8()
-	d.Full = flags&deltaFlagFull != 0
+	if flags := r.u8(); flags != 0 {
+		r.fail("unknown delta flags %#x", flags)
+	}
 	d.ReqIDs = readStrings(r, "request id")
 	if n := r.count(1, "delta op"); n > 0 {
-		d.Ops = make([]DeltaOp, n)
-		for i := range d.Ops {
+		d.Ops = make([]DeltaOp, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			var op DeltaOp
 			switch kind := r.u8(); kind {
 			case deltaOpSnapshot:
-				d.Ops[i].Snapshot = readSnapshot(r)
+				op.Snapshot = readSnapshot(r)
 			case deltaOpEvict:
-				ne := r.count(1, "evicted key")
-				if ne > 0 {
-					d.Ops[i].Evict = make([]site.ID, ne)
+				if ne := r.count(1, "evicted key"); ne > 0 {
+					op.Evict = make([]site.ID, ne)
 					prev := int64(0)
-					for j := range d.Ops[i].Evict {
-						d.Ops[i].Evict[j] = r.siteID(&prev)
+					for j := range op.Evict {
+						op.Evict[j] = r.siteID(&prev)
 					}
 				}
+			case deltaOpReset:
+				if i > 0 {
+					r.fail("delta reset op at position %d, not first", i)
+				}
+				d.Full = true
+				continue
 			default:
 				r.fail("unknown delta op kind %d", kind)
 			}
-			if r.err != nil {
-				return nil, r.err
-			}
+			d.Ops = append(d.Ops, op)
 		}
-	}
-	if flags&deltaFlagSnapshot != 0 {
-		d.Snapshot = readSnapshot(r)
 	}
 	if err := r.finish(); err != nil {
 		return nil, err

@@ -495,11 +495,69 @@ func TestClientResyncsAcrossServerRestart(t *testing.T) {
 }
 
 func TestWireRejectsCorruptPatchSet(t *testing.T) {
-	if _, _, err := DecodePatchSet(strings.NewReader("{broken")); err == nil {
+	if _, _, err := DecodePatchSet([]byte("{broken")); err == nil {
 		t.Fatal("corrupt JSON accepted")
 	}
-	if _, _, err := DecodePatchSet(strings.NewReader(`{"version":1} trailing`)); err == nil {
+	if _, _, err := DecodePatchSet([]byte(`{"version":1} trailing`)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// A closing bracket after the document is trailing data too.
+	for _, tail := range []string{"}", "]", " }", "\n]"} {
+		if _, v, err := DecodePatchSet([]byte(`{"version":3}` + tail)); err == nil {
+			t.Errorf("document followed by %q accepted at version %d", tail, v)
+		}
+	}
+	if _, v, err := DecodePatchSet([]byte("{\"version\":3} \n\t")); err != nil || v != 3 {
+		t.Fatalf("trailing whitespace: version %d, %v", v, err)
+	}
+}
+
+// TestJSONRequestsRefuseTrailingBracket: a JSON request body is one
+// document and nothing after it but whitespace. An evict or ring request
+// followed by a closing bracket is a 400 and changes nothing; the same
+// document followed by whitespace is served.
+func TestJSONRequestsRefuseTrailingBracket(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1, DisableCorrection: true})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, "b")
+	if _, err := c.PushBatchContext(t.Context(), stampedBatch("b", evidenceBatch(0x10))); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	requests := map[string]string{
+		"/v1/evict": `{"token":"drain-1","keys":[16]}`,
+		"/v1/ring":  `{"version":5}`,
+	}
+	for path, doc := range requests {
+		for _, tail := range []string{"}", "]"} {
+			if code := post(path, doc+tail); code != http.StatusBadRequest {
+				t.Errorf("%s with %q after the document: status %d, want 400", path, tail, code)
+			}
+		}
+	}
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Sites != 1 || st.Evictions != 0 || st.RingVersion != 0 || st.Seq != 1 {
+		t.Fatalf("refused requests changed the partition: %+v", st)
+	}
+	for path, doc := range requests {
+		if code := post(path, doc+" \n\t"); code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d, want 200", path, code)
+		}
+	}
+	if st, err = c.Status(); err != nil || st.Sites != 0 || st.Evictions != 1 || st.RingVersion != 5 {
+		t.Fatalf("accepted requests: %+v, %v", st, err)
 	}
 }
 
@@ -512,7 +570,7 @@ func TestWirePatchSetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, v, err := DecodePatchSet(bytes.NewReader(data))
+	got, v, err := DecodePatchSet(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -98,11 +97,13 @@ func FuzzWirePatchLog(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(append([]byte(nil), valid...), valid...)) // trailing document
+	f.Add(append(append([]byte(nil), valid...), '}'))      // trailing bracket
+	f.Add(append(append([]byte(nil), valid...), ']'))
 	f.Add([]byte(`{"version": 1, "pads": [{"site": -1, "pad": 1e99}]}`))
 	f.Add([]byte(`{"version": "not a number"}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		set, version, err := DecodePatchSet(bytes.NewReader(data))
+		set, version, err := DecodePatchSet(data)
 		if err != nil {
 			return
 		}
@@ -131,9 +132,9 @@ func FuzzClientReplies(f *testing.F) {
 	evidence.Dangling = xSnapshot(1, true).Dangling
 	frames := [][]byte{
 		codec.EncodePatches(&codec.Buffer{}, codec.ToWire(testPatchSet(), 3)),
-		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 2, Snapshot: evidence, ReqIDs: []string{"r1"}}),
+		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 2, Ops: []codec.DeltaOp{{Snapshot: evidence}}, ReqIDs: []string{"r1"}}),
 		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 3, Ops: []codec.DeltaOp{{Evict: []site.ID{0x10}}, {Snapshot: evidence}}}),
-		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 2, Snapshot: xSnapshot(-0.5, false)}),
+		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 2, Full: true, Ops: []codec.DeltaOp{{Snapshot: xSnapshot(-0.5, false)}}}),
 		codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Epoch: 1, Seq: 3, Ops: []codec.DeltaOp{{Snapshot: xSnapshot(-0.5, true)}}}),
 		evictFrame("tok", evidence),
 		evictFrame("tok", xSnapshot(-0.5, false)),
@@ -173,8 +174,7 @@ func FuzzClientReplies(f *testing.F) {
 		if s, err := c.EvictKeys(ctx, "tok", nil, false); err == nil {
 			checkProbabilities(t, "evict", s)
 		}
-		if d, err := c.Deltas(ctx, 0); err == nil {
-			checkProbabilities(t, "delta", d.Snapshot)
+		if d, err := c.Deltas(ctx, 0, 0); err == nil {
 			for _, op := range d.Ops {
 				checkProbabilities(t, "delta op", op.Snapshot)
 			}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -150,11 +151,11 @@ func TestDeltasEndpoint(t *testing.T) {
 	ctx := context.Background()
 
 	// Empty server: empty delta at seq 0.
-	d, err := c.Deltas(ctx, 0)
+	d, err := c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Seq != 0 || d.Full || d.Snapshot != nil {
+	if d.Seq != 0 || d.Full || len(d.Ops) != 0 {
 		t.Fatalf("empty server delta: %+v", d)
 	}
 
@@ -165,34 +166,109 @@ func TestDeltasEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Delta from 0 carries both batches.
-	d, err = c.Deltas(ctx, 0)
+	// Delta from 0 carries both batches, one op each.
+	d, err = c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Seq != 2 || d.Full || d.Snapshot == nil {
+	if d.Seq != 2 || d.Full || len(d.Ops) != 2 {
 		t.Fatalf("delta since 0: %+v", d)
 	}
-	if d.Snapshot.Runs != 4 || len(d.Snapshot.Overflow) != 2 {
-		t.Fatalf("delta content: runs=%d overflow=%d", d.Snapshot.Runs, len(d.Snapshot.Overflow))
+	runs, overflow := 0, 0
+	for _, op := range d.Ops {
+		runs += op.Snapshot.Runs
+		overflow += len(op.Snapshot.Overflow)
+	}
+	if runs != 4 || overflow != 2 {
+		t.Fatalf("delta content: runs=%d overflow=%d", runs, overflow)
 	}
 
 	// Caught-up cursor: empty delta.
-	d, err = c.Deltas(ctx, 2)
+	d, err = c.Deltas(ctx, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Seq != 2 || d.Snapshot != nil {
+	if d.Seq != 2 || len(d.Ops) != 0 {
 		t.Fatalf("caught-up delta: %+v", d)
 	}
 
 	// Cursor from another incarnation (ahead of seq): full resync.
-	d, err = c.Deltas(ctx, 99)
+	d, err = c.Deltas(ctx, 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Full || d.Seq != 2 || d.Snapshot == nil || d.Snapshot.Runs != 4 {
+	if s := resyncSnapshot(t, d); d.Seq != 2 || s.Runs != 4 {
 		t.Fatalf("stale-cursor delta: %+v", d)
+	}
+}
+
+// resyncSnapshot returns the store snapshot a Full delta carries as its
+// one op, failing the test unless d is such a resync.
+func resyncSnapshot(t *testing.T, d *codec.Delta) *cumulative.Snapshot {
+	t.Helper()
+	if !d.Full || len(d.Ops) != 1 || d.Ops[0].Snapshot == nil {
+		t.Fatalf("want a full resync carrying one snapshot op, got %+v", d)
+	}
+	return d.Ops[0].Snapshot
+}
+
+// TestDeltasAnswerAnotherEpochWithResync: the poll carries the epoch its
+// cursor came from, and a cursor of another incarnation is answered with
+// a resync even when it lies inside this journal's window, so the
+// partition alone decides a resync. Epoch 0, or no epoch, reads the
+// cursor against this journal; a malformed epoch is a 400.
+func TestDeltasAnswerAnotherEpochWithResync(t *testing.T) {
+	srv := NewServer(ServerOptions{CorrectEvery: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, "x")
+	ctx := context.Background()
+	for _, id := range []site.ID{0x10, 0x20, 0x30} {
+		if _, err := c.PushBatchContext(ctx, stampedBatch("x", evidenceBatch(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll := func(query string) (*codec.Delta, int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/deltas?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, resp.StatusCode
+		}
+		data, err := readBody(resp, "delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := codec.DecodeDelta(data)
+		if err != nil {
+			t.Fatalf("?%s: %v", query, err)
+		}
+		return d, resp.StatusCode
+	}
+
+	d, _ := poll("since=0")
+	epoch := d.Epoch
+	if d.Full || len(d.Ops) != 3 || epoch == 0 {
+		t.Fatalf("poll from 0 with no epoch: %+v", d)
+	}
+	for _, q := range []string{"since=1&epoch=0", fmt.Sprintf("since=1&epoch=%d", epoch)} {
+		if d, _ := poll(q); d.Full || len(d.Ops) != 2 || d.Seq != 3 {
+			t.Fatalf("?%s: %+v", q, d)
+		}
+	}
+
+	d, _ = poll(fmt.Sprintf("since=1&epoch=%d", epoch+1))
+	if s := resyncSnapshot(t, d); d.Seq != 3 || d.Epoch != epoch || s.Runs != 6 || len(s.Overflow) != 3 {
+		t.Fatalf("another epoch's in-window cursor: %+v", d)
+	}
+
+	for _, q := range []string{"since=1&epoch=x", "since=1&epoch=-1", "since=x&epoch=1"} {
+		if _, status := poll(q); status != http.StatusBadRequest {
+			t.Errorf("?%s: status %d, want 400", q, status)
+		}
 	}
 }
 
@@ -213,29 +289,11 @@ func sharedKeyBatch(i int) *cumulative.Snapshot {
 	}
 }
 
-// concatenated is the snapshot a delta window over batches carries: the
-// batches' lists one after another and their counters summed.
-func concatenated(batches ...*cumulative.Snapshot) *cumulative.Snapshot {
-	out := &cumulative.Snapshot{C: 4, P: 0.5}
-	for _, b := range batches {
-		out.Runs += b.Runs
-		out.FailedRuns += b.FailedRuns
-		out.CorruptRuns += b.CorruptRuns
-		out.Sites = append(out.Sites, b.Sites...)
-		out.Overflow = append(out.Overflow, b.Overflow...)
-		out.Dangling = append(out.Dangling, b.Dangling...)
-		out.PadHints = append(out.PadHints, b.PadHints...)
-		out.DeferralHints = append(out.DeferralHints, b.DeferralHints...)
-	}
-	return out
-}
-
-// TestDeltasConcatenateBatchesInJournalOrder: a delta window answers the
-// batches' groups and hints as each batch carried them, batch after
-// batch in journal order, with the run counters summed; keys the batches
-// share are not merged. A history fed the delta holds what one fed the
-// batches holds.
-func TestDeltasConcatenateBatchesInJournalOrder(t *testing.T) {
+// TestDeltasAnswerOneOpPerBatchInJournalOrder: a delta window answers
+// each journaled batch as one op, its groups and hints as the batch
+// carried them, in journal order; keys the batches share are not merged.
+// A history fed the delta holds what one fed the batches holds.
+func TestDeltasAnswerOneOpPerBatchInJournalOrder(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -243,28 +301,30 @@ func TestDeltasConcatenateBatchesInJournalOrder(t *testing.T) {
 	ctx := context.Background()
 
 	fed := cumulative.NewHistory(cumulative.DefaultConfig())
-	var batches []*cumulative.Snapshot
+	var want []codec.DeltaOp
 	for i := 0; i < 3; i++ {
 		b := sharedKeyBatch(i)
 		if _, err := c.PushBatchContext(ctx, stampedBatch("j", b)); err != nil {
 			t.Fatal(err)
 		}
-		batches = append(batches, b)
+		want = append(want, codec.DeltaOp{Snapshot: b})
 		fed.Absorb(b)
 	}
-	d, err := c.Deltas(ctx, 0)
+	d, err := c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Full || d.Seq != 3 || len(d.Ops) != 0 {
+	if d.Full || d.Seq != 3 {
 		t.Fatalf("delta since 0: %+v", d)
 	}
-	if want := concatenated(batches...); !reflect.DeepEqual(d.Snapshot, want) {
-		t.Fatalf("delta snapshot\n got  %+v\n want %+v", d.Snapshot, want)
+	if !reflect.DeepEqual(d.Ops, want) {
+		t.Fatalf("delta ops\n got  %+v\n want %+v", d.Ops, want)
 	}
 
 	mirror := cumulative.NewHistory(cumulative.DefaultConfig())
-	mirror.Absorb(d.Snapshot)
+	for _, op := range d.Ops {
+		mirror.Absorb(op.Snapshot)
+	}
 	mirror.Canonicalize()
 	fed.Canonicalize()
 	if !mirror.Equal(fed) {
@@ -273,9 +333,9 @@ func TestDeltasConcatenateBatchesInJournalOrder(t *testing.T) {
 }
 
 // TestDeltasEvictionSplitsConcatenatedWindow: an eviction inside a
-// window still ends the run of additions before it, so the delta is the
-// ordered ops [batches before, eviction, batches after], and replaying
-// them from an empty mirror reproduces the store.
+// window is one op between the batches journaled before and after it,
+// so the delta is the ordered ops [b0, b1, eviction, b2, b3], and
+// replaying them from an empty mirror reproduces the store.
 func TestDeltasEvictionSplitsConcatenatedWindow(t *testing.T) {
 	srv := NewServer(ServerOptions{CorrectEvery: -1, DisableCorrection: true})
 	ts := httptest.NewServer(srv.Handler())
@@ -298,16 +358,18 @@ func TestDeltasEvictionSplitsConcatenatedWindow(t *testing.T) {
 	push(b2)
 	push(b3)
 
-	d, err := c.Deltas(ctx, 0)
+	d, err := c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []codec.DeltaOp{
-		{Snapshot: concatenated(b0, b1)},
+		{Snapshot: b0},
+		{Snapshot: b1},
 		{Evict: []site.ID{0x10}},
-		{Snapshot: concatenated(b2, b3)},
+		{Snapshot: b2},
+		{Snapshot: b3},
 	}
-	if d.Snapshot != nil || !reflect.DeepEqual(d.Ops, want) {
+	if d.Full || !reflect.DeepEqual(d.Ops, want) {
 		t.Fatalf("delta ops\n got  %+v\n want %+v", d.Ops, want)
 	}
 
@@ -338,15 +400,15 @@ func TestDeltasJournalWindowFallsBackToFull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := c.Deltas(ctx, 1) // long fallen off the 4-batch window
+	d, err := c.Deltas(ctx, 1, 0) // long fallen off the 4-batch window
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Full || d.Seq != 10 {
 		t.Fatalf("want full resync at seq 10, got %+v", d)
 	}
-	if d.Snapshot.Runs != 20 {
-		t.Fatalf("full resync runs = %d, want 20", d.Snapshot.Runs)
+	if s := resyncSnapshot(t, d); s.Runs != 20 {
+		t.Fatalf("full resync runs = %d, want 20", s.Runs)
 	}
 }
 
@@ -381,26 +443,26 @@ func TestDeltasSeeSnapshotRestoredEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err := c.Deltas(ctx, 0)
+	d, err := c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Full {
 		t.Fatalf("since=0 after a restore must be a full resync, got %+v", d)
 	}
-	if d.Snapshot.Runs != 4 {
-		t.Fatalf("full resync runs = %d, want 4 (restored 2 + new 2)", d.Snapshot.Runs)
+	if s := resyncSnapshot(t, d); s.Runs != 4 {
+		t.Fatalf("full resync runs = %d, want 4 (restored 2 + new 2)", s.Runs)
 	}
 
 	// The returned cursor delta-polls cleanly from here on.
 	if _, err := c.PushBatchContext(ctx, stampedBatch("r2", evidenceBatch(0x79))); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := c.Deltas(ctx, d.Seq)
+	d2, err := c.Deltas(ctx, d.Seq, d.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Full || d2.Snapshot == nil || d2.Snapshot.Runs != 2 {
+	if d2.Full || len(d2.Ops) != 1 || d2.Ops[0].Snapshot.Runs != 2 {
 		t.Fatalf("incremental poll after restore resync: %+v", d2)
 	}
 }

@@ -4,17 +4,18 @@ import (
 	"sync"
 
 	"exterminator/internal/cumulative"
+	"exterminator/internal/fleet/codec"
 	"exterminator/internal/site"
 )
 
 // journal is the bounded evidence journal behind GET /v1/deltas: every
 // absorbed observation batch is appended with a monotonic sequence
 // number, so a coordinator can poll "what arrived after seq S" and
-// receive just that. Rebalance evictions are journaled too — as removal
-// entries, so a poller's mirror tracks evidence that *left* this
-// partition, not only evidence that arrived. Pollers whose cursor
-// predates the retained window (or comes from another server
-// incarnation) get a full resync instead.
+// receive just that, one delta op per entry. Rebalance evictions are
+// journaled too — as removal ops, so a poller's mirror tracks evidence
+// that *left* this partition, not only evidence that arrived. Pollers
+// whose cursor predates the retained window (or comes from another
+// server incarnation) get a full resync instead.
 type journal struct {
 	mu      sync.Mutex
 	max     int
@@ -23,15 +24,14 @@ type journal struct {
 	entries []journalEntry
 }
 
-// journalEntry is one journal step: an absorbed batch (snap — the
-// snapshot its frame decoded to) or an eviction (evict — the key set a
-// rebalance drained from this partition). reqID is the batch's
+// journalEntry is one journal step and the delta op that answers it: an
+// absorbed batch (the snapshot its frame decoded to) or an eviction (the
+// key set a rebalance drained from this partition). reqID is the batch's
 // X-Request-ID correlation field; it rides the delta reply so the
 // coordinator's log can be joined with this partition's, upload by
 // upload.
 type journalEntry struct {
-	snap  *cumulative.Snapshot
-	evict []site.ID
+	op    codec.DeltaOp
 	reqID string
 }
 
@@ -58,12 +58,12 @@ func newJournal(max int) *journal {
 // snapshot must not be mutated afterwards (the journal keeps the
 // reference).
 func (j *journal) appendBatch(snap *cumulative.Snapshot, reqID string) uint64 {
-	return j.push(journalEntry{snap: snap, reqID: reqID})
+	return j.push(journalEntry{op: codec.DeltaOp{Snapshot: snap}, reqID: reqID})
 }
 
 // appendEvict records a rebalance drain of the given keys.
 func (j *journal) appendEvict(keys []site.ID) uint64 {
-	return j.push(journalEntry{evict: keys})
+	return j.push(journalEntry{op: codec.DeltaOp{Evict: keys}})
 }
 
 func (j *journal) push(e journalEntry) uint64 {
@@ -84,17 +84,30 @@ func (j *journal) push(e journalEntry) uint64 {
 	return j.seq
 }
 
-// since returns the entries recorded after sequence number from, plus
-// the current sequence. ok is false when from lies outside the retained
-// window (too old, or from a previous incarnation ahead of seq) — the
-// caller must answer with a full resync.
-func (j *journal) since(from uint64) (entries []journalEntry, seq uint64, ok bool) {
+// since fills d with the window after sequence number from: one op per
+// entry in journal order, sharing each batch's journaled snapshot, the
+// entries' correlation IDs (at most maxDeltaReqIDs, oldest first) and
+// the current sequence. It reports false, leaving d alone, when from
+// lies outside the retained window (too old, or from a previous
+// incarnation ahead of seq) — the caller must answer with a full
+// resync.
+func (j *journal) since(from uint64, d *codec.Delta) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from > j.seq || from < j.base {
-		return nil, j.seq, false
+		return false
 	}
-	return append([]journalEntry(nil), j.entries[from-j.base:]...), j.seq, true
+	window := j.entries[from-j.base:]
+	d.Seq = j.seq
+	d.Ops = make([]codec.DeltaOp, len(window))
+	d.ReqIDs = make([]string, 0, min(len(window), maxDeltaReqIDs))
+	for i, e := range window {
+		d.Ops[i] = e.op
+		if e.reqID != "" && len(d.ReqIDs) < maxDeltaReqIDs {
+			d.ReqIDs = append(d.ReqIDs, e.reqID)
+		}
+	}
+	return true
 }
 
 // length returns how many entries the journal currently retains (the
@@ -123,46 +136,4 @@ func (j *journal) invalidate() {
 	j.seq++
 	j.base = j.seq
 	j.entries = j.entries[:0]
-}
-
-// concatBatches is the delta for a run of journaled batches: their run
-// counters add up, and their site, group and hint lists follow one
-// another in journal order, so a key appears once per batch that carried
-// it. Groups keep their observation slices, shared read-only with the
-// journal. Nothing is merged or sorted: a History absorbing the result
-// holds what absorbing each batch would, and the Bayes factor does not
-// depend on observation order.
-func concatBatches(cfg cumulative.Config, entries []journalEntry) *cumulative.Snapshot {
-	out := &cumulative.Snapshot{
-		C:             cfg.C,
-		P:             cfg.P,
-		Sites:         concatLists(entries, func(s *cumulative.Snapshot) []site.ID { return s.Sites }),
-		Overflow:      concatLists(entries, func(s *cumulative.Snapshot) []cumulative.SiteObservations { return s.Overflow }),
-		Dangling:      concatLists(entries, func(s *cumulative.Snapshot) []cumulative.PairObservations { return s.Dangling }),
-		PadHints:      concatLists(entries, func(s *cumulative.Snapshot) []cumulative.PadHint { return s.PadHints }),
-		DeferralHints: concatLists(entries, func(s *cumulative.Snapshot) []cumulative.DeferralHint { return s.DeferralHints }),
-	}
-	for _, e := range entries {
-		out.Runs += e.snap.Runs
-		out.FailedRuns += e.snap.FailedRuns
-		out.CorruptRuns += e.snap.CorruptRuns
-	}
-	return out
-}
-
-// concatLists concatenates one list of every entry's snapshot into a
-// slice of exactly the combined length (nil when it is zero).
-func concatLists[T any](entries []journalEntry, list func(*cumulative.Snapshot) []T) []T {
-	n := 0
-	for _, e := range entries {
-		n += len(list(e.snap))
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
-	for _, e := range entries {
-		out = append(out, list(e.snap)...)
-	}
-	return out
 }

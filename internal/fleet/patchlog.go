@@ -4,7 +4,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 
 	"exterminator/internal/fleet/codec"
@@ -187,14 +186,9 @@ func (l *PatchLog) Handler(logger *slog.Logger, requests, notModified *telemetry
 		if requests != nil {
 			requests.Inc()
 		}
-		var since uint64
-		if q := r.URL.Query().Get("since"); q != "" {
-			v, err := strconv.ParseUint(q, 10, 64)
-			if err != nil {
-				http.Error(w, "fleet: bad since: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			since = v
+		since, ok := queryUint(w, r.URL.Query(), "since")
+		if !ok {
+			return
 		}
 		// Validator and answer come from one read-locked view, so the
 		// ETag always describes the body it rides on.

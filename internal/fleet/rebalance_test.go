@@ -133,7 +133,7 @@ func TestEvictExtractsJournalsAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Establish a delta cursor before the eviction.
-	d0, err := c.Deltas(ctx, 0)
+	d0, err := c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEvictExtractsJournalsAndCaches(t *testing.T) {
 
 	// Delta pollers see the ordered ops: eviction first, then the later
 	// addition — and applying them to a mirror reproduces the store.
-	d1, err := c.Deltas(ctx, d0.Seq)
+	d1, err := c.Deltas(ctx, d0.Seq, d0.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEvictCountersInvalidatesJournal(t *testing.T) {
 
 	// A replay-from-zero poll must get a full resync of the post-drain
 	// store — never the pre-drain journal entries.
-	d, err := c.Deltas(ctx, 0)
+	d, err := c.Deltas(ctx, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestEvictCountersInvalidatesJournal(t *testing.T) {
 		t.Fatalf("cursor 0 after counter drain answered with a delta: %+v", d)
 	}
 	mirror := cumulative.NewHistory(cfg)
-	mirror.Absorb(d.Snapshot)
+	mirror.Absorb(resyncSnapshot(t, d))
 	if mirror.Runs != 0 {
 		t.Fatalf("mirror re-counted drained runs: %d", mirror.Runs)
 	}

@@ -157,7 +157,7 @@ func TestEvictKeysRefusesBadAnswers(t *testing.T) {
 	bad := map[string][]byte{
 		"another token":      evictFrame("rebalance:v2:http://p2", xSnapshot(0.25, false)),
 		"no snapshot":        frame(&codec.Batch{BatchID: token}),
-		"a delta frame":      codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Seq: 1, Snapshot: xSnapshot(0.25, false)}),
+		"a delta frame":      codec.EncodeDelta(&codec.Buffer{}, &codec.Delta{Seq: 1, Ops: []codec.DeltaOp{{Snapshot: xSnapshot(0.25, false)}}}),
 		"a JSON body":        []byte(`{"ok":true,"evicted":{"c":4,"p":0.5,"runs":1}}`),
 		"a trailing byte":    append(evictFrame(token, xSnapshot(0.25, false)), 0),
 		"an empty body":      nil,

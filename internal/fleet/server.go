@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -666,72 +667,41 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDeltas serves the partition→coordinator evidence feed: the
-// batches absorbed after journal position ?since=S, one after another in
-// journal order. Cursors outside the retained window (or from a previous
-// incarnation) are answered with a Full resync taken at a consistent
-// journal position.
+// journal entries after position ?since=S, one op per entry in journal
+// order. A cursor outside the retained window, or one from another
+// incarnation (?epoch=E, when E is neither 0 nor this server's epoch),
+// is answered with a Full resync taken at a consistent journal position.
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	var since uint64
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			http.Error(w, "fleet: bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = v
+	q := r.URL.Query()
+	since, ok := queryUint(w, q, "since")
+	if !ok {
+		return
+	}
+	epoch, ok := queryUint(w, q, "epoch")
+	if !ok {
+		return
 	}
 	reqID := EchoRequestID(w, r)
-	entries, seq, ok := s.journal.since(since)
-	if !ok {
+	reply := &codec.Delta{Epoch: s.epoch}
+	if (epoch != 0 && epoch != s.epoch) || !s.journal.since(since, reply) {
 		// Full resync: exclude in-flight ingest so the snapshot matches
 		// the sequence number exactly.
 		s.deltaMu.Lock()
-		seq = s.journal.seqNow()
+		reply.Seq = s.journal.seqNow()
 		hist := s.store.Combined()
 		s.deltaMu.Unlock()
+		reply.Full, reply.Ops = true, []codec.DeltaOp{{Snapshot: hist.Snapshot()}}
 		s.logger.Info("delta poll answered with full resync",
-			"since", since, "seq", seq, "requestId", reqID)
-		writeDelta(w, &codec.Delta{Epoch: s.epoch, Seq: seq, Full: true, Snapshot: hist.Snapshot()})
-		return
-	}
-	reply := codec.Delta{Epoch: s.epoch, Seq: seq}
-	// Carry the window's correlation IDs so the coordinator's delta log
-	// lines up with this partition's ingest log, upload by upload.
-	for _, e := range entries {
-		if e.reqID != "" && len(reply.ReqIDs) < maxDeltaReqIDs {
-			reply.ReqIDs = append(reply.ReqIDs, e.reqID)
-		}
-	}
-	// Each run of consecutive additions becomes one snapshot; a
-	// rebalance eviction ends the run (ordering matters: evidence added
-	// before the drain was drained, evidence added after it was not).
-	// Windows without evictions carry a single snapshot.
-	var ops []codec.DeltaOp
-	for i := 0; i < len(entries); {
-		if len(entries[i].evict) > 0 {
-			ops = append(ops, codec.DeltaOp{Evict: entries[i].evict})
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(entries) && len(entries[j].evict) == 0 {
-			j++
-		}
-		ops = append(ops, codec.DeltaOp{Snapshot: concatBatches(s.store.cfg, entries[i:j])})
-		i = j
-	}
-	if len(ops) == 1 && ops[0].Snapshot != nil {
-		reply.Snapshot = ops[0].Snapshot
+			"since", since, "epoch", epoch, "seq", reply.Seq, "requestId", reqID)
 	} else {
-		reply.Ops = ops
+		s.logger.Debug("deltas served",
+			"since", since, "seq", reply.Seq, "entries", len(reply.Ops), "requestId", reqID)
 	}
-	s.logger.Debug("deltas served",
-		"since", since, "seq", seq, "entries", len(entries), "requestId", reqID)
-	writeDelta(w, &reply)
+	writeDelta(w, reply)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -764,8 +734,26 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// queryUint reads the unsigned query parameter name, 0 when it is
+// absent. A value that does not parse is answered with 400, and ok is
+// false.
+func queryUint(w http.ResponseWriter, q url.Values, name string) (v uint64, ok bool) {
+	s := q.Get(name)
+	if s == "" {
+		return 0, true
+	}
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		http.Error(w, "fleet: bad "+name+": "+err.Error(), http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
+}
+
 // DecodeJSONBody strictly decodes one JSON document from the request
-// body, opened by openBody. Exported so every fleet tier (the cluster
+// body, opened by openBody and read whole: anything after the document
+// but whitespace fails it, and dst is left alone when the body is not
+// one valid document. Exported so every fleet tier (the cluster
 // coordinator included) accepts exactly the request bodies fleet.Client
 // sends.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, dst any) error {
@@ -773,12 +761,12 @@ func DecodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, dst any
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("fleet: decode body: %w", err)
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return fmt.Errorf("fleet: read body: %w", err)
 	}
-	if dec.More() {
-		return fmt.Errorf("fleet: decode body: trailing data")
+	if err := json.Unmarshal(data, dst); err != nil {
+		return fmt.Errorf("fleet: decode body: %w", err)
 	}
 	return nil
 }

@@ -82,9 +82,10 @@ func (st *Store) NumShards() int { return len(st.shards) }
 // stripe's lock, one key at a time, so absorbs touching different
 // stripes never wait on each other and no per-stripe copy of the
 // snapshot is built. A one-stripe store (the coordinator's merged
-// evidence) absorbs the whole snapshot under one hold instead, so an
-// Identify pass sees all of it or none of it (see Identify). Stripe
-// histories carry no run counters.
+// evidence) absorbs the whole snapshot under one hold instead. The
+// coordinator folds a delta window in one call per batch, so an Identify
+// pass sees each batch, its sites with its observations, whole or not at
+// all (see Identify). Stripe histories carry no run counters.
 func (st *Store) AbsorbSnapshot(s *cumulative.Snapshot) {
 	if s == nil {
 		return
@@ -210,7 +211,7 @@ func (st *Store) Identify() (*cumulative.Findings, triage.PassInput) {
 	if len(st.shards) == 1 {
 		// One stripe holds the whole pool (the coordinator's merged
 		// evidence): N is read and every key scored under one hold, so a
-		// delta folded in mid-pass cannot pair fresh observations with a
+		// batch folded in mid-pass cannot pair fresh observations with a
 		// stale N.
 		sh := &st.shards[0]
 		sh.mu.Lock()

@@ -13,7 +13,7 @@
 //	POST /v1/reports        report.Report (human-readable bug reports)
 //	GET  /v1/reports        recently received reports
 //	GET  /v1/patches?since=V codec.PatchSet with entries added after version V (a frame when asked for)
-//	GET  /v1/deltas?since=S  codec.Delta frame with evidence absorbed after journal seq S
+//	GET  /v1/deltas?since=S&epoch=E codec.Delta frame: one op per journal entry after seq S of epoch E
 //	POST /v1/evict          EvictRequest: drain a key set (cluster rebalancing); answers a codec.Batch frame
 //	POST /v1/ring           RingUpdate: raise the required membership version
 //	GET  /v1/status         aggregate statistics
@@ -47,7 +47,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"exterminator/internal/cumulative"
 	"exterminator/internal/fleet/codec"
@@ -101,17 +100,13 @@ type IngestReply struct {
 
 // DecodePatchSet reads a patch set in the JSON wire encoding: the
 // document GET /v1/patches answers a request that does not ask for a
-// frame, as curl saves it (patchmerge reads such a download). It rejects
-// trailing garbage so a truncated or concatenated document cannot
-// silently decode into a partial set.
-func DecodePatchSet(r io.Reader) (*patch.Set, uint64, error) {
-	dec := json.NewDecoder(r)
+// frame, as curl saves it (patchmerge reads such a download). Anything
+// after the document but whitespace fails it, so a truncated or
+// concatenated document cannot silently decode into a partial set.
+func DecodePatchSet(data []byte) (*patch.Set, uint64, error) {
 	var w codec.PatchSet
-	if err := dec.Decode(&w); err != nil {
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, 0, fmt.Errorf("fleet: decode patch set: %w", err)
-	}
-	if dec.More() {
-		return nil, 0, fmt.Errorf("fleet: decode patch set: trailing data after JSON document")
 	}
 	return w.Set(), w.Version, nil
 }

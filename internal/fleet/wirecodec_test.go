@@ -54,16 +54,16 @@ func samplePatchSet() *codec.PatchSet {
 	}
 }
 
-// sampleDelta is the delta wire_delta.v2.bin pins: a tail snapshot,
-// both op kinds and correlation IDs.
+// sampleDelta is the delta wire_delta.v2.bin pins: a snapshot op, an
+// eviction, a second snapshot op and correlation IDs.
 func sampleDelta() *codec.Delta {
 	return &codec.Delta{
-		Epoch:    2,
-		Seq:      41,
-		Snapshot: testBatches(2)[1],
+		Epoch: 2,
+		Seq:   41,
 		Ops: []codec.DeltaOp{
 			{Snapshot: testBatches(1)[0]},
 			{Evict: []site.ID{0x100, 0x104, guiltySite}},
+			{Snapshot: testBatches(2)[1]},
 		},
 		ReqIDs: []string{"req-1", "req-2"},
 	}
@@ -382,7 +382,7 @@ func TestClientSpeaksFramesByDefault(t *testing.T) {
 	if ps.Pad(guiltySite) == 0 {
 		t.Fatalf("patch poll missed the guilty site: %s", ps)
 	}
-	if _, err := c.Deltas(t.Context(), 0); err != nil {
+	if _, err := c.Deltas(t.Context(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -524,9 +524,6 @@ func TestDeltasNegotiation(t *testing.T) {
 		t.Fatalf("plain delta poll is not an XWF2 delta frame: %v", err)
 	}
 	h := cumulative.NewHistory(cumulative.DefaultConfig())
-	if d.Snapshot != nil {
-		h.Absorb(d.Snapshot)
-	}
 	for _, op := range d.Ops {
 		if op.Snapshot != nil {
 			h.Absorb(op.Snapshot)

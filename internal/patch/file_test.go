@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,7 +103,7 @@ func extremes() *patch.Set {
 	s.AddFrontPad(0xffffffff, 0xffffffff)
 	s.AddDeferral(site.Pair{Alloc: 0xa, Free: 0xb}, 21)
 	s.AddDeferral(site.Pair{Alloc: 0xffffffff, Free: 0}, 1<<40)
-	s.AddDeferral(site.Pair{Alloc: 0, Free: 0xffffffff}, ^uint64(0))
+	s.AddDeferral(site.Pair{Alloc: 0, Free: 0xffffffff}, math.MaxUint64)
 	return s
 }
 
