@@ -16,7 +16,9 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -706,16 +708,39 @@ func BenchmarkClusterRoute(b *testing.B) {
 // node back out — one full grow/shrink cycle per iteration:
 //
 //	go test -bench BenchmarkRebalance -benchtime 5x
+//
+// The ring hashes node URLs, so the partitions carry fixed names rather
+// than their listeners' random ports, and for the benchmark's duration
+// http.DefaultTransport (which every fleet.Client uses) dials each name's
+// listener. Every run then moves the same keys.
 func BenchmarkRebalance(b *testing.B) {
 	ctx := context.Background()
 	cfg := cumulative.DefaultConfig()
 	var partURLs []string
+	listeners := make(map[string]string)
 	for i := 0; i < 4; i++ {
 		srv := fleet.NewServer(fleet.ServerOptions{Config: cfg, CorrectEvery: -1, DisableCorrection: true})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		partURLs = append(partURLs, ts.URL)
+		host := fmt.Sprintf("p%d.rebalance.test", i)
+		listeners[host+":80"] = ts.Listener.Addr().String()
+		partURLs = append(partURLs, "http://"+host)
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.Proxy = nil
+	var dialer net.Dialer
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if l, ok := listeners[addr]; ok {
+			addr = l
+		}
+		return dialer.DialContext(ctx, network, addr)
+	}
+	defaultTransport := http.DefaultTransport
+	http.DefaultTransport = tr
+	b.Cleanup(func() {
+		http.DefaultTransport = defaultTransport
+		tr.CloseIdleConnections()
+	})
 	base, spare := partURLs[:3], partURLs[3]
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorOptions{
 		Partitions:       base,
@@ -953,8 +978,9 @@ func BenchmarkTriage(b *testing.B) {
 
 // Read-replica patch fan-out: what one replica can absorb from a patch
 // polling fleet, cached (If-None-Match revalidation answered 304 with
-// no body) versus uncached (full patch-set body on every poll). The
-// cached/uncached gap is the reason the replica tier exists:
+// no body) versus uncached (full patch-set body on every poll), and what
+// one refresh of the replica costs (poll). The cached/uncached gap is the
+// reason the replica tier exists:
 //
 //	go test -bench BenchmarkReplicaPatchFanout -benchtime 100x
 func BenchmarkReplicaPatchFanout(b *testing.B) {
@@ -1037,6 +1063,16 @@ func BenchmarkReplicaPatchFanout(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			poll(b, "", http.StatusOK)
+		}
+	})
+	// One replica refresh against the unchanged coordinator: a 304
+	// patch revalidation.
+	b.Run("poll", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := rep.PollOnce(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

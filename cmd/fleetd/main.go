@@ -81,7 +81,7 @@ var (
 	primary      = flag.String("primary", "", "standby: primary coordinator base URL to lease-probe; consecutive probe failures trigger self-promotion")
 	takeoverN    = flag.Int("takeover-after", 0, "standby: consecutive failed lease probes before self-promotion (0: 3)")
 	leaseHolder  = flag.String("lease-holder", "", "coordinator: lease-holder name reported in /v1/lease and /v1/status (empty: the listen address)")
-	replica      = flag.String("replica", "", "run as a read replica over these comma-separated coordinator base URLs (primary first, standby after); serves GET /v1/patches and /v1/triage from a cache refreshed every -poll-interval")
+	replica      = flag.String("replica", "", "run as a read replica over these comma-separated coordinator base URLs (primary first, standby after); serves GET /v1/patches from a cache refreshed every -poll-interval and forwards GET /v1/triage upstream")
 	pollInt      = flag.Duration("poll-interval", 1*time.Second, "coordinator: partition journal poll interval (replica: cache refresh interval)")
 	rebalJournal = flag.String("rebalance-journal", "", "coordinator: crash-safe rebalance journal file; an interrupted drain/backfill is re-driven on start (required for safe live resizes)")
 	alertURL     = flag.String("alert-url", "", "webhook URL for triage alerts: POST a compound alert when a cluster crosses the Bayes or occurrence trigger (empty: alerting off)")
@@ -328,11 +328,11 @@ func runCoordinator(ctx context.Context, addr, partitions, token string, cfg cum
 		st.Polls, st.Resyncs, st.Runs, st.Sites, st.PatchLen, st.Version)
 }
 
-// runReplica runs the read-path fan-out tier: a stateless cache over
-// one or more coordinators (primary first, standby after) serving
-// GET /v1/patches and GET /v1/triage to any number of pollers. No
-// snapshot, no journal — a restarted replica rebuilds its entire state
-// from one upstream poll.
+// runReplica runs the read-path fan-out tier: a stateless patch cache
+// over one or more coordinators (primary first, standby after) serving
+// GET /v1/patches to any number of pollers, and forwarding the rare
+// GET /v1/triage upstream. No snapshot, no journal — a restarted replica
+// rebuilds its entire state from one upstream poll.
 func runReplica(ctx context.Context, addr, upstreams, token string, pollInt time.Duration,
 	reg *telemetry.Registry, logger *slog.Logger) {
 	var ups []string

@@ -154,6 +154,8 @@ func TestLockorderDeclaration(t *testing.T) {
 		Order: []LockRank{
 			{Class: "ranked.A.mu", Doc: "outer"},
 			{Class: "ranked.B.mu", Doc: "inner"},
+			{Class: "ranked.Retired.mu", Doc: "stale: its mutex is gone"},
+			{Class: "elsewhere.T.mu", Doc: "outside the run"},
 		},
 		DeclarePkgs: []string{"ranked."},
 	}

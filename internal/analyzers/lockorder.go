@@ -213,7 +213,9 @@ func cycleDiagnostics(edges []lockEdge) []Diagnostic {
 }
 
 // declarationDiagnostics checks edges and observed classes against the
-// canonical declaration.
+// canonical declaration, and the declaration against the observed
+// classes: a row whose package is under analysis but whose class no
+// analyzed function locks names a mutex that is gone.
 func declarationDiagnostics(lp *lockProgram, edges []lockEdge, cfg LockorderConfig) []Diagnostic {
 	if len(cfg.Order) == 0 {
 		return nil
@@ -261,6 +263,22 @@ func declarationDiagnostics(lp *lockProgram, edges []lockEdge, cfg LockorderConf
 				Pos: lp.classPos[c],
 				Message: fmt.Sprintf(
 					"lock class %s is not declared in the canonical lock order (add it to LockOrder in internal/analyzers/lockrank.go and docs/ARCHITECTURE.md)", c),
+			})
+		}
+	}
+
+	analyzed := make(map[string]*Package)
+	for _, pkg := range lp.pass.Pkgs {
+		analyzed[pkg.Types.Name()] = pkg
+	}
+	for _, r := range cfg.Order {
+		pkgName, _, _ := strings.Cut(r.Class, ".")
+		pkg, ok := analyzed[pkgName]
+		if _, locked := lp.classPos[r.Class]; ok && !locked {
+			out = append(out, Diagnostic{
+				Pos: pkg.Files[0].Name.Pos(),
+				Message: fmt.Sprintf(
+					"LockOrder row %s is stale: no analyzed function locks it (delete it from LockOrder in internal/analyzers/lockrank.go and docs/ARCHITECTURE.md)", r.Class),
 			})
 		}
 	}

@@ -42,7 +42,6 @@ var LockOrder = []LockRank{
 	{Class: "cluster.Router.mu", Doc: "router membership snapshot and per-partition clients"},
 	{Class: "cluster.Ring.mu", Doc: "consistent-hash ring membership and version"},
 	{Class: "fleet.Client.mu", Doc: "upload client request-id/backoff/failover state: active base, last epoch, ETag"},
-	{Class: "cluster.Replica.mu", Doc: "read-replica triage cache: the coordinator's ranking page, kept as written, and its ETag (the patch mirror is a fleet.PatchLog); poll I/O happens before it is taken, reads copy under it and write after release"},
 	// —— partition / server scope ——
 	{Class: "fleet.Server.deltaMu", Doc: "partition delta/journal window, ring-version raises, snapshot capture"},
 	{Class: "fleet.Reports.mu", Doc: "bug-report ring behind /v1/reports on fleetd and the coordinator"},

@@ -1,8 +1,10 @@
 // Package ranked exercises the lockorder declaration checks: an edge
-// against the declared rank order, and a lock class missing from the
-// declaration entirely. The test config declares Order = [A.mu, B.mu]
-// with DeclarePkgs = ["ranked."].
-package ranked
+// against the declared rank order, a lock class missing from the
+// declaration entirely, and a declared row whose mutex is gone. The test
+// config declares Order = [A.mu, B.mu, Retired.mu, elsewhere.T.mu] with
+// DeclarePkgs = ["ranked."]; the last row's package is not under
+// analysis, so it stays silent.
+package ranked // want `LockOrder row ranked\.Retired\.mu is stale: no analyzed function locks it`
 
 import "sync"
 

@@ -23,6 +23,7 @@ import (
 	"exterminator/internal/site"
 	"exterminator/internal/testutil"
 	"exterminator/internal/testutil/chaos"
+	"exterminator/internal/triage"
 )
 
 // haPartition spins up one partition server and a coordinator-ready
@@ -489,10 +490,14 @@ func TestReplicaServesCachedPatchesAndTriage(t *testing.T) {
 	if !bytes.Equal(coordPatches, repPatches) {
 		t.Fatalf("replica patches diverge from coordinator:\ncoord:   %s\nreplica: %s", coordPatches, repPatches)
 	}
-	coordTriage := getBytes(t, coordTS.URL+"/v1/triage?limit=200")
-	repTriage := getBytes(t, repTS.URL+"/v1/triage")
-	if !bytes.Equal(coordTriage, repTriage) {
-		t.Fatalf("replica triage diverges from coordinator:\ncoord:   %s\nreplica: %s", coordTriage, repTriage)
+	// The replica forwards each ranking query upstream, so both tiers
+	// answer it with the same bytes.
+	for _, query := range []string{"", "?limit=200", "?offset=1&limit=2"} {
+		coordTriage := getBytes(t, coordTS.URL+"/v1/triage"+query)
+		repTriage := getBytes(t, repTS.URL+"/v1/triage"+query)
+		if !bytes.Equal(coordTriage, repTriage) {
+			t.Fatalf("replica triage%s diverges from coordinator:\ncoord:   %s\nreplica: %s", query, coordTriage, repTriage)
+		}
 	}
 
 	// Revalidation: echoing the validator costs a 304, no body.
@@ -536,10 +541,11 @@ func TestReplicaServesCachedPatchesAndTriage(t *testing.T) {
 	}
 }
 
-// TestReplicaTriageDeclaresContentLength: the replica serves its cached
-// triage page with Content-Length, as the coordinator does, so a page
-// over net/http's 2 KB response buffer does not go out chunked, and a
-// downstream Client.TriagePage reads it into one slice of exact size.
+// TestReplicaTriageDeclaresContentLength: the replica serves the
+// forwarded triage page with Content-Length, as the coordinator does, so
+// a page over net/http's 2 KB response buffer does not go out chunked,
+// and a downstream Client.TriagePage reads it into one slice of exact
+// size.
 func TestReplicaTriageDeclaresContentLength(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx := context.Background()
@@ -565,7 +571,7 @@ func TestReplicaTriageDeclaresContentLength(t *testing.T) {
 	if err := rep.PollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(repTS.URL + "/v1/triage")
+	resp, err := http.Get(repTS.URL + "/v1/triage?limit=200")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +583,7 @@ func TestReplicaTriageDeclaresContentLength(t *testing.T) {
 	if len(body) <= 2048 || resp.ContentLength != int64(len(body)) {
 		t.Fatalf("%d-byte page served with Content-Length %d", len(body), resp.ContentLength)
 	}
-	page, err := fleet.NewClient(repTS.URL, "downstream").TriagePage(ctx, 0, replicaTriageLimit)
+	page, err := fleet.NewClient(repTS.URL, "downstream").TriagePage(ctx, 0, triage.MaxPageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,12 +592,13 @@ func TestReplicaTriageDeclaresContentLength(t *testing.T) {
 	}
 }
 
-// TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON: a replica keeps the
-// coordinator's triage page as it was written, so it checks that the
-// page parses first. After an upstream answers a page that does not, the
-// replica still serves its previous body and ETag, and its patches
-// still follow the upstream.
-func TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON(t *testing.T) {
+// TestReplicaAnswers502WhileUpstreamPageIsNotJSON: a replica forwards
+// the coordinator's triage page as it was written, so it checks that the
+// page parses first. While the upstream answers a page that does not, a
+// read at the replica answers 502; once the page parses again, the read
+// answers the coordinator's bytes. An upstream that answers no page is a
+// 502 too. The replica's patches follow the upstream throughout.
+func TestReplicaAnswers502WhileUpstreamPageIsNotJSON(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx := context.Background()
 	cfg := cumulative.DefaultConfig()
@@ -600,9 +607,16 @@ func TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var broken atomic.Bool
+	// broken cuts the upstream's triage page short; unavailable makes
+	// it answer 503 and no page at all.
+	var broken, unavailable atomic.Bool
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if broken.Load() && req.URL.Path == "/v1/triage" {
+		switch {
+		case req.URL.Path != "/v1/triage":
+		case unavailable.Load():
+			http.Error(w, "standby", http.StatusServiceUnavailable)
+			return
+		case broken.Load():
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, `{"total": 3, "clusters": [`)
 			return
@@ -617,48 +631,171 @@ func TestReplicaKeepsTriageWhenUpstreamPageIsNotJSON(t *testing.T) {
 	repTS := httptest.NewServer(rep.Handler())
 	defer repTS.Close()
 
-	triagePage := func() (body []byte, etag string) {
+	// follows syncs the coordinator, refreshes the replica and checks
+	// that the replica's patches are the upstream's.
+	follows := func() uint64 {
+		t.Helper()
+		if _, err := coord.Sync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.PollOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got, want := rep.Status().ReplicaVersion, coord.PatchLog().Version()
+		if got != want {
+			t.Fatalf("replica patches at version %d, upstream at %d", got, want)
+		}
+		return got
+	}
+
+	feedCluster(t, ctx, 23, 10, partURL)
+	first := follows()
+	badGateway := func(what string) {
 		t.Helper()
 		resp, err := http.Get(repTS.URL + "/v1/triage")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if body, err = io.ReadAll(resp.Body); err != nil {
-			t.Fatal(err)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("replica GET /v1/triage over %s = %s: %s, want 502", what, resp.Status, body)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("replica GET /v1/triage = %s: %s", resp.Status, body)
-		}
-		return body, resp.Header.Get("ETag")
+	}
+	unavailable.Store(true)
+	badGateway("an upstream that answers no page")
+	unavailable.Store(false)
+	broken.Store(true)
+	badGateway("a non-JSON upstream page")
+	feedSecondWave(t, ctx, partURL)
+	if v := follows(); v <= first {
+		t.Fatalf("replica patches stopped at version %d (was %d)", v, first)
 	}
 
+	broken.Store(false)
+	if got, want := getBytes(t, repTS.URL+"/v1/triage"), getBytes(t, upstream.URL+"/v1/triage"); !bytes.Equal(got, want) {
+		t.Fatalf("once the upstream page parses, the replica serves\n%s\nwant the coordinator's\n%s", got, want)
+	}
+	follows()
+}
+
+// TestReplicaRefreshSendsOneUpstreamRequest: a refresh is one
+// conditional patch poll and nothing else; triage reads are forwarded
+// when they arrive, not mirrored on every refresh.
+func TestReplicaRefreshSendsOneUpstreamRequest(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	_, partURL := haPartition(t, cfg)
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	feedCluster(t, ctx, 23, 10, partURL)
 	if _, err := coord.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.PollOnce(ctx); err != nil {
+	var requests atomic.Int64
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		requests.Add(1)
+		coord.Handler().ServeHTTP(w, req)
+	}))
+	defer upstream.Close()
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{upstream.URL}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantBody, wantETag := triagePage()
-	if !json.Valid(wantBody) || wantETag == "" {
-		t.Fatalf("first page: ETag %q, body %s", wantETag, wantBody)
+	for i := int64(1); i <= 2; i++ {
+		if err := rep.PollOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := requests.Load(); got != i {
+			t.Fatalf("after %d refreshes the upstream saw %d requests, want %d", i, got, i)
+		}
 	}
+}
 
-	broken.Store(true)
-	firstVersion := rep.Status().ReplicaVersion
-	feedSecondWave(t, ctx, partURL)
+// TestReplicaForwardsTriageWhilePolling: triage reads share the
+// replica's upstream client with its refreshes, so forwards run while
+// the replica polls and each still answers the coordinator's page.
+func TestReplicaForwardsTriageWhilePolling(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx := context.Background()
+	cfg := cumulative.DefaultConfig()
+	_, partURL := haPartition(t, cfg)
+	coord, err := NewCoordinator(CoordinatorOptions{Partitions: []string{partURL}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	defer coordTS.Close()
+	feedCluster(t, ctx, 23, 10, partURL)
 	if _, err := coord.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.PollOnce(ctx); err != nil {
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{coordTS.URL}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Status().ReplicaVersion; got <= firstVersion {
-		t.Fatalf("replica patches stopped at version %d (was %d)", got, firstVersion)
+	repTS := httptest.NewServer(rep.Handler())
+	defer repTS.Close()
+	want := getBytes(t, coordTS.URL+"/v1/triage?limit=5")
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				resp, err := http.Get(repTS.URL + "/v1/triage?limit=5")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+					t.Errorf("forwarded read = %s (%v):\n%s\nwant\n%s", resp.Status, err, body, want)
+					return
+				}
+			}
+		}()
 	}
-	if body, etag := triagePage(); !bytes.Equal(body, wantBody) || etag != wantETag {
-		t.Fatalf("after a non-JSON upstream page the replica serves ETag %s and\n%s\nwant ETag %s and\n%s", etag, body, wantETag, wantBody)
+	for i := 0; i < 10; i++ {
+		if err := rep.PollOnce(ctx); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestReplicaKeepsUpstreamWhenTriageReaderGivesUp: a forwarded read
+// runs under its caller's context. A caller that gives up cancels the
+// forward, and that must not count against the upstream: the replica's
+// client stays on the primary instead of rotating to the standby.
+func TestReplicaKeepsUpstreamWhenTriageReaderGivesUp(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	stalled := make(chan struct{})
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		stalled <- struct{}{}
+		<-req.Context().Done()
+	}))
+	defer primary.Close()
+	standby := httptest.NewServer(http.NotFoundHandler())
+	defer standby.Close()
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{primary.URL, standby.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/v1/triage", nil).WithContext(ctx)
+	go func() {
+		<-stalled
+		cancel()
+	}()
+	rep.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if got := rep.Status().Upstream; got != primary.URL {
+		t.Fatalf("after a cancelled triage read the replica polls %s, want the primary %s", got, primary.URL)
 	}
 }
 
@@ -865,6 +1002,11 @@ func TestReplicaFollowsCoordinatorFailover(t *testing.T) {
 		}
 	}
 	holds("after failover")
+	repTS := httptest.NewServer(rep.Handler())
+	defer repTS.Close()
+	if got, want := getBytes(t, repTS.URL+"/v1/triage"), getBytes(t, standbyTS.URL+"/v1/triage"); !bytes.Equal(got, want) {
+		t.Fatalf("replica triage after failover:\n%s\nwant the promoted standby's\n%s", got, want)
+	}
 
 	// The deposed primary keeps deriving under its old epoch and comes
 	// back: a poll must never cache its epoch or version.

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,17 +17,19 @@ import (
 )
 
 // Replica is the read-path fan-out tier: a stateless cache that polls a
-// coordinator's patch log and triage ranking and re-serves them to any
-// number of pollers, CDN-style. Patch distribution is overwhelmingly
-// read-heavy — millions of installations poll, one merge tier writes —
-// so replicas absorb the fan-in. The cache is a fleet.PatchLog that
-// follows the upstream's: it keeps the *upstream's* version numbers and
-// epoch (a poller talking to a replica sees exactly what the coordinator
-// would have served) and answers GET /v1/patches through the same
-// handler, ETag and 304 included. Losing a replica loses nothing: its
-// entire state is rebuilt from one upstream poll.
+// coordinator's patch log and re-serves it to any number of pollers,
+// CDN-style. Patch distribution is overwhelmingly read-heavy — millions
+// of installations poll, one merge tier writes — so replicas absorb the
+// fan-in. The cache is a fleet.PatchLog that follows the upstream's: it
+// keeps the *upstream's* version numbers and epoch (a poller talking to
+// a replica sees exactly what the coordinator would have served) and
+// answers GET /v1/patches through the same handler, ETag and 304
+// included. Losing a replica loses nothing: its entire state is rebuilt
+// from one upstream poll. The rare GET /v1/triage is forwarded upstream
+// with its query, so every tier answers a ranking query with the same
+// bytes and the replica keeps no copy of the ranking.
 //
-// Upstream polls go through one fleet.Client, so replicas follow a
+// Upstream requests go through one fleet.Client, so replicas follow a
 // failover pair transparently: configure the primary and standby as
 // upstreams, and the client rotates on transport failure or 503,
 // resyncs when the epoch rises, and never adopts a lower epoch (a
@@ -44,12 +44,8 @@ type Replica struct {
 	mux      *http.ServeMux
 	start    time.Time
 	// synced is false until the first successful upstream poll; until
-	// then every read answers 503.
+	// then every patch read answers 503.
 	synced atomic.Bool
-
-	mu         sync.Mutex
-	triageBody []byte
-	triageETag string
 }
 
 // ReplicaOptions configures a read replica.
@@ -76,11 +72,6 @@ type ReplicaOptions struct {
 	Logger  *slog.Logger
 }
 
-// replicaTriageLimit is the ranking depth a replica caches and serves.
-// Replicas answer every GET /v1/triage with this cached body; paginated
-// or per-cluster triage reads belong on the coordinator.
-const replicaTriageLimit = 200
-
 // replicaMetrics is the fan-out tier's instrument set. Upstream
 // rotations are counted by the embedded client, as
 // fleet_client_failovers_total in the same registry.
@@ -90,13 +81,12 @@ type replicaMetrics struct {
 	patchReqs   *telemetry.Counter
 	patchNotMod *telemetry.Counter
 	triageReqs  *telemetry.Counter
-	triageNM    *telemetry.Counter
 	versionG    *telemetry.Gauge
 }
 
 func (m *replicaMetrics) register(reg *telemetry.Registry) {
 	m.polls = reg.Counter("cluster_replica_polls_total",
-		"Upstream refresh rounds (patch log + triage ranking).")
+		"Upstream refresh rounds (patch log).")
 	m.pollErrs = reg.Counter("cluster_replica_poll_errors_total",
 		"Failed upstream refreshes (the cache keeps serving its last state).")
 	m.patchReqs = reg.Counter("cluster_replica_patch_requests_total",
@@ -104,9 +94,7 @@ func (m *replicaMetrics) register(reg *telemetry.Registry) {
 	m.patchNotMod = reg.Counter("cluster_replica_patch_not_modified_total",
 		"Patch polls answered 304 off the If-None-Match validator (the replica hit ratio's numerator).")
 	m.triageReqs = reg.Counter("cluster_replica_triage_requests_total",
-		"GET /v1/triage requests served from the cache.")
-	m.triageNM = reg.Counter("cluster_replica_triage_not_modified_total",
-		"Triage reads answered 304 off the If-None-Match validator.")
+		"GET /v1/triage requests forwarded upstream.")
 	m.versionG = reg.Gauge("cluster_replica_patch_version",
 		"Upstream patch-log version the cache currently mirrors.")
 	telemetry.RegisterBuildInfo(reg)
@@ -186,10 +174,9 @@ func (r *Replica) Run(ctx context.Context) {
 	}
 }
 
-// PollOnce refreshes the patch and triage caches from the upstream. A
-// failed refresh leaves the cache serving its previous state; a failed
-// triage refresh alone keeps the last ranking and still applies the
-// patches.
+// PollOnce refreshes the patch cache from the upstream: one conditional
+// patch poll. A failed refresh leaves the cache serving its previous
+// state.
 func (r *Replica) PollOnce(ctx context.Context) error {
 	r.metrics.polls.Inc()
 	synced := r.synced.Load()
@@ -212,25 +199,14 @@ func (r *Replica) PollOnce(ctx context.Context) error {
 	}
 	r.synced.Store(true)
 	r.metrics.versionG.Set(float64(r.log.Version()))
-
-	// The page is kept as the coordinator wrote it, once it parses.
-	body, err := r.client.TriagePage(ctx, 0, replicaTriageLimit)
-	if err == nil && !json.Valid(body) {
-		err = errors.New("cluster: upstream triage page is not JSON")
-	}
-	if err != nil {
-		r.logger.Warn("triage refresh failed", "error", err.Error())
-		return nil
-	}
-	h := fnv.New64a()
-	h.Write(body)
-	etag := fmt.Sprintf("%q", fmt.Sprintf("t%x", h.Sum64()))
-	r.mu.Lock()
-	r.triageBody, r.triageETag = body, etag
-	r.mu.Unlock()
 	return nil
 }
 
+// handleTriage forwards GET /v1/triage upstream with the request's
+// offset and limit, read as triage.Engine.ServeHTTP reads them (a value
+// that does not parse counts as 0), and answers the upstream's page as
+// written once it parses. No upstream answering a page that parses is a
+// 502; the replica keeps nothing either way.
 func (r *Replica) handleTriage(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -238,24 +214,23 @@ func (r *Replica) handleTriage(w http.ResponseWriter, req *http.Request) {
 	}
 	reqID := fleet.EchoRequestID(w, req)
 	r.metrics.triageReqs.Inc()
-	r.mu.Lock()
-	body, etag := r.triageBody, r.triageETag
-	r.mu.Unlock()
-	if len(body) == 0 {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "cluster: replica warming (no triage state yet)", http.StatusServiceUnavailable)
-		return
+	q := req.URL.Query()
+	offset, _ := strconv.Atoi(q.Get("offset"))
+	limit, _ := strconv.Atoi(q.Get("limit"))
+	body, err := r.client.TriagePage(req.Context(), offset, limit)
+	if err == nil && !json.Valid(body) {
+		err = errors.New("cluster: upstream triage page is not JSON")
 	}
-	if fleet.MatchETag(w, req, etag) {
-		r.metrics.triageNM.Inc()
-		r.logger.Debug("triage revalidated (304)", "requestId", reqID)
+	if err != nil {
+		r.logger.Warn("triage forward failed", "requestId", reqID, "error", err.Error())
+		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	// The page declares its length, as the coordinator's does: one over
 	// net/http's 2 KB buffer would otherwise go out chunked.
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	r.logger.Debug("triage served", "requestId", reqID)
+	r.logger.Debug("triage forwarded", "requestId", reqID)
 	w.Write(body)
 }
 

@@ -36,7 +36,6 @@ func (r *AblationMResult) Rows() []string {
 		out = append(out, row("%-5.1f %-11.2f %-13.2f %-11d %-9s",
 			a.M, a.DetectionRate, a.TheoremBound, a.HeapBytes, time.Duration(a.RunNs)))
 	}
-	out = append(out, "larger M: more canaried free space (higher detection), more mapped memory")
 	return out
 }
 

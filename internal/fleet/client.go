@@ -107,9 +107,10 @@ func NewClient(base, id string) *Client {
 
 // SetFallbacks appends failover base URLs tried — in order, sticky —
 // when the active base fails at the transport level or answers 503
-// (a warm standby gating its read path). Point a fleet of pollers at
-// the primary coordinator with its standby as fallback and a failover
-// needs no client reconfiguration.
+// (a warm standby gating its read path); a read its caller cancels is
+// no failure. Point a fleet of pollers at the primary coordinator with
+// its standby as fallback and a failover needs no client
+// reconfiguration.
 func (c *Client) SetFallbacks(bases ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -362,8 +363,8 @@ func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage
 
 // TriagePage fetches one page of the server's triage ranking (GET
 // /v1/triage) as the server wrote it: a RankingReply's JSON, not yet
-// checked. TriageRankings decodes it; a cache re-serves the bytes as
-// they are.
+// checked. TriageRankings decodes it; a read replica forwards the bytes
+// as they are.
 func (c *Client) TriagePage(ctx context.Context, offset, limit int) ([]byte, error) {
 	body, _, err := c.getBody(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), "get triage", nil)
 	return body, err
@@ -488,6 +489,10 @@ func (c *Client) get(ctx context.Context, path string, header map[string]string)
 		}
 		resp, err = c.hc.Do(req)
 		switch {
+		case err != nil && ctx.Err() != nil:
+			// The caller gave up: the base is not at fault, so it stays
+			// active.
+			return nil, reqID, err
 		case err != nil:
 			c.logger.Warn("fetch failed", "path", path, "base", base, "requestId", reqID, "error", err)
 		case resp.StatusCode == http.StatusServiceUnavailable && attempt+1 < attempts:
