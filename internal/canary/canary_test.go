@@ -2,6 +2,7 @@ package canary
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,123 @@ func TestPropertyVerifyIffUncorrupted(t *testing.T) {
 		return !c.Verify(buf) && len(c.CorruptRanges(buf)) == 1
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refFill, refVerify and refCorruptRanges work a byte at a time: the
+// reference the word-width Fill, Verify and CorruptRanges must agree with.
+func refFill(c Canary, buf []byte) {
+	for i := range buf {
+		buf[i] = c.Byte(i)
+	}
+}
+
+func refVerify(c Canary, buf []byte) bool {
+	for i, b := range buf {
+		if b != c.Byte(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func refCorruptRanges(c Canary, buf []byte) []Range {
+	var out []Range
+	i := 0
+	for i < len(buf) {
+		if buf[i] == c.Byte(i) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(buf) && buf[j] != c.Byte(j) {
+			j++
+		}
+		out = append(out, Range{Start: i, End: j, Bytes: append([]byte(nil), buf[i:j]...)})
+		i = j
+	}
+	return out
+}
+
+func TestWordWidthMatchesByteReference(t *testing.T) {
+	const maxLen = 300
+	rng := xrand.New(10)
+	c := New(rng)
+	backing := make([]byte, maxLen+8)
+	want := make([]byte, maxLen+8)
+	intact := make([]byte, maxLen)
+	refFill(c, intact)
+	corruptByte := func(buf []byte, i int) { buf[i] ^= byte(rng.Intn(255) + 1) }
+	corruptRun := func(buf []byte, from, to int) {
+		for i := max(from, 0); i < min(to, len(buf)); i++ {
+			corruptByte(buf, i)
+		}
+	}
+	for n := 0; n <= maxLen; n++ {
+		// SlotData hands DieFast a slice of a region, so buffers start at
+		// every offset of the word below them.
+		for start := 0; start < 8; start++ {
+			for i := range backing {
+				backing[i] = byte(rng.Uint32())
+			}
+			copy(want, backing)
+			buf := backing[start : start+n]
+			refFill(c, want[start:start+n])
+			c.Fill(buf)
+			for i := range backing {
+				if backing[i] != want[i] {
+					t.Fatalf("n=%d start=%d: Fill left %#02x at byte %d of the array, the reference %#02x", n, start, backing[i], i, want[i])
+				}
+			}
+
+			cases := []struct {
+				name    string
+				applies bool
+				corrupt func(buf []byte)
+			}{
+				{"intact", true, func([]byte) {}},
+				{"one", n > 0, func(buf []byte) {
+					i := rng.Intn(n)
+					corruptRun(buf, i, i+1+rng.Intn(12))
+				}},
+				{"two", n > 0, func(buf []byte) {
+					corruptByte(buf, rng.Intn(n))
+					i := rng.Intn(n)
+					corruptRun(buf, i, i+1+rng.Intn(12))
+				}},
+				{"across a word boundary", n > 8, func(buf []byte) {
+					b := 8 * (1 + rng.Intn((n-1)/8))
+					corruptRun(buf, b-1-rng.Intn(3), b+1+rng.Intn(3))
+				}},
+				{"in the last partial word", n%8 != 0, func(buf []byte) {
+					corruptByte(buf, n-n%8+rng.Intn(n%8))
+				}},
+				{"split by pattern bytes", n >= 8, func(buf []byte) {
+					// Bytes 1–3 of the word keep the pattern, so the
+					// corrupted word holds two ranges.
+					w := 8 * rng.Intn(n/8)
+					corruptByte(buf, w)
+					corruptRun(buf, w+4, w+8)
+				}},
+			}
+			for _, tc := range cases {
+				if !tc.applies {
+					continue
+				}
+				copy(buf, intact[:n])
+				tc.corrupt(buf)
+				got, ref := c.CorruptRanges(buf), refCorruptRanges(c, buf)
+				if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("n=%d start=%d %s: CorruptRanges %v, reference %v", n, start, tc.name, got, ref)
+				}
+				if v := c.Verify(buf); v != refVerify(c, buf) || v != (got == nil) {
+					t.Fatalf("n=%d start=%d %s: Verify %v, reference %v, ranges %v", n, start, tc.name, v, refVerify(c, buf), got)
+				}
+				if tc.name != "intact" && got == nil {
+					t.Fatalf("n=%d start=%d %s: corruption not found", n, start, tc.name)
+				}
+			}
+		}
 	}
 }
 

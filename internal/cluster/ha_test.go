@@ -583,7 +583,7 @@ func TestReplicaTriageDeclaresContentLength(t *testing.T) {
 	if len(body) <= 2048 || resp.ContentLength != int64(len(body)) {
 		t.Fatalf("%d-byte page served with Content-Length %d", len(body), resp.ContentLength)
 	}
-	page, err := fleet.NewClient(repTS.URL, "downstream").TriagePage(ctx, 0, triage.MaxPageSize)
+	page, err := fleet.NewClient(repTS.URL, "downstream").TriagePage(ctx, 0, triage.MaxPageSize, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,6 +796,42 @@ func TestReplicaKeepsUpstreamWhenTriageReaderGivesUp(t *testing.T) {
 	rep.Handler().ServeHTTP(httptest.NewRecorder(), req)
 	if got := rep.Status().Upstream; got != primary.URL {
 		t.Fatalf("after a cancelled triage read the replica polls %s, want the primary %s", got, primary.URL)
+	}
+}
+
+// TestReplicaForwardsTriageUnderCallersRequestID: a forwarded read
+// reaches the upstream under the X-Request-ID the replica echoes to its
+// caller, the caller's own or one the replica minted, so one ID ties the
+// two tiers' log lines.
+func TestReplicaForwardsTriageUnderCallersRequestID(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	seen := make(chan string, 1)
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		seen <- req.Header.Get(fleet.RequestIDHeader)
+		w.Write([]byte(`{"clusters":[]}`))
+	}))
+	defer upstream.Close()
+	rep, err := NewReplica(ReplicaOptions{Upstreams: []string{upstream.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sent := range []string{"triage-fwd-7", ""} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/triage?limit=5", nil)
+		if sent != "" {
+			req.Header.Set(fleet.RequestIDHeader, sent)
+		}
+		rec := httptest.NewRecorder()
+		rep.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sent %q: status %d: %s", sent, rec.Code, rec.Body)
+		}
+		echoed := rec.Header().Get(fleet.RequestIDHeader)
+		if sent != "" && echoed != sent {
+			t.Fatalf("sent %q, the replica echoed %q", sent, echoed)
+		}
+		if got := <-seen; got != echoed {
+			t.Fatalf("sent %q: the upstream saw request ID %q, the caller %q", sent, got, echoed)
+		}
 	}
 }
 

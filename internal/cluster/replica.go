@@ -204,9 +204,10 @@ func (r *Replica) PollOnce(ctx context.Context) error {
 
 // handleTriage forwards GET /v1/triage upstream with the request's
 // offset and limit, read as triage.Engine.ServeHTTP reads them (a value
-// that does not parse counts as 0), and answers the upstream's page as
-// written once it parses. No upstream answering a page that parses is a
-// 502; the replica keeps nothing either way.
+// that does not parse counts as 0), under the X-Request-ID it echoes,
+// and answers the upstream's page as written once it parses. No upstream
+// answering a page that parses is a 502; the replica keeps nothing
+// either way.
 func (r *Replica) handleTriage(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -217,7 +218,7 @@ func (r *Replica) handleTriage(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	offset, _ := strconv.Atoi(q.Get("offset"))
 	limit, _ := strconv.Atoi(q.Get("limit"))
-	body, err := r.client.TriagePage(req.Context(), offset, limit)
+	body, err := r.client.TriagePage(req.Context(), offset, limit, reqID)
 	if err == nil && !json.Valid(body) {
 		err = errors.New("cluster: upstream triage page is not JSON")
 	}

@@ -357,16 +357,21 @@ func (c *Client) Status() (*StatusReply, error) {
 // TriageRankings fetches the server's paginated triage ranking (GET
 // /v1/triage): the fleet's top defect clusters, pooled-Bayes first.
 func (c *Client) TriageRankings(ctx context.Context, offset, limit int) (*triage.RankingReply, error) {
-	body, err := c.TriagePage(ctx, offset, limit)
+	body, err := c.TriagePage(ctx, offset, limit, "")
 	return unmarshalJSON[triage.RankingReply](body, err, "triage")
 }
 
 // TriagePage fetches one page of the server's triage ranking (GET
 // /v1/triage) as the server wrote it: a RankingReply's JSON, not yet
 // checked. TriageRankings decodes it; a read replica forwards the bytes
-// as they are.
-func (c *Client) TriagePage(ctx context.Context, offset, limit int) ([]byte, error) {
-	body, _, err := c.getBody(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), "get triage", nil)
+// as they are, under its caller's X-Request-ID. A non-empty requestID is
+// the request's X-Request-ID; an empty one gets a fresh ID.
+func (c *Client) TriagePage(ctx context.Context, offset, limit int, requestID string) ([]byte, error) {
+	var hdr map[string]string
+	if requestID != "" {
+		hdr = map[string]string{RequestIDHeader: requestID}
+	}
+	body, _, err := c.getBody(ctx, fmt.Sprintf("/v1/triage?offset=%d&limit=%d", offset, limit), "get triage", hdr)
 	return body, err
 }
 
@@ -467,12 +472,15 @@ func (c *Client) getBody(ctx context.Context, path, what string, header map[stri
 }
 
 // get issues a read request for path (e.g. "/v1/patches?since=3"),
-// stamping it with a fresh X-Request-ID — the read-path half of the
-// correlation contract: uploads have carried one since PR 6, but a
-// failed *fetch* could not be grepped across tiers. The ID is logged
-// here and returned so callers thread it into their errors.
+// stamping it with the X-Request-ID header carries, or a fresh one — the
+// read-path half of the correlation contract: uploads carry one too, so
+// a failed fetch greps across tiers. The ID is logged here and returned
+// so callers thread it into their errors.
 func (c *Client) get(ctx context.Context, path string, header map[string]string) (resp *http.Response, reqID string, err error) {
-	reqID = telemetry.NewRequestID()
+	reqID = header[RequestIDHeader]
+	if reqID == "" {
+		reqID = telemetry.NewRequestID()
+	}
 	attempts := c.numBases()
 	for attempt := 0; ; attempt++ {
 		base := c.Base()

@@ -114,7 +114,7 @@ func TestJSONReplyWithTrailingBytesIsRefused(t *testing.T) {
 func TestUndeclaredBodyOverCapIsRefused(t *testing.T) {
 	over := func() io.Reader { return io.LimitReader(repeatReader(' '), maxResponseBytes+1) }
 	c := transportClient(replyTransport{body: over, length: -1})
-	page, err := c.TriagePage(context.Background(), 0, 10)
+	page, err := c.TriagePage(context.Background(), 0, 10, "")
 	if err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("an undeclared body of %d bytes: %d bytes returned, err = %v; want the size limit", maxResponseBytes+1, len(page), err)
 	}

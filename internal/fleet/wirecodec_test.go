@@ -607,14 +607,14 @@ func TestTriagePageReadsDeclaredLength(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL, "t")
 
-	body, err := c.TriagePage(context.Background(), 0, 1)
+	body, err := c.TriagePage(context.Background(), 0, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(body) != page || cap(body) != len(page) {
 		t.Fatalf("page read as %d bytes in a %d-byte slice: %q", len(body), cap(body), body)
 	}
-	if _, err := c.TriagePage(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "exceed") {
+	if _, err := c.TriagePage(context.Background(), 1, 1, ""); err == nil || !strings.Contains(err.Error(), "exceed") {
 		t.Fatalf("oversized page: err = %v, want the size limit", err)
 	}
 }

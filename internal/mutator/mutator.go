@@ -89,10 +89,7 @@ type Env struct {
 	// "dominates" on allocation-intensive programs, §7.1).
 	NoSites bool
 
-	live    map[Ptr]*Object
-	byOrd   map[uint64]*Object
-	ordered []uint64 // allocation ordinals of live objects (sorted lazily)
-	dirty   bool
+	live map[Ptr]Object
 }
 
 // NewEnv builds an environment around an allocator.
@@ -103,8 +100,7 @@ func NewEnv(a alloc.Allocator, space *mem.Space, rng *xrand.RNG, input []byte) *
 		Stack: &site.Stack{},
 		Rng:   rng,
 		Input: input,
-		live:  make(map[Ptr]*Object),
-		byOrd: make(map[uint64]*Object),
+		live:  make(map[Ptr]Object),
 	}
 }
 
@@ -124,10 +120,7 @@ func (e *Env) Malloc(n int) Ptr {
 		panic(&mem.Fault{Kind: mem.SegV, Addr: 0, Op: "malloc-failed"})
 	}
 	ord := e.Alloc.Clock()
-	o := &Object{Ord: ord, Ptr: ptr, Size: n}
-	e.live[ptr] = o
-	e.byOrd[ord] = o
-	e.dirty = true
+	e.live[ptr] = Object{Ord: ord, Ptr: ptr, Size: n}
 	if e.Hook != nil {
 		e.Hook.AfterMalloc(e, ord, ptr, n)
 	}
@@ -140,16 +133,7 @@ func (e *Env) Malloc(n int) Ptr {
 // Free releases ptr at the current call site.
 func (e *Env) Free(ptr Ptr) {
 	e.Alloc.Free(ptr, e.siteHash())
-	e.forget(ptr)
-}
-
-// forget removes ptr from the live table (without freeing).
-func (e *Env) forget(ptr Ptr) {
-	if o, ok := e.live[ptr]; ok {
-		delete(e.live, ptr)
-		delete(e.byOrd, o.Ord)
-		e.dirty = true
-	}
+	delete(e.live, ptr)
 }
 
 // FreeUnderneath releases an object without the program's knowledge —
@@ -160,31 +144,22 @@ func (e *Env) FreeUnderneath(ptr Ptr) {
 	e.Alloc.Free(ptr, e.siteHash())
 }
 
-// Live returns the live objects ordered by allocation ordinal. The slice
-// is valid until the next allocation or free.
+// Live returns the live objects ordered by allocation ordinal, in a new
+// slice the caller owns. It sorts on every call: the injector calls it
+// once per run.
 func (e *Env) Live() []Object {
-	if e.dirty {
-		e.ordered = e.ordered[:0]
-		for ord := range e.byOrd {
-			e.ordered = append(e.ordered, ord)
-		}
-		sort.Slice(e.ordered, func(i, j int) bool { return e.ordered[i] < e.ordered[j] })
-		e.dirty = false
+	out := make([]Object, 0, len(e.live))
+	for _, o := range e.live {
+		out = append(out, o)
 	}
-	out := make([]Object, 0, len(e.ordered))
-	for _, ord := range e.ordered {
-		out = append(out, *e.byOrd[ord])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Ord < out[j].Ord })
 	return out
 }
 
 // Object returns the live object at ptr, if any.
 func (e *Env) Object(ptr Ptr) (Object, bool) {
 	o, ok := e.live[ptr]
-	if !ok {
-		return Object{}, false
-	}
-	return *o, true
+	return o, ok
 }
 
 // Write stores data at ptr+off, trapping on bad addresses.

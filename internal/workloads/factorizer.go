@@ -36,30 +36,42 @@ func (Factorizer) Name() string { return "cfrac-mp" }
 // little-endian limbs. Every operation allocates its result — the
 // functional-style bignum arithmetic cfrac's library uses.
 
-func (f Factorizer) newNum(e *mutator.Env, limbs []uint16) mutator.Ptr {
+// mpRun is one run of a Factorizer: its environment and scratch. raw
+// stages the bytes of every heap read and write, num holds the last
+// number loadNum read, and quot the limbs newNum is about to store (a
+// fresh composite, or the quotient divSmall builds from num).
+type mpRun struct {
+	Factorizer
+	e         *mutator.Env
+	raw       []byte
+	num, quot []uint16
+}
+
+func (r *mpRun) newNum(limbs []uint16) mutator.Ptr {
 	var p mutator.Ptr
-	e.Call(0xCF4AC, func() { p = e.Malloc(2 * len(limbs)) })
-	buf := make([]byte, 2*len(limbs))
+	r.e.Call(0xCF4AC, func() { p = r.e.Malloc(2 * len(limbs)) })
+	buf := r.raw[:2*len(limbs)]
 	for i, l := range limbs {
 		buf[2*i] = byte(l)
 		buf[2*i+1] = byte(l >> 8)
 	}
-	e.Write(p, 0, buf)
+	r.e.Write(p, 0, buf)
 	return p
 }
 
-func (f Factorizer) loadNum(e *mutator.Env, p mutator.Ptr, n int) []uint16 {
-	buf := make([]byte, 2*n)
-	e.Read(p, 0, buf)
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = uint16(buf[2*i]) | uint16(buf[2*i+1])<<8
+// loadNum reads the Limbs-limb number at p into r.num, which the next
+// loadNum overwrites.
+func (r *mpRun) loadNum(p mutator.Ptr) []uint16 {
+	buf := r.raw[:2*r.Limbs]
+	r.e.Read(p, 0, buf)
+	for i := range r.num {
+		r.num[i] = uint16(buf[2*i]) | uint16(buf[2*i+1])<<8
 	}
-	return out
+	return r.num
 }
 
-func (f Factorizer) freeNum(e *mutator.Env, p mutator.Ptr) {
-	e.Call(0xCF4AD, func() { e.Free(p) })
+func (r *mpRun) freeNum(p mutator.Ptr) {
+	r.e.Call(0xCF4AD, func() { r.e.Free(p) })
 }
 
 // modSmall computes value mod m over the heap-resident limbs.
@@ -73,16 +85,15 @@ func modSmall(limbs []uint16, m uint32) uint32 {
 
 // divSmall divides the limbs by d in place (heap round-trip), returning
 // the new heap number and whether the division was exact.
-func (f Factorizer) divSmall(e *mutator.Env, p mutator.Ptr, n int, d uint32) (mutator.Ptr, bool) {
-	limbs := f.loadNum(e, p, n)
-	out := make([]uint16, n)
+func (r *mpRun) divSmall(p mutator.Ptr, d uint32) (mutator.Ptr, bool) {
+	limbs, out := r.loadNum(p), r.quot
 	var rem uint64
-	for i := n - 1; i >= 0; i-- {
+	for i := len(out) - 1; i >= 0; i-- {
 		cur := rem<<16 | uint64(limbs[i])
 		out[i] = uint16(cur / uint64(d))
 		rem = cur % uint64(d)
 	}
-	q := f.newNum(e, out)
+	q := r.newNum(out)
 	return q, rem == 0
 }
 
@@ -100,16 +111,19 @@ func isOne(limbs []uint16) bool {
 
 // Run implements mutator.Program.
 func (f Factorizer) Run(e *mutator.Env) {
+	// raw also stages the Fermat probe's two-limb temporaries.
+	r := &mpRun{Factorizer: f, e: e, raw: make([]byte, 2*max(f.Limbs, 2)),
+		num: make([]uint16, f.Limbs), quot: make([]uint16, f.Limbs)}
 	factored := 0
 	for i := 0; i < f.Numbers; i++ {
 		// A pseudo-random composite (force odd, nonzero top limb).
-		limbs := make([]uint16, f.Limbs)
+		limbs := r.quot
 		for j := range limbs {
 			limbs[j] = uint16(e.Rng.Uint32())
 		}
 		limbs[0] |= 1
 		limbs[f.Limbs-1] |= 0x8000
-		n := f.newNum(e, limbs)
+		n := r.newNum(limbs)
 
 		var factors []uint32
 		// Trial division by small primes; every exact division allocates
@@ -117,20 +131,20 @@ func (f Factorizer) Run(e *mutator.Env) {
 		cur := n
 		for _, prime := range smallPrimes {
 			for {
-				cl := f.loadNum(e, cur, f.Limbs)
+				cl := r.loadNum(cur)
 				if isOne(cl) {
 					break
 				}
 				if modSmall(cl, prime) != 0 {
 					break
 				}
-				q, exact := f.divSmall(e, cur, f.Limbs, prime)
+				q, exact := r.divSmall(cur, prime)
 				if !exact {
 					// modSmall said divisible but division disagrees:
 					// the number's limbs were corrupted in memory.
 					e.Fail("cfrac-mp: inconsistent arithmetic (corrupt bignum)")
 				}
-				f.freeNum(e, cur)
+				r.freeNum(cur)
 				cur = q
 				factors = append(factors, prime)
 				if len(factors) > 64 {
@@ -140,13 +154,13 @@ func (f Factorizer) Run(e *mutator.Env) {
 		}
 		// Fermat probe on the remainder: a few squarings mod the number,
 		// allocating temporaries (compute + churn, no factor extraction).
-		rl := f.loadNum(e, cur, f.Limbs)
+		rl := r.loadNum(cur)
 		probe := uint64(2)
 		for it := 0; it < 8; it++ {
 			m := modSmall(rl, 65521)
 			probe = probe * probe % uint64(65521)
-			tmp := f.newNum(e, []uint16{uint16(probe), uint16(m)})
-			f.freeNum(e, tmp)
+			tmp := r.newNum([]uint16{uint16(probe), uint16(m)})
+			r.freeNum(tmp)
 		}
 
 		sig := uint32(0)
@@ -157,7 +171,7 @@ func (f Factorizer) Run(e *mutator.Env) {
 			sig = sig*33 + uint32(l)
 		}
 		e.Printf("cfrac-mp n%02d: %d small factor(s) sig=%08x\n", i, len(factors), sig)
-		f.freeNum(e, cur)
+		r.freeNum(cur)
 		factored++
 	}
 	e.Printf("cfrac-mp done numbers=%d\n", factored)

@@ -44,12 +44,22 @@ func (Minimizer) Name() string { return "espresso-qm" }
 
 func (m Minimizer) cubeBytes() int { return (2*m.Vars + 7) / 8 }
 
+// qmRun is one run of a Minimizer: its environment and two scratch
+// cubes. distance1 and contains load two cubes at once, and no cube
+// loaded into scratch is used after the call that loaded it returns.
+type qmRun struct {
+	Minimizer
+	e    *mutator.Env
+	x, y []byte
+}
+
 // Run implements mutator.Program.
 func (m Minimizer) Run(e *mutator.Env) {
+	r := &qmRun{Minimizer: m, e: e, x: make([]byte, m.cubeBytes()), y: make([]byte, m.cubeBytes())}
 	totalCubes, totalMerges := 0, 0
 
 	for c := 0; c < m.Covers; c++ {
-		cover := m.randomCover(e)
+		cover := r.randomCover()
 
 		// Iterated combining: merge any two cubes at distance 1 until a
 		// fixpoint — the QM prime-implicant generation loop. Each merge
@@ -59,10 +69,10 @@ func (m Minimizer) Run(e *mutator.Env) {
 			merged := false
 			for i := 0; i < len(cover) && !merged; i++ {
 				for j := i + 1; j < len(cover) && !merged; j++ {
-					if v, ok := m.distance1(e, cover[i], cover[j]); ok {
-						nc := m.combine(e, cover[i], cover[j], v)
-						m.freeCube(e, cover[i])
-						m.freeCube(e, cover[j])
+					if v, ok := r.distance1(cover[i], cover[j]); ok {
+						nc := r.combine(cover[i], v)
+						r.freeCube(cover[i])
+						r.freeCube(cover[j])
 						// Remove j first (higher index), then i.
 						cover = append(cover[:j], cover[j+1:]...)
 						cover = append(cover[:i], cover[i+1:]...)
@@ -78,30 +88,32 @@ func (m Minimizer) Run(e *mutator.Env) {
 		}
 
 		// Single-cube containment sweep: drop cubes covered by another.
-		cover = m.dropContained(e, cover)
+		cover = r.dropContained(cover)
 
 		// Report a layout-independent signature of the minimized cover.
 		sig := uint32(0)
 		for _, cb := range cover {
-			sig = sig*31 + m.checksum(e, cb)
+			sig = sig*31 + r.checksum(cb)
 		}
 		e.Printf("espresso-qm cover %d: %d cubes sig=%08x\n", c, len(cover), sig)
 		totalCubes += len(cover)
 		for _, cb := range cover {
-			m.freeCube(e, cb)
+			r.freeCube(cb)
 		}
 	}
 	e.Printf("espresso-qm done covers=%d cubes=%d merges=%d\n", m.Covers, totalCubes, totalMerges)
 }
 
 // randomCover allocates an initial cover of minterm-ish cubes.
-func (m Minimizer) randomCover(e *mutator.Env) []mutator.Ptr {
-	cover := make([]mutator.Ptr, 0, m.CubesPerCover)
-	for i := 0; i < m.CubesPerCover; i++ {
+func (r *qmRun) randomCover() []mutator.Ptr {
+	e := r.e
+	cover := make([]mutator.Ptr, 0, r.CubesPerCover)
+	for i := 0; i < r.CubesPerCover; i++ {
 		var p mutator.Ptr
-		e.Call(0xE599, func() { p = e.Malloc(m.cubeBytes()) })
-		buf := make([]byte, m.cubeBytes())
-		for v := 0; v < m.Vars; v++ {
+		e.Call(0xE599, func() { p = e.Malloc(r.cubeBytes()) })
+		buf := r.x
+		clear(buf) // setPair leaves the pad bits of the last byte
+		for v := 0; v < r.Vars; v++ {
 			var bits byte
 			switch e.Rng.Intn(4) {
 			case 0, 1:
@@ -119,23 +131,23 @@ func (m Minimizer) randomCover(e *mutator.Env) []mutator.Ptr {
 	return cover
 }
 
-func (m Minimizer) freeCube(e *mutator.Env, p mutator.Ptr) {
-	e.Call(0xE59A, func() { e.Free(p) })
+func (r *qmRun) freeCube(p mutator.Ptr) {
+	r.e.Call(0xE59A, func() { r.e.Free(p) })
 }
 
-func (m Minimizer) load(e *mutator.Env, p mutator.Ptr) []byte {
-	buf := make([]byte, m.cubeBytes())
-	e.Read(p, 0, buf)
+// load reads the cube at p into buf, one of the run's scratch cubes.
+func (r *qmRun) load(p mutator.Ptr, buf []byte) []byte {
+	r.e.Read(p, 0, buf)
 	return buf
 }
 
 // distance1 reports whether cubes a and b agree everywhere except one
 // variable whose literals are complementary — the QM merge condition —
 // returning that variable.
-func (m Minimizer) distance1(e *mutator.Env, a, b mutator.Ptr) (int, bool) {
-	ab, bb := m.load(e, a), m.load(e, b)
+func (r *qmRun) distance1(a, b mutator.Ptr) (int, bool) {
+	ab, bb := r.load(a, r.x), r.load(b, r.y)
 	diffVar := -1
-	for v := 0; v < m.Vars; v++ {
+	for v := 0; v < r.Vars; v++ {
 		pa, pb := getPair(ab, v), getPair(bb, v)
 		if pa == pb {
 			continue
@@ -157,19 +169,19 @@ func (m Minimizer) distance1(e *mutator.Env, a, b mutator.Ptr) (int, bool) {
 }
 
 // combine allocates the merged cube: a with variable v made don't-care.
-func (m Minimizer) combine(e *mutator.Env, a, _ mutator.Ptr, v int) mutator.Ptr {
-	ab := m.load(e, a)
+func (r *qmRun) combine(a mutator.Ptr, v int) mutator.Ptr {
+	ab := r.load(a, r.x)
 	setPair(ab, v, 0b11)
 	var p mutator.Ptr
-	e.Call(0xE59B, func() { p = e.Malloc(m.cubeBytes()) })
-	e.Write(p, 0, ab)
+	r.e.Call(0xE59B, func() { p = r.e.Malloc(r.cubeBytes()) })
+	r.e.Write(p, 0, ab)
 	return p
 }
 
 // dropContained removes cubes contained in another cube of the cover
 // (a ⊆ b iff b's literal set is a subset bitwise: a&b == a on every pair,
 // with b's don't-cares covering a's literals).
-func (m Minimizer) dropContained(e *mutator.Env, cover []mutator.Ptr) []mutator.Ptr {
+func (r *qmRun) dropContained(cover []mutator.Ptr) []mutator.Ptr {
 	out := make([]mutator.Ptr, 0, len(cover))
 	for i, a := range cover {
 		contained := false
@@ -177,13 +189,13 @@ func (m Minimizer) dropContained(e *mutator.Env, cover []mutator.Ptr) []mutator.
 			if i == j {
 				continue
 			}
-			if m.contains(e, b, a) && !(m.contains(e, a, b) && i < j) {
+			if r.contains(b, a) && !(r.contains(a, b) && i < j) {
 				contained = true
 				break
 			}
 		}
 		if contained {
-			m.freeCube(e, a)
+			r.freeCube(a)
 		} else {
 			out = append(out, a)
 		}
@@ -192,9 +204,9 @@ func (m Minimizer) dropContained(e *mutator.Env, cover []mutator.Ptr) []mutator.
 }
 
 // contains reports whether cube big covers cube small.
-func (m Minimizer) contains(e *mutator.Env, big, small mutator.Ptr) bool {
-	bb, sb := m.load(e, big), m.load(e, small)
-	for v := 0; v < m.Vars; v++ {
+func (r *qmRun) contains(big, small mutator.Ptr) bool {
+	bb, sb := r.load(big, r.x), r.load(small, r.y)
+	for v := 0; v < r.Vars; v++ {
 		pb, ps := getPair(bb, v), getPair(sb, v)
 		if pb&ps != ps {
 			return false
@@ -206,17 +218,17 @@ func (m Minimizer) contains(e *mutator.Env, big, small mutator.Ptr) bool {
 // checksum folds a cube into a layout-independent signature. Canary
 // bytes read through a dangled cube change the signature — the
 // "treats it as valid data and aborts" behaviour of §7.2.
-func (m Minimizer) checksum(e *mutator.Env, p mutator.Ptr) uint32 {
-	buf := m.load(e, p)
+func (r *qmRun) checksum(p mutator.Ptr) uint32 {
+	buf := r.load(p, r.x)
 	var h uint32 = 5381
-	for v := 0; v < m.Vars; v++ {
+	for v := 0; v < r.Vars; v++ {
 		pair := getPair(buf, v)
 		if pair == 0 {
 			// An empty literal set is impossible in a well-formed cube:
 			// the cover is corrupt (espresso's internal consistency
 			// checks abort here). Canary or zero-filled bytes read
 			// through a dangled cube land here with high probability.
-			e.Fail("espresso-qm: malformed cube (empty literal pair)")
+			r.e.Fail("espresso-qm: malformed cube (empty literal pair)")
 		}
 		h = h*33 + uint32(pair)
 	}

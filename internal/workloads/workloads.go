@@ -91,10 +91,20 @@ func (s Synthetic) Run(e *mutator.Env) {
 		return o.size
 	}
 
+	// scratch carries every payload write and verify of the run: the two
+	// never nest, so one buffer grown to the largest payload serves both.
+	var scratch []byte
+	payload := func(o liveObj) []byte {
+		n := payloadLen(o)
+		if cap(scratch) < n {
+			scratch = make([]byte, n)
+		}
+		return scratch[:n]
+	}
+
 	// rewritePayload refreshes the verifiable payload region in place.
 	rewritePayload := func(o liveObj) {
-		n := payloadLen(o)
-		buf := make([]byte, n)
+		buf := payload(o)
 		for i := range buf {
 			buf[i] = payloadByte(o.ord, i)
 		}
@@ -114,8 +124,7 @@ func (s Synthetic) Run(e *mutator.Env) {
 	}
 
 	verifyObj := func(o liveObj) {
-		n := payloadLen(o)
-		buf := make([]byte, n)
+		buf := payload(o)
 		e.Read(o.ptr, 0, buf)
 		for i, b := range buf {
 			if b != payloadByte(o.ord, i) {
